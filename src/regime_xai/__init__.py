@@ -8,5 +8,3 @@ normalized feature importances between the two periods.
 """
 
 __version__ = "0.1.0"
-
-from regime_xai import cli, config, experiment, gbt, mlp, shap, timeseries  # noqa: E402,F401

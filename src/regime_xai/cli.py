@@ -173,14 +173,18 @@ def cmd_features(config: RunConfig) -> dict:
 
 
 def cmd_run(config: RunConfig) -> dict:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    frames, feature_report = build_features(config)
-
     exp_config = config.experiment
     threads = os.environ.get("REGIME_XAI_THREADS")
     if threads:
-        exp_config = replace(exp_config, n_workers=max(1, int(threads)))
+        try:
+            n_workers = int(threads)
+        except ValueError:
+            raise ConfigError(f"REGIME_XAI_THREADS: expected an integer, got {threads!r}") from None
+        exp_config = replace(exp_config, n_workers=max(1, n_workers))
+
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    frames, feature_report = build_features(config)
 
     results = {}
     period_seeds = {}

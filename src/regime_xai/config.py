@@ -8,6 +8,7 @@ resolved against the directory containing the config file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -82,6 +83,18 @@ def _check_keys(obj, allowed, path: str) -> None:
         raise ConfigError(f"{path or '<root>'}: unknown key(s) {sorted(unknown)}")
 
 
+def _integer(obj: dict, key: str, default, path: str):
+    """obj[key] as a JSON integer, or default when the key is absent; null is
+    accepted only where the default is None."""
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        field = f"{path}.{key}" if path else key
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_instant(text, path: str) -> datetime:
     try:
         return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
@@ -92,11 +105,8 @@ def _parse_instant(text, path: str) -> datetime:
 def _dataclass_from(obj: dict, cls, path: str, banned=()):
     names = [f.name for f in fields(cls) if f.name not in banned]
     _check_keys(obj, names, path)
-    kwargs = dict(obj)
-    if "hidden_sizes" in kwargs:
-        kwargs["hidden_sizes"] = tuple(kwargs["hidden_sizes"])
     try:
-        return cls(**kwargs)
+        return cls(**obj)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -110,7 +120,7 @@ def _parse_periods(obj, path: str) -> dict[str, PeriodSpec]:
         start = _parse_instant(_require(section, "start", f"{path}.{name}"), f"{path}.{name}.start")
         end = _parse_instant(_require(section, "end", f"{path}.{name}"), f"{path}.{name}.end")
         try:
-            periods[name] = PeriodSpec(name, start, end, regime=name)
+            periods[name] = PeriodSpec(name, start, end)
         except ValueError as exc:
             raise ConfigError(f"{path}.{name}: {exc}") from None
     if periods["before"].end > periods["after"].start:
@@ -152,7 +162,7 @@ def _parse_model(obj, path: str):
     kind = _require(obj, "kind", path)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"{path}.kind: expected one of {list(MODEL_KINDS)}, got {kind!r}")
-    gbt = _dataclass_from(obj.get("gbt", {}), GbtParams, f"{path}.gbt", banned=("seed",))
+    gbt = _dataclass_from(obj.get("gbt", {}), GbtParams, f"{path}.gbt")
     mlp = _dataclass_from(obj.get("mlp", {}), MlpParams, f"{path}.mlp", banned=("seed",))
     return kind, gbt, mlp
 
@@ -201,6 +211,8 @@ def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunCo
         if base_dir is not None and not Path(path).is_absolute():
             path = str(base_dir / path)
         echo["inputs"][i]["path"] = path
+        if not isinstance(res, (int, float)) or not 0 < res < math.inf:
+            raise ConfigError(f"inputs[{i}].resolution_hours: expected a positive number, got {res!r}")
         inputs.append(InputSpec(path, float(res)))
 
     features = _parse_features(_require(raw, "features", ""), "features")
@@ -213,12 +225,12 @@ def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunCo
     _check_keys(windows_raw, ("n_windows", "window_fraction", "block_days", "test_fraction"), "windows")
     try:
         experiment = ExperimentConfig(
-            n_windows=int(windows_raw.get("n_windows", 6)),
+            n_windows=_integer(windows_raw, "n_windows", 6, "windows"),
             window_fraction=float(windows_raw.get("window_fraction", 0.5)),
-            block_days=int(windows_raw.get("block_days", 4)),
+            block_days=_integer(windows_raw, "block_days", 4, "windows"),
             test_fraction=float(windows_raw.get("test_fraction", 0.2)),
-            background_size=int(shap_raw.get("background_size", 100)),
-            n_coalitions=shap_raw.get("n_coalitions"),
+            background_size=_integer(shap_raw, "background_size", 100, "shap"),
+            n_coalitions=_integer(shap_raw, "n_coalitions", None, "shap"),
             explain_on=shap_raw.get("explain_on", "test"),
             gbt=gbt_params,
             mlp=mlp_params,
@@ -226,9 +238,7 @@ def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunCo
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
+    seed = _integer(raw, "seed", 0, "")
     output_dir = raw.get("output_dir", "out")
     if base_dir is not None and not Path(output_dir).is_absolute():
         output_dir = str(base_dir / output_dir)

@@ -34,12 +34,11 @@ MODEL_KINDS = ("gbt", "mlp")
 
 @dataclass(frozen=True)
 class PeriodSpec:
-    """Half-open UTC interval [start, end) tagged with its regime role."""
+    """Named half-open UTC interval [start, end)."""
 
     name: str
     start: datetime
     end: datetime
-    regime: str = ""
 
     def __post_init__(self):
         for attr in ("start", "end"):
@@ -67,7 +66,6 @@ class SplitPlan:
     window_stop: int
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
 
     def __post_init__(self):
         train = np.asarray(self.train_indices, dtype=np.intp)
@@ -206,7 +204,6 @@ def split_blocks(
         window_stop=window.stop,
         train_indices=rows[~test_mask],
         test_indices=rows[test_mask],
-        seed=seed,
     )
 
 
@@ -219,12 +216,6 @@ def _rows_per_day(timestamps: np.ndarray) -> int:
     return 86400 // step
 
 
-def _fit(kind: str, train: FeatureMatrix, config: ExperimentConfig, seed: int):
-    if kind == "gbt":
-        return fit_gbt(train, replace(config.gbt, seed=seed))
-    return fit_mlp(train, replace(config.mlp, seed=seed))
-
-
 def run_period(
     data: FeatureMatrix,
     period: PeriodSpec,
@@ -234,6 +225,7 @@ def run_period(
 ) -> PeriodResult:
     """Fit, explain and score one model per sliding window of the period.
 
+    data holds the period's rows only; a row outside period is an error.
     Tree models are explained with the tree engine, nets with the kernel
     engine, both against a background subsampled from the window's training
     rows. Fit/explain failures are re-raised annotated with the window index.
@@ -242,13 +234,28 @@ def run_period(
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
 
-    in_period = (data.timestamps >= period.start_epoch) & (data.timestamps < period.end_epoch)
-    rows = data.take(np.flatnonzero(in_period))
-    if len(rows) == 0:
+    if len(data) == 0:
         raise ValueError(f"no rows fall inside period {period.name!r}")
-    rows_per_day = _rows_per_day(rows.timestamps)
+    ts = data.timestamps
+    outside = np.flatnonzero((ts < period.start_epoch) | (ts >= period.end_epoch))
+    if outside.size:
+        raise ValueError(f"row at {format_timestamp(ts[outside[0]])} lies outside period {period.name!r}")
+    rows_per_day = _rows_per_day(ts)
 
-    windows = make_windows(len(rows), config.n_windows, config.window_fraction)
+    # The one branch on the model kind. The functions are looked up here, at
+    # call time, so a profiler that rebinds these module names sees each call.
+    if model_kind == "gbt":
+        def fit(train: FeatureMatrix, fit_seed: int):
+            return fit_gbt(train, config.gbt)
+
+        predict, method = predict_gbt, "tree"
+    else:
+        def fit(train: FeatureMatrix, fit_seed: int):
+            return fit_mlp(train, replace(config.mlp, seed=fit_seed))
+
+        predict, method = predict_mlp, "kernel"
+
+    windows = make_windows(len(data), config.n_windows, config.window_fraction)
     results = []
     for w, window in enumerate(windows):
         try:
@@ -260,9 +267,9 @@ def run_period(
                 rows_per_day=rows_per_day,
                 window_index=w,
             )
-            train = rows.take(plan.train_indices)
-            test = rows.take(plan.test_indices)
-            model = _fit(model_kind, train, config, derive_seed(seed, w, 1))
+            train = data.take(plan.train_indices)
+            test = data.take(plan.test_indices)
+            model = fit(train, derive_seed(seed, w, 1))
 
             bg = Background.subsample(train.X, config.background_size, derive_seed(seed, w, 2))
             explain = test if config.explain_on == "test" else train
@@ -270,17 +277,17 @@ def run_period(
                 model,
                 explain.X,
                 bg,
-                method="tree" if model_kind == "gbt" else "kernel",
+                method=method,
                 seed=derive_seed(seed, w, 3),
                 n_coalitions=config.n_coalitions,
-                feature_names=rows.feature_names,
+                feature_names=data.feature_names,
                 n_workers=config.n_workers,
             )
             importance = feature_importance(explanation)
             if importance.degenerate:
                 log.warning("period %s window %d: degenerate importances", period.name, w)
 
-            pred = predict_gbt(model, test.X) if model_kind == "gbt" else predict_mlp(model, test.X)
+            pred = predict(model, test.X)
             mse = float(np.mean((pred - test.y) ** 2))
             sst = float(np.sum((test.y - test.y.mean()) ** 2))
             r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")
@@ -304,7 +311,7 @@ def run_period(
     fi = np.vstack([r.importance.fi for r in results])
     return PeriodResult(
         period=period,
-        feature_names=rows.feature_names,
+        feature_names=data.feature_names,
         windows=tuple(results),
         fi_mean=fi.mean(axis=0),
         fi_std=fi.std(axis=0),

@@ -32,11 +32,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 @dataclass(frozen=True)
 class TreeEnsemble:
@@ -55,9 +50,6 @@ class TreeEnsemble:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def predict(self, X) -> np.ndarray:
-        return predict_gbt(self, X)
-
 
 @dataclass(frozen=True)
 class GbtParams:
@@ -65,7 +57,6 @@ class GbtParams:
     max_depth: int = 4
     min_samples_leaf: int = 20
     learning_rate: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
@@ -143,8 +134,7 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams | None = None) -> TreeEnsemb
 
     Each stage fits the residuals y - F(X) with leaf values equal to the mean
     residual in the leaf. All-identical targets yield a base-score-only
-    ensemble. Fitting is deterministic; params.seed is kept for interface
-    stability but unused because tie-breaking is already deterministic.
+    ensemble. Fitting is deterministic: ties break by feature, then threshold.
     """
     params = params or GbtParams()
     X, y = train.X, train.y
@@ -176,18 +166,6 @@ def predict_gbt(model: TreeEnsemble, X) -> np.ndarray:
     for tree in model.trees:
         out += model.learning_rate * _eval_tree(tree, X)
     return out
-
-
-def staged_train_mse(model: TreeEnsemble, X, y) -> np.ndarray:
-    """Training MSE after the base score and after each boosting stage."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    pred = np.full(X.shape[0], model.base_score)
-    mses = [float(np.mean((y - pred) ** 2))]
-    for tree in model.trees:
-        pred = pred + model.learning_rate * _eval_tree(tree, X)
-        mses.append(float(np.mean((y - pred) ** 2)))
-    return np.asarray(mses)
 
 
 # ------------------------------------------------------------- serialization
@@ -241,13 +219,3 @@ def ensemble_from_json(text: str) -> TreeEnsemble:
     names = tuple(obj["feature_names"])
     trees = tuple(_node_from_dict(t, len(names)) for t in obj["trees"])
     return TreeEnsemble(float(obj["base_score"]), trees, float(obj["learning_rate"]), names)
-
-
-def save_ensemble(model: TreeEnsemble, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ensemble_to_json(model))
-
-
-def load_ensemble(path) -> TreeEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        return ensemble_from_json(fh.read())

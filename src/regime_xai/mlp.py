@@ -60,9 +60,6 @@ class MlpNet:
     def n_features(self) -> int:
         return self.layer_sizes[0]
 
-    def predict(self, X) -> np.ndarray:
-        return predict_mlp(self, X)
-
 
 @dataclass(frozen=True)
 class MlpParams:
@@ -290,13 +287,3 @@ def net_from_json(text: str) -> MlpNet:
         np.asarray(obj["x_mean"], dtype=np.float64),
         np.asarray(obj["x_std"], dtype=np.float64),
     )
-
-
-def save_net(net: MlpNet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(net_to_json(net))
-
-
-def load_net(path) -> MlpNet:
-    with open(path, encoding="utf-8") as fh:
-        return net_from_json(fh.read())

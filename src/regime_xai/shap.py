@@ -19,7 +19,6 @@ sum to one.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ import numpy as np
 from regime_xai.gbt import TreeEnsemble, TreeNode, predict_gbt
 from regime_xai.mlp import MlpNet, predict_mlp
 from regime_xai.seeds import derive_seed
-from regime_xai.timeseries import format_timestamp
 
 LOCAL_ACCURACY_TOL = 1e-6
 
@@ -135,19 +133,6 @@ def as_predict_fn(model):
 
 
 # ------------------------------------------------------------ value function
-
-
-def value_function(model_fn, x, subset, bg: Background) -> float:
-    """Mean model output with the subset's features pinned to x and the rest
-    ranging over the background rows. Empty subset gives the base value; the
-    full set gives f(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    idx = np.asarray(sorted(subset), dtype=np.intp)
-    if idx.size and (idx[0] < 0 or idx[-1] >= len(x)):
-        raise ValueError(f"subset {idx.tolist()} out of range for {len(x)} features")
-    hybrid = bg.rows.copy()
-    hybrid[:, idx] = x[idx]
-    return float(np.mean(model_fn(hybrid)))
 
 
 @lru_cache(maxsize=64)
@@ -471,22 +456,3 @@ def feature_importance(explanation: Explanation) -> ImportanceVector:
     if total == 0.0:
         return ImportanceVector(np.zeros_like(mean_abs), True, explanation.feature_names)
     return ImportanceVector(mean_abs / total, False, explanation.feature_names)
-
-
-def write_explanation_csv(path, explanation: Explanation, timestamps) -> None:
-    """Export one row per explained input: timestamp, prediction, phi0, phi_*."""
-    timestamps = np.asarray(timestamps)
-    if len(timestamps) != len(explanation):
-        raise ValueError("one timestamp per explained row required")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["timestamp", "prediction", "phi0"]
-            + [f"phi_{name}" for name in explanation.feature_names]
-        )
-        for i in range(len(explanation)):
-            writer.writerow(
-                [format_timestamp(timestamps[i]), repr(float(explanation.predictions[i])),
-                 repr(float(explanation.phi0))]
-                + [repr(float(v)) for v in explanation.phi[i]]
-            )

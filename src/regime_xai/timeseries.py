@@ -93,10 +93,6 @@ class TimeTable:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    @property
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -234,20 +230,6 @@ def load_table(path, expected_resolution_hours: float) -> TimeTable:
     return TimeTable(ts, columns, expected_resolution_hours)
 
 
-def write_table(table: TimeTable, path) -> None:
-    """Write a TimeTable using the input CSV conventions (empty cell = missing)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        names = table.column_names
-        writer.writerow(["timestamp"] + names)
-        for i, ts in enumerate(table.timestamps):
-            row = [format_timestamp(ts)]
-            for name in names:
-                v = table.columns[name][i]
-                row.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(row)
-
-
 def with_column(table: TimeTable, name: str, values) -> TimeTable:
     """New TimeTable with an added or replaced column."""
     columns = dict(table.columns)
@@ -281,31 +263,6 @@ def resample_mean(table: TimeTable, block_hours: float) -> TimeTable:
         sums = np.where(present, blocks, 0.0).sum(axis=1)
         columns[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return TimeTable(ts, columns, float(block_hours))
-
-
-def moving_average(series, window_days: int, samples_per_day: int = 1) -> np.ndarray:
-    """Trailing mean over the preceding window, inclusive of the current sample.
-
-    The window covers window_days * samples_per_day samples; the first windows
-    are partial (mean over the available prefix). Missing values are skipped;
-    a window with no present values stays missing.
-    """
-    values = np.asarray(series, dtype=np.float64)
-    if values.size == 0:
-        raise TimeSeriesError("cannot average an empty series")
-    if window_days < 1 or samples_per_day < 1:
-        raise TimeSeriesError("window_days and samples_per_day must be >= 1")
-    w = int(window_days) * int(samples_per_day)
-
-    n = len(values)
-    present = ~np.isnan(values)
-    sums = np.concatenate([[0.0], np.cumsum(np.where(present, values, 0.0))])
-    counts = np.concatenate([[0], np.cumsum(present.astype(np.int64))])
-    ends = np.arange(1, n + 1)
-    starts = np.maximum(0, ends - w)
-    win_sums = sums[ends] - sums[starts]
-    win_counts = counts[ends] - counts[starts]
-    return np.where(win_counts > 0, win_sums / np.maximum(win_counts, 1), np.nan)
 
 
 def trailing_mean_before(series, window_samples: int) -> np.ndarray:

@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regime_xai
 from regime_xai.cli import (
     build_features,
     cmd_features,
@@ -150,6 +156,31 @@ def test_seed_must_be_int(tmp_path):
     path = market_config(tmp_path, seed="abc")
     with pytest.raises(ConfigError, match="seed"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("windows.n_windows", "6.7"),
+        ("windows.block_days", "4.9"),
+        ("shap.background_size", "49.5"),
+        ("shap.n_coalitions", "abc"),
+        ("windows.n_windows", "true"),
+    ],
+)
+def test_counts_must_be_json_integers(tmp_path, field, value):
+    path = market_config(tmp_path)
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: expected an integer")):
+        load_config(path, overrides=[f"{field}={value}"])
+
+
+def test_non_numeric_resolution_exits_1(tmp_path, capsys):
+    path = market_config(tmp_path)
+    raw = json.loads(path.read_text())
+    raw["inputs"][0]["resolution_hours"] = "hourly"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "inputs[0].resolution_hours" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- features
@@ -370,6 +401,22 @@ def test_thread_cap_env_does_not_change_results(tmp_path, monkeypatch):
     cmd_run(config)
     threaded = (tmp_path / "run_output" / "importance.csv").read_bytes()
     assert serial == threaded
+
+
+def test_non_integer_thread_cap_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REGIME_XAI_THREADS", "two")
+    assert main(["run", "--config", str(market_config(tmp_path))]) == 1
+    assert "REGIME_XAI_THREADS" in capsys.readouterr().err
+
+
+def test_module_entry_point_imports_cleanly():
+    src = str(Path(regime_xai.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "regime_xai.cli", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # --------------------------------------------------------------------- verify

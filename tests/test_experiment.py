@@ -24,17 +24,17 @@ from regime_xai.experiment import (
 from regime_xai.gbt import GbtParams
 from regime_xai.mlp import MlpParams
 from regime_xai.shap import Background, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, parse_timestamp, synth_regime
+from regime_xai.timeseries import FeatureMatrix, format_timestamp, parse_timestamp, synth_regime
 
 
 def utc(text):
     return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
 
 
-def period_for(fm: FeatureMatrix, name="p", regime=""):
+def period_for(fm: FeatureMatrix, name="p"):
     start = datetime.fromtimestamp(int(fm.timestamps[0]), tz=timezone.utc)
     end = datetime.fromtimestamp(int(fm.timestamps[-1]) + 3600, tz=timezone.utc)
-    return PeriodSpec(name, start, end, regime)
+    return PeriodSpec(name, start, end)
 
 
 FAST = ExperimentConfig(
@@ -195,6 +195,15 @@ def test_run_period_rejects_unknown_kind():
         run_period(fm, period_for(fm), "boost", FAST, seed=0)
 
 
+def test_run_period_rejects_row_outside_period():
+    fm, _ = synth_regime(960, seed=5)
+    spec = period_for(fm)
+    short = PeriodSpec("p", spec.start, datetime.fromtimestamp(int(fm.timestamps[-1]), tz=timezone.utc))
+    last = format_timestamp(fm.timestamps[-1])
+    with pytest.raises(ValueError, match=f"row at {last} lies outside period 'p'"):
+        run_period(fm, short, "gbt", FAST, seed=0)
+
+
 def test_run_period_window_fraction_one_low_importance_spread():
     fm, _ = synth_regime(960, seed=6)
     config = ExperimentConfig(window_fraction=1.0, background_size=30, gbt=FAST.gbt)
@@ -271,7 +280,7 @@ def additive_period_result():
         windows.append(
             WindowResult(
                 window_index=w,
-                split=SplitPlan(w, 0, 30, np.arange(15, 30), np.arange(15), seed=0),
+                split=SplitPlan(w, 0, 30, np.arange(15, 30), np.arange(15)),
                 model=None,
                 explanation=e,
                 explained_X=X,
@@ -325,7 +334,7 @@ def test_dependence_dummy_feature_zero():
     X = rng.normal(size=(10, 2))
     e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="exact", feature_names=("x1", "x2"))
     spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
-    w = WindowResult(0, SplitPlan(0, 0, 20, np.arange(10, 20), np.arange(10), 0), None, e, X,
+    w = WindowResult(0, SplitPlan(0, 0, 20, np.arange(10, 20), np.arange(10)), None, e, X,
                      np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)
     result = PeriodResult(spec, ("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
     table = dependence_data(result, "x2")
@@ -374,4 +383,4 @@ def test_window_metrics_json_safe():
 
 def test_split_plan_rejects_overlap():
     with pytest.raises(ValueError, match="overlap"):
-        SplitPlan(0, 0, 10, np.array([0, 1, 2]), np.array([2, 3]), 0)
+        SplitPlan(0, 0, 10, np.array([0, 1, 2]), np.array([2, 3]))

@@ -8,10 +8,7 @@ from regime_xai.gbt import (
     ensemble_from_json,
     ensemble_to_json,
     fit_gbt,
-    load_ensemble,
     predict_gbt,
-    save_ensemble,
-    staged_train_mse,
 )
 from regime_xai.timeseries import FeatureMatrix
 
@@ -26,6 +23,17 @@ def random_matrix(rng, n, k):
     X = rng.uniform(-1, 1, size=(n, k))
     y = X @ rng.normal(size=k) + 0.1 * rng.standard_normal(n)
     return matrix(X, y)
+
+
+def depth(node):
+    return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+
+
+def staged_mse(model, X, y):
+    """Training MSE after the base score and after each boosting stage."""
+    stages = [TreeEnsemble(model.base_score, model.trees[:k], model.learning_rate, model.feature_names)
+              for k in range(len(model.trees) + 1)]
+    return np.array([np.mean((predict_gbt(m, X) - y) ** 2) for m in stages])
 
 
 # --------------------------------------------------------------------- fitting
@@ -68,12 +76,12 @@ def test_empty_training_set_rejected():
 def test_max_depth_respected():
     fm = random_matrix(np.random.default_rng(3), 400, 3)
     model = fit_gbt(fm, GbtParams(n_trees=20, max_depth=2, min_samples_leaf=5))
-    assert all(t.depth() <= 2 for t in model.trees)
+    assert all(depth(t) <= 2 for t in model.trees)
 
 
 def test_refit_is_identical():
     fm = random_matrix(np.random.default_rng(4), 300, 3)
-    params = GbtParams(n_trees=25, max_depth=3, min_samples_leaf=10, seed=9)
+    params = GbtParams(n_trees=25, max_depth=3, min_samples_leaf=10)
     m1 = fit_gbt(fm, params)
     m2 = fit_gbt(fm, params)
     assert ensemble_to_json(m1) == ensemble_to_json(m2)
@@ -83,7 +91,7 @@ def test_training_loss_non_increasing():
     for seed in range(5):
         fm = random_matrix(np.random.default_rng(seed), 250, 3)
         model = fit_gbt(fm, GbtParams(n_trees=40, max_depth=3, min_samples_leaf=10))
-        mses = staged_train_mse(model, fm.X, fm.y)
+        mses = staged_mse(model, fm.X, fm.y)
         assert np.all(np.diff(mses) <= 0)
 
 
@@ -140,12 +148,10 @@ def test_unused_feature_has_no_effect():
 # --------------------------------------------------------------- serialization
 
 
-def test_round_trip_predictions_bit_identical(tmp_path):
+def test_round_trip_predictions_bit_identical():
     fm = random_matrix(np.random.default_rng(6), 300, 4)
     model = fit_gbt(fm, GbtParams(n_trees=30, max_depth=4, min_samples_leaf=5))
-    path = tmp_path / "model.json"
-    save_ensemble(model, path)
-    back = load_ensemble(path)
+    back = ensemble_from_json(ensemble_to_json(model))
     np.testing.assert_array_equal(predict_gbt(back, fm.X), predict_gbt(model, fm.X))
     assert back == model
 

@@ -8,11 +8,9 @@ from regime_xai.mlp import (
     fit_mlp,
     grad_check,
     initial_net,
-    load_net,
     net_from_json,
     net_to_json,
     predict_mlp,
-    save_net,
 )
 from regime_xai.timeseries import FeatureMatrix
 
@@ -211,14 +209,12 @@ def test_grad_check_rejects_bad_epsilon():
 # -------------------------------------------------------------- serialization
 
 
-def test_round_trip_predictions_bit_identical(tmp_path):
+def test_round_trip_predictions_bit_identical():
     rng = np.random.default_rng(9)
     X = rng.uniform(-1, 1, size=(200, 3))
     y = X.sum(axis=1)
     net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(8, 4), max_epochs=20, seed=9))
-    path = tmp_path / "net.json"
-    save_net(net, path)
-    back = load_net(path)
+    back = net_from_json(net_to_json(net))
     np.testing.assert_array_equal(predict_mlp(back, X), predict_mlp(net, X))
     assert back.layer_sizes == net.layer_sizes
 

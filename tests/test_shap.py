@@ -9,14 +9,13 @@ from regime_xai.shap import (
     ImportanceVector,
     LocalAccuracyError,
     SingularSystemError,
+    _mask_values,
     as_predict_fn,
     exact_shap,
     explain_dataset,
     feature_importance,
     kernel_shap,
     tree_shap,
-    value_function,
-    write_explanation_csv,
 )
 from regime_xai.timeseries import FeatureMatrix
 
@@ -47,18 +46,23 @@ def random_mlp(seed, n_features=8):
 # ------------------------------------------------------------- value function
 
 
+def value_of(fn, x, mask, bg):
+    """v(S) for one coalition bitmask (bit j set = feature j taken from x)."""
+    return _mask_values(fn, np.asarray(x, dtype=float), bg, np.array([mask]), len(x))[0]
+
+
 def test_value_function_full_set_is_prediction():
     fn = as_predict_fn(lambda X: X[:, 0] * 2 + X[:, 1])
     bg = Background(np.random.default_rng(0).normal(size=(5, 2)))
     x = np.array([3.0, 4.0])
-    assert value_function(fn, x, {0, 1}, bg) == pytest.approx(10.0, abs=1e-12)
+    assert value_of(fn, x, 0b11, bg) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_value_function_empty_set_is_background_mean():
     fn = as_predict_fn(lambda X: X[:, 0] + X[:, 1])
     rows = np.array([[1.0, 2.0], [3.0, 4.0]])
     bg = Background(rows)
-    assert value_function(fn, np.zeros(2), set(), bg) == pytest.approx(5.0)
+    assert value_of(fn, np.zeros(2), 0b00, bg) == pytest.approx(5.0)
 
 
 def test_value_function_additive_hand_check():
@@ -66,14 +70,7 @@ def test_value_function_additive_hand_check():
     fn = as_predict_fn(lambda X: X[:, 0] + X[:, 1])
     bg = Background(np.array([[10.0, 1.0], [20.0, 5.0]]))
     x = np.array([7.0, 100.0])
-    assert value_function(fn, x, {0}, bg) == pytest.approx(7.0 + 3.0)
-
-
-def test_value_function_rejects_out_of_range_subset():
-    fn = as_predict_fn(lambda X: X[:, 0])
-    bg = Background(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        value_function(fn, np.zeros(2), {5}, bg)
+    assert value_of(fn, x, 0b01, bg) == pytest.approx(7.0 + 3.0)
 
 
 # ----------------------------------------------------------------- exact_shap
@@ -419,26 +416,6 @@ def test_importance_empty_explanation_rejected():
 def test_importance_vector_validates_sum():
     with pytest.raises(ValueError, match="sum"):
         ImportanceVector(np.array([0.5, 0.2]))
-
-
-# ------------------------------------------------------------------ exporting
-
-
-def test_write_explanation_csv(tmp_path):
-    model = random_ensemble(22)
-    rng = np.random.default_rng(22)
-    bg = Background(rng.uniform(-1, 1, size=(3, 6)))
-    X = rng.uniform(-1, 1, size=(4, 6))
-    e = explain_dataset(model, X, bg, method="tree")
-    path = tmp_path / "expl.csv"
-    write_explanation_csv(path, e, 3600 * np.arange(4))
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    assert header[:3] == ["timestamp", "prediction", "phi0"]
-    assert header[3:] == [f"phi_{n}" for n in e.feature_names]
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert float(first[1]) == e.predictions[0]
 
 
 def test_background_subsample_deterministic():

@@ -14,12 +14,10 @@ from regime_xai.timeseries import (
     align_join,
     load_table,
     mixed_price,
-    moving_average,
     parse_timestamp,
     resample_mean,
     residual_load,
     synth_regime,
-    write_table,
 )
 
 T0 = parse_timestamp("2020-01-01T00:00:00Z")
@@ -51,7 +49,7 @@ def test_load_table_parses_hourly_csv(tmp_path):
     )
     t = load_table(p, expected_resolution_hours=1)
     assert len(t) == 3
-    assert t.column_names == ["price", "load"]
+    assert list(t.columns) == ["price", "load"]
     assert t.columns["price"][2] == 9.25
     assert np.isnan(t.columns["load"][1])
 
@@ -114,16 +112,6 @@ def test_load_table_rejects_bad_header(tmp_path):
         load_table(p, 1)
 
 
-def test_write_table_round_trips(tmp_path):
-    t = hourly_table({"a": [1.0, np.nan, 0.1 + 0.2], "b": [4, 5, 6]})
-    path = tmp_path / "out.csv"
-    write_table(t, path)
-    back = load_table(path, 1)
-    assert np.array_equal(back.timestamps, t.timestamps)
-    for name in t.column_names:
-        np.testing.assert_array_equal(back.columns[name], t.columns[name])
-
-
 # ------------------------------------------------------------- resample_mean
 
 
@@ -171,35 +159,6 @@ def test_resample_mean_idempotent_for_same_block(blocks, extra):
     twice = resample_mean(once, block_hours)
     np.testing.assert_array_equal(once.columns["v"], twice.columns["v"])
     np.testing.assert_array_equal(once.timestamps, twice.timestamps)
-
-
-# ------------------------------------------------------------ moving_average
-
-
-def test_moving_average_trailing_partial_start():
-    out = moving_average([2, 4, 6], window_days=2)
-    np.testing.assert_allclose(out, [2.0, 3.0, 5.0])
-
-
-def test_moving_average_constant_is_identity():
-    out = moving_average(np.full(50, 3.25), window_days=7)
-    np.testing.assert_array_equal(out, np.full(50, 3.25))
-
-
-def test_moving_average_against_direct_summation():
-    # Independent oracle: recompute every trailing window by explicit slicing.
-    rng = np.random.default_rng(7)
-    daily = rng.normal(size=60)
-    out = moving_average(daily, window_days=30)
-    assert out[59] == pytest.approx(sum(daily[30:60]) / 30, abs=1e-12)
-    for i in range(60):
-        window = daily[max(0, i - 29) : i + 1]
-        assert out[i] == pytest.approx(sum(window) / len(window), abs=1e-12)
-
-
-def test_moving_average_rejects_empty():
-    with pytest.raises(TimeSeriesError):
-        moving_average([], 3)
 
 
 # ------------------------------------------------------------- residual_load
