@@ -96,7 +96,7 @@ class TimeTable:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Model-ready matrix: one row per retained timestamp, no missing cells."""
+    """Model-ready matrix: one row per retained timestamp, every cell finite."""
 
     feature_names: tuple[str, ...]
     X: np.ndarray
@@ -115,8 +115,8 @@ class FeatureMatrix:
             )
         if len(y) != X.shape[0] or len(ts) != X.shape[0]:
             raise TimeSeriesError("X, y and timestamps must have equal row counts")
-        if np.isnan(X).any() or np.isnan(y).any():
-            raise TimeSeriesError("feature matrix must not contain missing values")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise TimeSeriesError("feature matrix must not contain missing or infinite values")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "timestamps", ts)
@@ -161,8 +161,9 @@ class PriceInputs:
 def load_table(path, expected_resolution_hours: float) -> TimeTable:
     """Load a CSV with a `timestamp` first column and numeric series columns.
 
-    Empty cells become NaN. Rows are sorted by timestamp; duplicate timestamps
-    and steps that disagree with the declared resolution are rejected.
+    Empty cells become NaN; an infinite value is rejected with its line and
+    column. Rows are sorted by timestamp; duplicate timestamps and steps that
+    disagree with the declared resolution are rejected.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -182,8 +183,10 @@ def load_table(path, expected_resolution_hours: float) -> TimeTable:
 
         ts_list: list[int] = []
         rows: list[list[float]] = []
+        blank_lines: list[int] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
+                blank_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise ParseError(line_no, f"expected {len(header)} cells, got {len(row)}")
@@ -209,6 +212,12 @@ def load_table(path, expected_resolution_hours: float) -> TimeTable:
         raise ParseError(2, "no data rows")
     ts = np.asarray(ts_list, dtype=np.int64)
     data = np.asarray(rows, dtype=np.float64).reshape(len(ts), len(names))
+    if np.isinf(data).any():
+        r, c = np.argwhere(np.isinf(data))[0]
+        line_no = int(r) + 2
+        for blank in blank_lines:
+            line_no += blank <= line_no
+        raise ParseError(line_no, f"column {names[c]!r}: non-finite value {data[r, c]}")
 
     order = np.argsort(ts, kind="stable")
     ts = ts[order]

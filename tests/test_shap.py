@@ -220,6 +220,49 @@ def test_tree_shap_repeated_feature_on_path():
         assert phi0_t == pytest.approx(phi0_e, abs=1e-12)
 
 
+def tree_depth(node):
+    return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def split_points(node):
+    if node.is_leaf:
+        return []
+    return [(node.feature, node.threshold)] + split_points(node.left) + split_points(node.right)
+
+
+def test_tree_batch_matches_brute_force_row_by_row():
+    names = tuple(f"x{i + 1}" for i in range(6))
+    # x1 <= 0 and then x1 > 0.5: the leaf of value 7 is unreachable
+    contradictory = TreeNode(
+        feature=0,
+        threshold=0.0,
+        left=TreeNode(feature=0, threshold=0.5, left=TreeNode(value=1.0), right=TreeNode(value=7.0)),
+        right=TreeNode(feature=1, threshold=0.2, left=TreeNode(value=-2.0), right=TreeNode(value=3.0)),
+    )
+    hand = TreeEnsemble(0.5, (contradictory,), 1.0, names)
+    deep = random_ensemble(40, n_trees=4, max_depth=6, n_rows=400)
+    assert max(tree_depth(t) for t in deep.trees) == 6
+
+    rng = np.random.default_rng(40)
+    for model in (hand, deep):
+        splits = [s for tree in model.trees for s in split_points(tree)]
+        bg_rows = rng.uniform(-1, 1, size=(8, 6))
+        bg_rows[0, splits[0][0]] = splits[0][1]
+        bg = Background(bg_rows)
+        on_threshold = rng.uniform(-1, 1, size=(len(splits), 6))
+        for row, (f, t) in zip(on_threshold, splits):
+            row[f] = t
+        # background copies make row codes repeat within the batch
+        X = np.vstack([rng.uniform(-1, 1, size=(10, 6)), on_threshold, bg.rows[:4], bg.rows[:2]])
+
+        e = explain_dataset(model, X, bg, method="tree")
+        fn = as_predict_fn(model)
+        for i, x in enumerate(X):
+            phi_e, phi0_e = exact_shap(fn, x, bg)
+            np.testing.assert_allclose(e.phi[i], phi_e, rtol=0, atol=1e-12)
+            assert e.phi0 == pytest.approx(phi0_e, rel=0, abs=1e-12)
+
+
 # ---------------------------------------------------------------- kernel_shap
 
 
@@ -343,6 +386,17 @@ def test_explain_dataset_detects_broken_engine():
     bg = Background(rng.standard_normal((3, 4)))
     with pytest.raises(LocalAccuracyError):
         explain_dataset(unstable, rng.standard_normal((3, 4)), bg, method="exact")
+
+
+def test_explain_dataset_names_row_with_nan_residual():
+    # nan >= tol is False, so a NaN residual must be caught explicitly
+    def nan_for_large_x0(X):
+        return np.where(X[:, 0] > 5.0, np.nan, X.sum(axis=1))
+
+    bg = Background(np.zeros((2, 2)))
+    X = np.array([[1.0, 2.0], [9.0, 1.0], [0.5, 0.5]])
+    with pytest.raises(LocalAccuracyError, match="row 1: .* nan"):
+        explain_dataset(nan_for_large_x0, X, bg, method="exact")
 
 
 def test_explain_dataset_parallel_matches_sequential():

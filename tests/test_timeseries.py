@@ -106,6 +106,21 @@ def test_load_table_reports_line_number(tmp_path):
         load_table(p, 1)
 
 
+def test_load_table_rejects_infinity_with_line_and_column(tmp_path):
+    p = write_csv(
+        tmp_path / "a.csv",
+        [
+            "timestamp,v,w",
+            "2020-01-01T00:00:00Z,1,2",
+            "",
+            "2020-01-01T01:00:00Z,inf,3",
+        ],
+    )
+    # the blank line 3 is skipped, so the bad cell sits on file line 4
+    with pytest.raises(ParseError, match="line 4: column 'v': non-finite value inf"):
+        load_table(p, 1)
+
+
 def test_load_table_rejects_bad_header(tmp_path):
     p = write_csv(tmp_path / "a.csv", ["time,v", "2020-01-01T00:00:00Z,1"])
     with pytest.raises(ParseError, match="line 1"):
@@ -344,3 +359,11 @@ def test_timetable_rejects_length_mismatch():
 def test_feature_matrix_rejects_nan():
     with pytest.raises(TimeSeriesError):
         FeatureMatrix(("a",), np.array([[np.nan]]), np.array([1.0]), np.array([0]))
+
+
+@pytest.mark.parametrize("bad", ["X", "y"])
+def test_feature_matrix_rejects_infinity(bad):
+    X, y = np.array([[1.0], [2.0]]), np.array([1.0, 2.0])
+    (X if bad == "X" else y)[1] = -np.inf
+    with pytest.raises(TimeSeriesError, match="infinite"):
+        FeatureMatrix(("a",), X, y, np.array([0, 1]))
