@@ -14,7 +14,6 @@ explanation parallelism; results do not depend on it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -64,6 +63,7 @@ from regime_xai.timeseries import (
     residual_load,
     synth_regime,
     with_column,
+    write_csv,
 )
 from regime_xai import experiment as experiment_mod
 
@@ -142,15 +142,9 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
 
 
 def write_feature_csv(path, fm: FeatureMatrix, target_name: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp"] + list(fm.feature_names) + [target_name])
-        for i in range(len(fm)):
-            writer.writerow(
-                [format_timestamp(fm.timestamps[i])]
-                + [repr(float(v)) for v in fm.X[i]]
-                + [repr(float(fm.y[i]))]
-            )
+    header = ["timestamp", *fm.feature_names, target_name]
+    rows = zip(fm.timestamps.tolist(), fm.X, fm.y.tolist())
+    write_csv(path, header, ([format_timestamp(t), *x.tolist(), y] for t, x, y in rows))
 
 
 # ------------------------------------------------------------------ commands
@@ -165,9 +159,7 @@ def cmd_features(config: RunConfig) -> dict:
         write_feature_csv(path, fm, config.features.target[name])
         log.info("wrote %s (%d rows)", path, len(fm))
     report_path = out_dir / "features_report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(report_path, report)
     log.info("wrote %s", report_path)
     return report
 
@@ -232,16 +224,13 @@ def cmd_synth(out_dir, n_rows: int = 960, seed: int = 0) -> Path:
     period_a, period_b = synth_regime(n_rows, seed=seed)
 
     data_path = out_dir / "synth_data.csv"
-    with open(data_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "x1", "x2", "x3", "y"])
-        for fm in (period_a, period_b):
-            for i in range(len(fm)):
-                writer.writerow(
-                    [format_timestamp(fm.timestamps[i])]
-                    + [repr(float(v)) for v in fm.X[i]]
-                    + [repr(float(fm.y[i]))]
-                )
+    both = FeatureMatrix(
+        period_a.feature_names,
+        np.concatenate([period_a.X, period_b.X]),
+        np.concatenate([period_a.y, period_b.y]),
+        np.concatenate([period_a.timestamps, period_b.timestamps]),
+    )
+    write_feature_csv(data_path, both, "y")
 
     boundary = format_timestamp(period_b.timestamps[0])
     config = {
@@ -271,7 +260,7 @@ def cmd_synth(out_dir, n_rows: int = 960, seed: int = 0) -> Path:
 # ---------------------------------------------------------------- self-tests
 
 
-def _check_tree_oracle(tamper=None):
+def _check_tree_oracle():
     """Serialize, reload, and compare tree explanations against the
     brute-force enumeration of the original model."""
     rng = np.random.default_rng(101)
@@ -281,10 +270,7 @@ def _check_tree_oracle(tamper=None):
         y = rng.standard_normal(60)
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), X, y, np.arange(60))
         model = fit_gbt(fm, GbtParams(n_trees=5, max_depth=3, min_samples_leaf=5, learning_rate=0.3))
-        text = ensemble_to_json(model)
-        if tamper is not None:
-            text = tamper(text)
-        loaded = ensemble_from_json(text)
+        loaded = ensemble_from_json(ensemble_to_json(model))
         fn = as_predict_fn(model)
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         for _ in range(10):
@@ -399,22 +385,14 @@ VERIFY_CHECKS = (
 )
 
 
-def cmd_verify(tamper_tree_json=None, stream=None) -> int:
-    """Run the reduced oracle and invariant suites; print one line per check.
-
-    tamper_tree_json is a fault-injection hook used by tests: it corrupts the
-    serialized ensemble between save and reload inside the tree-oracle check.
-    """
-    stream = stream or sys.stdout
+def cmd_verify() -> int:
+    """Run the reduced oracle and invariant suites; print one line per check."""
     failures = 0
     for name, check in VERIFY_CHECKS:
-        if check is _check_tree_oracle and tamper_tree_json is not None:
-            ok, detail = check(tamper_tree_json)
-        else:
-            ok, detail = check()
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
+        ok, detail = check()
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
-    print(f"{len(VERIFY_CHECKS) - failures}/{len(VERIFY_CHECKS)} checks passed", file=stream)
+    print(f"{len(VERIFY_CHECKS) - failures}/{len(VERIFY_CHECKS)} checks passed")
     return 0 if failures == 0 else 2
 
 

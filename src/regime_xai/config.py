@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 from regime_xai.experiment import MODEL_KINDS, ExperimentConfig, PeriodSpec
 from regime_xai.gbt import GbtParams
@@ -89,8 +90,12 @@ def _integer(obj: dict, key: str, default, path: str):
     value = obj.get(key, default)
     if value is None and default is None:
         return None
+    return _as_int(value, f"{path}.{key}" if path else key)
+
+
+def _as_int(value, field: str) -> int:
+    """value if it is a JSON integer; a float or boolean is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        field = f"{path}.{key}" if path else key
         raise ConfigError(f"{field}: expected an integer, got {value!r}")
     return value
 
@@ -103,8 +108,17 @@ def _parse_instant(text, path: str) -> datetime:
 
 
 def _dataclass_from(obj: dict, cls, path: str, banned=()):
+    """cls(**obj), with every `int` field and `tuple[int, ...]` entry checked
+    to be a JSON integer first, so 2.5 or true is never truncated."""
     names = [f.name for f in fields(cls) if f.name not in banned]
     _check_keys(obj, names, path)
+    types = get_type_hints(cls)
+    for key, value in obj.items():
+        if types[key] is int:
+            _as_int(value, f"{path}.{key}")
+        elif types[key] == tuple[int, ...]:
+            for item in value if isinstance(value, list) else [value]:
+                _as_int(item, f"{path}.{key}")
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:

@@ -13,7 +13,6 @@ index, purpose), so a run is reproducible to the last exported digit.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ from regime_xai.gbt import GbtParams, TreeEnsemble, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpNet, MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, format_timestamp
+from regime_xai.timeseries import FeatureMatrix, format_timestamp, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +60,6 @@ class PeriodSpec:
 class SplitPlan:
     """Train/test row indices for one window; test rows are whole blocks."""
 
-    window_index: int
-    window_start: int
-    window_stop: int
     train_indices: np.ndarray
     test_indices: np.ndarray
 
@@ -176,7 +172,6 @@ def split_blocks(
     test_fraction: float = 0.2,
     seed: int = 0,
     rows_per_day: int = 1,
-    window_index: int = 0,
 ) -> SplitPlan:
     """Partition a window into consecutive blocks of block_days and pick
     round(test_fraction * n_blocks) of them, uniformly without replacement,
@@ -198,19 +193,15 @@ def split_blocks(
     test_mask = np.zeros(len(rows), dtype=bool)
     for b in test_blocks:
         test_mask[b * rows_per_block : (b + 1) * rows_per_block] = True
-    return SplitPlan(
-        window_index=window_index,
-        window_start=window.start,
-        window_stop=window.stop,
-        train_indices=rows[~test_mask],
-        test_indices=rows[test_mask],
-    )
+    return SplitPlan(train_indices=rows[~test_mask], test_indices=rows[test_mask])
 
 
 def _rows_per_day(timestamps: np.ndarray) -> int:
+    """Rows per day at the period's resolution: the smallest step between
+    consecutive rows, since rows dropped by the join leave wider steps."""
     if len(timestamps) < 2:
         raise ValueError("need at least two rows to infer the resolution")
-    step = int(timestamps[1] - timestamps[0])
+    step = int(np.diff(timestamps).min())
     if step <= 0 or 86400 % step:
         raise ValueError(f"row step of {step}s does not divide a day")
     return 86400 // step
@@ -265,7 +256,6 @@ def run_period(
                 test_fraction=config.test_fraction,
                 seed=derive_seed(seed, w, 0),
                 rows_per_day=rows_per_day,
-                window_index=w,
             )
             train = data.take(plan.train_indices)
             test = data.take(plan.test_indices)
@@ -371,59 +361,34 @@ def dependence_data(result: PeriodResult, feature: str) -> dict[str, np.ndarray]
 # ----------------------------------------------------------------- exporters
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_importance_csv(path, results: dict[str, PeriodResult]) -> None:
     """One row per (period, window, feature): relative SHAP importance."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["period", "window", "feature", "fi"])
-        for name, result in results.items():
-            for w in result.windows:
-                for j, feat in enumerate(result.feature_names):
-                    writer.writerow([name, w.window_index, feat, _fmt(w.importance.fi[j])])
+    rows = (
+        (name, w.window_index, feat, fi)
+        for name, result in results.items()
+        for w in result.windows
+        for feat, fi in zip(result.feature_names, w.importance.fi.tolist())
+    )
+    write_csv(path, ["period", "window", "feature", "fi"], rows)
 
 
 def write_comparison_csv(path, comparison: RegimeComparison) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["feature", "before_mean", "before_std", "after_mean", "after_std", "delta", "flagged"]
-        )
-        for j, feat in enumerate(comparison.feature_names):
-            writer.writerow(
-                [
-                    feat,
-                    _fmt(comparison.before_mean[j]),
-                    _fmt(comparison.before_std[j]),
-                    _fmt(comparison.after_mean[j]),
-                    _fmt(comparison.after_std[j]),
-                    _fmt(comparison.delta[j]),
-                    str(bool(comparison.flagged[j])).lower(),
-                ]
-            )
+    c = comparison
+    stats = (c.before_mean, c.before_std, c.after_mean, c.after_std, c.delta)
+    flags = ("true" if hit else "false" for hit in c.flagged.tolist())
+    header = ["feature", "before_mean", "before_std", "after_mean", "after_std", "delta", "flagged"]
+    write_csv(path, header, zip(c.feature_names, *(s.tolist() for s in stats), flags))
 
 
-def write_dependence_csv(path, results: dict[str, PeriodResult], features=None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["period", "window", "timestamp", "feature", "x_value", "phi_value"])
-        for name, result in results.items():
-            for feat in features or result.feature_names:
-                table = dependence_data(result, feat)
-                for i in range(len(table["window"])):
-                    writer.writerow(
-                        [
-                            name,
-                            int(table["window"][i]),
-                            format_timestamp(table["timestamp"][i]),
-                            feat,
-                            _fmt(table["x_value"][i]),
-                            _fmt(table["phi_value"][i]),
-                        ]
-                    )
+def write_dependence_csv(path, results: dict[str, PeriodResult]) -> None:
+    """One row per (period, feature, explained row): feature and SHAP value."""
+    rows = (
+        (name, w, format_timestamp(t), feat, x, phi)
+        for name, result in results.items()
+        for feat in result.feature_names
+        for w, t, x, phi in zip(*(col.tolist() for col in dependence_data(result, feat).values()))
+    )
+    write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], rows)
 
 
 def window_metrics(result: PeriodResult) -> list[dict]:

@@ -239,6 +239,16 @@ def load_table(path, expected_resolution_hours: float) -> TimeTable:
     return TimeTable(ts, columns, expected_resolution_hours)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write header and rows in the one CSV dialect the tool reads and writes:
+    UTF-8, "\\n" line ends, floats as their shortest round-trip repr (pass
+    Python numbers, not numpy scalars). Rows are streamed from the iterable."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def with_column(table: TimeTable, name: str, values) -> TimeTable:
     """New TimeTable with an added or replaced column."""
     columns = dict(table.columns)
@@ -372,16 +382,12 @@ def align_join(
 SYNTH_FEATURES = ("x1", "x2", "x3")
 SYNTH_COEFFS_A = (3.0, 1.0, 0.0)
 SYNTH_COEFFS_B = (1.0, 3.0, 0.0)
+SYNTH_NOISE_SIGMA = 0.5
+SYNTH_START = 1514764800  # 2018-01-01T00:00:00Z
 
 
-def synth_regime(
-    n_rows_per_period: int,
-    seed: int,
-    noise_sigma: float = 0.5,
-    start: str = "2018-01-01T00:00:00Z",
-    resolution_hours: float = 1.0,
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Generate two synthetic periods with a known importance flip.
+def synth_regime(n_rows_per_period: int, seed: int) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """Generate two consecutive hourly periods with a known importance flip.
 
     Period A: y = 3*x1 + 1*x2 + noise. Period B: y = 1*x1 + 3*x2 + noise.
     x3 never enters the target (dummy feature). Deterministic for a fixed seed.
@@ -390,13 +396,11 @@ def synth_regime(
     if n < 500:
         raise TimeSeriesError(f"n_rows_per_period must be >= 500, got {n}")
     rng = np.random.default_rng(seed)
-    step = int(round(resolution_hours * 3600))
-    t0 = parse_timestamp(start)
 
     periods = []
     for i, coeffs in enumerate((SYNTH_COEFFS_A, SYNTH_COEFFS_B)):
         X = rng.uniform(-1.0, 1.0, size=(n, 3))
-        y = X @ np.asarray(coeffs) + noise_sigma * rng.standard_normal(n)
-        ts = t0 + step * np.arange(i * n, (i + 1) * n, dtype=np.int64)
+        y = X @ np.asarray(coeffs) + SYNTH_NOISE_SIGMA * rng.standard_normal(n)
+        ts = SYNTH_START + 3600 * np.arange(i * n, (i + 1) * n, dtype=np.int64)
         periods.append(FeatureMatrix(SYNTH_FEATURES, X, y, ts))
     return periods[0], periods[1]

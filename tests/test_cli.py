@@ -18,6 +18,7 @@ from regime_xai.cli import (
     main,
 )
 from regime_xai.config import ConfigError, apply_override, load_config
+from regime_xai.gbt import ensemble_from_json
 from regime_xai.timeseries import format_timestamp, parse_timestamp
 
 T0 = parse_timestamp("2018-01-01T00:00:00Z")
@@ -166,6 +167,13 @@ def test_seed_must_be_int(tmp_path):
         ("shap.background_size", "49.5"),
         ("shap.n_coalitions", "abc"),
         ("windows.n_windows", "true"),
+        ("model.gbt.n_trees", "3.5"),
+        ("model.gbt.n_trees", "true"),
+        ("model.gbt.max_depth", "2.5"),
+        ("model.gbt.min_samples_leaf", "20.5"),
+        ("model.mlp.batch_size", "64.5"),
+        ("model.mlp.hidden_sizes", "[8.9]"),
+        ("model.mlp.hidden_sizes", '"88"'),
     ],
 )
 def test_counts_must_be_json_integers(tmp_path, field, value):
@@ -429,7 +437,7 @@ def test_cmd_verify_all_pass(capsys):
     assert "FAIL" not in out
 
 
-def test_cmd_verify_detects_corrupted_serialization(capsys):
+def test_cmd_verify_detects_corrupted_serialization(capsys, monkeypatch):
     def tamper(text):
         obj = json.loads(text)
 
@@ -443,6 +451,7 @@ def test_cmd_verify_detects_corrupted_serialization(capsys):
             twist(tree)
         return json.dumps(obj)
 
-    assert cmd_verify(tamper_tree_json=tamper) == 2
+    monkeypatch.setattr("regime_xai.cli.ensemble_from_json", lambda text: ensemble_from_json(tamper(text)))
+    assert cmd_verify() == 2
     out = capsys.readouterr().out
     assert "FAIL tree-oracle equivalence" in out

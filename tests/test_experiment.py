@@ -9,6 +9,7 @@ from regime_xai.experiment import (
     ExperimentConfig,
     PeriodResult,
     PeriodSpec,
+    RegimeComparison,
     SplitPlan,
     WindowResult,
     compare_periods,
@@ -23,7 +24,8 @@ from regime_xai.experiment import (
 )
 from regime_xai.gbt import GbtParams
 from regime_xai.mlp import MlpParams
-from regime_xai.shap import Background, explain_dataset, feature_importance
+from regime_xai.cli import write_feature_csv
+from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, format_timestamp, parse_timestamp, synth_regime
 
 
@@ -204,6 +206,18 @@ def test_run_period_rejects_row_outside_period():
         run_period(fm, short, "gbt", FAST, seed=0)
 
 
+def test_run_period_blocks_span_four_days_when_second_row_is_missing():
+    # With row 1 dropped the first step is 2 h; the resolution must still be
+    # read as 1 h, so every test block is 4 days of 24 rows.
+    fm, _ = synth_regime(1200, seed=0)
+    gapped = fm.take(np.delete(np.arange(len(fm)), 1))
+    result = run_period(gapped, period_for(gapped), "gbt", FAST, seed=0)
+    windows = make_windows(len(gapped), FAST.n_windows, FAST.window_fraction)
+    for window, w in zip(windows, result.windows):
+        _, sizes = np.unique((w.split.test_indices - window.start) // 96, return_counts=True)
+        assert sizes.tolist() == [96] * len(sizes)
+
+
 def test_run_period_window_fraction_one_low_importance_spread():
     fm, _ = synth_regime(960, seed=6)
     config = ExperimentConfig(window_fraction=1.0, background_size=30, gbt=FAST.gbt)
@@ -280,7 +294,7 @@ def additive_period_result():
         windows.append(
             WindowResult(
                 window_index=w,
-                split=SplitPlan(w, 0, 30, np.arange(15, 30), np.arange(15)),
+                split=SplitPlan(np.arange(15, 30), np.arange(15)),
                 model=None,
                 explanation=e,
                 explained_X=X,
@@ -334,7 +348,7 @@ def test_dependence_dummy_feature_zero():
     X = rng.normal(size=(10, 2))
     e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="exact", feature_names=("x1", "x2"))
     spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
-    w = WindowResult(0, SplitPlan(0, 0, 20, np.arange(10, 20), np.arange(10)), None, e, X,
+    w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), None, e, X,
                      np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)
     result = PeriodResult(spec, ("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
     table = dependence_data(result, "x2")
@@ -363,11 +377,80 @@ def test_export_csvs(tmp_path):
     assert len(lines) == 4
 
     dep = tmp_path / "dependence.csv"
-    write_dependence_csv(dep, {"before": before}, features=["x1"])
+    write_dependence_csv(dep, {"before": before})
     lines = dep.read_text().strip().split("\n")
     assert lines[0] == "period,window,timestamp,feature,x_value,phi_value"
     n_explained = sum(len(w.explanation) for w in before.windows)
-    assert len(lines) == 1 + n_explained
+    assert len(lines) == 1 + 3 * n_explained
+
+
+def test_export_text_is_pinned(tmp_path):
+    # Shortest round-trip floats, lower-case flags, ISO-8601 Z timestamps,
+    # "\n" line ends: the exact bytes every exporter writes.
+    names = ("load", "wind")
+    t0 = 1577836800  # 2020-01-01T00:00:00Z
+    windows = []
+    for w, (fi, ts, X, phi) in enumerate(
+        [
+            ([1 / 3, 2 / 3], [t0, t0 + 3600], [[0.1, 1e16], [-0.0, 1 / 3]], [[1e-300, -2.5], [0.1, 1 / 3]]),
+            ([-0.0, 1.0], [t0 + 86400], [[2.0, -1.5]], [[0.0, 7.0]]),
+        ]
+    ):
+        phi = np.array(phi)
+        e = Explanation(names, phi, 0.0, phi.sum(axis=1))
+        windows.append(
+            WindowResult(w, None, None, e, np.array(X), np.array(ts, dtype=np.int64),
+                         ImportanceVector(np.array(fi), feature_names=names), 0.0, 1.0)
+        )
+    spec = PeriodSpec("before", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
+    result = PeriodResult(spec, names, tuple(windows), np.zeros(2), np.zeros(2))
+
+    write_importance_csv(tmp_path / "importance.csv", {"before": result, "after": result})
+    block = (
+        "{p},0,load,0.3333333333333333\n{p},0,wind,0.6666666666666666\n"
+        "{p},1,load,-0.0\n{p},1,wind,1.0\n"
+    )
+    assert (tmp_path / "importance.csv").read_bytes().decode("utf-8") == (
+        "period,window,feature,fi\n" + block.format(p="before") + block.format(p="after")
+    )
+
+    write_dependence_csv(tmp_path / "dependence.csv", {"before": result})
+    assert (tmp_path / "dependence.csv").read_bytes().decode("utf-8") == (
+        "period,window,timestamp,feature,x_value,phi_value\n"
+        "before,0,2020-01-01T00:00:00Z,load,0.1,1e-300\n"
+        "before,0,2020-01-01T01:00:00Z,load,-0.0,0.1\n"
+        "before,1,2020-01-02T00:00:00Z,load,2.0,0.0\n"
+        "before,0,2020-01-01T00:00:00Z,wind,1e+16,-2.5\n"
+        "before,0,2020-01-01T01:00:00Z,wind,0.3333333333333333,0.3333333333333333\n"
+        "before,1,2020-01-02T00:00:00Z,wind,-1.5,7.0\n"
+    )
+
+    comparison = RegimeComparison(
+        feature_names=names,
+        before_mean=np.array([0.1, 0.5]),
+        before_std=np.array([1e-300, 0.0]),
+        after_mean=np.array([1e16, 2.5]),
+        after_std=np.array([-0.0, 1e-5]),
+        delta=np.array([1 / 3, -2.0]),
+        before_rank=np.array([2, 1]),
+        after_rank=np.array([1, 2]),
+        flagged=np.array([True, False]),
+    )
+    write_comparison_csv(tmp_path / "comparison.csv", comparison)
+    assert (tmp_path / "comparison.csv").read_bytes().decode("utf-8") == (
+        "feature,before_mean,before_std,after_mean,after_std,delta,flagged\n"
+        "load,0.1,1e-300,1e+16,-0.0,0.3333333333333333,true\n"
+        "wind,0.5,0.0,2.5,1e-05,-2.0,false\n"
+    )
+
+    fm = FeatureMatrix(names, np.array([[0.1, 1e16], [-0.0, 1 / 3]]), np.array([1e-300, -2.5]),
+                       np.array([t0, t0 + 3600]))
+    write_feature_csv(tmp_path / "features.csv", fm, "price")
+    assert (tmp_path / "features.csv").read_bytes().decode("utf-8") == (
+        "timestamp,load,wind,price\n"
+        "2020-01-01T00:00:00Z,0.1,1e+16,1e-300\n"
+        "2020-01-01T01:00:00Z,-0.0,0.3333333333333333,-2.5\n"
+    )
 
 
 def test_window_metrics_json_safe():
@@ -383,4 +466,4 @@ def test_window_metrics_json_safe():
 
 def test_split_plan_rejects_overlap():
     with pytest.raises(ValueError, match="overlap"):
-        SplitPlan(0, 0, 10, np.array([0, 1, 2]), np.array([2, 3]))
+        SplitPlan(np.array([0, 1, 2]), np.array([2, 3]))
