@@ -52,7 +52,6 @@ from regime_xai.shap import (
 )
 from regime_xai.timeseries import (
     FeatureMatrix,
-    PriceInputs,
     TimeSeriesError,
     TimeTable,
     align_join,
@@ -120,7 +119,7 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
     for spec in config.features.mixed_prices:
         i = _owning_table(tables, [spec.capacity, spec.energy], f"mixed price {spec.name!r}")
         t = tables[i]
-        series = mixed_price(PriceInputs(t.columns[spec.capacity], t.columns[spec.energy], spec.alpha))
+        series = mixed_price(t.columns[spec.capacity], t.columns[spec.energy], spec.alpha)
         tables[i] = with_column(t, spec.name, series)
 
     frames: dict[str, FeatureMatrix] = {}
@@ -347,9 +346,9 @@ def _check_mixed_price():
     for _ in range(100):
         cap, energy = rng.uniform(-50, 50, size=2)
         alpha = float(rng.uniform(0, 0.1))
-        got = mixed_price(PriceInputs(np.array([cap]), np.array([energy]), alpha))[0]
+        got = mixed_price(np.array([cap]), np.array([energy]), alpha)[0]
         worst = max(worst, abs(got - (cap + alpha * energy)))
-    identity = mixed_price(PriceInputs(np.array([12.5]), np.array([999.0]), 0.0))[0]
+    identity = mixed_price(np.array([12.5]), np.array([999.0]), 0.0)[0]
     ok = worst == 0.0 and identity == 12.5
     return ok, f"max deviation {worst:.2e}, alpha=0 identity {'exact' if identity == 12.5 else 'broken'}"
 

@@ -1,18 +1,20 @@
 """Run configuration: a single JSON file plus --set overrides.
 
 Unknown keys anywhere in the file are hard errors so typos never silently
-fall back to defaults. Relative input paths and the output directory are
-resolved against the directory containing the config file.
+fall back to defaults, and every value is checked once, at load, against the
+type its dataclass field declares. Relative input paths and the output
+directory are resolved against the directory containing the config file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import warnings
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from regime_xai.experiment import MODEL_KINDS, ExperimentConfig, PeriodSpec
 from regime_xai.gbt import GbtParams
@@ -28,6 +30,10 @@ class ConfigError(ValueError):
 class InputSpec:
     path: str
     resolution_hours: float
+
+    def __post_init__(self):
+        if not self.resolution_hours > 0:
+            raise ValueError(f"resolution_hours must be positive, got {self.resolution_hours!r}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,17 @@ class MixedPriceSpec:
     capacity: str
     energy: str
     alpha: float = 0.0
+
+    def __post_init__(self):
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if self.alpha > 0.1:
+            warnings.warn(
+                f"mixed price {self.name!r}: alpha={self.alpha:g} exceeds 0.1; the auction "
+                "weighting factor is normally a few percent",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
 
 @dataclass(frozen=True)
@@ -84,20 +101,50 @@ def _check_keys(obj, allowed, path: str) -> None:
         raise ConfigError(f"{path or '<root>'}: unknown key(s) {sorted(unknown)}")
 
 
-def _integer(obj: dict, key: str, default, path: str):
-    """obj[key] as a JSON integer, or default when the key is absent; null is
-    accepted only where the default is None."""
-    value = obj.get(key, default)
-    if value is None and default is None:
-        return None
-    return _as_int(value, f"{path}.{key}" if path else key)
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _as_int(value, field: str) -> int:
-    """value if it is a JSON integer; a float or boolean is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field}: expected an integer, got {value!r}")
-    return value
+def _typed(value, hint, field: str):
+    """value checked against a dataclass field's type hint: int takes a JSON
+    integer, float a finite JSON number (an integer is converted), str a
+    string, tuple[X, ...] a list of X (a bare value is one item), X | None
+    also null. A boolean is never a number."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        items = value if isinstance(value, list) else [value]
+        return tuple(_typed(item, args[0], field) for item in items)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = set(args) - {type(None)}
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int and number and isinstance(value, int):
+        return value
+    if hint is float and number and math.isfinite(value):
+        return float(value)
+    if hint is str and isinstance(value, str):
+        return value
+    raise ConfigError(f"{field}: expected {_EXPECTED[hint]}, got {value!r}")
+
+
+def _typed_fields(obj, cls, path: str, names) -> dict:
+    """obj's keys, each one of names, with values checked against cls's hints."""
+    _check_keys(obj, names, path)
+    hints = get_type_hints(cls)
+    return {key: _typed(value, hints[key], f"{path}.{key}") for key, value in obj.items()}
+
+
+def _dataclass_from(obj, cls, path: str, banned=()):
+    """cls(**obj), each value checked against its field's type hint and each
+    field without a default required; range errors name the path."""
+    given = _typed_fields(obj, cls, path, [f.name for f in fields(cls) if f.name not in banned])
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            _require(obj, f.name, path)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_instant(text, path: str) -> datetime:
@@ -105,24 +152,6 @@ def _parse_instant(text, path: str) -> datetime:
         return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected UTC instant like 2018-10-01T00:00:00Z, got {text!r}") from None
-
-
-def _dataclass_from(obj: dict, cls, path: str, banned=()):
-    """cls(**obj), with every `int` field and `tuple[int, ...]` entry checked
-    to be a JSON integer first, so 2.5 or true is never truncated."""
-    names = [f.name for f in fields(cls) if f.name not in banned]
-    _check_keys(obj, names, path)
-    types = get_type_hints(cls)
-    for key, value in obj.items():
-        if types[key] is int:
-            _as_int(value, f"{path}.{key}")
-        elif types[key] == tuple[int, ...]:
-            for item in value if isinstance(value, list) else [value]:
-                _as_int(item, f"{path}.{key}")
-    try:
-        return cls(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_periods(obj, path: str) -> dict[str, PeriodSpec]:
@@ -148,14 +177,14 @@ def _parse_features(obj, path: str) -> FeatureConfig:
     if not isinstance(columns, list) or not columns or not all(isinstance(c, str) for c in columns):
         raise ConfigError(f"{path}.columns: expected a non-empty list of column names")
     target = _require(obj, "target", path)
-    if isinstance(target, str):
-        target = {"before": target, "after": target}
-    elif isinstance(target, dict):
+    if isinstance(target, dict):
         _check_keys(target, ("before", "after"), f"{path}.target")
-        if set(target) != {"before", "after"}:
-            raise ConfigError(f"{path}.target: needs both 'before' and 'after'")
+        target = {
+            name: _typed(_require(target, name, f"{path}.target"), str, f"{path}.target.{name}")
+            for name in ("before", "after")
+        }
     else:
-        raise ConfigError(f"{path}.target: expected a column name or per-period mapping")
+        target = dict.fromkeys(("before", "after"), _typed(target, str, f"{path}.target"))
 
     residual = tuple(
         _dataclass_from(spec, ResidualLoadSpec, f"{path}.residual_loads[{i}]")
@@ -165,9 +194,9 @@ def _parse_features(obj, path: str) -> FeatureConfig:
         _dataclass_from(spec, MixedPriceSpec, f"{path}.mixed_prices[{i}]")
         for i, spec in enumerate(obj.get("mixed_prices", []))
     )
-    resample = obj.get("resample_hours")
-    if resample is not None and (not isinstance(resample, (int, float)) or resample <= 0):
-        raise ConfigError(f"{path}.resample_hours: expected a positive number")
+    resample = _typed(obj.get("resample_hours"), float | None, f"{path}.resample_hours")
+    if resample is not None and resample <= 0:
+        raise ConfigError(f"{path}.resample_hours: expected a positive number, got {resample!r}")
     return FeatureConfig(tuple(columns), target, resample, residual, mixed)
 
 
@@ -219,41 +248,29 @@ def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunCo
         raise ConfigError("inputs: expected a non-empty list")
     inputs = []
     for i, spec in enumerate(inputs_raw):
-        _check_keys(spec, ("path", "resolution_hours"), f"inputs[{i}]")
-        path = _require(spec, "path", f"inputs[{i}]")
-        res = _require(spec, "resolution_hours", f"inputs[{i}]")
-        if base_dir is not None and not Path(path).is_absolute():
-            path = str(base_dir / path)
-        echo["inputs"][i]["path"] = path
-        if not isinstance(res, (int, float)) or not 0 < res < math.inf:
-            raise ConfigError(f"inputs[{i}].resolution_hours: expected a positive number, got {res!r}")
-        inputs.append(InputSpec(path, float(res)))
+        spec = _dataclass_from(spec, InputSpec, f"inputs[{i}]")
+        if base_dir is not None and not Path(spec.path).is_absolute():
+            spec = replace(spec, path=str(base_dir / spec.path))
+        echo["inputs"][i]["path"] = spec.path
+        inputs.append(spec)
 
     features = _parse_features(_require(raw, "features", ""), "features")
     periods = _parse_periods(_require(raw, "periods", ""), "periods")
     kind, gbt_params, mlp_params = _parse_model(_require(raw, "model", ""), "model")
 
-    shap_raw = raw.get("shap", {})
-    _check_keys(shap_raw, ("background_size", "n_coalitions", "explain_on"), "shap")
-    windows_raw = raw.get("windows", {})
-    _check_keys(windows_raw, ("n_windows", "window_fraction", "block_days", "test_fraction"), "windows")
+    given = {}
+    for section, names in (
+        ("windows", ("n_windows", "window_fraction", "block_days", "test_fraction")),
+        ("shap", ("background_size", "n_coalitions", "explain_on")),
+    ):
+        given |= _typed_fields(raw.get(section, {}), ExperimentConfig, section, names)
     try:
-        experiment = ExperimentConfig(
-            n_windows=_integer(windows_raw, "n_windows", 6, "windows"),
-            window_fraction=float(windows_raw.get("window_fraction", 0.5)),
-            block_days=_integer(windows_raw, "block_days", 4, "windows"),
-            test_fraction=float(windows_raw.get("test_fraction", 0.2)),
-            background_size=_integer(shap_raw, "background_size", 100, "shap"),
-            n_coalitions=_integer(shap_raw, "n_coalitions", None, "shap"),
-            explain_on=shap_raw.get("explain_on", "test"),
-            gbt=gbt_params,
-            mlp=mlp_params,
-        )
+        experiment = ExperimentConfig(**given, gbt=gbt_params, mlp=mlp_params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    seed = _integer(raw, "seed", 0, "")
-    output_dir = raw.get("output_dir", "out")
+    seed = _typed(raw.get("seed", 0), int, "seed")
+    output_dir = _typed(raw.get("output_dir", "out"), str, "output_dir")
     if base_dir is not None and not Path(output_dir).is_absolute():
         output_dir = str(base_dir / output_dir)
     echo["output_dir"] = output_dir

@@ -90,6 +90,14 @@ class ExperimentConfig:
             raise ValueError("n_windows must be >= 1")
         if not 0 < self.window_fraction <= 1:
             raise ValueError("window_fraction must be in (0, 1]")
+        if self.block_days < 1:
+            raise ValueError("block_days must be >= 1")
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.background_size < 1:
+            raise ValueError("background_size must be >= 1")
+        if self.n_coalitions is not None and self.n_coalitions < 2:
+            raise ValueError(f"n_coalitions must be None or >= 2, got {self.n_coalitions}")
         if self.explain_on not in ("test", "train"):
             raise ValueError(f"explain_on must be 'test' or 'train', got {self.explain_on!r}")
         if self.n_workers < 1:
@@ -381,14 +389,20 @@ def write_comparison_csv(path, comparison: RegimeComparison) -> None:
 
 
 def write_dependence_csv(path, results: dict[str, PeriodResult]) -> None:
-    """One row per (period, feature, explained row): feature and SHAP value."""
-    rows = (
-        (name, w, format_timestamp(t), feat, x, phi)
-        for name, result in results.items()
-        for feat in result.feature_names
-        for w, t, x, phi in zip(*(col.tolist() for col in dependence_data(result, feat).values()))
-    )
-    write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], rows)
+    """One row per (period, feature, explained row): feature and SHAP value.
+    Every feature of a period shares its explained rows, so each timestamp is
+    formatted once per period."""
+
+    def rows():
+        for name, result in results.items():
+            stamps = [format_timestamp(t) for w in result.windows for t in w.explained_timestamps.tolist()]
+            for feat in result.feature_names:
+                data = dependence_data(result, feat)
+                for w, t, x, phi in zip(data["window"].tolist(), stamps, data["x_value"].tolist(),
+                                        data["phi_value"].tolist()):
+                    yield name, w, t, feat, x, phi
+
+    write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], rows())
 
 
 def window_metrics(result: PeriodResult) -> list[dict]:

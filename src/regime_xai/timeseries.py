@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -73,12 +72,16 @@ class TimeTable:
         if len(ts) > 1:
             diffs = np.diff(ts)
             if np.any(diffs <= 0):
-                raise DuplicateTimestampError("timestamps must be strictly increasing")
+                bad = int(np.argmax(diffs <= 0))
+                raise DuplicateTimestampError(
+                    f"{'duplicate' if diffs[bad] == 0 else 'out-of-order'} timestamp "
+                    f"{format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
+                )
             if np.any(diffs != step):
                 bad = int(np.argmax(diffs != step))
                 raise ResolutionMismatchError(
-                    f"observed step {diffs[bad] / 3600:g}h at row {bad + 1} "
-                    f"!= declared resolution {self.resolution_hours:g}h"
+                    f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
+                    f"and {format_timestamp(ts[bad + 1])}, expected {self.resolution_hours:g}h"
                 )
         cols = {}
         for name, values in self.columns.items():
@@ -129,41 +132,12 @@ class FeatureMatrix:
         return FeatureMatrix(self.feature_names, self.X[idx], self.y[idx], self.timestamps[idx])
 
 
-@dataclass(frozen=True)
-class PriceInputs:
-    """Aligned capacity (EUR/MW) and energy (EUR/MWh) price series plus the
-    auction weighting factor alpha."""
-
-    capacity_price: np.ndarray = field(repr=False)
-    energy_price: np.ndarray = field(repr=False)
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        cap = np.asarray(self.capacity_price, dtype=np.float64)
-        eng = np.asarray(self.energy_price, dtype=np.float64)
-        if cap.shape != eng.shape:
-            raise TimeSeriesError(
-                f"capacity and energy series misaligned: {cap.shape} vs {eng.shape}"
-            )
-        if self.alpha < 0:
-            raise TimeSeriesError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.alpha > 0.1:
-            warnings.warn(
-                f"alpha={self.alpha:g} exceeds 0.1; the auction weighting factor is "
-                "normally a few percent",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        object.__setattr__(self, "capacity_price", cap)
-        object.__setattr__(self, "energy_price", eng)
-
-
 def load_table(path, expected_resolution_hours: float) -> TimeTable:
     """Load a CSV with a `timestamp` first column and numeric series columns.
 
     Empty cells become NaN; an infinite value is rejected with its line and
-    column. Rows are sorted by timestamp; duplicate timestamps and steps that
-    disagree with the declared resolution are rejected.
+    column. Rows are sorted by timestamp; TimeTable rejects duplicate
+    timestamps and steps that disagree with the declared resolution.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -222,19 +196,6 @@ def load_table(path, expected_resolution_hours: float) -> TimeTable:
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     data = data[order]
-    dup = np.flatnonzero(np.diff(ts) == 0)
-    if dup.size:
-        raise DuplicateTimestampError(f"duplicate timestamp {format_timestamp(ts[dup[0]])}")
-
-    step = int(round(expected_resolution_hours * 3600))
-    if len(ts) > 1 and np.any(np.diff(ts) != step):
-        bad = int(np.argmax(np.diff(ts) != step))
-        raise ResolutionMismatchError(
-            f"observed step {(ts[bad + 1] - ts[bad]) / 3600:g}h between "
-            f"{format_timestamp(ts[bad])} and {format_timestamp(ts[bad + 1])}, "
-            f"expected {expected_resolution_hours:g}h"
-        )
-
     columns = {name: data[:, i].copy() for i, name in enumerate(names)}
     return TimeTable(ts, columns, expected_resolution_hours)
 
@@ -333,9 +294,10 @@ def residual_load(
     return load - wind - solar - ror_ma
 
 
-def mixed_price(prices: PriceInputs) -> np.ndarray:
-    """Bid-selection price under the mixed scheme: capacity + alpha * energy."""
-    return prices.capacity_price + prices.alpha * prices.energy_price
+def mixed_price(capacity_price: np.ndarray, energy_price: np.ndarray, alpha: float) -> np.ndarray:
+    """Bid-selection price under the mixed scheme: capacity (EUR/MW) plus the
+    auction weighting factor alpha times energy (EUR/MWh)."""
+    return capacity_price + alpha * energy_price
 
 
 def align_join(

@@ -30,7 +30,7 @@ from regime_xai.shap import (
     kernel_shap,
     tree_shap,
 )
-from regime_xai.timeseries import FeatureMatrix, PriceInputs, mixed_price, synth_regime
+from regime_xai.timeseries import FeatureMatrix, mixed_price, synth_regime
 
 
 def matrix(X, y):
@@ -288,10 +288,10 @@ def test_c10_mixed_price_exactness():
         cap = float(rng.uniform(-100, 100))
         energy = float(rng.uniform(-1000, 1000))
         alpha = float(rng.uniform(0, 0.1))
-        got = mixed_price(PriceInputs(np.array([cap]), np.array([energy]), alpha))[0]
+        got = mixed_price(np.array([cap]), np.array([energy]), alpha)[0]
         assert got == cap + alpha * energy  # same float operations, bit-exact
 
     cap_series = rng.uniform(-100, 100, size=50)
-    zero = mixed_price(PriceInputs(cap_series, rng.uniform(-100, 100, size=50), 0.0))
+    zero = mixed_price(cap_series, rng.uniform(-100, 100, size=50), 0.0)
     np.testing.assert_array_equal(zero, cap_series)
     report(10, "100 random triples bit-exact against hand arithmetic; alpha=0 identity exact")

@@ -17,7 +17,7 @@ from regime_xai.cli import (
     cmd_verify,
     main,
 )
-from regime_xai.config import ConfigError, apply_override, load_config
+from regime_xai.config import ConfigError, apply_override, load_config, parse_config
 from regime_xai.gbt import ensemble_from_json
 from regime_xai.timeseries import format_timestamp, parse_timestamp
 
@@ -69,6 +69,18 @@ def market_config(tmp_path, **tweaks):
     }
     raw.update(tweaks)
     config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    return config_path
+
+
+def config_with(tmp_path, keys, value):
+    """market_config with the value at keys (names and list indices) replaced."""
+    config_path = market_config(tmp_path)
+    raw = json.loads(config_path.read_text())
+    node = raw
+    for key in keys[:-1]:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    node[keys[-1]] = value
     config_path.write_text(json.dumps(raw))
     return config_path
 
@@ -180,6 +192,65 @@ def test_counts_must_be_json_integers(tmp_path, field, value):
     path = market_config(tmp_path)
     with pytest.raises(ConfigError, match=re.escape(f"{field}: expected an integer")):
         load_config(path, overrides=[f"{field}={value}"])
+
+
+TYPE_CASES = [
+    (("model", "gbt", "learning_rate"), True, "model.gbt.learning_rate: expected a finite number, got True"),
+    (("windows", "test_fraction"), True, "windows.test_fraction: expected a finite number, got True"),
+    (("windows", "window_fraction"), "0.5", "windows.window_fraction: expected a finite number, got '0.5'"),
+    (("features", "resample_hours"), True, "features.resample_hours: expected a finite number, got True"),
+    (("inputs", 0, "resolution_hours"), True, "inputs[0].resolution_hours: expected a finite number, got True"),
+    (("inputs", 0, "path"), 5, "inputs[0].path: expected a string, got 5"),
+    (("output_dir",), 5, "output_dir: expected a string, got 5"),
+    (("features", "target"), {"before": 3, "after": "y"}, "features.target.before: expected a string, got 3"),
+    (("features", "mixed_prices", 0, "alpha"), True,
+     "features.mixed_prices[0].alpha: expected a finite number, got True"),
+    (("model", "mlp", "step_size"), "0.1", "model.mlp.step_size: expected a finite number, got '0.1'"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", TYPE_CASES, ids=[m.split(":")[0] for _, _, m in TYPE_CASES])
+def test_config_values_must_match_field_types(tmp_path, keys, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(config_with(tmp_path, keys, value))
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("windows.block_days=0", "block_days must be >= 1"),
+        ("shap.background_size=0", "background_size must be >= 1"),
+        ("shap.n_coalitions=1", "n_coalitions must be None or >= 2"),
+        ("windows.test_fraction=5", "test_fraction must be in (0, 1)"),
+        ("windows.test_fraction=-1", "test_fraction must be in (0, 1)"),
+    ],
+)
+def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):
+    # The input does not exist, so the named field shows the check ran first.
+    path = config_with(tmp_path, ("inputs", 0, "path"), str(tmp_path / "absent.csv"))
+    assert main(["run", "--config", str(path), "--set", assignment]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_mixed_price_alpha_above_percent_range_warns_at_load(tmp_path):
+    path = config_with(tmp_path, ("features", "mixed_prices", 0, "alpha"), 0.5)
+    with pytest.warns(RuntimeWarning, match="alpha=0.5"):
+        config = load_config(path)
+    assert config.features.mixed_prices[0].alpha == 0.5
+
+
+def test_negative_mixed_price_alpha_rejected_at_load(tmp_path):
+    path = config_with(tmp_path, ("features", "mixed_prices", 0, "alpha"), -0.1)
+    with pytest.raises(ConfigError, match=re.escape("features.mixed_prices[0]: alpha must be nonnegative")):
+        load_config(path)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    config = parse_config(example)
+    assert config.features.resample_hours is None
+    assert config.experiment.n_coalitions is None
 
 
 def test_non_numeric_resolution_exits_1(tmp_path, capsys):

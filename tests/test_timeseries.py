@@ -7,7 +7,6 @@ from regime_xai.timeseries import (
     DuplicateTimestampError,
     FeatureMatrix,
     ParseError,
-    PriceInputs,
     ResolutionMismatchError,
     TimeSeriesError,
     TimeTable,
@@ -76,7 +75,7 @@ def test_load_table_resolution_mismatch(tmp_path):
             "2020-01-01T02:00:00Z,2",
         ],
     )
-    with pytest.raises(ResolutionMismatchError):
+    with pytest.raises(ResolutionMismatchError, match="between 2020-01-01T00:00:00Z and 2020-01-01T02:00:00Z"):
         load_table(p, 1)
 
 
@@ -89,7 +88,7 @@ def test_load_table_duplicate_timestamp(tmp_path):
             "2020-01-01T00:00:00Z,2",
         ],
     )
-    with pytest.raises(DuplicateTimestampError):
+    with pytest.raises(DuplicateTimestampError, match="duplicate timestamp 2020-01-01T00:00:00Z"):
         load_table(p, 1)
 
 
@@ -228,24 +227,12 @@ def test_residual_load_translation_equivariant():
 
 
 def test_mixed_price_alpha_zero_is_capacity():
-    p = PriceInputs(np.array([10.0, 20.0]), np.array([100.0, 50.0]), alpha=0.0)
-    np.testing.assert_array_equal(mixed_price(p), [10.0, 20.0])
+    got = mixed_price(np.array([10.0, 20.0]), np.array([100.0, 50.0]), alpha=0.0)
+    np.testing.assert_array_equal(got, [10.0, 20.0])
 
 
 def test_mixed_price_direct_formula():
-    p = PriceInputs(np.array([10.0]), np.array([100.0]), alpha=0.05)
-    assert mixed_price(p)[0] == 15.0
-
-
-def test_mixed_price_warns_outside_percent_range():
-    with pytest.warns(RuntimeWarning, match="alpha"):
-        p = PriceInputs(np.array([10.0]), np.array([100.0]), alpha=0.5)
-    assert mixed_price(p)[0] == 60.0
-
-
-def test_mixed_price_rejects_negative_alpha():
-    with pytest.raises(TimeSeriesError):
-        PriceInputs(np.array([1.0]), np.array([1.0]), alpha=-0.1)
+    assert mixed_price(np.array([10.0]), np.array([100.0]), alpha=0.05)[0] == 15.0
 
 
 # ---------------------------------------------------------------- align_join
