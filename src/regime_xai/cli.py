@@ -7,8 +7,7 @@ plus a ready-to-run config for demos and end-to-end tests.
 
 Logs go to stderr, data to files. Exit codes: 0 ok, 1 invalid config or
 inputs, 2 runtime failure. Failures also emit a one-line JSON error record
-on stderr. The environment variable REGIME_XAI_THREADS caps row-level
-explanation parallelism; results do not depend on it.
+on stderr.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,15 +161,6 @@ def cmd_features(config: RunConfig) -> dict:
 
 
 def cmd_run(config: RunConfig) -> dict:
-    exp_config = config.experiment
-    threads = os.environ.get("REGIME_XAI_THREADS")
-    if threads:
-        try:
-            n_workers = int(threads)
-        except ValueError:
-            raise ConfigError(f"REGIME_XAI_THREADS: expected an integer, got {threads!r}") from None
-        exp_config = replace(exp_config, n_workers=max(1, n_workers))
-
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames, feature_report = build_features(config)
@@ -183,7 +171,7 @@ def cmd_run(config: RunConfig) -> dict:
         period_seeds[name] = derive_seed(config.seed, index)
         log.info("fitting %s models for period %s", config.model_kind, name)
         results[name] = run_period(
-            frames[name], config.periods[name], config.model_kind, exp_config, period_seeds[name]
+            frames[name], config.periods[name], config.model_kind, config.experiment, period_seeds[name]
         )
     comparison = compare_periods(results["before"], results["after"])
 

@@ -258,16 +258,18 @@ def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunCo
     periods = _parse_periods(_require(raw, "periods", ""), "periods")
     kind, gbt_params, mlp_params = _parse_model(_require(raw, "model", ""), "model")
 
-    given = {}
+    given, section_of = {}, {}
     for section, names in (
         ("windows", ("n_windows", "window_fraction", "block_days", "test_fraction")),
         ("shap", ("background_size", "n_coalitions", "explain_on")),
     ):
         given |= _typed_fields(raw.get(section, {}), ExperimentConfig, section, names)
+        section_of |= dict.fromkeys(names, section)
     try:
         experiment = ExperimentConfig(**given, gbt=gbt_params, mlp=mlp_params)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # each range message begins with its field name
+        raise ConfigError(f"{section_of[str(exc).split()[0]]}.{exc}") from None
 
     seed = _typed(raw.get("seed", 0), int, "seed")
     output_dir = _typed(raw.get("output_dir", "out"), str, "output_dir")

@@ -81,7 +81,6 @@ class ExperimentConfig:
     background_size: int = 100
     n_coalitions: int | None = None
     explain_on: str = "test"
-    n_workers: int = 1
     gbt: GbtParams = field(default_factory=GbtParams)
     mlp: MlpParams = field(default_factory=MlpParams)
 
@@ -100,8 +99,6 @@ class ExperimentConfig:
             raise ValueError(f"n_coalitions must be None or >= 2, got {self.n_coalitions}")
         if self.explain_on not in ("test", "train"):
             raise ValueError(f"explain_on must be 'test' or 'train', got {self.explain_on!r}")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +276,6 @@ def run_period(
                 seed=derive_seed(seed, w, 3),
                 n_coalitions=config.n_coalitions,
                 feature_names=data.feature_names,
-                n_workers=config.n_workers,
             )
             importance = feature_importance(explanation)
             if importance.degenerate:

@@ -9,7 +9,6 @@ correctness anchor for everything the optimizer does.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,34 +255,3 @@ def grad_check(net: MlpNet, X, y, epsilon: float = 1e-5) -> float:
                 err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
                 max_err = max(max_err, err)
     return max_err
-
-
-# ------------------------------------------------------------- serialization
-
-
-def net_to_json(net: MlpNet) -> str:
-    payload = {
-        "format": "regime-xai-mlp",
-        "layer_sizes": list(net.layer_sizes),
-        "x_mean": net.x_mean.tolist(),
-        "x_std": net.x_std.tolist(),
-        "weights": [W.tolist() for W in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-    return json.dumps(payload, indent=1)
-
-
-def net_from_json(text: str) -> MlpNet:
-    obj = json.loads(text)
-    if obj.get("format") != "regime-xai-mlp":
-        raise ValueError(f"not an mlp file (format={obj.get('format')!r})")
-    sizes = tuple(int(s) for s in obj["layer_sizes"])
-    weights = tuple(np.asarray(W, dtype=np.float64) for W in obj["weights"])
-    biases = tuple(np.asarray(b, dtype=np.float64) for b in obj["biases"])
-    return MlpNet(
-        sizes,
-        weights,
-        biases,
-        np.asarray(obj["x_mean"], dtype=np.float64),
-        np.asarray(obj["x_std"], dtype=np.float64),
-    )

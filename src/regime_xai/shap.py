@@ -22,7 +22,6 @@ sum to one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -376,21 +375,20 @@ def explain_dataset(
     seed: int = 0,
     n_coalitions: int | None = None,
     feature_names=None,
-    n_workers: int = 1,
 ) -> Explanation:
-    """Explain every row of X with the chosen engine.
+    """Explain every row of X with TreeSHAP (method "tree") or KernelSHAP
+    (method "kernel").
 
     Local accuracy is verified per row at 1e-6; a violation, or a residual
     that is not finite, raises LocalAccuracyError: an engine that cannot
-    reproduce its own model's prediction is broken, not inaccurate. Rows
-    are independent; per-row seeds are derived from (seed, row index) so
-    any execution order gives identical results. n_workers > 1
-    parallelizes across rows.
+    reproduce its own model's prediction is broken, not inaccurate. Kernel
+    rows are explained in order, each with its own seed derived from (seed,
+    row index), so no row's result depends on the others.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2D")
-    if method not in ("exact", "tree", "kernel"):
+    if method not in ("tree", "kernel"):
         raise ValueError(f"unknown method {method!r}")
     if method == "tree" and not isinstance(model, TreeEnsemble):
         raise ValueError("tree method requires a TreeEnsemble")
@@ -411,19 +409,10 @@ def explain_dataset(
     if method == "tree":
         phi = _tree_shap_matrix(model, X, bg)
     else:
-
-        def explain_row(i: int) -> np.ndarray:
-            row = X[i]
-            if method == "exact":
-                return exact_shap(model_fn, row, bg)[0]
-            return kernel_shap(model_fn, row, bg, n_coalitions, seed=derive_seed(seed, i))[0]
-
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                rows = list(pool.map(explain_row, range(X.shape[0])))
-        else:
-            rows = [explain_row(i) for i in range(X.shape[0])]
-        phi = np.vstack(rows)
+        phi = np.vstack([
+            kernel_shap(model_fn, row, bg, n_coalitions, seed=derive_seed(seed, i))[0]
+            for i, row in enumerate(X)
+        ])
 
     residuals = np.abs(phi0 + phi.sum(axis=1) - predictions)
     # a NaN residual counts as the worst, so it cannot slip past the test

@@ -289,7 +289,7 @@ def additive_period_result():
     spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
     for w in range(2):
         X = rng.uniform(-1, 1, size=(15, 2))
-        e = explain_dataset(lambda A: A[:, 0] + A[:, 1], X, bg, method="exact",
+        e = explain_dataset(lambda A: A[:, 0] + A[:, 1], X, bg, method="kernel",
                             feature_names=("x1", "x2"))
         windows.append(
             WindowResult(
@@ -346,7 +346,7 @@ def test_dependence_dummy_feature_zero():
     rng = np.random.default_rng(12)
     bg = Background(rng.normal(size=(4, 2)))
     X = rng.normal(size=(10, 2))
-    e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="exact", feature_names=("x1", "x2"))
+    e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="kernel", feature_names=("x1", "x2"))
     spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
     w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), None, e, X,
                      np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)

@@ -8,8 +8,6 @@ from regime_xai.mlp import (
     fit_mlp,
     grad_check,
     initial_net,
-    net_from_json,
-    net_to_json,
     predict_mlp,
 )
 from regime_xai.timeseries import FeatureMatrix
@@ -206,24 +204,6 @@ def test_grad_check_rejects_bad_epsilon():
         grad_check(net, X[:4], y[:4], epsilon=1e-2)
 
 
-# -------------------------------------------------------------- serialization
-
-
-def test_round_trip_predictions_bit_identical():
-    rng = np.random.default_rng(9)
-    X = rng.uniform(-1, 1, size=(200, 3))
-    y = X.sum(axis=1)
-    net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(8, 4), max_epochs=20, seed=9))
-    back = net_from_json(net_to_json(net))
-    np.testing.assert_array_equal(predict_mlp(back, X), predict_mlp(net, X))
-    assert back.layer_sizes == net.layer_sizes
-
-
-def test_loader_rejects_foreign_format():
-    with pytest.raises(ValueError, match="format"):
-        net_from_json('{"format": "tree"}')
-
-
 def test_constant_feature_gets_unit_std():
     rng = np.random.default_rng(10)
     X = rng.uniform(-1, 1, size=(100, 2))
@@ -231,12 +211,3 @@ def test_constant_feature_gets_unit_std():
     net = initial_net(matrix(X, X[:, 0]), MlpParams(hidden_sizes=(4,), seed=0))
     assert net.x_std[1] == 1.0
     assert net.x_mean[1] == pytest.approx(4.2)
-
-
-def test_net_json_round_trip_exact_floats():
-    net, _, _ = small_net(seed=12)
-    back = net_from_json(net_to_json(net))
-    for a, b in zip(net.weights + net.biases, back.weights + back.biases):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(net.x_mean, back.x_mean)
-    np.testing.assert_array_equal(net.x_std, back.x_std)

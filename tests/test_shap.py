@@ -3,6 +3,7 @@ import pytest
 
 from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt
 from regime_xai.mlp import MlpParams, initial_net
+from regime_xai.seeds import derive_seed
 from regime_xai.shap import (
     Background,
     Explanation,
@@ -385,7 +386,7 @@ def test_explain_dataset_detects_broken_engine():
 
     bg = Background(rng.standard_normal((3, 4)))
     with pytest.raises(LocalAccuracyError):
-        explain_dataset(unstable, rng.standard_normal((3, 4)), bg, method="exact")
+        explain_dataset(unstable, rng.standard_normal((3, 4)), bg, method="kernel")
 
 
 def test_explain_dataset_names_row_with_nan_residual():
@@ -396,17 +397,28 @@ def test_explain_dataset_names_row_with_nan_residual():
     bg = Background(np.zeros((2, 2)))
     X = np.array([[1.0, 2.0], [9.0, 1.0], [0.5, 0.5]])
     with pytest.raises(LocalAccuracyError, match="row 1: .* nan"):
-        explain_dataset(nan_for_large_x0, X, bg, method="exact")
+        explain_dataset(nan_for_large_x0, X, bg, method="kernel")
 
 
-def test_explain_dataset_parallel_matches_sequential():
+def test_explain_dataset_kernel_rows_use_their_own_seeds():
+    # 40 of 62 coalitions runs sampled mode; each row's draw depends only on
+    # (seed, row index), so any execution order gives the same attributions
     net = random_mlp(18, n_features=6)
     rng = np.random.default_rng(18)
     bg = Background(rng.standard_normal((4, 6)))
     X = rng.standard_normal((12, 6))
-    seq = explain_dataset(net, X, bg, method="kernel", seed=5, n_coalitions=40)
-    par = explain_dataset(net, X, bg, method="kernel", seed=5, n_coalitions=40, n_workers=4)
-    np.testing.assert_array_equal(seq.phi, par.phi)
+    e = explain_dataset(net, X, bg, method="kernel", seed=5, n_coalitions=40)
+    fn = as_predict_fn(net)
+    for i in range(len(X)):
+        phi, _ = kernel_shap(fn, X[i], bg, 40, seed=derive_seed(5, i))
+        np.testing.assert_array_equal(e.phi[i], phi)
+
+
+@pytest.mark.parametrize("method", ["exact", "Tree"])
+def test_explain_dataset_rejects_unknown_method(method):
+    with pytest.raises(ValueError, match="unknown method"):
+        explain_dataset(lambda A: A.sum(axis=1), np.zeros((1, 2)), Background(np.zeros((1, 2))),
+                        method=method)
 
 
 def test_explain_dataset_rejects_tree_method_for_net():
