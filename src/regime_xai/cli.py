@@ -50,13 +50,14 @@ from regime_xai.shap import (
 from regime_xai.timeseries import (
     FeatureMatrix,
     TimeSeriesError,
-    TimeTable,
     align_join,
     format_timestamp,
     load_table,
     mixed_price,
+    owning_table,
     resample_mean,
     residual_load,
+    rows_per_day,
     synth_regime,
     with_column,
     write_csv,
@@ -69,20 +70,6 @@ PERIOD_ORDER = ("before", "after")
 
 
 # ------------------------------------------------------------ feature builds
-
-
-def _samples_per_day(resolution_hours: float) -> int:
-    per_day = 24.0 / resolution_hours
-    if abs(per_day - round(per_day)) > 1e-9:
-        raise TimeSeriesError(f"resolution {resolution_hours:g}h does not divide a day")
-    return int(round(per_day))
-
-
-def _owning_table(tables: list[TimeTable], needed: list[str], context: str) -> int:
-    for i, table in enumerate(tables):
-        if all(col in table.columns for col in needed):
-            return i
-    raise ConfigError(f"{context}: columns {needed} not found together in any input table")
 
 
 def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
@@ -100,8 +87,7 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
         ]
 
     for spec in config.features.residual_loads:
-        needed = [spec.load, spec.wind, spec.solar, spec.ror]
-        i = _owning_table(tables, needed, f"residual load {spec.name!r}")
+        i = owning_table(tables, [spec.load, spec.wind, spec.solar, spec.ror])
         t = tables[i]
         series = residual_load(
             t.columns[spec.load],
@@ -109,12 +95,12 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
             t.columns[spec.solar],
             t.columns[spec.ror],
             ror_lag_days=spec.ror_lag_days,
-            samples_per_day=_samples_per_day(t.resolution_hours),
+            samples_per_day=rows_per_day(int(round(t.resolution_hours * 3600))),
         )
         tables[i] = with_column(t, spec.name, series)
 
     for spec in config.features.mixed_prices:
-        i = _owning_table(tables, [spec.capacity, spec.energy], f"mixed price {spec.name!r}")
+        i = owning_table(tables, [spec.capacity, spec.energy])
         t = tables[i]
         series = mixed_price(t.columns[spec.capacity], t.columns[spec.energy], spec.alpha)
         tables[i] = with_column(t, spec.name, series)
@@ -204,7 +190,7 @@ def cmd_run(config: RunConfig) -> dict:
     return manifest
 
 
-def cmd_synth(out_dir, n_rows: int = 960, seed: int = 0) -> Path:
+def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
     """Write a stacked two-regime synthetic dataset and a matching config."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ from regime_xai.gbt import GbtParams, TreeEnsemble, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpNet, MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, format_timestamp, write_csv
+from regime_xai.timeseries import FeatureMatrix, format_timestamp, rows_per_day, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -126,9 +126,6 @@ class PeriodResult:
 
     def __post_init__(self):
         object.__setattr__(self, "windows", tuple(self.windows))
-        for w in self.windows:
-            if not w.importance.degenerate and abs(w.importance.fi.sum() - 1.0) > 1e-9:
-                raise ValueError(f"window {w.window_index}: importances do not sum to 1")
 
     @property
     def degenerate_windows(self) -> tuple[int, ...]:
@@ -155,7 +152,7 @@ class RegimeComparison:
     flagged: np.ndarray
 
 
-def make_windows(n_rows: int, n_windows: int = 6, window_fraction: float = 0.5) -> list[range]:
+def make_windows(n_rows: int, n_windows: int, window_fraction: float) -> list[range]:
     """Evenly spaced overlapping windows of floor(window_fraction * n_rows)
     rows each; the first starts at row 0 and the last ends at row n_rows."""
     if n_windows < 1:
@@ -173,10 +170,10 @@ def make_windows(n_rows: int, n_windows: int = 6, window_fraction: float = 0.5) 
 
 def split_blocks(
     window: range,
-    block_days: int = 4,
-    test_fraction: float = 0.2,
-    seed: int = 0,
-    rows_per_day: int = 1,
+    block_days: int,
+    test_fraction: float,
+    seed: int,
+    rows_per_day: int,
 ) -> SplitPlan:
     """Partition a window into consecutive blocks of block_days and pick
     round(test_fraction * n_blocks) of them, uniformly without replacement,
@@ -201,17 +198,6 @@ def split_blocks(
     return SplitPlan(train_indices=rows[~test_mask], test_indices=rows[test_mask])
 
 
-def _rows_per_day(timestamps: np.ndarray) -> int:
-    """Rows per day at the period's resolution: the smallest step between
-    consecutive rows, since rows dropped by the join leave wider steps."""
-    if len(timestamps) < 2:
-        raise ValueError("need at least two rows to infer the resolution")
-    step = int(np.diff(timestamps).min())
-    if step <= 0 or 86400 % step:
-        raise ValueError(f"row step of {step}s does not divide a day")
-    return 86400 // step
-
-
 def run_period(
     data: FeatureMatrix,
     period: PeriodSpec,
@@ -224,7 +210,9 @@ def run_period(
     data holds the period's rows only; a row outside period is an error.
     Tree models are explained with the tree engine, nets with the kernel
     engine, both against a background subsampled from the window's training
-    rows. Fit/explain failures are re-raised annotated with the window index.
+    rows. A model with a non-finite test prediction fails before it is
+    explained. Fit/explain failures are re-raised annotated with the window
+    index.
     """
     config = config or ExperimentConfig()
     if model_kind not in MODEL_KINDS:
@@ -236,7 +224,10 @@ def run_period(
     outside = np.flatnonzero((ts < period.start_epoch) | (ts >= period.end_epoch))
     if outside.size:
         raise ValueError(f"row at {format_timestamp(ts[outside[0]])} lies outside period {period.name!r}")
-    rows_per_day = _rows_per_day(ts)
+    if len(ts) < 2:
+        raise ValueError("need at least two rows to infer the resolution")
+    # the smallest step is the resolution: rows dropped by the join leave wider ones
+    per_day = rows_per_day(int(np.diff(ts).min()))
 
     # The one branch on the model kind. The functions are looked up here, at
     # call time, so a profiler that rebinds these module names sees each call.
@@ -260,11 +251,14 @@ def run_period(
                 block_days=config.block_days,
                 test_fraction=config.test_fraction,
                 seed=derive_seed(seed, w, 0),
-                rows_per_day=rows_per_day,
+                rows_per_day=per_day,
             )
             train = data.take(plan.train_indices)
             test = data.take(plan.test_indices)
             model = fit(train, derive_seed(seed, w, 1))
+            pred = predict(model, test.X)
+            if not np.isfinite(pred).all():
+                raise ValueError(f"non-finite prediction for test row {int(np.argmin(np.isfinite(pred)))}")
 
             bg = Background.subsample(train.X, config.background_size, derive_seed(seed, w, 2))
             explain = test if config.explain_on == "test" else train
@@ -275,13 +269,11 @@ def run_period(
                 method=method,
                 seed=derive_seed(seed, w, 3),
                 n_coalitions=config.n_coalitions,
-                feature_names=data.feature_names,
             )
             importance = feature_importance(explanation)
             if importance.degenerate:
                 log.warning("period %s window %d: degenerate importances", period.name, w)
 
-            pred = predict(model, test.X)
             mse = float(np.mean((pred - test.y) ** 2))
             sst = float(np.sum((test.y - test.y.mean()) ** 2))
             r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")

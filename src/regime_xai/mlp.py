@@ -28,36 +28,19 @@ class TrainingDivergedError(RuntimeError):
 class MlpNet:
     """Feedforward regressor: standardize, rectified hidden layers, affine output.
 
-    weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); biases[l] matches
-    the output side. x_std entries are strictly positive (constant features
-    are stored with std 1 so they are centered only).
+    weights[l] has shape (fan_out, fan_in) and biases[l] shape (fan_out,); the
+    last layer has one output. x_std entries are strictly positive (constant
+    features are stored with std 1 so they are centered only).
     """
 
-    layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     x_mean: np.ndarray
     x_std: np.ndarray
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
-        if len(sizes) < 2 or sizes[-1] != 1:
-            raise ValueError(f"layer_sizes must end in an output of 1, got {sizes}")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ValueError("one weight matrix and bias vector required per layer")
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
-                raise ValueError(f"layer {l}: weight shape {W.shape} or bias shape {b.shape} "
-                                 f"inconsistent with layer_sizes {sizes}")
-        if len(self.x_mean) != sizes[0] or len(self.x_std) != sizes[0]:
-            raise ValueError("standardization stats must match the input width")
-        if np.any(self.x_std <= 0):
-            raise ValueError("stored stds must be strictly positive")
-
     @property
     def n_features(self) -> int:
-        return self.layer_sizes[0]
+        return self.weights[0].shape[1]
 
 
 @dataclass(frozen=True)
@@ -134,18 +117,24 @@ def _standardize_stats(X: np.ndarray):
     return mean, std
 
 
-def initial_net(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
-    """The untrained net fit_mlp would start from (same seed, same init draws)."""
-    params = params or MlpParams()
-    if len(train) == 0:
+def _start(train: FeatureMatrix, params: MlpParams):
+    """The untrained net, the generator past its init draws, and the number
+    of head rows that are fitted on (the tail is held out for validation)."""
+    n = len(train)
+    if n == 0:
         raise ValueError("empty training set")
     sizes = (train.X.shape[1],) + params.hidden_sizes + (1,)
-    n_val = int(np.clip(round(params.validation_fraction * len(train)), 1, max(len(train) - 1, 1)))
-    n_fit = max(len(train) - n_val, 1)
+    n_val = int(np.clip(round(params.validation_fraction * n), 1, max(n - 1, 1)))
+    n_fit = max(n - n_val, 1)
     mean, std = _standardize_stats(train.X[:n_fit])
     rng = np.random.default_rng(params.seed)
     weights, biases = _init_params(rng, sizes, float(train.y[:n_fit].mean()))
-    return MlpNet(sizes, tuple(weights), tuple(biases), mean, std)
+    return MlpNet(tuple(weights), tuple(biases), mean, std), rng, n_fit
+
+
+def initial_net(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
+    """The untrained net fit_mlp would start from (same seed, same init draws)."""
+    return _start(train, params or MlpParams())[0]
 
 
 def fit_mlp(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
@@ -157,20 +146,11 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
     Targets stay in original units. Deterministic for a fixed seed.
     """
     params = params or MlpParams()
-    n = len(train)
-    if n == 0:
-        raise ValueError("empty training set")
-    sizes = (train.X.shape[1],) + params.hidden_sizes + (1,)
-    n_val = int(np.clip(round(params.validation_fraction * n), 1, max(n - 1, 1)))
-    n_fit = max(n - n_val, 1)
-
-    mean, std = _standardize_stats(train.X[:n_fit])
-    Z = (train.X - mean) / std
+    net, rng, n_fit = _start(train, params)
+    weights, biases = list(net.weights), list(net.biases)
+    Z = (train.X - net.x_mean) / net.x_std
     Z_fit, y_fit = Z[:n_fit], train.y[:n_fit]
-    Z_val, y_val = (Z[n_fit:], train.y[n_fit:]) if n > 1 else (Z_fit, y_fit)
-
-    rng = np.random.default_rng(params.seed)
-    weights, biases = _init_params(rng, sizes, float(y_fit.mean()))
+    Z_val, y_val = (Z[n_fit:], train.y[n_fit:]) if len(train) > 1 else (Z_fit, y_fit)
 
     adam_m = [np.zeros_like(p) for p in weights + biases]
     adam_v = [np.zeros_like(p) for p in weights + biases]
@@ -206,7 +186,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
             if stale >= params.early_stop_patience:
                 break
 
-    return MlpNet(sizes, tuple(best[0]), tuple(best[1]), mean, std)
+    return MlpNet(tuple(best[0]), tuple(best[1]), net.x_mean, net.x_std)
 
 
 def predict_mlp(net: MlpNet, X) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Deterministic seed derivation shared by the explanation and experiment layers.
 
 Child seeds are derived by hashing the parent seed together with structural
-indices (window index, row index, ...), so parallel and sequential execution
-orders produce identical randomness.
+indices (window index, row index, ...), so each window and each explained row
+draws from a seed of its own, and no row's draws depend on another row's.
 """
 
 import hashlib

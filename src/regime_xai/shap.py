@@ -63,7 +63,7 @@ class Background:
         return self.rows.shape[1]
 
     @classmethod
-    def subsample(cls, X, size: int = 100, seed: int = 0) -> Background:
+    def subsample(cls, X, size: int, seed: int) -> Background:
         """Uniform subsample without replacement (all rows if X is small)."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[0] <= size:
@@ -76,21 +76,21 @@ class Background:
 class Explanation:
     """Per-row SHAP vectors plus the shared base value.
 
-    phi0 + phi[i].sum() reproduces predictions[i] for every row (local
-    accuracy); explain_dataset enforces this at 1e-6.
+    Column j of phi belongs to column j of the explained matrix; the names
+    live with the data (FeatureMatrix, PeriodResult). phi0 + phi[i].sum()
+    reproduces predictions[i] for every row (local accuracy); explain_dataset
+    enforces this at 1e-6.
     """
 
-    feature_names: tuple[str, ...]
     phi: np.ndarray
     phi0: float
     predictions: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
         phi = np.asarray(self.phi, dtype=np.float64)
         preds = np.asarray(self.predictions, dtype=np.float64)
-        if phi.ndim != 2 or phi.shape[1] != len(self.feature_names):
-            raise ValueError(f"phi shape {phi.shape} inconsistent with {len(self.feature_names)} features")
+        if phi.ndim != 2:
+            raise ValueError(f"phi must be 2D, got shape {phi.shape}")
         if preds.shape != (phi.shape[0],):
             raise ValueError("predictions must have one entry per explained row")
         object.__setattr__(self, "phi", phi)
@@ -107,7 +107,6 @@ class ImportanceVector:
 
     fi: np.ndarray
     degenerate: bool = False
-    feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         fi = np.asarray(self.fi, dtype=np.float64)
@@ -119,7 +118,6 @@ class ImportanceVector:
         elif abs(fi.sum() - 1.0) > 1e-9:
             raise ValueError(f"importances must sum to 1, got {fi.sum()!r}")
         object.__setattr__(self, "fi", fi)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
 
 def as_predict_fn(model):
@@ -374,7 +372,6 @@ def explain_dataset(
     method: str = "tree",
     seed: int = 0,
     n_coalitions: int | None = None,
-    feature_names=None,
 ) -> Explanation:
     """Explain every row of X with TreeSHAP (method "tree") or KernelSHAP
     (method "kernel").
@@ -394,15 +391,9 @@ def explain_dataset(
         raise ValueError("tree method requires a TreeEnsemble")
 
     model_fn = as_predict_fn(model)
-    if feature_names is None:
-        if isinstance(model, TreeEnsemble):
-            feature_names = model.feature_names
-        else:
-            feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
-
     phi0 = float(np.mean(model_fn(bg.rows)))
     if X.shape[0] == 0:
-        return Explanation(feature_names, np.empty((0, X.shape[1])), phi0, np.empty(0))
+        return Explanation(np.empty((0, X.shape[1])), phi0, np.empty(0))
 
     predictions = model_fn(X)
 
@@ -422,7 +413,7 @@ def explain_dataset(
             f"row {worst}: |phi0 + sum(phi) - f(x)| = {residuals[worst]:.3e} "
             f"exceeds {LOCAL_ACCURACY_TOL:g} under method {method!r}"
         )
-    return Explanation(feature_names, phi, phi0, predictions)
+    return Explanation(phi, phi0, predictions)
 
 
 def feature_importance(explanation: Explanation) -> ImportanceVector:
@@ -436,5 +427,5 @@ def feature_importance(explanation: Explanation) -> ImportanceVector:
     mean_abs = np.abs(explanation.phi).mean(axis=0)
     total = mean_abs.sum()
     if total == 0.0:
-        return ImportanceVector(np.zeros_like(mean_abs), True, explanation.feature_names)
-    return ImportanceVector(mean_abs / total, False, explanation.feature_names)
+        return ImportanceVector(np.zeros_like(mean_abs), True)
+    return ImportanceVector(mean_abs / total, False)

@@ -200,6 +200,13 @@ def load_table(path, expected_resolution_hours: float) -> TimeTable:
     return TimeTable(ts, columns, expected_resolution_hours)
 
 
+def rows_per_day(step_seconds: int) -> int:
+    """Rows per day on a grid with the given step; the step must divide a day."""
+    if step_seconds <= 0 or 86400 % step_seconds:
+        raise TimeSeriesError(f"row step of {step_seconds}s does not divide a day")
+    return 86400 // step_seconds
+
+
 def write_csv(path, header, rows) -> None:
     """Write header and rows in the one CSV dialect the tool reads and writes:
     UTF-8, "\\n" line ends, floats as their shortest round-trip repr (pass
@@ -274,8 +281,8 @@ def residual_load(
     wind_fc,
     solar_fc,
     ror_actual,
-    ror_lag_days: int = 7,
-    samples_per_day: int = 24,
+    ror_lag_days: int,
+    samples_per_day: int,
 ) -> np.ndarray:
     """Forecast load minus renewable forecasts minus a lagging run-of-river mean.
 
@@ -298,6 +305,22 @@ def mixed_price(capacity_price: np.ndarray, energy_price: np.ndarray, alpha: flo
     """Bid-selection price under the mixed scheme: capacity (EUR/MW) plus the
     auction weighting factor alpha times energy (EUR/MWh)."""
     return capacity_price + alpha * energy_price
+
+
+def owning_table(tables: list[TimeTable], names: list[str]) -> int:
+    """Index of the one table that holds every named column. A column must sit
+    in exactly one table, and all of them in the same one."""
+    owners = set()
+    for name in names:
+        held = [i for i, t in enumerate(tables) if name in t.columns]
+        if not held:
+            raise TimeSeriesError(f"column {name!r} not found in any table")
+        if len(held) > 1:
+            raise TimeSeriesError(f"column {name!r} is ambiguous: present in multiple tables")
+        owners.add(held[0])
+    if len(owners) > 1:
+        raise TimeSeriesError(f"columns {names} not found together in any table")
+    return owners.pop()
 
 
 def align_join(
@@ -323,12 +346,7 @@ def align_join(
         raise TimeSeriesError("empty timestamp intersection across tables")
 
     def locate(name: str) -> np.ndarray:
-        owners = [t for t in tables if name in t.columns]
-        if not owners:
-            raise TimeSeriesError(f"column {name!r} not found in any table")
-        if len(owners) > 1:
-            raise TimeSeriesError(f"column {name!r} is ambiguous: present in multiple tables")
-        t = owners[0]
+        t = tables[owning_table(tables, [name])]
         pos = np.searchsorted(t.timestamps, common)
         return t.columns[name][pos]
 

@@ -373,6 +373,50 @@ def test_main_rejects_bad_override(tmp_path):
     assert main(["run", "--config", str(config_path), "--set", "bogus_key=1"]) == 1
 
 
+def test_run_on_a_grid_whose_step_does_not_divide_a_day_exits_1(tmp_path, capsys):
+    # a 7 h grid is a valid table, but four-day blocks cannot be counted in rows
+    rng = np.random.default_rng(6)
+    lines = ["timestamp,x1,x2,y"]
+    for i in range(400):
+        x1, x2 = rng.uniform(-1, 1, size=2)
+        lines.append(f"{format_timestamp(T0 + 7 * 3600 * i)},{x1:.4f},{x2:.4f},{3 * x1 + x2:.4f}")
+    (tmp_path / "grid.csv").write_text("\n".join(lines) + "\n")
+    raw = {
+        "inputs": [{"path": "grid.csv", "resolution_hours": 7}],
+        "features": {"columns": ["x1", "x2"], "target": "y"},
+        "periods": {
+            "before": {"start": format_timestamp(T0), "end": format_timestamp(T0 + 7 * 3600 * 200)},
+            "after": {"start": format_timestamp(T0 + 7 * 3600 * 200), "end": format_timestamp(T0 + 7 * 3600 * 400)},
+        },
+        "model": {"kind": "gbt"},
+        "output_dir": "out",
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "row step of 25200s does not divide a day" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, capacity, message",
+    [
+        # the residual load reads `load`, which both inputs would carry
+        ("load", "cap", "column 'load' is ambiguous"),
+        ("cap2", "cap2", "columns ['cap2', 'energy'] not found together"),
+    ],
+)
+def test_derived_column_sources_must_sit_in_one_input(tmp_path, capsys, column, capacity, message):
+    config_path = market_config(tmp_path)
+    lines = [f"timestamp,{column}"] + [f"{format_timestamp(T0 + 3600 * i)},{i % 7}" for i in range(2400)]
+    (tmp_path / "second.csv").write_text("\n".join(lines) + "\n")
+    raw = json.loads(config_path.read_text())
+    raw["inputs"].append({"path": "second.csv", "resolution_hours": 1})
+    raw["features"]["mixed_prices"][0]["capacity"] = capacity
+    config_path.write_text(json.dumps(raw))
+    assert main(["features", "--config", str(config_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_mlp_run_flips_ranks_too(tmp_path):
     config_path = cmd_synth(tmp_path, n_rows=960, seed=11)
     config = load_config(

@@ -50,21 +50,21 @@ FAST = ExperimentConfig(
 
 
 def test_make_windows_evenly_spaced_360():
-    windows = make_windows(360)
+    windows = make_windows(360, n_windows=6, window_fraction=0.5)
     assert [w.start for w in windows] == [0, 36, 72, 108, 144, 180]
     assert all(len(w) == 180 for w in windows)
     assert windows[-1].stop == 360
 
 
 def test_make_windows_evenly_spaced_100():
-    windows = make_windows(100)
+    windows = make_windows(100, n_windows=6, window_fraction=0.5)
     assert [w.start for w in windows] == [0, 10, 20, 30, 40, 50]
     assert all(len(w) == 50 for w in windows)
 
 
 def test_make_windows_union_covers_period():
     for n in (100, 101, 123, 360, 961):
-        windows = make_windows(n)
+        windows = make_windows(n, n_windows=6, window_fraction=0.5)
         covered = np.zeros(n, dtype=bool)
         for w in windows:
             covered[w.start : w.stop] = True
@@ -79,7 +79,7 @@ def test_make_windows_full_fraction_identical_windows():
 
 def test_make_windows_too_short():
     with pytest.raises(ValueError, match="too short"):
-        make_windows(4, n_windows=6)
+        make_windows(4, n_windows=6, window_fraction=0.5)
 
 
 # ---------------------------------------------------------------- split_blocks
@@ -100,21 +100,24 @@ def test_split_blocks_partial_block_goes_to_train():
 
 
 def test_split_blocks_same_seed_identical():
-    a = split_blocks(range(0, 40), seed=7)
-    b = split_blocks(range(0, 40), seed=7)
+    a = split_blocks(range(0, 40), block_days=4, test_fraction=0.2, seed=7, rows_per_day=1)
+    b = split_blocks(range(0, 40), block_days=4, test_fraction=0.2, seed=7, rows_per_day=1)
     np.testing.assert_array_equal(a.test_indices, b.test_indices)
 
 
 def test_split_blocks_different_seeds_usually_differ():
     # 10 blocks choose 2 gives 45 outcomes; over 10 seed pairs expect >90% distinct.
-    plans = [split_blocks(range(0, 40), seed=s).test_indices for s in range(11)]
+    plans = [
+        split_blocks(range(0, 40), block_days=4, test_fraction=0.2, seed=s, rows_per_day=1).test_indices
+        for s in range(11)
+    ]
     differing = sum(not np.array_equal(plans[i], plans[i + 1]) for i in range(10))
     assert differing >= 9
 
 
 def test_split_blocks_window_too_short():
     with pytest.raises(ValueError, match="at least 5"):
-        split_blocks(range(0, 16), block_days=4, rows_per_day=1)
+        split_blocks(range(0, 16), block_days=4, test_fraction=0.2, seed=0, rows_per_day=1)
 
 
 @given(
@@ -206,6 +209,18 @@ def test_run_period_rejects_row_outside_period():
         run_period(fm, short, "gbt", FAST, seed=0)
 
 
+def test_run_period_rejects_non_finite_predictions_before_explaining(monkeypatch):
+    def explain_dataset(*args, **kwargs):
+        raise AssertionError("a model with non-finite predictions was explained")
+
+    monkeypatch.setattr("regime_xai.experiment.predict_mlp", lambda net, X: np.full(len(X), np.inf))
+    monkeypatch.setattr("regime_xai.experiment.explain_dataset", explain_dataset)
+    fm, _ = synth_regime(960, seed=5)
+    config = ExperimentConfig(background_size=10, mlp=MlpParams(hidden_sizes=(4,), max_epochs=1))
+    with pytest.raises(ValueError, match="window 0: non-finite prediction for test row 0"):
+        run_period(fm, period_for(fm), "mlp", config, seed=0)
+
+
 def test_run_period_blocks_span_four_days_when_second_row_is_missing():
     # With row 1 dropped the first step is 2 h; the resolution must still be
     # read as 1 h, so every test block is 4 days of 24 rows.
@@ -289,8 +304,7 @@ def additive_period_result():
     spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
     for w in range(2):
         X = rng.uniform(-1, 1, size=(15, 2))
-        e = explain_dataset(lambda A: A[:, 0] + A[:, 1], X, bg, method="kernel",
-                            feature_names=("x1", "x2"))
+        e = explain_dataset(lambda A: A[:, 0] + A[:, 1], X, bg, method="kernel")
         windows.append(
             WindowResult(
                 window_index=w,
@@ -346,7 +360,7 @@ def test_dependence_dummy_feature_zero():
     rng = np.random.default_rng(12)
     bg = Background(rng.normal(size=(4, 2)))
     X = rng.normal(size=(10, 2))
-    e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="kernel", feature_names=("x1", "x2"))
+    e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="kernel")
     spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
     w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), None, e, X,
                      np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)
@@ -397,10 +411,10 @@ def test_export_text_is_pinned(tmp_path):
         ]
     ):
         phi = np.array(phi)
-        e = Explanation(names, phi, 0.0, phi.sum(axis=1))
+        e = Explanation(phi, 0.0, phi.sum(axis=1))
         windows.append(
             WindowResult(w, None, None, e, np.array(X), np.array(ts, dtype=np.int64),
-                         ImportanceVector(np.array(fi), feature_names=names), 0.0, 1.0)
+                         ImportanceVector(np.array(fi)), 0.0, 1.0)
         )
     spec = PeriodSpec("before", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
     result = PeriodResult(spec, names, tuple(windows), np.zeros(2), np.zeros(2))

@@ -128,16 +128,14 @@ def test_training_reduces_mse():
 
 
 def test_zero_weights_output_bias():
-    sizes = (2, 4, 1)
     weights = (np.zeros((4, 2)), np.zeros((1, 4)))
     biases = (np.zeros(4), np.array([3.5]))
-    net = MlpNet(sizes, weights, biases, np.zeros(2), np.ones(2))
+    net = MlpNet(weights, biases, np.zeros(2), np.ones(2))
     np.testing.assert_array_equal(predict_mlp(net, np.random.default_rng(0).normal(size=(5, 2))), np.full(5, 3.5))
 
 
 def test_single_hidden_unit_hand_computed():
     net = MlpNet(
-        (1, 1, 1),
         (np.array([[2.0]]), np.array([[3.0]])),
         (np.array([0.5]), np.array([-1.0])),
         np.zeros(1),
@@ -170,8 +168,7 @@ def test_grad_check_fresh_net():
 
 
 def test_grad_check_zero_net_zero_targets():
-    sizes = (2, 3, 1)
-    net = MlpNet(sizes, (np.zeros((3, 2)), np.zeros((1, 3))), (np.zeros(3), np.zeros(1)), np.zeros(2), np.ones(2))
+    net = MlpNet((np.zeros((3, 2)), np.zeros((1, 3))), (np.zeros(3), np.zeros(1)), np.zeros(2), np.ones(2))
     X = np.random.default_rng(7).normal(size=(4, 2))
     assert grad_check(net, X, np.zeros(4), epsilon=1e-5) == 0.0
 

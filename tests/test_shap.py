@@ -442,7 +442,7 @@ def test_explain_dataset_row_order_preserved():
 
 
 def test_importance_single_feature():
-    e = Explanation(("a",), np.array([[2.0], [-4.0]]), 0.0, np.array([2.0, -4.0]))
+    e = Explanation(np.array([[2.0], [-4.0]]), 0.0, np.array([2.0, -4.0]))
     iv = feature_importance(e)
     np.testing.assert_array_equal(iv.fi, [1.0])
     assert not iv.degenerate
@@ -450,7 +450,7 @@ def test_importance_single_feature():
 
 def test_importance_direct_formula():
     phi = np.array([[2.0, 1.0, -1.0], [-2.0, -1.0, 1.0]])
-    e = Explanation(("a", "b", "c"), phi, 0.0, phi.sum(axis=1))
+    e = Explanation(phi, 0.0, phi.sum(axis=1))
     iv = feature_importance(e)
     np.testing.assert_allclose(iv.fi, [0.5, 0.25, 0.25])
 
@@ -467,14 +467,14 @@ def test_importance_dummy_feature_zero_under_tree_engine():
 
 
 def test_importance_degenerate_all_zero():
-    e = Explanation(("a", "b"), np.zeros((3, 2)), 1.0, np.ones(3))
+    e = Explanation(np.zeros((3, 2)), 1.0, np.ones(3))
     iv = feature_importance(e)
     assert iv.degenerate
     np.testing.assert_array_equal(iv.fi, [0.0, 0.0])
 
 
 def test_importance_empty_explanation_rejected():
-    e = Explanation(("a",), np.empty((0, 1)), 0.0, np.empty(0))
+    e = Explanation(np.empty((0, 1)), 0.0, np.empty(0))
     with pytest.raises(ValueError, match="empty"):
         feature_importance(e)
 

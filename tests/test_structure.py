@@ -34,3 +34,17 @@ def test_every_public_definition_is_used_by_the_package():
             ):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+
+def test_no_setting_is_read_from_the_environment():
+    # Settings come from the config file and the command line only, so the
+    # config echo in a run's manifest describes the run completely.
+    field_of = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno} {name}")
+    assert reads == []

@@ -180,7 +180,7 @@ def test_resample_mean_idempotent_for_same_block(blocks, extra):
 
 def test_residual_load_zero_subtrahends():
     n = 48
-    out = residual_load(np.full(n, 10.0), np.zeros(n), np.zeros(n), np.zeros(n), ror_lag_days=1)
+    out = residual_load(np.full(n, 10.0), np.zeros(n), np.zeros(n), np.zeros(n), ror_lag_days=1, samples_per_day=24)
     assert np.isnan(out[:24]).all()
     np.testing.assert_allclose(out[24:], 10.0)
 
@@ -188,7 +188,7 @@ def test_residual_load_zero_subtrahends():
 def test_residual_load_direct_formula():
     n = 48
     out = residual_load(
-        np.full(n, 10.0), np.full(n, 3.0), np.full(n, 2.0), np.full(n, 1.0), ror_lag_days=1
+        np.full(n, 10.0), np.full(n, 3.0), np.full(n, 2.0), np.full(n, 1.0), ror_lag_days=1, samples_per_day=24
     )
     np.testing.assert_allclose(out[24:], 4.0)
 
@@ -210,15 +210,15 @@ def test_residual_load_against_explicit_summation():
 
 def test_residual_load_misaligned_series():
     with pytest.raises(TimeSeriesError, match="misaligned"):
-        residual_load(np.zeros(5), np.zeros(4), np.zeros(5), np.zeros(5))
+        residual_load(np.zeros(5), np.zeros(4), np.zeros(5), np.zeros(5), ror_lag_days=7, samples_per_day=24)
 
 
 def test_residual_load_translation_equivariant():
     rng = np.random.default_rng(11)
     n = 5 * 24
     load, wind, solar, ror = (rng.normal(size=n) for _ in range(4))
-    base = residual_load(load, wind, solar, ror, ror_lag_days=2)
-    shifted = residual_load(load + 5.0, wind, solar, ror, ror_lag_days=2)
+    base = residual_load(load, wind, solar, ror, ror_lag_days=2, samples_per_day=24)
+    shifted = residual_load(load + 5.0, wind, solar, ror, ror_lag_days=2, samples_per_day=24)
     defined = ~np.isnan(base)
     np.testing.assert_allclose(shifted[defined], base[defined] + 5.0, atol=1e-12)
 
