@@ -78,13 +78,10 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
     Returns the matrices keyed by period name plus a report with row and
     drop counts. Derived columns are computed at the model resolution.
     """
-    tables = [load_table(spec.path, spec.resolution_hours) for spec in config.inputs]
+    tables = [load_table(spec.path, round(spec.resolution_hours * 3600)) for spec in config.inputs]
     if config.features.resample_hours is not None:
-        target_res = config.features.resample_hours
-        tables = [
-            t if t.resolution_hours == target_res else resample_mean(t, target_res)
-            for t in tables
-        ]
+        block = round(config.features.resample_hours * 3600)
+        tables = [t if t.step_seconds == block else resample_mean(t, block) for t in tables]
 
     for spec in config.features.residual_loads:
         i = owning_table(tables, [spec.load, spec.wind, spec.solar, spec.ror])
@@ -95,7 +92,7 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
             t.columns[spec.solar],
             t.columns[spec.ror],
             ror_lag_days=spec.ror_lag_days,
-            samples_per_day=rows_per_day(int(round(t.resolution_hours * 3600))),
+            samples_per_day=rows_per_day(t.step_seconds),
         )
         tables[i] = with_column(t, spec.name, series)
 
@@ -110,13 +107,11 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
     for name in PERIOD_ORDER:
         period = config.periods[name]
         target_col = config.features.target[name]
-        joined = align_join(tables, list(config.features.columns), target_col)
-        in_period = (joined.timestamps >= period.start_epoch) & (joined.timestamps < period.end_epoch)
-        frames[name] = joined.take(np.flatnonzero(in_period))
+        frames[name] = align_join(tables, list(config.features.columns), target_col, period.start, period.end)
         report["periods"][name] = {
             "target": target_col,
-            "rows": int(len(frames[name])),
-            "rows_dropped_in_join": int(joined.n_dropped),
+            "rows": len(frames[name]),
+            "rows_dropped_in_join": frames[name].n_dropped,
         }
         if len(frames[name]) == 0:
             raise TimeSeriesError(f"period {name!r} contains no usable rows")

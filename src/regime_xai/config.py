@@ -12,14 +12,13 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from regime_xai.experiment import MODEL_KINDS, ExperimentConfig, PeriodSpec
 from regime_xai.gbt import GbtParams
 from regime_xai.mlp import MlpParams
-from regime_xai.timeseries import TIMESTAMP_FORMAT
+from regime_xai.timeseries import parse_timestamp
 
 
 class ConfigError(ValueError):
@@ -32,8 +31,8 @@ class InputSpec:
     resolution_hours: float
 
     def __post_init__(self):
-        if not self.resolution_hours > 0:
-            raise ValueError(f"resolution_hours must be positive, got {self.resolution_hours!r}")
+        if round(self.resolution_hours * 3600) < 1:  # the grid step is a whole number of seconds
+            raise ValueError(f"resolution_hours must be at least one second, got {self.resolution_hours!r}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,10 @@ class ResidualLoadSpec:
     solar: str
     ror: str
     ror_lag_days: int = 7
+
+    def __post_init__(self):
+        if self.ror_lag_days < 1:
+            raise ValueError("ror_lag_days must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,9 +150,9 @@ def _dataclass_from(obj, cls, path: str, banned=()):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_instant(text, path: str) -> datetime:
+def _parse_instant(text, path: str) -> int:
     try:
-        return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+        return parse_timestamp(text)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected UTC instant like 2018-10-01T00:00:00Z, got {text!r}") from None
 
@@ -195,8 +198,8 @@ def _parse_features(obj, path: str) -> FeatureConfig:
         for i, spec in enumerate(obj.get("mixed_prices", []))
     )
     resample = _typed(obj.get("resample_hours"), float | None, f"{path}.resample_hours")
-    if resample is not None and resample <= 0:
-        raise ConfigError(f"{path}.resample_hours: expected a positive number, got {resample!r}")
+    if resample is not None and round(resample * 3600) < 1:
+        raise ConfigError(f"{path}.resample_hours: expected at least one second, got {resample!r}")
     return FeatureConfig(tuple(columns), target, resample, residual, mixed)
 
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 
 import numpy as np
 
-from regime_xai.gbt import GbtParams, TreeEnsemble, fit_gbt, predict_gbt
-from regime_xai.mlp import MlpNet, MlpParams, fit_mlp, predict_mlp
+from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
+from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, format_timestamp, rows_per_day, write_csv
@@ -33,27 +32,15 @@ MODEL_KINDS = ("gbt", "mlp")
 
 @dataclass(frozen=True)
 class PeriodSpec:
-    """Named half-open UTC interval [start, end)."""
+    """Named half-open interval [start, end) of UTC epoch seconds."""
 
     name: str
-    start: datetime
-    end: datetime
+    start: int
+    end: int
 
     def __post_init__(self):
-        for attr in ("start", "end"):
-            dt = getattr(self, attr)
-            if dt.tzinfo is None:
-                object.__setattr__(self, attr, dt.replace(tzinfo=timezone.utc))
         if self.start >= self.end:
             raise ValueError(f"period {self.name!r}: start must precede end")
-
-    @property
-    def start_epoch(self) -> int:
-        return int(self.start.timestamp())
-
-    @property
-    def end_epoch(self) -> int:
-        return int(self.end.timestamp())
 
 
 @dataclass(frozen=True)
@@ -105,7 +92,6 @@ class ExperimentConfig:
 class WindowResult:
     window_index: int
     split: SplitPlan
-    model: TreeEnsemble | MlpNet
     explanation: Explanation
     explained_X: np.ndarray
     explained_timestamps: np.ndarray
@@ -116,7 +102,7 @@ class WindowResult:
 
 @dataclass(frozen=True, eq=False)
 class PeriodResult:
-    """Window models, explanations and importances for one regime period."""
+    """Window splits, explanations and importances for one regime period."""
 
     period: PeriodSpec
     feature_names: tuple[str, ...]
@@ -221,7 +207,7 @@ def run_period(
     if len(data) == 0:
         raise ValueError(f"no rows fall inside period {period.name!r}")
     ts = data.timestamps
-    outside = np.flatnonzero((ts < period.start_epoch) | (ts >= period.end_epoch))
+    outside = np.flatnonzero((ts < period.start) | (ts >= period.end))
     if outside.size:
         raise ValueError(f"row at {format_timestamp(ts[outside[0]])} lies outside period {period.name!r}")
     if len(ts) < 2:
@@ -284,7 +270,6 @@ def run_period(
             WindowResult(
                 window_index=w,
                 split=plan,
-                model=model,
                 explanation=explanation,
                 explained_X=explain.X,
                 explained_timestamps=explain.timestamps,

@@ -56,19 +56,18 @@ class TimeTable:
 
     timestamps: strictly increasing epoch seconds, uniformly spaced.
     columns: name -> float64 array, NaN marks missing.
-    resolution_hours: step between consecutive timestamps.
+    step_seconds: step between consecutive timestamps.
     """
 
     timestamps: np.ndarray
     columns: dict[str, np.ndarray]
-    resolution_hours: float
+    step_seconds: int
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
         object.__setattr__(self, "timestamps", ts)
-        if self.resolution_hours <= 0:
-            raise TimeSeriesError(f"resolution must be positive, got {self.resolution_hours}")
-        step = int(round(self.resolution_hours * 3600))
+        if self.step_seconds <= 0:
+            raise TimeSeriesError(f"resolution must be positive, got {self.step_seconds / 3600:g}h")
         if len(ts) > 1:
             diffs = np.diff(ts)
             if np.any(diffs <= 0):
@@ -77,11 +76,11 @@ class TimeTable:
                     f"{'duplicate' if diffs[bad] == 0 else 'out-of-order'} timestamp "
                     f"{format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
                 )
-            if np.any(diffs != step):
-                bad = int(np.argmax(diffs != step))
+            if np.any(diffs != self.step_seconds):
+                bad = int(np.argmax(diffs != self.step_seconds))
                 raise ResolutionMismatchError(
                     f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
-                    f"and {format_timestamp(ts[bad + 1])}, expected {self.resolution_hours:g}h"
+                    f"and {format_timestamp(ts[bad + 1])}, expected {self.step_seconds / 3600:g}h"
                 )
         cols = {}
         for name, values in self.columns.items():
@@ -132,12 +131,12 @@ class FeatureMatrix:
         return FeatureMatrix(self.feature_names, self.X[idx], self.y[idx], self.timestamps[idx])
 
 
-def load_table(path, expected_resolution_hours: float) -> TimeTable:
+def load_table(path, step_seconds: int) -> TimeTable:
     """Load a CSV with a `timestamp` first column and numeric series columns.
 
     Empty cells become NaN; an infinite value is rejected with its line and
     column. Rows are sorted by timestamp; TimeTable rejects duplicate
-    timestamps and steps that disagree with the declared resolution.
+    timestamps and steps other than step_seconds.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -197,7 +196,7 @@ def load_table(path, expected_resolution_hours: float) -> TimeTable:
     ts = ts[order]
     data = data[order]
     columns = {name: data[:, i].copy() for i, name in enumerate(names)}
-    return TimeTable(ts, columns, expected_resolution_hours)
+    return TimeTable(ts, columns, step_seconds)
 
 
 def rows_per_day(step_seconds: int) -> int:
@@ -221,25 +220,24 @@ def with_column(table: TimeTable, name: str, values) -> TimeTable:
     """New TimeTable with an added or replaced column."""
     columns = dict(table.columns)
     columns[name] = np.asarray(values, dtype=np.float64)
-    return TimeTable(table.timestamps, columns, table.resolution_hours)
+    return TimeTable(table.timestamps, columns, table.step_seconds)
 
 
-def resample_mean(table: TimeTable, block_hours: float) -> TimeTable:
-    """Aggregate to blocks of `block_hours` by the mean of non-missing values.
+def resample_mean(table: TimeTable, block_seconds: int) -> TimeTable:
+    """Aggregate to blocks of `block_seconds` by the mean of non-missing values.
 
     Output timestamps are block starts; a trailing partial block is dropped;
     a block with all values missing stays missing.
     """
-    k = block_hours / table.resolution_hours
-    if block_hours <= 0 or abs(k - round(k)) > 1e-9:
+    if block_seconds <= 0 or block_seconds % table.step_seconds:
         raise TimeSeriesError(
-            f"block of {block_hours:g}h is not a positive multiple of the "
-            f"{table.resolution_hours:g}h resolution"
+            f"block of {block_seconds / 3600:g}h is not a positive multiple of the "
+            f"{table.step_seconds / 3600:g}h resolution"
         )
-    k = int(round(k))
+    k = block_seconds // table.step_seconds
     n_blocks = len(table) // k
     if n_blocks == 0:
-        raise TimeSeriesError(f"table with {len(table)} rows has no complete {block_hours:g}h block")
+        raise TimeSeriesError(f"table with {len(table)} rows has no complete {block_seconds / 3600:g}h block")
 
     ts = table.timestamps[: n_blocks * k : k]
     columns = {}
@@ -249,7 +247,7 @@ def resample_mean(table: TimeTable, block_hours: float) -> TimeTable:
         counts = present.sum(axis=1)
         sums = np.where(present, blocks, 0.0).sum(axis=1)
         columns[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return TimeTable(ts, columns, float(block_hours))
+    return TimeTable(ts, columns, block_seconds)
 
 
 def trailing_mean_before(series, window_samples: int) -> np.ndarray:
@@ -294,8 +292,6 @@ def residual_load(
     lengths = {len(a) for a in arrays}
     if len(lengths) != 1:
         raise TimeSeriesError(f"misaligned series: lengths {sorted(len(a) for a in arrays)}")
-    if ror_lag_days < 1:
-        raise TimeSeriesError("ror_lag_days must be >= 1")
     load, wind, solar, ror = arrays
     ror_ma = trailing_mean_before(ror, int(ror_lag_days) * int(samples_per_day))
     return load - wind - solar - ror_ma
@@ -327,23 +323,27 @@ def align_join(
     tables: list[TimeTable],
     feature_cols: list[str],
     target_col: str,
+    start: int,
+    end: int,
 ) -> FeatureMatrix:
-    """Inner-join tables on timestamps and assemble a complete-case matrix.
+    """Inner-join tables on timestamps in [start, end) and assemble a
+    complete-case matrix.
 
     Rows containing any missing cell among the selected columns are dropped;
     the drop count is recorded on the result and logged.
     """
     if not tables:
         raise TimeSeriesError("align_join needs at least one table")
-    resolutions = {t.resolution_hours for t in tables}
-    if len(resolutions) != 1:
-        raise TimeSeriesError(f"tables have mixed resolutions: {sorted(resolutions)}")
+    steps = sorted({t.step_seconds for t in tables})
+    if len(steps) != 1:
+        raise TimeSeriesError(f"tables have mixed resolutions: {', '.join(f'{s / 3600:g}h' for s in steps)}")
 
     common = tables[0].timestamps
     for t in tables[1:]:
         common = np.intersect1d(common, t.timestamps)
     if common.size == 0:
         raise TimeSeriesError("empty timestamp intersection across tables")
+    common = common[(common >= start) & (common < end)]
 
     def locate(name: str) -> np.ndarray:
         t = tables[owning_table(tables, [name])]

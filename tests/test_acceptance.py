@@ -4,7 +4,6 @@ readable report."""
 
 import shutil
 import time
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -54,11 +53,7 @@ def random_net(rng, n_features, hidden=(8, 6), seed=0):
 
 
 def period_for(fm, name):
-    return PeriodSpec(
-        name,
-        datetime.fromtimestamp(int(fm.timestamps[0]), tz=timezone.utc),
-        datetime.fromtimestamp(int(fm.timestamps[-1]) + 3600, tz=timezone.utc),
-    )
+    return PeriodSpec(name, int(fm.timestamps[0]), int(fm.timestamps[-1]) + 3600)
 
 
 def report(n, detail):

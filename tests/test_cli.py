@@ -226,6 +226,7 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("windows.n_windows=0", "n_windows must be >= 1"),
         ("windows.window_fraction=0", "window_fraction must be in (0, 1]"),
         ("shap.explain_on=both", "explain_on must be 'test' or 'train'"),
+        ("features.resample_hours=0.0001", "resample_hours: expected at least one second"),
     ],
 )
 def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):
@@ -234,6 +235,23 @@ def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, a
     assert main(["run", "--config", str(path), "--set", assignment]) == 1
     section = assignment.split(".")[0]
     assert f"{section}.{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("features", "residual_loads", 0, "ror_lag_days"), 0, "features.residual_loads[0]: ror_lag_days must be >= 1"),
+        (("inputs", 0, "resolution_hours"), 0.0001, "inputs[0]: resolution_hours must be at least one second"),
+    ],
+)
+def test_list_entry_out_of_range_exits_1_before_inputs_are_read(tmp_path, capsys, keys, value, message):
+    # --set cannot reach a list entry, so the bad value sits in the file
+    path = config_with(tmp_path, keys, value)
+    raw = json.loads(path.read_text())
+    raw["inputs"][0]["path"] = str(tmp_path / "absent.csv")
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_mixed_price_alpha_above_percent_range_warns_at_load(tmp_path):
@@ -278,6 +296,9 @@ def test_build_features_engineers_columns(tmp_path):
     # the 2-day ROR lag makes the first 48 rows missing, and they are dropped
     assert report["periods"]["before"]["rows_dropped_in_join"] == 48
     assert len(fm) == 1200 - 48
+    # the lag reaches only the first period, so the second drops no row
+    assert report["periods"]["after"]["rows_dropped_in_join"] == 0
+    assert len(frames["after"]) == 1200
 
 
 def test_build_features_missing_column_named(tmp_path):
@@ -510,6 +531,36 @@ def test_two_tables_with_mixed_native_resolutions(tmp_path):
     for fm in frames.values():
         assert (np.diff(fm.timestamps) == 4 * 3600).all()
     assert report["periods"]["before"]["rows_dropped_in_join"] == 0
+
+
+@pytest.mark.parametrize("resample_hours", [None, 0.5])
+def test_ten_minute_inputs_declared_in_different_roundings_join(tmp_path, resample_hours):
+    # 0.1667 h and 1/6 h are both a 600 s grid
+    rng = np.random.default_rng(8)
+    for name, columns in (("a.csv", "x1,x2"), ("b.csv", "y")):
+        lines = [f"timestamp,{columns}"]
+        for i in range(288):
+            values = rng.uniform(-1, 1, size=len(columns.split(",")))
+            lines.append(f"{format_timestamp(T0 + 600 * i)}," + ",".join(f"{v:.4f}" for v in values))
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    mid = format_timestamp(T0 + 600 * 144)
+    raw = {
+        "inputs": [{"path": "a.csv", "resolution_hours": 0.1667}, {"path": "b.csv", "resolution_hours": 1 / 6}],
+        "features": {"columns": ["x1", "x2"], "target": "y", "resample_hours": resample_hours},
+        "periods": {
+            "before": {"start": format_timestamp(T0), "end": mid},
+            "after": {"start": mid, "end": format_timestamp(T0 + 600 * 288)},
+        },
+        "model": {"kind": "gbt"},
+        "output_dir": "out",
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    frames, _ = build_features(load_config(config_path))
+    step = 1800 if resample_hours else 600
+    for fm in frames.values():
+        assert len(fm) == 144 * 600 // step
+        assert (np.diff(fm.timestamps) == step).all()
 
 
 def test_module_entry_point_imports_cleanly():

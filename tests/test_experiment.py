@@ -1,5 +1,3 @@
-from datetime import datetime, timezone
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,14 +27,8 @@ from regime_xai.shap import Background, Explanation, ImportanceVector, explain_d
 from regime_xai.timeseries import FeatureMatrix, format_timestamp, parse_timestamp, synth_regime
 
 
-def utc(text):
-    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
-
-
 def period_for(fm: FeatureMatrix, name="p"):
-    start = datetime.fromtimestamp(int(fm.timestamps[0]), tz=timezone.utc)
-    end = datetime.fromtimestamp(int(fm.timestamps[-1]) + 3600, tz=timezone.utc)
-    return PeriodSpec(name, start, end)
+    return PeriodSpec(name, int(fm.timestamps[0]), int(fm.timestamps[-1]) + 3600)
 
 
 FAST = ExperimentConfig(
@@ -203,7 +195,7 @@ def test_run_period_rejects_unknown_kind():
 def test_run_period_rejects_row_outside_period():
     fm, _ = synth_regime(960, seed=5)
     spec = period_for(fm)
-    short = PeriodSpec("p", spec.start, datetime.fromtimestamp(int(fm.timestamps[-1]), tz=timezone.utc))
+    short = PeriodSpec("p", spec.start, int(fm.timestamps[-1]))
     last = format_timestamp(fm.timestamps[-1])
     with pytest.raises(ValueError, match=f"row at {last} lies outside period 'p'"):
         run_period(fm, short, "gbt", FAST, seed=0)
@@ -301,7 +293,7 @@ def additive_period_result():
     rng = np.random.default_rng(11)
     bg = Background(np.array([[1.0, -2.0], [-1.0, 2.0]]))
     windows = []
-    spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
+    spec = PeriodSpec("p", parse_timestamp("2020-01-01T00:00:00Z"), parse_timestamp("2020-02-01T00:00:00Z"))
     for w in range(2):
         X = rng.uniform(-1, 1, size=(15, 2))
         e = explain_dataset(lambda A: A[:, 0] + A[:, 1], X, bg, method="kernel")
@@ -309,7 +301,6 @@ def additive_period_result():
             WindowResult(
                 window_index=w,
                 split=SplitPlan(np.arange(15, 30), np.arange(15)),
-                model=None,
                 explanation=e,
                 explained_X=X,
                 explained_timestamps=np.arange(15) * 3600,
@@ -361,8 +352,8 @@ def test_dependence_dummy_feature_zero():
     bg = Background(rng.normal(size=(4, 2)))
     X = rng.normal(size=(10, 2))
     e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="kernel")
-    spec = PeriodSpec("p", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
-    w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), None, e, X,
+    spec = PeriodSpec("p", parse_timestamp("2020-01-01T00:00:00Z"), parse_timestamp("2020-02-01T00:00:00Z"))
+    w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), e, X,
                      np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)
     result = PeriodResult(spec, ("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
     table = dependence_data(result, "x2")
@@ -413,10 +404,10 @@ def test_export_text_is_pinned(tmp_path):
         phi = np.array(phi)
         e = Explanation(phi, 0.0, phi.sum(axis=1))
         windows.append(
-            WindowResult(w, None, None, e, np.array(X), np.array(ts, dtype=np.int64),
+            WindowResult(w, None, e, np.array(X), np.array(ts, dtype=np.int64),
                          ImportanceVector(np.array(fi)), 0.0, 1.0)
         )
-    spec = PeriodSpec("before", utc("2020-01-01T00:00:00Z"), utc("2020-02-01T00:00:00Z"))
+    spec = PeriodSpec("before", parse_timestamp("2020-01-01T00:00:00Z"), parse_timestamp("2020-02-01T00:00:00Z"))
     result = PeriodResult(spec, names, tuple(windows), np.zeros(2), np.zeros(2))
 
     write_importance_csv(tmp_path / "importance.csv", {"before": result, "after": result})

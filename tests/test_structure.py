@@ -48,3 +48,20 @@ def test_no_setting_is_read_from_the_environment():
             if name in ("environ", "getenv"):
                 reads.append(f"{path.name}:{node.lineno} {name}")
     assert reads == []
+
+
+def test_only_timeseries_converts_time():
+    # Epoch seconds are the one time unit once text is parsed, and
+    # timeseries.py holds the only conversions from and to text.
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if path.name != "timeseries.py" and any(m.split(".")[0] == "datetime" for m in modules):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []

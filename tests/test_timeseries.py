@@ -20,12 +20,13 @@ from regime_xai.timeseries import (
 )
 
 T0 = parse_timestamp("2020-01-01T00:00:00Z")
+EVER = (T0, T0 + 10**6 * 3600)  # a join span that covers every test table
 
 
 def hourly_table(values_by_col, start=T0):
     n = len(next(iter(values_by_col.values())))
     ts = start + 3600 * np.arange(n)
-    return TimeTable(ts, {k: np.asarray(v, dtype=float) for k, v in values_by_col.items()}, 1.0)
+    return TimeTable(ts, {k: np.asarray(v, dtype=float) for k, v in values_by_col.items()}, 3600)
 
 
 # ---------------------------------------------------------------- load_table
@@ -46,7 +47,7 @@ def test_load_table_parses_hourly_csv(tmp_path):
             "2020-01-01T02:00:00Z,9.25,90",
         ],
     )
-    t = load_table(p, expected_resolution_hours=1)
+    t = load_table(p, step_seconds=3600)
     assert len(t) == 3
     assert list(t.columns) == ["price", "load"]
     assert t.columns["price"][2] == 9.25
@@ -62,7 +63,7 @@ def test_load_table_sorts_rows(tmp_path):
             "2020-01-01T00:00:00Z,1",
         ],
     )
-    t = load_table(p, 1)
+    t = load_table(p, 3600)
     assert list(t.columns["v"]) == [1.0, 2.0]
 
 
@@ -76,7 +77,7 @@ def test_load_table_resolution_mismatch(tmp_path):
         ],
     )
     with pytest.raises(ResolutionMismatchError, match="between 2020-01-01T00:00:00Z and 2020-01-01T02:00:00Z"):
-        load_table(p, 1)
+        load_table(p, 3600)
 
 
 def test_load_table_duplicate_timestamp(tmp_path):
@@ -89,7 +90,7 @@ def test_load_table_duplicate_timestamp(tmp_path):
         ],
     )
     with pytest.raises(DuplicateTimestampError, match="duplicate timestamp 2020-01-01T00:00:00Z"):
-        load_table(p, 1)
+        load_table(p, 3600)
 
 
 def test_load_table_reports_line_number(tmp_path):
@@ -102,7 +103,7 @@ def test_load_table_reports_line_number(tmp_path):
         ],
     )
     with pytest.raises(ParseError, match="line 3"):
-        load_table(p, 1)
+        load_table(p, 3600)
 
 
 def test_load_table_rejects_infinity_with_line_and_column(tmp_path):
@@ -117,13 +118,13 @@ def test_load_table_rejects_infinity_with_line_and_column(tmp_path):
     )
     # the blank line 3 is skipped, so the bad cell sits on file line 4
     with pytest.raises(ParseError, match="line 4: column 'v': non-finite value inf"):
-        load_table(p, 1)
+        load_table(p, 3600)
 
 
 def test_load_table_rejects_bad_header(tmp_path):
     p = write_csv(tmp_path / "a.csv", ["time,v", "2020-01-01T00:00:00Z,1"])
     with pytest.raises(ParseError, match="line 1"):
-        load_table(p, 1)
+        load_table(p, 3600)
 
 
 # ------------------------------------------------------------- resample_mean
@@ -131,35 +132,35 @@ def test_load_table_rejects_bad_header(tmp_path):
 
 def test_resample_mean_block_of_four():
     t = hourly_table({"v": [1, 2, 3, 4]})
-    r = resample_mean(t, 4)
+    r = resample_mean(t, 4 * 3600)
     assert len(r) == 1
     assert r.columns["v"][0] == 2.5
     assert r.timestamps[0] == t.timestamps[0]
-    assert r.resolution_hours == 4
+    assert r.step_seconds == 4 * 3600
 
 
 def test_resample_mean_drops_trailing_partial_block():
     t = hourly_table({"v": [1, 2, 3, 4, 5]})
-    r = resample_mean(t, 4)
+    r = resample_mean(t, 4 * 3600)
     assert list(r.columns["v"]) == [2.5]
 
 
 def test_resample_mean_skips_missing():
     t = hourly_table({"v": [1, np.nan, 3, 4]})
-    r = resample_mean(t, 4)
+    r = resample_mean(t, 4 * 3600)
     assert r.columns["v"][0] == pytest.approx(8 / 3)
 
 
 def test_resample_mean_all_missing_block_stays_missing():
     t = hourly_table({"v": [np.nan] * 4 + [1, 1, 1, 1]})
-    r = resample_mean(t, 4)
+    r = resample_mean(t, 4 * 3600)
     assert np.isnan(r.columns["v"][0]) and r.columns["v"][1] == 1
 
 
 def test_resample_mean_rejects_non_multiple():
-    t = resample_mean(hourly_table({"v": np.arange(8.0)}), 4)
+    t = resample_mean(hourly_table({"v": np.arange(8.0)}), 4 * 3600)
     with pytest.raises(TimeSeriesError):
-        resample_mean(t, 6)
+        resample_mean(t, 6 * 3600)
 
 
 @given(st.integers(1, 6), st.integers(0, 7))
@@ -169,8 +170,8 @@ def test_resample_mean_idempotent_for_same_block(blocks, extra):
     n = blocks * block_hours + extra
     rng = np.random.default_rng(n)
     t = hourly_table({"v": rng.normal(size=n)})
-    once = resample_mean(t, block_hours)
-    twice = resample_mean(once, block_hours)
+    once = resample_mean(t, block_hours * 3600)
+    twice = resample_mean(once, block_hours * 3600)
     np.testing.assert_array_equal(once.columns["v"], twice.columns["v"])
     np.testing.assert_array_equal(once.timestamps, twice.timestamps)
 
@@ -241,7 +242,7 @@ def test_mixed_price_direct_formula():
 def test_align_join_identical_timestamps():
     a = hourly_table({"f1": [1, 2, 3, 4, 5]})
     b = hourly_table({"f2": [5, 4, 3, 2, 1], "tgt": [9, 8, 7, 6, 5]})
-    fm = align_join([a, b], ["f1", "f2"], "tgt")
+    fm = align_join([a, b], ["f1", "f2"], "tgt", *EVER)
     assert len(fm) == 5 and fm.n_dropped == 0
     np.testing.assert_array_equal(fm.X[:, 0], [1, 2, 3, 4, 5])
 
@@ -249,7 +250,7 @@ def test_align_join_identical_timestamps():
 def test_align_join_partial_overlap():
     a = hourly_table({"f1": [1, 2, 3, 4, 5]}, start=T0)
     b = hourly_table({"tgt": [10, 20, 30, 40, 50]}, start=T0 + 2 * 3600)
-    fm = align_join([a, b], ["f1"], "tgt")
+    fm = align_join([a, b], ["f1"], "tgt", *EVER)
     assert len(fm) == 3
     np.testing.assert_array_equal(fm.X[:, 0], [3, 4, 5])
     np.testing.assert_array_equal(fm.y, [10, 20, 30])
@@ -258,7 +259,7 @@ def test_align_join_partial_overlap():
 def test_align_join_drops_missing_rows_and_counts():
     a = hourly_table({"f1": [1, np.nan, 3]})
     b = hourly_table({"tgt": [7, 8, 9]})
-    fm = align_join([a, b], ["f1"], "tgt")
+    fm = align_join([a, b], ["f1"], "tgt", *EVER)
     assert len(fm) == 2 and fm.n_dropped == 1
     assert not np.isnan(fm.X).any() and not np.isnan(fm.y).any()
 
@@ -267,27 +268,37 @@ def test_align_join_empty_intersection():
     a = hourly_table({"f1": [1, 2]}, start=T0)
     b = hourly_table({"tgt": [1, 2]}, start=T0 + 100 * 3600)
     with pytest.raises(TimeSeriesError, match="empty"):
-        align_join([a, b], ["f1"], "tgt")
+        align_join([a, b], ["f1"], "tgt", *EVER)
 
 
 def test_align_join_missing_target_column():
     a = hourly_table({"f1": [1, 2]})
     with pytest.raises(TimeSeriesError, match="nope"):
-        align_join([a], ["f1"], "nope")
+        align_join([a], ["f1"], "nope", *EVER)
 
 
 def test_align_join_rejects_ambiguous_column():
     a = hourly_table({"f1": [1, 2], "tgt": [0, 0]})
     b = hourly_table({"f1": [3, 4]})
     with pytest.raises(TimeSeriesError, match="ambiguous"):
-        align_join([a, b], ["f1"], "tgt")
+        align_join([a, b], ["f1"], "tgt", *EVER)
 
 
 def test_align_join_rejects_mixed_resolutions():
     a = hourly_table({"f1": np.arange(8.0)})
-    b = resample_mean(hourly_table({"tgt": np.arange(8.0)}), 4)
+    b = resample_mean(hourly_table({"tgt": np.arange(8.0)}), 4 * 3600)
     with pytest.raises(TimeSeriesError, match="resolution"):
-        align_join([a, b], ["f1"], "tgt")
+        align_join([a, b], ["f1"], "tgt", *EVER)
+
+
+def test_align_join_keeps_the_span_and_counts_only_its_drops():
+    a = hourly_table({"f1": [np.nan, 2, 3, np.nan, 5, 6]})
+    b = hourly_table({"tgt": [1, 2, 3, 4, 5, 6]})
+    fm = align_join([a, b], ["f1"], "tgt", T0 + 2 * 3600, T0 + 5 * 3600)
+    np.testing.assert_array_equal(fm.timestamps, T0 + 3600 * np.array([2, 4]))
+    assert fm.n_dropped == 1  # the missing cell at hour 0 lies outside the span
+    empty = align_join([a, b], ["f1"], "tgt", T0 + 100 * 3600, T0 + 200 * 3600)
+    assert len(empty) == 0 and empty.n_dropped == 0
 
 
 # -------------------------------------------------------------- synth_regime
@@ -334,13 +345,13 @@ def test_synth_regime_periods_are_contiguous():
 def test_timetable_rejects_nonuniform_spacing():
     ts = np.array([0, 3600, 3 * 3600])
     with pytest.raises(ResolutionMismatchError):
-        TimeTable(ts, {"v": np.zeros(3)}, 1.0)
+        TimeTable(ts, {"v": np.zeros(3)}, 3600)
 
 
 def test_timetable_rejects_length_mismatch():
     ts = np.array([0, 3600])
     with pytest.raises(TimeSeriesError):
-        TimeTable(ts, {"v": np.zeros(3)}, 1.0)
+        TimeTable(ts, {"v": np.zeros(3)}, 3600)
 
 
 def test_feature_matrix_rejects_nan():
