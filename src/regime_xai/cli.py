@@ -39,14 +39,7 @@ from regime_xai.gbt import (
 )
 from regime_xai.mlp import MlpParams, grad_check, initial_net
 from regime_xai.seeds import derive_seed
-from regime_xai.shap import (
-    Background,
-    as_predict_fn,
-    exact_shap,
-    explain_dataset,
-    kernel_shap,
-    tree_shap,
-)
+from regime_xai.shap import Background, as_predict_fn, exact_shap, explain_dataset
 from regime_xai.timeseries import (
     FeatureMatrix,
     TimeSeriesError,
@@ -228,6 +221,18 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
 # ---------------------------------------------------------------- self-tests
 
 
+def _oracle_deviation(explained, original, X, bg: Background, method: str) -> float:
+    """Largest gap between explain_dataset on `explained` and the
+    brute-force enumeration of `original`, over every row's phi and phi0."""
+    e = explain_dataset(explained, X, bg, method=method)
+    fn = as_predict_fn(original)
+    worst = 0.0
+    for x, phi in zip(X, e.phi):
+        phi_e, phi0_e = exact_shap(fn, x, bg)
+        worst = max(worst, float(np.max(np.abs(phi - phi_e))), abs(e.phi0 - phi0_e))
+    return worst
+
+
 def _check_tree_oracle():
     """Serialize, reload, and compare tree explanations against the
     brute-force enumeration of the original model."""
@@ -239,17 +244,15 @@ def _check_tree_oracle():
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), X, y, np.arange(60))
         model = fit_gbt(fm, GbtParams(n_trees=5, max_depth=3, min_samples_leaf=5, learning_rate=0.3))
         loaded = ensemble_from_json(ensemble_to_json(model))
-        fn = as_predict_fn(model)
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
-        for _ in range(10):
-            x = rng.uniform(-1, 1, size=6)
-            phi_t, phi0_t = tree_shap(loaded, x, bg)
-            phi_e, phi0_e = exact_shap(fn, x, bg)
-            worst = max(worst, float(np.max(np.abs(phi_t - phi_e))), abs(phi0_t - phi0_e))
+        rows = rng.uniform(-1, 1, size=(10, 6))
+        worst = max(worst, _oracle_deviation(loaded, model, rows, bg, "tree"))
     return worst < 1e-9, f"max deviation {worst:.2e} (tolerance 1e-9)"
 
 
 def _check_kernel_oracle():
+    """Compare kernel explanations in exact mode (8 features) against the
+    brute-force enumeration."""
     rng = np.random.default_rng(102)
     worst = 0.0
     for seed in range(2):
@@ -257,13 +260,9 @@ def _check_kernel_oracle():
         y = rng.standard_normal(60)
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(8)), X, y, np.arange(60))
         net = initial_net(fm, MlpParams(hidden_sizes=(8, 6), seed=seed))
-        fn = as_predict_fn(net)
         bg = Background(rng.standard_normal((5, 8)))
-        for _ in range(5):
-            x = rng.standard_normal(8)
-            phi_k, phi0_k = kernel_shap(fn, x, bg)
-            phi_e, phi0_e = exact_shap(fn, x, bg)
-            worst = max(worst, float(np.max(np.abs(phi_k - phi_e))), abs(phi0_k - phi0_e))
+        rows = rng.standard_normal((5, 8))
+        worst = max(worst, _oracle_deviation(net, net, rows, bg, "kernel"))
     return worst < 1e-6, f"max deviation {worst:.2e} (tolerance 1e-6)"
 
 

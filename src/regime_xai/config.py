@@ -189,6 +189,9 @@ def _parse_features(obj, path: str) -> FeatureConfig:
     else:
         target = dict.fromkeys(("before", "after"), _typed(target, str, f"{path}.target"))
 
+    for key in ("residual_loads", "mixed_prices"):
+        if not isinstance(obj.get(key, []), list):
+            raise ConfigError(f"{path}.{key}: expected a list")
     residual = tuple(
         _dataclass_from(spec, ResidualLoadSpec, f"{path}.residual_loads[{i}]")
         for i, spec in enumerate(obj.get("residual_loads", []))

@@ -104,7 +104,6 @@ class WindowResult:
 class PeriodResult:
     """Window splits, explanations and importances for one regime period."""
 
-    period: PeriodSpec
     feature_names: tuple[str, ...]
     windows: tuple[WindowResult, ...]
     fi_mean: np.ndarray
@@ -124,7 +123,7 @@ class RegimeComparison:
 
     A feature is flagged as shifted when |delta| exceeds the sum of the two
     window standard deviations, i.e. when the error bars of the two periods
-    would not overlap. Ranks are 1-based, 1 = most important.
+    would not overlap.
     """
 
     feature_names: tuple[str, ...]
@@ -133,8 +132,6 @@ class RegimeComparison:
     after_mean: np.ndarray
     after_std: np.ndarray
     delta: np.ndarray
-    before_rank: np.ndarray
-    after_rank: np.ndarray
     flagged: np.ndarray
 
 
@@ -281,7 +278,6 @@ def run_period(
 
     fi = np.vstack([r.importance.fi for r in results])
     return PeriodResult(
-        period=period,
         feature_names=data.feature_names,
         windows=tuple(results),
         fi_mean=fi.mean(axis=0),
@@ -289,16 +285,8 @@ def run_period(
     )
 
 
-def _ranks(mean_fi: np.ndarray) -> np.ndarray:
-    """1-based ranks by descending importance; stable for ties."""
-    order = np.argsort(-mean_fi, kind="stable")
-    ranks = np.empty(len(mean_fi), dtype=np.intp)
-    ranks[order] = np.arange(1, len(mean_fi) + 1)
-    return ranks
-
-
 def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparison:
-    """Per-feature deltas, ranks and shift flags between two periods."""
+    """Per-feature deltas and shift flags between two periods."""
     if before.feature_names != after.feature_names:
         raise ValueError(
             f"feature lists differ: {before.feature_names} vs {after.feature_names}"
@@ -312,8 +300,6 @@ def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparis
         after_mean=after.fi_mean,
         after_std=after.fi_std,
         delta=delta,
-        before_rank=_ranks(before.fi_mean),
-        after_rank=_ranks(after.fi_mean),
         flagged=flagged,
     )
 

@@ -6,11 +6,12 @@ the features in S taken from x and the rest from the background row. On top
 of that,
 
 * exact_shap enumerates all 2^n coalitions (the brute-force oracle),
-* tree_shap computes the same numbers for tree ensembles without
-  enumeration: for each leaf, a point is encoded by which of the leaf's path
-  conditions it meets, and each pair of explained-row and background codes
-  that occurs is a coalition game whose Shapley value has a closed form, so
-  the cost grows with rows plus background rather than their product,
+* explain_dataset's tree engine computes the same numbers for tree
+  ensembles without enumeration: for each leaf, a point is encoded by which
+  of the leaf's path conditions it meets, and each pair of explained-row and
+  background codes that occurs is a coalition game whose Shapley value has a
+  closed form, so the cost grows with rows plus background rather than their
+  product,
 * kernel_shap solves the weighted least-squares formulation over sampled
   coalitions, with the two known constraints (intercept and total) eliminated
   exactly so the attributions always sum to the prediction.
@@ -232,6 +233,10 @@ def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.
     the u-bit codes saying which path features x and z meet, so the
     closed-form coefficients are computed once per pair of codes that occur
     and weighted by how often the background code occurs.
+
+    Cost per leaf grows with the number of rows plus background rows, plus
+    the distinct (row code, background code) pairs times the leaf's path
+    features; it never exceeds rows times background rows times depth.
     """
     if not (np.isfinite(X).all() and np.isfinite(bg.rows).all()):
         raise ValueError("the tree engine needs finite rows and background rows")
@@ -260,26 +265,6 @@ def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.
     return model.learning_rate * phi / bg.size
 
 
-def tree_shap(model: TreeEnsemble, x, bg: Background) -> tuple[np.ndarray, float]:
-    """Interventional SHAP values for a tree ensemble, exactly equal to
-    exact_shap under the same background but without the 2^n enumeration.
-
-    Cost per leaf grows with the number of rows plus background rows, plus
-    the distinct (row code, background code) pairs times the leaf's path
-    features; it never exceeds rows times background rows times depth.
-    Contributions are additive across trees and averaged over background rows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = model.n_features
-    if len(x) != n:
-        raise ValueError(f"row has {len(x)} features, model expects {n}")
-    if bg.n_features != n:
-        raise ValueError("background width does not match the model")
-    phi = _tree_shap_matrix(model, x[None, :], bg)[0]
-    phi0 = float(np.mean(predict_gbt(model, bg.rows)))
-    return phi, phi0
-
-
 # ---------------------------------------------------------------- KernelSHAP
 
 
@@ -305,20 +290,21 @@ def kernel_shap(
     When the budget covers all 2^n - 2 proper nonempty coalitions they are
     enumerated with their exact kernel weights (exact mode, equal to
     exact_shap); otherwise coalition sizes are sampled from the kernel
-    weight distribution and subsets are paired with their complements.
+    weight distribution and subsets are paired with their complements. With
+    one feature there is nothing to solve: its value is f(x) - phi0.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    if n < 2:
-        raise ValueError("kernel regression needs at least 2 features")
     if bg.n_features != n:
         raise ValueError("background width does not match the explained row")
+    fx = float(model_fn(x[None, :])[0])
+    phi0 = float(np.mean(model_fn(bg.rows)))
+    if n == 1:
+        return np.array([fx - phi0]), phi0
+
     budget = default_coalition_budget(n) if n_coalitions is None else int(n_coalitions)
     if budget < 2:
         raise ValueError("n_coalitions must be at least 2")
-
-    fx = float(model_fn(x[None, :])[0])
-    phi0 = float(np.mean(model_fn(bg.rows)))
     full = (1 << n) - 1
 
     if (1 << n) - 2 <= budget:

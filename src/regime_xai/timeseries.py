@@ -139,7 +139,7 @@ def load_table(path, step_seconds: int) -> TimeTable:
     timestamps and steps other than step_seconds.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # spreadsheet exports may lead with a BOM
     except OSError as exc:
         raise TimeSeriesError(f"cannot read {path}: {exc}") from None
     with fh:

@@ -27,7 +27,6 @@ from regime_xai.shap import (
     explain_dataset,
     feature_importance,
     kernel_shap,
-    tree_shap,
 )
 from regime_xai.timeseries import FeatureMatrix, mixed_price, synth_regime
 
@@ -101,10 +100,10 @@ def test_c02_tree_shap_oracle_equivalence():
         fn = as_predict_fn(model)
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         X = rng.uniform(-1, 1, size=(50, 6))
-        for x in X:
-            phi_t, phi0_t = tree_shap(model, x, bg)
+        e = explain_dataset(model, X, bg, method="tree")
+        for x, phi_t in zip(X, e.phi):
             phi_e, phi0_e = exact_shap(fn, x, bg)
-            worst = max(worst, float(np.max(np.abs(phi_t - phi_e))), abs(phi0_t - phi0_e))
+            worst = max(worst, float(np.max(np.abs(phi_t - phi_e))), abs(e.phi0 - phi0_e))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 120
@@ -206,8 +205,8 @@ REGIME_CFG = ExperimentConfig(
 def _regime_flip_detected(cmp) -> bool:
     x1, x2, x3 = 0, 1, 2
     return bool(
-        cmp.before_rank[x1] == 1
-        and cmp.after_rank[x2] == 1
+        np.argmax(cmp.before_mean) == x1
+        and np.argmax(cmp.after_mean) == x2
         and cmp.flagged[x1]
         and cmp.flagged[x2]
         and cmp.delta[x1] < 0 < cmp.delta[x2]

@@ -227,6 +227,10 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("windows.window_fraction=0", "window_fraction must be in (0, 1]"),
         ("shap.explain_on=both", "explain_on must be 'test' or 'train'"),
         ("features.resample_hours=0.0001", "resample_hours: expected at least one second"),
+        ("features.residual_loads=null", "residual_loads: expected a list"),
+        ("features.residual_loads=5", "residual_loads: expected a list"),
+        ("features.mixed_prices=null", "mixed_prices: expected a list"),
+        ("features.mixed_prices=5", "mixed_prices: expected a list"),
     ],
 )
 def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):
@@ -455,6 +459,15 @@ def test_mlp_run_flips_ranks_too(tmp_path):
     by_feature = {r.split(",")[0]: dict(zip(header, r.split(","))) for r in rows[1:]}
     assert float(by_feature["x1"]["delta"]) < 0 < float(by_feature["x2"]["delta"])
     assert set(manifest["flagged_features"]) >= {"x1", "x2"}
+
+
+def test_mlp_run_with_one_feature(tmp_path):
+    config_path = cmd_synth(tmp_path, n_rows=960, seed=12)
+    argv = ["run", "--config", str(config_path), "--set", 'features.columns=["x1"]', "--set", "model.kind=mlp",
+            "--set", "model.mlp.hidden_sizes=[8]", "--set", "model.mlp.max_epochs=5"]
+    assert main(argv) == 0
+    rows = (tmp_path / "run_output" / "comparison.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["x1"]
 
 
 def test_balancing_style_config_resamples_to_four_hours(tmp_path):

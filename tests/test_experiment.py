@@ -255,7 +255,9 @@ def test_compare_identical_periods_no_flags():
     cmp = compare_periods(result, result)
     np.testing.assert_array_equal(cmp.delta, np.zeros(3))
     assert not cmp.flagged.any()
-    np.testing.assert_array_equal(cmp.before_rank, cmp.after_rank)
+    np.testing.assert_array_equal(
+        np.argsort(-cmp.before_mean, kind="stable"), np.argsort(-cmp.after_mean, kind="stable")
+    )
 
 
 def test_compare_synth_regimes_flags_flip():
@@ -266,16 +268,14 @@ def test_compare_synth_regimes_flags_flip():
     i1, i2, i3 = (cmp.feature_names.index(f) for f in ("x1", "x2", "x3"))
     assert cmp.flagged[i1] and cmp.flagged[i2]
     assert cmp.delta[i1] < 0 < cmp.delta[i2]
-    assert cmp.before_rank[i1] == 1 and cmp.after_rank[i2] == 1
+    assert np.argmax(cmp.before_mean) == i1 and np.argmax(cmp.after_mean) == i2
     assert not cmp.flagged[i3]
-    assert sorted(cmp.before_rank) == [1, 2, 3]
 
 
 def test_compare_rejects_feature_mismatch():
     fm, _ = synth_regime(960, seed=10)
     result = run_period(fm, period_for(fm), "gbt", FAST, seed=7)
     other = PeriodResult(
-        period=result.period,
         feature_names=("a", "b", "c"),
         windows=result.windows,
         fi_mean=result.fi_mean,
@@ -293,7 +293,6 @@ def additive_period_result():
     rng = np.random.default_rng(11)
     bg = Background(np.array([[1.0, -2.0], [-1.0, 2.0]]))
     windows = []
-    spec = PeriodSpec("p", parse_timestamp("2020-01-01T00:00:00Z"), parse_timestamp("2020-02-01T00:00:00Z"))
     for w in range(2):
         X = rng.uniform(-1, 1, size=(15, 2))
         e = explain_dataset(lambda A: A[:, 0] + A[:, 1], X, bg, method="kernel")
@@ -310,7 +309,7 @@ def additive_period_result():
             )
         )
     fi = np.vstack([w.importance.fi for w in windows])
-    return PeriodResult(spec, ("x1", "x2"), tuple(windows), fi.mean(axis=0), fi.std(axis=0))
+    return PeriodResult(("x1", "x2"), tuple(windows), fi.mean(axis=0), fi.std(axis=0))
 
 
 def test_dependence_concatenates_all_windows():
@@ -352,10 +351,9 @@ def test_dependence_dummy_feature_zero():
     bg = Background(rng.normal(size=(4, 2)))
     X = rng.normal(size=(10, 2))
     e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="kernel")
-    spec = PeriodSpec("p", parse_timestamp("2020-01-01T00:00:00Z"), parse_timestamp("2020-02-01T00:00:00Z"))
     w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), e, X,
                      np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)
-    result = PeriodResult(spec, ("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
+    result = PeriodResult(("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
     table = dependence_data(result, "x2")
     np.testing.assert_allclose(table["phi_value"], 0.0, atol=1e-12)
 
@@ -407,8 +405,7 @@ def test_export_text_is_pinned(tmp_path):
             WindowResult(w, None, e, np.array(X), np.array(ts, dtype=np.int64),
                          ImportanceVector(np.array(fi)), 0.0, 1.0)
         )
-    spec = PeriodSpec("before", parse_timestamp("2020-01-01T00:00:00Z"), parse_timestamp("2020-02-01T00:00:00Z"))
-    result = PeriodResult(spec, names, tuple(windows), np.zeros(2), np.zeros(2))
+    result = PeriodResult(names, tuple(windows), np.zeros(2), np.zeros(2))
 
     write_importance_csv(tmp_path / "importance.csv", {"before": result, "after": result})
     block = (
@@ -437,8 +434,6 @@ def test_export_text_is_pinned(tmp_path):
         after_mean=np.array([1e16, 2.5]),
         after_std=np.array([-0.0, 1e-5]),
         delta=np.array([1 / 3, -2.0]),
-        before_rank=np.array([2, 1]),
-        after_rank=np.array([1, 2]),
         flagged=np.array([True, False]),
     )
     write_comparison_csv(tmp_path / "comparison.csv", comparison)

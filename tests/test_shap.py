@@ -16,7 +16,6 @@ from regime_xai.shap import (
     explain_dataset,
     feature_importance,
     kernel_shap,
-    tree_shap,
 )
 from regime_xai.timeseries import FeatureMatrix
 
@@ -145,23 +144,23 @@ def test_exact_shap_linearity():
     assert phi0_c == pytest.approx(a * phi0_g + b * phi0_h, abs=1e-9)
 
 
-# ------------------------------------------------------------------ tree_shap
+# ------------------------------------------------------------ tree engine
 
 
 def test_tree_shap_zero_trees():
     model = TreeEnsemble(1.5, (), 0.1, ("a", "b"))
     bg = Background(np.zeros((3, 2)))
-    phi, phi0 = tree_shap(model, np.array([5.0, 6.0]), bg)
-    np.testing.assert_array_equal(phi, [0.0, 0.0])
-    assert phi0 == 1.5
+    e = explain_dataset(model, np.array([[5.0, 6.0]]), bg, method="tree")
+    np.testing.assert_array_equal(e.phi[0], [0.0, 0.0])
+    assert e.phi0 == 1.5
 
 
 def test_tree_shap_dummy_feature_exactly_zero():
     stump = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
     model = TreeEnsemble(0.0, (stump,), 1.0, ("a", "b"))
     bg = Background(np.random.default_rng(6).normal(size=(7, 2)))
-    phi, _ = tree_shap(model, np.array([0.5, 123.0]), bg)
-    assert phi[1] == 0.0
+    e = explain_dataset(model, np.array([[0.5, 123.0]]), bg, method="tree")
+    assert e.phi[0, 1] == 0.0
 
 
 def test_tree_shap_single_stump_hand_check():
@@ -169,9 +168,9 @@ def test_tree_shap_single_stump_hand_check():
     stump = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
     model = TreeEnsemble(0.0, (stump,), 1.0, ("a",))
     bg = Background(np.array([[-1.0], [1.0], [1.0]]))  # v(empty) = (-1+1+1)/3
-    phi, phi0 = tree_shap(model, np.array([0.5]), bg)
-    assert phi0 == pytest.approx(1 / 3)
-    assert phi[0] == pytest.approx(1.0 - 1 / 3)
+    e = explain_dataset(model, np.array([[0.5]]), bg, method="tree")
+    assert e.phi0 == pytest.approx(1 / 3)
+    assert e.phi[0, 0] == pytest.approx(1.0 - 1 / 3)
 
 
 def test_tree_shap_matches_brute_force():
@@ -181,11 +180,11 @@ def test_tree_shap_matches_brute_force():
         model = random_ensemble(seed)
         fn = as_predict_fn(model)
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
-        for _ in range(10):
-            x = rng.uniform(-1, 1, size=6)
-            phi_t, phi0_t = tree_shap(model, x, bg)
+        X = rng.uniform(-1, 1, size=(10, 6))
+        e = explain_dataset(model, X, bg, method="tree")
+        for x, phi_t in zip(X, e.phi):
             phi_e, phi0_e = exact_shap(fn, x, bg)
-            worst = max(worst, np.max(np.abs(phi_t - phi_e)), abs(phi0_t - phi0_e))
+            worst = max(worst, np.max(np.abs(phi_t - phi_e)), abs(e.phi0 - phi0_e))
     assert worst < 1e-9
 
 
@@ -194,12 +193,12 @@ def test_tree_shap_matches_brute_force_wider_feature_space():
     model = random_ensemble(30, n_features=10, n_trees=6, max_depth=4, n_rows=120)
     fn = as_predict_fn(model)
     bg = Background(rng.uniform(-1, 1, size=(4, 10)))
+    X = rng.uniform(-1, 1, size=(5, 10))
+    e = explain_dataset(model, X, bg, method="tree")
     worst = 0.0
-    for _ in range(5):
-        x = rng.uniform(-1, 1, size=10)
-        phi_t, phi0_t = tree_shap(model, x, bg)
+    for x, phi_t in zip(X, e.phi):
         phi_e, phi0_e = exact_shap(fn, x, bg)
-        worst = max(worst, np.max(np.abs(phi_t - phi_e)), abs(phi0_t - phi0_e))
+        worst = max(worst, np.max(np.abs(phi_t - phi_e)), abs(e.phi0 - phi0_e))
     assert worst < 1e-9
 
 
@@ -213,12 +212,12 @@ def test_tree_shap_repeated_feature_on_path():
     fn = as_predict_fn(model)
     rng = np.random.default_rng(8)
     bg = Background(rng.uniform(-2, 2, size=(6, 2)))
-    for x0 in (-1.0, 0.0, 1.0):
-        x = np.array([x0, 0.3])
-        phi_t, phi0_t = tree_shap(model, x, bg)
+    X = np.array([[x0, 0.3] for x0 in (-1.0, 0.0, 1.0)])
+    e = explain_dataset(model, X, bg, method="tree")
+    for x, phi_t in zip(X, e.phi):
         phi_e, phi0_e = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi_t, phi_e, atol=1e-12)
-        assert phi0_t == pytest.approx(phi0_e, abs=1e-12)
+        assert e.phi0 == pytest.approx(phi0_e, abs=1e-12)
 
 
 def tree_depth(node):
@@ -339,10 +338,15 @@ def test_kernel_singular_system_reported():
         kernel_shap(fn, np.ones(6), bg, n_coalitions=2, seed=0)
 
 
-def test_kernel_rejects_single_feature():
-    fn = as_predict_fn(lambda X: X[:, 0])
-    with pytest.raises(ValueError):
-        kernel_shap(fn, np.ones(1), Background(np.zeros((1, 1))))
+def test_kernel_single_feature_matches_exact():
+    # one feature leaves no regression to solve: phi is f(x) - phi0
+    fn = as_predict_fn(lambda X: np.sin(3 * X[:, 0]) + X[:, 0] ** 2)
+    bg = Background(np.array([[-0.4], [0.1], [1.3]]))
+    x = np.array([0.7])
+    phi_k, phi0_k = kernel_shap(fn, x, bg)
+    phi_e, phi0_e = exact_shap(fn, x, bg)
+    np.testing.assert_allclose(phi_k, phi_e, rtol=0, atol=1e-12)
+    assert phi0_k == phi0_e
 
 
 # ------------------------------------------------------------ explain_dataset
@@ -434,8 +438,8 @@ def test_explain_dataset_row_order_preserved():
     X = rng.uniform(-1, 1, size=(6, 6))
     e = explain_dataset(model, X, bg, method="tree")
     for i in range(len(X)):
-        phi_i, _ = tree_shap(model, X[i], bg)
-        np.testing.assert_array_equal(e.phi[i], phi_i)
+        alone = explain_dataset(model, X[i : i + 1], bg, method="tree")
+        np.testing.assert_array_equal(e.phi[i], alone.phi[0])
 
 
 # --------------------------------------------------------- feature_importance

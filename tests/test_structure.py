@@ -36,6 +36,42 @@ def test_every_public_definition_is_used_by_the_package():
     assert unused == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    # A field that nothing outside its own class reads is kept only for tests:
+    # delete it, or make the package use it.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    reads = [
+        (name, node.lineno, node.attr)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+    unread = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
+                continue
+            own_lines = range(cls.lineno, cls.end_lineno + 1)
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                field = stmt.target.id
+                if not any(
+                    attr == field and not (file == name and line in own_lines)
+                    for file, line, attr in reads
+                ):
+                    unread.append(f"{cls.name}.{field}")
+    assert unread == []
+
 
 def test_no_setting_is_read_from_the_environment():
     # Settings come from the config file and the command line only, so the

@@ -67,6 +67,19 @@ def test_load_table_sorts_rows(tmp_path):
     assert list(t.columns["v"]) == [1.0, 2.0]
 
 
+def test_load_table_accepts_a_leading_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF
+    lines = ["timestamp,price,load", "2020-01-01T00:00:00Z,10.5,", "2020-01-01T01:00:00Z,11.0,90"]
+    plain = load_table(write_csv(tmp_path / "plain.csv", lines), 3600)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    t = load_table(bom, 3600)
+    np.testing.assert_array_equal(t.timestamps, plain.timestamps)
+    assert list(t.columns) == list(plain.columns)
+    for name in plain.columns:
+        np.testing.assert_array_equal(t.columns[name], plain.columns[name])
+
+
 def test_load_table_resolution_mismatch(tmp_path):
     p = write_csv(
         tmp_path / "a.csv",
