@@ -179,6 +179,9 @@ def _parse_features(obj, path: str) -> FeatureConfig:
     columns = _require(obj, "columns", path)
     if not isinstance(columns, list) or not columns or not all(isinstance(c, str) for c in columns):
         raise ConfigError(f"{path}.columns: expected a non-empty list of column names")
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise ConfigError(f"{path}.columns: duplicate column {name!r}")
     target = _require(obj, "target", path)
     if isinstance(target, dict):
         _check_keys(target, ("before", "after"), f"{path}.target")
@@ -300,9 +303,11 @@ def load_config(path, overrides=()) -> RunConfig:
     """Load a JSON config file and apply --set overrides in order."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):

@@ -82,50 +82,47 @@ def _eval_into(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) 
 
 
 def _best_split(X: np.ndarray, residual: np.ndarray, min_leaf: int):
-    """Exact greedy variance-reduction split.
+    """Exact greedy variance-reduction split of one node's rows, all features at once.
 
-    Returns (gain, feature, threshold) or None. Iterating features and
-    thresholds in ascending order with strict improvement gives the
-    lowest-feature, lowest-threshold tie-break.
+    Each column is sorted once (stable: equal values keep row order) and
+    scanned with one prefix sum. Returns (feature, threshold) of the first
+    largest gain in feature-major order, which breaks ties by lowest feature,
+    then lowest threshold; None when no valid cut gains more than zero.
     """
     n = len(residual)
     total = residual.sum()
-    best = None
-    best_gain = 0.0
     parent_term = total * total / n
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        cum = np.cumsum(residual[order])
-        # candidate split after position i: left = [0..i], threshold = xs[i]
-        i = np.arange(n - 1)
-        valid = (xs[:-1] != xs[1:]) & (i + 1 >= min_leaf) & (n - i - 1 >= min_leaf)
-        if not valid.any():
-            continue
-        left_term = cum[:-1] ** 2 / (i + 1)
-        right_term = (total - cum[:-1]) ** 2 / (n - i - 1)
-        gains = np.where(valid, left_term + right_term - parent_term, -np.inf)
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best = (best_gain, f, float(xs[j]))
-    return best
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    cum = np.cumsum(residual[order], axis=0)[:-1]
+    # cut i puts the first i sorted rows left, at threshold xs[i - 1]
+    i = np.arange(1, n)[:, None]
+    valid = (xs[:-1] != xs[1:]) & (i >= min_leaf) & (n - i >= min_leaf)
+    gains = np.where(valid, cum**2 / i + (total - cum) ** 2 / (n - i) - parent_term, -np.inf)
+    f, j = divmod(int(np.argmax(gains.T)), n - 1)
+    return (f, float(xs[j, f])) if gains[j, f] > 0 else None
 
 
-def _build_tree(X: np.ndarray, residual: np.ndarray, depth: int, params: GbtParams) -> TreeNode:
-    if (
-        depth >= params.max_depth
-        or len(residual) < 2 * params.min_samples_leaf
-        or np.all(residual == residual[0])
-    ):
-        return TreeNode(value=float(residual.mean()))
-    split = _best_split(X, residual, params.min_samples_leaf)
+def _build_tree(X: np.ndarray, residual: np.ndarray, rows: np.ndarray, depth: int, params: GbtParams,
+                fitted: np.ndarray) -> TreeNode:
+    """Fit the subtree for rows, ascending indices into X and residual.
+
+    X[rows] is gathered for the split search only; each child gets its share
+    of rows, still ascending. A leaf writes its value, the mean residual of
+    its rows, into fitted[rows] as it is made, so fitted ends up holding the
+    tree's output on every training row.
+    """
+    r = residual[rows]
+    split = None
+    if depth < params.max_depth and len(rows) >= 2 * params.min_samples_leaf and np.any(r != r[0]):
+        split = _best_split(X[rows], r, params.min_samples_leaf)
     if split is None:
-        return TreeNode(value=float(residual.mean()))
-    _, f, thr = split
-    goes_left = X[:, f] <= thr
-    left = _build_tree(X[goes_left], residual[goes_left], depth + 1, params)
-    right = _build_tree(X[~goes_left], residual[~goes_left], depth + 1, params)
+        fitted[rows] = value = float(r.mean())
+        return TreeNode(value=value)
+    f, thr = split
+    goes_left = X[rows, f] <= thr
+    left = _build_tree(X, residual, rows[goes_left], depth + 1, params, fitted)
+    right = _build_tree(X, residual, rows[~goes_left], depth + 1, params, fitted)
     return TreeNode(feature=f, threshold=thr, left=left, right=right)
 
 
@@ -145,13 +142,14 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams | None = None) -> TreeEnsemb
 
     base = float(y.mean())
     residual = y - base
+    rows = np.arange(len(y))
+    fitted = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(params.n_trees):
         if np.max(np.abs(residual)) == 0.0:
             break
-        tree = _build_tree(X, residual, 0, params)
-        residual = residual - params.learning_rate * _eval_tree(tree, X)
-        trees.append(tree)
+        trees.append(_build_tree(X, residual, rows, 0, params, fitted))
+        residual = residual - params.learning_rate * fitted
     return TreeEnsemble(base, tuple(trees), params.learning_rate, train.feature_names)
 
 

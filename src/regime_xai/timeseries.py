@@ -139,7 +139,9 @@ def load_table(path, step_seconds: int) -> TimeTable:
     timestamps and steps other than step_seconds.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")  # spreadsheet exports may lead with a BOM
+        # spreadsheet exports may lead with a BOM; a byte that is not UTF-8 becomes a
+        # lone surrogate, so the cell holding it fails its timestamp or number check
+        fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise TimeSeriesError(f"cannot read {path}: {exc}") from None
     with fh:
@@ -150,6 +152,8 @@ def load_table(path, step_seconds: int) -> TimeTable:
             raise ParseError(1, "empty file") from None
         if not header or header[0].strip() != "timestamp":
             raise ParseError(1, f"first column must be named 'timestamp', got {header[:1]!r}")
+        if any("\udc80" <= c <= "\udcff" for c in "".join(header)):
+            raise ParseError(1, f"header is not UTF-8 text: {header!r}")
         names = [h.strip() for h in header[1:]]
         if len(set(names)) != len(names):
             raise ParseError(1, "duplicate column names in header")

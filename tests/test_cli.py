@@ -96,6 +96,23 @@ def test_load_config_happy_path(tmp_path):
     assert config.experiment.gbt.n_trees == 25
 
 
+@pytest.mark.parametrize("case", ["byte-order mark", "directory", "latin-1 byte"])
+def test_config_file_is_utf8_and_any_unreadable_one_exits_1_naming_it(tmp_path, capsys, case):
+    path = market_config(tmp_path)
+    if case == "byte-order mark":  # as some editors save UTF-8
+        plain = load_config(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_config(path) == plain
+        return
+    if case == "directory":
+        path = tmp_path
+    else:
+        path.write_bytes(path.read_bytes().replace(b'"seed": 7', b'"seed": 7, "caf\xe9": 1'))
+    assert main(["run", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ConfigError" and err["message"].startswith(f"{path}: cannot read config (")
+
+
 def test_unknown_key_rejected(tmp_path):
     path = market_config(tmp_path, extra_section={"a": 1})
     with pytest.raises(ConfigError, match="extra_section"):
@@ -231,6 +248,7 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("features.residual_loads=5", "residual_loads: expected a list"),
         ("features.mixed_prices=null", "mixed_prices: expected a list"),
         ("features.mixed_prices=5", "mixed_prices: expected a list"),
+        ('features.columns=["x1","x1","x2"]', "columns: duplicate column 'x1'"),
     ],
 )
 def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,68 @@ def test_loader_rejects_out_of_range_feature():
     ).replace('"feature": 0', '"feature": 5')
     with pytest.raises(ValueError, match="out of range"):
         ensemble_from_json(text)
+
+
+# ------------------------------------------------------------- split search
+
+
+def splits(node):
+    if node.is_leaf:
+        return []
+    return [(node.feature, node.threshold)] + splits(node.left) + splits(node.right)
+
+
+def leaf_row_counts(node, X):
+    if node.is_leaf:
+        return [len(X)]
+    goes_left = X[:, node.feature] <= node.threshold
+    return leaf_row_counts(node.left, X[goes_left]) + leaf_row_counts(node.right, X[~goes_left])
+
+
+def seeded_matrix(seed, n, k, decimals=None):
+    # elementwise arithmetic only, so no BLAS build can move the last bits
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(n, k))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    y = (X * rng.normal(size=k)).sum(axis=1) + np.sin(3 * X[:, 0]) + 0.3 * rng.standard_normal(n)
+    return matrix(X, y if decimals is None else np.round(y, decimals))
+
+
+def test_identical_columns_split_on_the_lower_feature():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1, 1, size=300)
+    model = fit_gbt(matrix(np.column_stack([x, x]), np.sin(3 * x)),
+                    GbtParams(n_trees=10, max_depth=3, min_samples_leaf=5))
+    used = [f for t in model.trees for f, _ in splits(t)]
+    assert used and set(used) == {0}
+
+
+def test_equal_gain_cuts_split_at_the_lower_threshold():
+    # residuals 0.5, -0.5, -0.5, 0.5: the cuts after rows 1 and 3 both gain 1/3
+    model = fit_gbt(matrix([[0.0], [1.0], [2.0], [3.0]], [1.0, 0.0, 0.0, 1.0]),
+                    GbtParams(n_trees=1, max_depth=1, min_samples_leaf=1))
+    assert splits(model.trees[0]) == [(0, 0.0)]
+
+
+@pytest.mark.parametrize("min_leaf", [1, 7, 25])
+def test_every_leaf_holds_min_samples_leaf_training_rows(min_leaf):
+    fm = seeded_matrix(8, 400, 3, decimals=1)
+    model = fit_gbt(fm, GbtParams(n_trees=15, max_depth=5, min_samples_leaf=min_leaf))
+    counts = [c for t in model.trees for c in leaf_row_counts(t, fm.X)]
+    assert len(counts) > len(model.trees) and min(counts) >= min_leaf
+
+
+@pytest.mark.parametrize(
+    "fm, params, digest",
+    [
+        (seeded_matrix(11, 700, 5, decimals=1), GbtParams(n_trees=20, max_depth=6, min_samples_leaf=1),
+         "d087457c3dcb7c5203e4dc88545189821618e4108eac769929428a2839511989"),
+        (seeded_matrix(12, 1500, 6), GbtParams(n_trees=20, max_depth=4, min_samples_leaf=20),
+         "7a2afe83fd40307f022f9c59634a831842b76938f6cec1f3f014bf30016eee63"),
+    ],
+    ids=["ties-depth6-leaf1", "depth4-leaf20"],
+)
+def test_fitted_ensemble_json_is_pinned(fm, params, digest):
+    # any change to the split arithmetic, its tie-breaks or the leaf values moves these digests
+    assert hashlib.sha256(ensemble_to_json(fit_gbt(fm, params)).encode()).hexdigest() == digest

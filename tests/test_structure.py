@@ -86,9 +86,9 @@ def test_no_setting_is_read_from_the_environment():
     assert reads == []
 
 
-def test_only_timeseries_converts_time():
-    # Epoch seconds are the one time unit once text is parsed, and
-    # timeseries.py holds the only conversions from and to text.
+def _imports_outside_timeseries(module: str) -> list[str]:
+    """file:line of each import of module, or of one of its submodules, in
+    any package file but timeseries.py."""
     imports = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -98,6 +98,18 @@ def test_only_timeseries_converts_time():
                 modules = [node.module or ""]
             else:
                 continue
-            if path.name != "timeseries.py" and any(m.split(".")[0] == "datetime" for m in modules):
+            if path.name != "timeseries.py" and any(m.split(".")[0] == module for m in modules):
                 imports.append(f"{path.name}:{node.lineno}")
-    assert imports == []
+    return imports
+
+
+def test_only_timeseries_converts_time():
+    # Epoch seconds are the one time unit once text is parsed, and
+    # timeseries.py holds the only conversions from and to text.
+    assert _imports_outside_timeseries("datetime") == []
+
+
+def test_only_timeseries_reads_and_writes_csv():
+    # timeseries.load_table and timeseries.write_csv are the one CSV reader
+    # and the one CSV writer, so quoting and number formats cannot drift apart.
+    assert _imports_outside_timeseries("csv") == []

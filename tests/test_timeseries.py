@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,28 @@ def test_load_table_rejects_infinity_with_line_and_column(tmp_path):
     )
     # the blank line 3 is skipped, so the bad cell sits on file line 4
     with pytest.raises(ParseError, match="line 4: column 'v': non-finite value inf"):
+        load_table(p, 3600)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"2020-01-01T01:00:00Z,2,3\xe9", "line 3: column 'w': non-numeric value '3\\udce9'"),
+        (b"2020-01-01T01:00:00Z\xe9,2,3", "line 3: malformed timestamp '2020-01-01T01:00:00Z\\udce9'"),
+    ],
+    ids=["value", "timestamp"],
+)
+def test_load_table_names_the_line_and_cell_of_a_byte_that_is_not_utf8(tmp_path, line, message):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"timestamp,v,w\n2020-01-01T00:00:00Z,1,2\n" + line + b"\n2020-01-01T02:00:00Z,4,5\n")
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_table(p, 3600)
+
+
+def test_load_table_rejects_a_header_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"timestamp,v,caf\xe9\n2020-01-01T00:00:00Z,1,2\n")
+    with pytest.raises(ParseError, match="line 1: header is not UTF-8 text"):
         load_table(p, 3600)
 
 
