@@ -31,12 +31,7 @@ from regime_xai.experiment import (
     write_importance_csv,
     write_manifest,
 )
-from regime_xai.gbt import (
-    GbtParams,
-    ensemble_from_json,
-    ensemble_to_json,
-    fit_gbt,
-)
+from regime_xai.gbt import GbtParams, fit_gbt
 from regime_xai.mlp import MlpParams, grad_check, initial_net
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, as_predict_fn, exact_shap, explain_dataset
@@ -221,11 +216,11 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
 # ---------------------------------------------------------------- self-tests
 
 
-def _oracle_deviation(explained, original, X, bg: Background, method: str) -> float:
-    """Largest gap between explain_dataset on `explained` and the
-    brute-force enumeration of `original`, over every row's phi and phi0."""
-    e = explain_dataset(explained, X, bg, method=method)
-    fn = as_predict_fn(original)
+def _oracle_deviation(model, X, bg: Background, method: str) -> float:
+    """Largest gap between explain_dataset and the brute-force enumeration
+    of the same model, over every row's phi and phi0."""
+    e = explain_dataset(model, X, bg, method=method)
+    fn = as_predict_fn(model)
     worst = 0.0
     for x, phi in zip(X, e.phi):
         phi_e, phi0_e = exact_shap(fn, x, bg)
@@ -234,8 +229,7 @@ def _oracle_deviation(explained, original, X, bg: Background, method: str) -> fl
 
 
 def _check_tree_oracle():
-    """Serialize, reload, and compare tree explanations against the
-    brute-force enumeration of the original model."""
+    """Compare tree explanations against the brute-force enumeration."""
     rng = np.random.default_rng(101)
     worst = 0.0
     for seed in range(5):
@@ -243,10 +237,9 @@ def _check_tree_oracle():
         y = rng.standard_normal(60)
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), X, y, np.arange(60))
         model = fit_gbt(fm, GbtParams(n_trees=5, max_depth=3, min_samples_leaf=5, learning_rate=0.3))
-        loaded = ensemble_from_json(ensemble_to_json(model))
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         rows = rng.uniform(-1, 1, size=(10, 6))
-        worst = max(worst, _oracle_deviation(loaded, model, rows, bg, "tree"))
+        worst = max(worst, _oracle_deviation(model, rows, bg, "tree"))
     return worst < 1e-9, f"max deviation {worst:.2e} (tolerance 1e-9)"
 
 
@@ -262,7 +255,7 @@ def _check_kernel_oracle():
         net = initial_net(fm, MlpParams(hidden_sizes=(8, 6), seed=seed))
         bg = Background(rng.standard_normal((5, 8)))
         rows = rng.standard_normal((5, 8))
-        worst = max(worst, _oracle_deviation(net, net, rows, bg, "kernel"))
+        worst = max(worst, _oracle_deviation(net, rows, bg, "kernel"))
     return worst < 1e-6, f"max deviation {worst:.2e} (tolerance 1e-6)"
 
 
@@ -285,7 +278,7 @@ def _check_gradients():
                 h = np.maximum(z, 0.0)
             if gap > 1e-3:
                 break
-        worst = max(worst, grad_check(net, X_check, y[:8], epsilon=1e-5))
+        worst = max(worst, grad_check(net, X_check, y[:8]))
     return worst < 1e-4, f"max relative error {worst:.2e} (tolerance 1e-4)"
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -31,7 +32,10 @@ class InputSpec:
     resolution_hours: float
 
     def __post_init__(self):
-        if round(self.resolution_hours * 3600) < 1:  # the grid step is a whole number of seconds
+        seconds = self.resolution_hours * 3600
+        if math.isinf(seconds):
+            raise ValueError(f"resolution_hours must be a finite number of seconds, got {self.resolution_hours!r}")
+        if round(seconds) < 1:  # the grid step is a whole number of seconds
             raise ValueError(f"resolution_hours must be at least one second, got {self.resolution_hours!r}")
 
 
@@ -123,7 +127,7 @@ def _typed(value, hint, field: str):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is int and number and isinstance(value, int):
         return value
-    if hint is float and number and math.isfinite(value):
+    if hint is float and number and abs(value) <= sys.float_info.max:  # not inf, nan, or an int beyond float range
         return float(value)
     if hint is str and isinstance(value, str):
         return value
@@ -204,6 +208,8 @@ def _parse_features(obj, path: str) -> FeatureConfig:
         for i, spec in enumerate(obj.get("mixed_prices", []))
     )
     resample = _typed(obj.get("resample_hours"), float | None, f"{path}.resample_hours")
+    if resample is not None and math.isinf(resample * 3600):
+        raise ConfigError(f"{path}.resample_hours: expected a finite number of seconds, got {resample!r}")
     if resample is not None and round(resample * 3600) < 1:
         raise ConfigError(f"{path}.resample_hours: expected at least one second, got {resample!r}")
     return FeatureConfig(tuple(columns), target, resample, residual, mixed)
@@ -243,7 +249,7 @@ def apply_override(raw: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
-def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunConfig:
+def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
     _check_keys(
         raw,
         ("inputs", "features", "periods", "model", "shap", "windows", "seed", "output_dir"),
@@ -258,7 +264,7 @@ def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunCo
     inputs = []
     for i, spec in enumerate(inputs_raw):
         spec = _dataclass_from(spec, InputSpec, f"inputs[{i}]")
-        if base_dir is not None and not Path(spec.path).is_absolute():
+        if not Path(spec.path).is_absolute():
             spec = replace(spec, path=str(base_dir / spec.path))
         echo["inputs"][i]["path"] = spec.path
         inputs.append(spec)
@@ -282,7 +288,7 @@ def parse_config(raw: dict, base_dir: Path | None = None, overrides=()) -> RunCo
 
     seed = _typed(raw.get("seed", 0), int, "seed")
     output_dir = _typed(raw.get("output_dir", "out"), str, "output_dir")
-    if base_dir is not None and not Path(output_dir).is_absolute():
+    if not Path(output_dir).is_absolute():
         output_dir = str(base_dir / output_dir)
     echo["output_dir"] = output_dir
 

@@ -185,8 +185,8 @@ def run_period(
     data: FeatureMatrix,
     period: PeriodSpec,
     model_kind: str,
-    config: ExperimentConfig | None = None,
-    seed: int = 0,
+    config: ExperimentConfig,
+    seed: int,
 ) -> PeriodResult:
     """Fit, explain and score one model per sliding window of the period.
 
@@ -197,7 +197,6 @@ def run_period(
     explained. Fit/explain failures are re-raised annotated with the window
     index.
     """
-    config = config or ExperimentConfig()
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
 

@@ -10,7 +10,6 @@ ensemble.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +34,16 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class TreeEnsemble:
-    """Additive ensemble: prediction = base_score + learning_rate * sum of trees."""
+    """Additive ensemble: prediction = base_score + learning_rate * sum of trees.
+    n_features is the width of the fitted matrix; the names live with the data."""
 
     base_score: float
     trees: tuple[TreeNode, ...]
     learning_rate: float
-    feature_names: tuple[str, ...]
+    n_features: int
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -126,19 +121,18 @@ def _build_tree(X: np.ndarray, residual: np.ndarray, rows: np.ndarray, depth: in
     return TreeNode(feature=f, threshold=thr, left=left, right=right)
 
 
-def fit_gbt(train: FeatureMatrix, params: GbtParams | None = None) -> TreeEnsemble:
+def fit_gbt(train: FeatureMatrix, params: GbtParams) -> TreeEnsemble:
     """Fit a boosted ensemble of depth-limited regression trees to squared loss.
 
     Each stage fits the residuals y - F(X) with leaf values equal to the mean
     residual in the leaf. All-identical targets yield a base-score-only
     ensemble. Fitting is deterministic: ties break by feature, then threshold.
     """
-    params = params or GbtParams()
     X, y = train.X, train.y
     if len(y) == 0:
         raise ValueError("empty training set")
     if np.all(y == y[0]):
-        return TreeEnsemble(float(y[0]), (), params.learning_rate, train.feature_names)
+        return TreeEnsemble(float(y[0]), (), params.learning_rate, X.shape[1])
 
     base = float(y.mean())
     residual = y - base
@@ -150,7 +144,7 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams | None = None) -> TreeEnsemb
             break
         trees.append(_build_tree(X, residual, rows, 0, params, fitted))
         residual = residual - params.learning_rate * fitted
-    return TreeEnsemble(base, tuple(trees), params.learning_rate, train.feature_names)
+    return TreeEnsemble(base, tuple(trees), params.learning_rate, X.shape[1])
 
 
 def predict_gbt(model: TreeEnsemble, X) -> np.ndarray:
@@ -165,55 +159,3 @@ def predict_gbt(model: TreeEnsemble, X) -> np.ndarray:
         out += model.learning_rate * _eval_tree(tree, X)
     return out
 
-
-# ------------------------------------------------------------- serialization
-#
-# Interchange format: JSON object with base_score, learning_rate,
-# feature_names and nested node records ({"feature", "threshold", "left",
-# "right"} or {"value"}). Floats survive the round trip exactly because
-# json emits repr-quality decimal strings.
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(obj: dict, n_features: int) -> TreeNode:
-    if "value" in obj:
-        return TreeNode(value=float(obj["value"]))
-    feature = int(obj["feature"])
-    if not 0 <= feature < n_features:
-        raise ValueError(f"node feature index {feature} out of range for {n_features} features")
-    return TreeNode(
-        feature=feature,
-        threshold=float(obj["threshold"]),
-        left=_node_from_dict(obj["left"], n_features),
-        right=_node_from_dict(obj["right"], n_features),
-    )
-
-
-def ensemble_to_json(model: TreeEnsemble) -> str:
-    payload = {
-        "format": "regime-xai-tree-ensemble",
-        "base_score": model.base_score,
-        "learning_rate": model.learning_rate,
-        "feature_names": list(model.feature_names),
-        "trees": [_node_to_dict(t) for t in model.trees],
-    }
-    return json.dumps(payload, indent=1)
-
-
-def ensemble_from_json(text: str) -> TreeEnsemble:
-    obj = json.loads(text)
-    if obj.get("format") != "regime-xai-tree-ensemble":
-        raise ValueError(f"not a tree-ensemble file (format={obj.get('format')!r})")
-    names = tuple(obj["feature_names"])
-    trees = tuple(_node_from_dict(t, len(names)) for t in obj["trees"])
-    return TreeEnsemble(float(obj["base_score"]), trees, float(obj["learning_rate"]), names)

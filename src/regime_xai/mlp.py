@@ -16,12 +16,11 @@ import numpy as np
 from regime_xai.timeseries import FeatureMatrix
 
 
+GRAD_CHECK_EPSILON = 1e-5  # central-difference step of grad_check
+
+
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
-
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +131,12 @@ def _start(train: FeatureMatrix, params: MlpParams):
     return MlpNet(tuple(weights), tuple(biases), mean, std), rng, n_fit
 
 
-def initial_net(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
+def initial_net(train: FeatureMatrix, params: MlpParams) -> MlpNet:
     """The untrained net fit_mlp would start from (same seed, same init draws)."""
-    return _start(train, params or MlpParams())[0]
+    return _start(train, params)[0]
 
 
-def fit_mlp(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
+def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
     """Train by mini-batch Adam on MSE with early stopping.
 
     The validation slice is the time-ordered tail of the window
@@ -145,7 +144,6 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
     remaining head so the held-out rows never leak into the statistics.
     Targets stay in original units. Deterministic for a fixed seed.
     """
-    params = params or MlpParams()
     net, rng, n_fit = _start(train, params)
     weights, biases = list(net.weights), list(net.biases)
     Z = (train.X - net.x_mean) / net.x_std
@@ -176,7 +174,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams | None = None) -> MlpNet:
 
         val = _mse(weights, biases, Z_val, y_val)
         if not np.isfinite(val):
-            raise TrainingDivergedError(epoch)
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         if val < best_val:
             best_val = val
             best = ([W.copy() for W in weights], [b.copy() for b in biases])
@@ -200,8 +198,9 @@ def predict_mlp(net: MlpNet, X) -> np.ndarray:
     return _forward(list(net.weights), list(net.biases), Z)[-1][:, 0]
 
 
-def grad_check(net: MlpNet, X, y, epsilon: float = 1e-5) -> float:
-    """Compare analytic MSE gradients with central finite differences.
+def grad_check(net: MlpNet, X, y) -> float:
+    """Compare analytic MSE gradients with central finite differences of
+    step GRAD_CHECK_EPSILON.
 
     Returns the maximum relative error over every weight and bias entry,
     with relative error |a - n| / max(|a|, |n|, 1e-8).
@@ -210,8 +209,6 @@ def grad_check(net: MlpNet, X, y, epsilon: float = 1e-5) -> float:
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] > 32:
         raise ValueError("grad_check is meant for small inputs (<= 32 rows)")
-    if not 1e-7 <= epsilon <= 1e-4:
-        raise ValueError(f"epsilon must be in [1e-7, 1e-4], got {epsilon}")
 
     Z = (X - net.x_mean) / net.x_std
     weights = [W.copy() for W in net.weights]
@@ -225,12 +222,12 @@ def grad_check(net: MlpNet, X, y, epsilon: float = 1e-5) -> float:
             flat_g = g.reshape(-1)
             for i in range(flat_p.size):
                 orig = flat_p[i]
-                flat_p[i] = orig + epsilon
+                flat_p[i] = orig + GRAD_CHECK_EPSILON
                 up = _mse(weights, biases, Z, y)
-                flat_p[i] = orig - epsilon
+                flat_p[i] = orig - GRAD_CHECK_EPSILON
                 down = _mse(weights, biases, Z, y)
                 flat_p[i] = orig
-                numeric = (up - down) / (2 * epsilon)
+                numeric = (up - down) / (2 * GRAD_CHECK_EPSILON)
                 analytic = flat_g[i]
                 err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
                 max_err = max(max_err, err)

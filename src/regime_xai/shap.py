@@ -280,8 +280,8 @@ def kernel_shap(
     model_fn,
     x,
     bg: Background,
-    n_coalitions: int | None = None,
-    seed: int = 0,
+    n_coalitions: int | None,
+    seed: int,
 ) -> tuple[np.ndarray, float]:
     """SHAP values from the Shapley-kernel weighted least squares problem.
 
@@ -355,7 +355,7 @@ def explain_dataset(
     model,
     X,
     bg: Background,
-    method: str = "tree",
+    method: str,
     seed: int = 0,
     n_coalitions: int | None = None,
 ) -> Explanation:

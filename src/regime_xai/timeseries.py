@@ -25,11 +25,10 @@ class TimeSeriesError(ValueError):
 
 
 class ParseError(TimeSeriesError):
-    """Malformed CSV content; carries the 1-based line number."""
+    """Malformed CSV content; the message begins with the 1-based line number."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 class ResolutionMismatchError(TimeSeriesError):

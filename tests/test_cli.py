@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import regime_xai
+import regime_xai.shap
 from regime_xai.cli import (
     build_features,
     cmd_features,
@@ -18,7 +19,6 @@ from regime_xai.cli import (
     main,
 )
 from regime_xai.config import ConfigError, apply_override, load_config, parse_config
-from regime_xai.gbt import ensemble_from_json
 from regime_xai.timeseries import format_timestamp, parse_timestamp
 
 T0 = parse_timestamp("2018-01-01T00:00:00Z")
@@ -249,6 +249,11 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("features.mixed_prices=null", "mixed_prices: expected a list"),
         ("features.mixed_prices=5", "mixed_prices: expected a list"),
         ('features.columns=["x1","x1","x2"]', "columns: duplicate column 'x1'"),
+        ("features.resample_hours=1e308", "resample_hours: expected a finite number of seconds, got 1e+308"),
+        pytest.param("windows.window_fraction=1" + "0" * 400, "window_fraction: expected a finite number, got 1000",
+                     id="windows.window_fraction=10**400"),
+        pytest.param("model.gbt.learning_rate=1" + "0" * 400, "gbt.learning_rate: expected a finite number, got 1000",
+                     id="model.gbt.learning_rate=10**400"),
     ],
 )
 def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):
@@ -264,6 +269,7 @@ def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, a
     [
         (("features", "residual_loads", 0, "ror_lag_days"), 0, "features.residual_loads[0]: ror_lag_days must be >= 1"),
         (("inputs", 0, "resolution_hours"), 0.0001, "inputs[0]: resolution_hours must be at least one second"),
+        (("inputs", 0, "resolution_hours"), 1e308, "inputs[0]: resolution_hours must be a finite number of seconds"),
     ],
 )
 def test_list_entry_out_of_range_exits_1_before_inputs_are_read(tmp_path, capsys, keys, value, message):
@@ -292,7 +298,7 @@ def test_negative_mixed_price_alpha_rejected_at_load(tmp_path):
 def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    config = parse_config(example)
+    config = parse_config(example, Path("."), ())
     assert config.features.resample_hours is None
     assert config.experiment.n_coalitions is None
 
@@ -614,21 +620,23 @@ def test_cmd_verify_all_pass(capsys):
     assert "FAIL" not in out
 
 
-def test_cmd_verify_detects_corrupted_serialization(capsys, monkeypatch):
-    def tamper(text):
-        obj = json.loads(text)
-
-        def twist(node):
-            if "threshold" in node:
-                node["threshold"] += 0.37
-                twist(node["left"])
-                twist(node["right"])
-
-        for tree in obj["trees"]:
-            twist(tree)
-        return json.dumps(obj)
-
-    monkeypatch.setattr("regime_xai.cli.ensemble_from_json", lambda text: ensemble_from_json(tamper(text)))
+def test_cmd_verify_fails_a_tree_engine_that_misplaces_attributions(capsys, monkeypatch):
+    # reversing phi's columns keeps every row's sum, so only the oracle check can see it
+    tree_shap_matrix = regime_xai.shap._tree_shap_matrix
+    monkeypatch.setattr("regime_xai.shap._tree_shap_matrix", lambda *args: tree_shap_matrix(*args)[:, ::-1])
     assert cmd_verify() == 2
     out = capsys.readouterr().out
-    assert "FAIL tree-oracle equivalence" in out
+    assert out.count("FAIL") == 1 and "FAIL tree-oracle equivalence" in out
+
+
+def test_cmd_verify_fails_a_kernel_engine_that_misplaces_attributions(capsys, monkeypatch):
+    kernel_shap = regime_xai.shap.kernel_shap
+
+    def swapped(*args, **kwargs):
+        phi, phi0 = kernel_shap(*args, **kwargs)
+        return phi[[1, 0, *range(2, len(phi))]], phi0
+
+    monkeypatch.setattr("regime_xai.shap.kernel_shap", swapped)
+    assert cmd_verify() == 2
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 1 and "FAIL kernel-oracle equivalence" in out

@@ -93,7 +93,7 @@ def test_linear_target_high_r2():
 def test_empty_training_set_rejected():
     fm = matrix(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError, match="empty"):
-        fit_mlp(fm)
+        fit_mlp(fm, MlpParams())
 
 
 def test_divergence_reports_epoch():
@@ -164,13 +164,13 @@ def test_column_count_mismatch_rejected():
 
 def test_grad_check_fresh_net():
     net, X, y = small_net(seed=6)
-    assert grad_check(net, X[:8], y[:8], epsilon=1e-5) < 1e-4
+    assert grad_check(net, X[:8], y[:8]) < 1e-4
 
 
 def test_grad_check_zero_net_zero_targets():
     net = MlpNet((np.zeros((3, 2)), np.zeros((1, 3))), (np.zeros(3), np.zeros(1)), np.zeros(2), np.ones(2))
     X = np.random.default_rng(7).normal(size=(4, 2))
-    assert grad_check(net, X, np.zeros(4), epsilon=1e-5) == 0.0
+    assert grad_check(net, X, np.zeros(4)) == 0.0
 
 
 def test_grad_check_trained_net_off_kinks():
@@ -179,26 +179,20 @@ def test_grad_check_trained_net_off_kinks():
     y = X @ np.array([1.0, 0.5, -1.0])
     net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(8,), max_epochs=40, seed=8))
     X_check = X[:16] + 1e-3 * rng.standard_normal((16, 3))
-    assert grad_check(net, X_check, y[:16], epsilon=1e-5) < 1e-3
+    assert grad_check(net, X_check, y[:16]) < 1e-3
 
 
 def test_grad_check_over_random_small_nets():
     for seed in range(20):
         net, X, y = small_net(seed=seed, n_in=3, hidden=(6, 5))
         X_check = clean_rows(net, np.random.default_rng(1000 + seed), 8, 3)
-        assert grad_check(net, X_check, y[:8], epsilon=1e-5) < 1e-4
+        assert grad_check(net, X_check, y[:8]) < 1e-4
 
 
 def test_grad_check_rejects_large_input():
     net, X, y = small_net()
     with pytest.raises(ValueError, match="32"):
         grad_check(net, np.zeros((64, 4)), np.zeros(64))
-
-
-def test_grad_check_rejects_bad_epsilon():
-    net, X, y = small_net()
-    with pytest.raises(ValueError, match="epsilon"):
-        grad_check(net, X[:4], y[:4], epsilon=1e-2)
 
 
 def test_constant_feature_gets_unit_std():

@@ -148,7 +148,7 @@ def test_exact_shap_linearity():
 
 
 def test_tree_shap_zero_trees():
-    model = TreeEnsemble(1.5, (), 0.1, ("a", "b"))
+    model = TreeEnsemble(1.5, (), 0.1, 2)
     bg = Background(np.zeros((3, 2)))
     e = explain_dataset(model, np.array([[5.0, 6.0]]), bg, method="tree")
     np.testing.assert_array_equal(e.phi[0], [0.0, 0.0])
@@ -157,7 +157,7 @@ def test_tree_shap_zero_trees():
 
 def test_tree_shap_dummy_feature_exactly_zero():
     stump = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
-    model = TreeEnsemble(0.0, (stump,), 1.0, ("a", "b"))
+    model = TreeEnsemble(0.0, (stump,), 1.0, 2)
     bg = Background(np.random.default_rng(6).normal(size=(7, 2)))
     e = explain_dataset(model, np.array([[0.5, 123.0]]), bg, method="tree")
     assert e.phi[0, 1] == 0.0
@@ -166,7 +166,7 @@ def test_tree_shap_dummy_feature_exactly_zero():
 def test_tree_shap_single_stump_hand_check():
     # v({0}) = tree(x), v(empty) = mean over background; phi_0 = difference.
     stump = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
-    model = TreeEnsemble(0.0, (stump,), 1.0, ("a",))
+    model = TreeEnsemble(0.0, (stump,), 1.0, 1)
     bg = Background(np.array([[-1.0], [1.0], [1.0]]))  # v(empty) = (-1+1+1)/3
     e = explain_dataset(model, np.array([[0.5]]), bg, method="tree")
     assert e.phi0 == pytest.approx(1 / 3)
@@ -208,7 +208,7 @@ def test_tree_shap_repeated_feature_on_path():
         feature=0, threshold=-0.5, left=TreeNode(value=1.0), right=TreeNode(value=2.0)
     )
     root = TreeNode(feature=0, threshold=0.5, left=inner, right=TreeNode(value=5.0))
-    model = TreeEnsemble(0.0, (root,), 1.0, ("a", "b"))
+    model = TreeEnsemble(0.0, (root,), 1.0, 2)
     fn = as_predict_fn(model)
     rng = np.random.default_rng(8)
     bg = Background(rng.uniform(-2, 2, size=(6, 2)))
@@ -231,7 +231,6 @@ def split_points(node):
 
 
 def test_tree_batch_matches_brute_force_row_by_row():
-    names = tuple(f"x{i + 1}" for i in range(6))
     # x1 <= 0 and then x1 > 0.5: the leaf of value 7 is unreachable
     contradictory = TreeNode(
         feature=0,
@@ -239,7 +238,7 @@ def test_tree_batch_matches_brute_force_row_by_row():
         left=TreeNode(feature=0, threshold=0.5, left=TreeNode(value=1.0), right=TreeNode(value=7.0)),
         right=TreeNode(feature=1, threshold=0.2, left=TreeNode(value=-2.0), right=TreeNode(value=3.0)),
     )
-    hand = TreeEnsemble(0.5, (contradictory,), 1.0, names)
+    hand = TreeEnsemble(0.5, (contradictory,), 1.0, 6)
     deep = random_ensemble(40, n_trees=4, max_depth=6, n_rows=400)
     assert max(tree_depth(t) for t in deep.trees) == 6
 
@@ -275,7 +274,7 @@ def test_kernel_exact_mode_matches_brute_force():
         bg = Background(rng.standard_normal((5, 8)))
         for _ in range(3):
             x = rng.standard_normal(8)
-            phi_k, phi0_k = kernel_shap(fn, x, bg)  # 2^8-2 = 254 <= default budget
+            phi_k, phi0_k = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)  # 2^8-2 = 254 <= default budget
             phi_e, phi0_e = exact_shap(fn, x, bg)
             worst = max(worst, np.max(np.abs(phi_k - phi_e)), abs(phi0_k - phi0_e))
     assert worst < 1e-6
@@ -284,7 +283,7 @@ def test_kernel_exact_mode_matches_brute_force():
 def test_kernel_constant_model_zero_phi():
     fn = as_predict_fn(lambda X: np.full(X.shape[0], 2.0))
     bg = Background(np.random.default_rng(10).normal(size=(4, 5)))
-    phi, phi0 = kernel_shap(fn, np.ones(5), bg, seed=1)
+    phi, phi0 = kernel_shap(fn, np.ones(5), bg, n_coalitions=None, seed=1)
     np.testing.assert_allclose(phi, 0.0, atol=1e-9)
     assert phi0 == pytest.approx(2.0)
 
@@ -293,7 +292,7 @@ def test_kernel_additive_model_centered_background():
     fn = as_predict_fn(lambda X: X[:, 0] + X[:, 1] + X[:, 2])
     bg = Background(np.array([[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]]))
     x = np.array([4.0, 5.0, 6.0])
-    phi, phi0 = kernel_shap(fn, x, bg)
+    phi, phi0 = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)
     np.testing.assert_allclose(phi, [4.0, 5.0, 6.0], atol=1e-9)
     assert phi0 == pytest.approx(0.0)
 
@@ -343,7 +342,7 @@ def test_kernel_single_feature_matches_exact():
     fn = as_predict_fn(lambda X: np.sin(3 * X[:, 0]) + X[:, 0] ** 2)
     bg = Background(np.array([[-0.4], [0.1], [1.3]]))
     x = np.array([0.7])
-    phi_k, phi0_k = kernel_shap(fn, x, bg)
+    phi_k, phi0_k = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)
     phi_e, phi0_e = exact_shap(fn, x, bg)
     np.testing.assert_allclose(phi_k, phi_e, rtol=0, atol=1e-12)
     assert phi0_k == phi0_e
@@ -461,7 +460,7 @@ def test_importance_direct_formula():
 
 def test_importance_dummy_feature_zero_under_tree_engine():
     stump = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
-    model = TreeEnsemble(0.0, (stump,), 1.0, ("a", "b"))
+    model = TreeEnsemble(0.0, (stump,), 1.0, 2)
     rng = np.random.default_rng(21)
     bg = Background(rng.normal(size=(5, 2)))
     e = explain_dataset(model, rng.normal(size=(20, 2)), bg, method="tree")

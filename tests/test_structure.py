@@ -6,12 +6,31 @@ from pathlib import Path
 import regime_xai
 
 SRC = Path(regime_xai.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _benchmark_trees() -> list[ast.Module]:
+    """The benchmark's code that reaches into the package: the tracer, which
+    wraps package functions and reads their results, and the *_CODE programs
+    that perfbench/run.py hands to its child processes."""
+    run = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    programs = [
+        ast.parse(node.value.value)
+        for node in run.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and any(isinstance(t, ast.Name) and t.id.endswith("_CODE") for t in node.targets)
+    ]
+    return [ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8")), *programs]
 
 
 def test_every_public_definition_is_used_by_the_package():
     # A public top-level function or class that no other code in the package
     # refers to is reached only by tests: delete it or make the package use it.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _package_trees()
     uses = []  # (file, line, name) of every name reference and import
     for name, tree in trees.items():
         for node in ast.walk(tree):
@@ -47,7 +66,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 def test_every_dataclass_field_is_read_by_the_package():
     # A field that nothing outside its own class reads is kept only for tests:
     # delete it, or make the package use it.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _package_trees()
     reads = [
         (name, node.lineno, node.attr)
         for name, tree in trees.items()
@@ -71,6 +90,80 @@ def test_every_dataclass_field_is_read_by_the_package():
                 ):
                     unread.append(f"{cls.name}.{field}")
     assert unread == []
+
+
+def _public_functions(tree: ast.Module):
+    """(function, whether it is a method) for each public top-level function
+    and each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, False
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    yield stmt, True
+
+
+def _relies_on_default(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether call leaves the parameter at position (None: keyword-only) to
+    its default. A call that unpacks *args or **kwargs may leave it."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    passed = position is not None and position < len(call.args)
+    return not passed and all(k.arg != name for k in call.keywords)
+
+
+def test_every_default_is_relied_on_by_a_caller():
+    # A default that every call in the package and the benchmark overrides is
+    # kept only for tests: delete it, and let the tests pass the value.
+    trees = _package_trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *_benchmark_trees()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+
+    unused = []
+    for name, tree in trees.items():
+        for fn, is_method in _public_functions(tree):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            positional = [*fn.args.posonlyargs, *fn.args.args][1 if is_method and not static else 0:]
+            defaulted = [
+                (i, arg.arg) for i, arg in enumerate(positional) if i >= len(positional) - len(fn.args.defaults)
+            ] + [(None, arg.arg) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            for position, param in defaulted:
+                if not any(_relies_on_default(c, position, param) for c in calls.get(fn.name, [])):
+                    unused.append(f"{name}:{fn.lineno} {fn.name}({param}=...)")
+    assert unused == []
+
+
+def test_every_method_and_property_is_used_outside_its_class():
+    # A public method or property that nothing outside its own class calls or
+    # reads, in the package or the benchmark, is kept only for tests.
+    trees = _package_trees()
+    uses = [
+        (name, node.lineno, getattr(node, "attr", None) or getattr(node, "id", None))
+        for name, tree in [*trees.items(), *(("<benchmark>", t) for t in _benchmark_trees())]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    ]
+
+    unused = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            own_lines = range(cls.lineno, cls.end_lineno + 1)
+            for stmt in cls.body:
+                if not isinstance(stmt, ast.FunctionDef) or stmt.name.startswith("_"):
+                    continue
+                if not any(
+                    used == stmt.name and not (file == name and line in own_lines)
+                    for file, line, used in uses
+                ):
+                    unused.append(f"{name}:{stmt.lineno} {cls.name}.{stmt.name}")
+    assert unused == []
 
 
 def test_no_setting_is_read_from_the_environment():
