@@ -195,6 +195,9 @@ def _parse_features(obj, path: str) -> FeatureConfig:
         }
     else:
         target = dict.fromkeys(("before", "after"), _typed(target, str, f"{path}.target"))
+    for name in target.values():
+        if name in columns:
+            raise ConfigError(f"{path}.columns: target column {name!r} is also a feature")
 
     for key in ("residual_loads", "mixed_prices"):
         if not isinstance(obj.get(key, []), list):

@@ -23,7 +23,7 @@ from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, format_timestamp, rows_per_day, write_csv
+from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamp, rows_per_day, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -142,7 +142,7 @@ def make_windows(n_rows: int, n_windows: int, window_fraction: float) -> list[ra
         raise ValueError("n_windows must be >= 1")
     width = int(window_fraction * n_rows)
     if width < 1 or n_rows < n_windows:
-        raise ValueError(f"period too short: {n_rows} rows for {n_windows} windows")
+        raise TimeSeriesError(f"period too short: {n_rows} rows for {n_windows} windows")
     span = n_rows - width
     if n_windows == 1:
         offsets = [0]
@@ -167,7 +167,7 @@ def split_blocks(
         raise ValueError("block must cover at least one row")
     n_blocks = len(rows) // rows_per_block
     if n_blocks < 5:
-        raise ValueError(
+        raise TimeSeriesError(
             f"window of {len(rows)} rows spans only {n_blocks} blocks of "
             f"{rows_per_block} rows; need at least 5"
         )
@@ -194,8 +194,8 @@ def run_period(
     Tree models are explained with the tree engine, nets with the kernel
     engine, both against a background subsampled from the window's training
     rows. A model with a non-finite test prediction fails before it is
-    explained. Fit/explain failures are re-raised annotated with the window
-    index.
+    explained. Failures are re-raised annotated with the period name and the
+    window index; a period too short for the protocol is a TimeSeriesError.
     """
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
@@ -207,7 +207,7 @@ def run_period(
     if outside.size:
         raise ValueError(f"row at {format_timestamp(ts[outside[0]])} lies outside period {period.name!r}")
     if len(ts) < 2:
-        raise ValueError("need at least two rows to infer the resolution")
+        raise TimeSeriesError(f"{period.name}: need at least two rows to infer the resolution")
     # the smallest step is the resolution: rows dropped by the join leave wider ones
     per_day = rows_per_day(int(np.diff(ts).min()))
 
@@ -224,7 +224,10 @@ def run_period(
 
         predict, method = predict_mlp, "kernel"
 
-    windows = make_windows(len(data), config.n_windows, config.window_fraction)
+    try:
+        windows = make_windows(len(data), config.n_windows, config.window_fraction)
+    except TimeSeriesError as exc:
+        raise TimeSeriesError(f"{period.name}: {exc}") from exc
     results = []
     for w, window in enumerate(windows):
         try:
@@ -260,7 +263,7 @@ def run_period(
             sst = float(np.sum((test.y - test.y.mean()) ** 2))
             r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")
         except (ValueError, RuntimeError) as exc:
-            raise type(exc)(f"window {w}: {exc}") from exc
+            raise type(exc)(f"{period.name}: window {w}: {exc}") from exc
 
         results.append(
             WindowResult(

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from regime_xai.gbt import TreeEnsemble, TreeNode, predict_gbt
-from regime_xai.mlp import MlpNet, predict_mlp
+from regime_xai.mlp import predict_mlp
 from regime_xai.seeds import derive_seed
 
 LOCAL_ACCURACY_TOL = 1e-6
@@ -78,24 +78,14 @@ class Explanation:
     """Per-row SHAP vectors plus the shared base value.
 
     Column j of phi belongs to column j of the explained matrix; the names
-    live with the data (FeatureMatrix, PeriodResult). phi0 + phi[i].sum()
-    reproduces predictions[i] for every row (local accuracy); explain_dataset
-    enforces this at 1e-6.
+    live with the data (FeatureMatrix, PeriodResult). max_residual is the
+    worst |phi0 + phi[i].sum() - f(x_i)| over the rows, which explain_dataset
+    keeps below 1e-6 (local accuracy).
     """
 
     phi: np.ndarray
     phi0: float
-    predictions: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
-        preds = np.asarray(self.predictions, dtype=np.float64)
-        if phi.ndim != 2:
-            raise ValueError(f"phi must be 2D, got shape {phi.shape}")
-        if preds.shape != (phi.shape[0],):
-            raise ValueError("predictions must have one entry per explained row")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "predictions", preds)
+    max_residual: float
 
     def __len__(self) -> int:
         return self.phi.shape[0]
@@ -103,33 +93,22 @@ class Explanation:
 
 @dataclass(frozen=True, eq=False)
 class ImportanceVector:
-    """Normalized per-feature weights; all-zero and flagged when the
+    """Normalized per-feature weights; all zero (degenerate) when the
     explanation carried no signal at all."""
 
     fi: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         fi = np.asarray(self.fi, dtype=np.float64)
         if np.any(fi < 0):
             raise ValueError("importances must be nonnegative")
-        if self.degenerate:
-            if np.any(fi != 0):
-                raise ValueError("degenerate importance vector must be all zero")
-        elif abs(fi.sum() - 1.0) > 1e-9:
+        if fi.any() and abs(fi.sum() - 1.0) > 1e-9:
             raise ValueError(f"importances must sum to 1, got {fi.sum()!r}")
         object.__setattr__(self, "fi", fi)
 
-
-def as_predict_fn(model):
-    """Wrap a TreeEnsemble, MlpNet or raw callable as X -> predictions."""
-    if isinstance(model, TreeEnsemble):
-        return lambda X: predict_gbt(model, np.asarray(X, dtype=np.float64))
-    if isinstance(model, MlpNet):
-        return lambda X: predict_mlp(model, np.asarray(X, dtype=np.float64))
-    if callable(model):
-        return lambda X: np.asarray(model(np.asarray(X, dtype=np.float64)), dtype=np.float64)
-    raise TypeError(f"cannot build a prediction function from {type(model).__name__}")
+    @property
+    def degenerate(self) -> bool:
+        return not self.fi.any()
 
 
 # ------------------------------------------------------------ value function
@@ -351,6 +330,15 @@ def kernel_shap(
 # ------------------------------------------------------------ dataset driver
 
 
+def _kernel_shap_matrix(model_fn, X: np.ndarray, bg: Background, n_coalitions, seed: int) -> np.ndarray:
+    """kernel_shap for every row of X in order, each row with its own seed
+    derived from (seed, row index), so no row's result depends on the others."""
+    return np.vstack([
+        kernel_shap(model_fn, row, bg, n_coalitions, seed=derive_seed(seed, i))[0]
+        for i, row in enumerate(X)
+    ])
+
+
 def explain_dataset(
     model,
     X,
@@ -359,37 +347,36 @@ def explain_dataset(
     seed: int = 0,
     n_coalitions: int | None = None,
 ) -> Explanation:
-    """Explain every row of X with TreeSHAP (method "tree") or KernelSHAP
-    (method "kernel").
+    """Explain every row of X with TreeSHAP (method "tree", for a
+    TreeEnsemble) or KernelSHAP (method "kernel", for an MlpNet).
 
     Local accuracy is verified per row at 1e-6; a violation, or a residual
     that is not finite, raises LocalAccuracyError: an engine that cannot
-    reproduce its own model's prediction is broken, not inaccurate. Kernel
-    rows are explained in order, each with its own seed derived from (seed,
-    row index), so no row's result depends on the others.
+    reproduce its own model's prediction is broken, not inaccurate.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2D")
-    if method not in ("tree", "kernel"):
+    # The one branch on the model kind. The predict functions are looked up
+    # here, at call time, so a profiler that rebinds these module names sees
+    # each call.
+    if method == "tree":
+        if not isinstance(model, TreeEnsemble):
+            raise ValueError("tree method requires a TreeEnsemble")
+        model_fn = partial(predict_gbt, model)
+        engine = partial(_tree_shap_matrix, model)
+    elif method == "kernel":
+        model_fn = partial(predict_mlp, model)
+        engine = partial(_kernel_shap_matrix, model_fn, n_coalitions=n_coalitions, seed=seed)
+    else:
         raise ValueError(f"unknown method {method!r}")
-    if method == "tree" and not isinstance(model, TreeEnsemble):
-        raise ValueError("tree method requires a TreeEnsemble")
 
-    model_fn = as_predict_fn(model)
     phi0 = float(np.mean(model_fn(bg.rows)))
     if X.shape[0] == 0:
-        return Explanation(np.empty((0, X.shape[1])), phi0, np.empty(0))
-
+        return Explanation(np.empty((0, X.shape[1])), phi0, 0.0)
+    # predicting first checks the width of X before an engine reads its columns
     predictions = model_fn(X)
-
-    if method == "tree":
-        phi = _tree_shap_matrix(model, X, bg)
-    else:
-        phi = np.vstack([
-            kernel_shap(model_fn, row, bg, n_coalitions, seed=derive_seed(seed, i))[0]
-            for i, row in enumerate(X)
-        ])
+    phi = engine(X, bg)
 
     residuals = np.abs(phi0 + phi.sum(axis=1) - predictions)
     # a NaN residual counts as the worst, so it cannot slip past the test
@@ -399,19 +386,17 @@ def explain_dataset(
             f"row {worst}: |phi0 + sum(phi) - f(x)| = {residuals[worst]:.3e} "
             f"exceeds {LOCAL_ACCURACY_TOL:g} under method {method!r}"
         )
-    return Explanation(phi, phi0, predictions)
+    return Explanation(phi, phi0, float(residuals[worst]))
 
 
 def feature_importance(explanation: Explanation) -> ImportanceVector:
     """Mean absolute SHAP value per feature, normalized to sum to one.
 
     An all-zero explanation has no signal to normalize; it yields an all-zero
-    vector flagged degenerate.
+    vector, which reads as degenerate.
     """
     if len(explanation) == 0:
         raise ValueError("cannot compute importances from an empty explanation")
     mean_abs = np.abs(explanation.phi).mean(axis=0)
     total = mean_abs.sum()
-    if total == 0.0:
-        return ImportanceVector(np.zeros_like(mean_abs), True)
-    return ImportanceVector(mean_abs / total, False)
+    return ImportanceVector(mean_abs / total if total else mean_abs)

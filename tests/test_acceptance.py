@@ -4,6 +4,7 @@ readable report."""
 
 import shutil
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,11 +19,10 @@ from regime_xai.experiment import (
     split_blocks,
 )
 from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt, predict_gbt
-from regime_xai.mlp import MlpParams, grad_check, initial_net
+from regime_xai.mlp import MlpParams, grad_check, initial_net, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import (
     Background,
-    as_predict_fn,
     exact_shap,
     explain_dataset,
     feature_importance,
@@ -70,7 +70,7 @@ def test_c01_local_accuracy_across_engines():
         bg = Background(rng.uniform(-1, 1, size=(10, 6)))
         X = rng.uniform(-1, 1, size=(100, 6))
         e = explain_dataset(model, X, bg, method="tree")
-        worst = max(worst, float(np.max(np.abs(e.phi0 + e.phi.sum(axis=1) - e.predictions))))
+        worst = max(worst, e.max_residual)
         explained += len(e)
 
     for i in range(4):  # kernel engine on random nets (exact and sampled)
@@ -81,7 +81,7 @@ def test_c01_local_accuracy_across_engines():
         e = explain_dataset(
             net, X, bg, method="kernel", seed=i, n_coalitions=None if i < 2 else 120
         )
-        worst = max(worst, float(np.max(np.abs(e.phi0 + e.phi.sum(axis=1) - e.predictions))))
+        worst = max(worst, e.max_residual)
         explained += len(e)
 
     elapsed = time.perf_counter() - start
@@ -97,7 +97,7 @@ def test_c02_tree_shap_oracle_equivalence():
     worst = 0.0
     for _ in range(50):
         model = random_ensemble(rng, n_features=6, n_trees=5, max_depth=3)
-        fn = as_predict_fn(model)
+        fn = partial(predict_gbt, model)
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         X = rng.uniform(-1, 1, size=(50, 6))
         e = explain_dataset(model, X, bg, method="tree")
@@ -116,7 +116,7 @@ def test_c03_kernel_exact_mode_equivalence():
     worst = 0.0
     for seed in range(5):
         net = random_net(rng, 8, seed=seed)
-        fn = as_predict_fn(net)
+        fn = partial(predict_mlp, net)
         bg = Background(rng.standard_normal((5, 8)))
         for _ in range(10):
             x = rng.standard_normal(8)

@@ -139,8 +139,8 @@ def test_overlapping_periods_rejected(tmp_path):
 
 def test_per_period_targets(tmp_path):
     path = market_config(tmp_path)
-    config = load_config(path, overrides=['features.target={"before": "mixed", "after": "cap"}'])
-    assert config.features.target == {"before": "mixed", "after": "cap"}
+    config = load_config(path, overrides=['features.target={"before": "price", "after": "cap"}'])
+    assert config.features.target == {"before": "price", "after": "cap"}
 
 
 def test_override_dotted_path():
@@ -254,6 +254,7 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
                      id="windows.window_fraction=10**400"),
         pytest.param("model.gbt.learning_rate=1" + "0" * 400, "gbt.learning_rate: expected a finite number, got 1000",
                      id="model.gbt.learning_rate=10**400"),
+        ('features.columns=["residual","wind","price"]', "columns: target column 'price' is also a feature"),
     ],
 )
 def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):
@@ -464,6 +465,21 @@ def test_derived_column_sources_must_sit_in_one_input(tmp_path, capsys, column, 
     config_path.write_text(json.dumps(raw))
     assert main(["features", "--config", str(config_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("windows.block_days=1000", "before: window 0: window of 480 rows spans only 0 blocks of 24000 rows; need at least 5"),
+        ("windows.n_windows=2000", "before: period too short: 960 rows for 2000 windows"),
+        ("periods.before.end=2018-01-01T01:00:00Z", "before: need at least two rows to infer the resolution"),
+    ],
+)
+def test_period_too_short_for_the_protocol_exits_1_naming_it(tmp_path, capsys, assignment, message):
+    config_path = cmd_synth(tmp_path, n_rows=960, seed=0)
+    assert main(["run", "--config", str(config_path), "--set", assignment]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "TimeSeriesError", "message": message}
 
 
 def test_mlp_run_flips_ranks_too(tmp_path):

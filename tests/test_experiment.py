@@ -21,7 +21,7 @@ from regime_xai.experiment import (
     write_importance_csv,
 )
 from regime_xai.gbt import GbtParams
-from regime_xai.mlp import MlpParams
+from regime_xai.mlp import MlpNet, MlpParams
 from regime_xai.cli import write_feature_csv
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, format_timestamp, parse_timestamp, synth_regime
@@ -238,12 +238,7 @@ def test_run_period_mlp_kernel_path():
     for w in result.windows:
         fi = w.importance.fi
         assert fi[0] > fi[1] > fi[2]
-    gap = np.abs(
-        result.windows[0].explanation.phi0
-        + result.windows[0].explanation.phi.sum(axis=1)
-        - result.windows[0].explanation.predictions
-    )
-    assert gap.max() < 1e-6
+    assert result.windows[0].explanation.max_residual < 1e-6
 
 
 # ------------------------------------------------------------- compare_periods
@@ -288,6 +283,13 @@ def test_compare_rejects_feature_mismatch():
 # ------------------------------------------------------------- dependence_data
 
 
+def linear_net(coef):
+    """A net whose output is exactly X @ coef: relu(s) - relu(-s) = s."""
+    coef = np.asarray(coef, dtype=float)
+    return MlpNet((np.vstack([coef, -coef]), np.array([[1.0, -1.0]])), (np.zeros(2), np.zeros(1)),
+                  np.zeros(len(coef)), np.ones(len(coef)))
+
+
 def additive_period_result():
     """Hand-built PeriodResult for f = x1 + x2 with a centered background."""
     rng = np.random.default_rng(11)
@@ -295,7 +297,7 @@ def additive_period_result():
     windows = []
     for w in range(2):
         X = rng.uniform(-1, 1, size=(15, 2))
-        e = explain_dataset(lambda A: A[:, 0] + A[:, 1], X, bg, method="kernel")
+        e = explain_dataset(linear_net([1.0, 1.0]), X, bg, method="kernel")
         windows.append(
             WindowResult(
                 window_index=w,
@@ -350,7 +352,7 @@ def test_dependence_dummy_feature_zero():
     rng = np.random.default_rng(12)
     bg = Background(rng.normal(size=(4, 2)))
     X = rng.normal(size=(10, 2))
-    e = explain_dataset(lambda A: A[:, 0] * 2, X, bg, method="kernel")
+    e = explain_dataset(linear_net([2.0, 0.0]), X, bg, method="kernel")
     w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), e, X,
                      np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)
     result = PeriodResult(("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
@@ -400,7 +402,7 @@ def test_export_text_is_pinned(tmp_path):
         ]
     ):
         phi = np.array(phi)
-        e = Explanation(phi, 0.0, phi.sum(axis=1))
+        e = Explanation(phi, 0.0, 0.0)
         windows.append(
             WindowResult(w, None, e, np.array(X), np.array(ts, dtype=np.int64),
                          ImportanceVector(np.array(fi)), 0.0, 1.0)

@@ -1,8 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt
-from regime_xai.mlp import MlpParams, initial_net
+from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt, predict_gbt
+from regime_xai.mlp import MlpParams, initial_net, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import (
     Background,
@@ -11,7 +13,6 @@ from regime_xai.shap import (
     LocalAccuracyError,
     SingularSystemError,
     _mask_values,
-    as_predict_fn,
     exact_shap,
     explain_dataset,
     feature_importance,
@@ -52,14 +53,14 @@ def value_of(fn, x, mask, bg):
 
 
 def test_value_function_full_set_is_prediction():
-    fn = as_predict_fn(lambda X: X[:, 0] * 2 + X[:, 1])
+    fn = lambda X: X[:, 0] * 2 + X[:, 1]
     bg = Background(np.random.default_rng(0).normal(size=(5, 2)))
     x = np.array([3.0, 4.0])
     assert value_of(fn, x, 0b11, bg) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_value_function_empty_set_is_background_mean():
-    fn = as_predict_fn(lambda X: X[:, 0] + X[:, 1])
+    fn = lambda X: X[:, 0] + X[:, 1]
     rows = np.array([[1.0, 2.0], [3.0, 4.0]])
     bg = Background(rows)
     assert value_of(fn, np.zeros(2), 0b00, bg) == pytest.approx(5.0)
@@ -67,7 +68,7 @@ def test_value_function_empty_set_is_background_mean():
 
 def test_value_function_additive_hand_check():
     # f = x1 + x2, two backgrounds, S = {x1}: x1 + mean(background x2)
-    fn = as_predict_fn(lambda X: X[:, 0] + X[:, 1])
+    fn = lambda X: X[:, 0] + X[:, 1]
     bg = Background(np.array([[10.0, 1.0], [20.0, 5.0]]))
     x = np.array([7.0, 100.0])
     assert value_of(fn, x, 0b01, bg) == pytest.approx(7.0 + 3.0)
@@ -77,7 +78,7 @@ def test_value_function_additive_hand_check():
 
 
 def test_exact_shap_constant_model():
-    fn = as_predict_fn(lambda X: np.full(X.shape[0], 4.2))
+    fn = lambda X: np.full(X.shape[0], 4.2)
     bg = Background(np.random.default_rng(1).normal(size=(4, 3)))
     phi, phi0 = exact_shap(fn, np.ones(3), bg)
     np.testing.assert_allclose(phi, 0.0, atol=1e-12)
@@ -85,7 +86,7 @@ def test_exact_shap_constant_model():
 
 
 def test_exact_shap_additive_model_centered_background():
-    fn = as_predict_fn(lambda X: X[:, 0] + X[:, 1])
+    fn = lambda X: X[:, 0] + X[:, 1]
     bg = Background(np.array([[1.0, -2.0], [-1.0, 2.0]]))  # zero column means
     x = np.array([3.0, 5.0])
     phi, phi0 = exact_shap(fn, x, bg)
@@ -96,7 +97,7 @@ def test_exact_shap_additive_model_centered_background():
 def test_exact_shap_three_way_product():
     # All 8 subsets by hand: only the full coalition has v = 1,
     # so each feature gets weight (2! 0!)/3! = 1/3.
-    fn = as_predict_fn(lambda X: X[:, 0] * X[:, 1] * X[:, 2])
+    fn = lambda X: X[:, 0] * X[:, 1] * X[:, 2]
     bg = Background(np.zeros((1, 3)))
     phi, phi0 = exact_shap(fn, np.ones(3), bg)
     np.testing.assert_allclose(phi, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
@@ -106,7 +107,7 @@ def test_exact_shap_three_way_product():
 def test_exact_shap_local_accuracy():
     rng = np.random.default_rng(2)
     model = random_ensemble(2)
-    fn = as_predict_fn(model)
+    fn = partial(predict_gbt, model)
     bg = Background(rng.uniform(-1, 1, size=(5, 6)))
     for _ in range(5):
         x = rng.uniform(-1, 1, size=6)
@@ -115,7 +116,7 @@ def test_exact_shap_local_accuracy():
 
 
 def test_exact_shap_rejects_large_n():
-    fn = as_predict_fn(lambda X: X.sum(axis=1))
+    fn = lambda X: X.sum(axis=1)
     with pytest.raises(ValueError, match="20"):
         exact_shap(fn, np.zeros(21), Background(np.zeros((1, 21))))
 
@@ -123,17 +124,17 @@ def test_exact_shap_rejects_large_n():
 def test_exact_shap_symmetry():
     # Model symmetric in features 0 and 1, evaluated where x0 == x1,
     # against a background symmetric under swapping columns 0 and 1.
-    fn = as_predict_fn(lambda X: X[:, 0] * X[:, 1] + X[:, 2])
+    fn = lambda X: X[:, 0] * X[:, 1] + X[:, 2]
     bg = Background(np.array([[0.3, -0.8, 0.1], [-0.8, 0.3, 0.1]]))
     phi, _ = exact_shap(fn, np.array([0.5, 0.5, 2.0]), bg)
     assert abs(phi[0] - phi[1]) < 1e-9
 
 
 def test_exact_shap_linearity():
-    g = as_predict_fn(random_ensemble(3))
-    h = as_predict_fn(random_ensemble(4))
+    g = partial(predict_gbt, random_ensemble(3))
+    h = partial(predict_gbt, random_ensemble(4))
     a, b = 2.5, -0.75
-    combo = as_predict_fn(lambda X: a * g(X) + b * h(X))
+    combo = lambda X: a * g(X) + b * h(X)
     rng = np.random.default_rng(5)
     bg = Background(rng.uniform(-1, 1, size=(4, 6)))
     x = rng.uniform(-1, 1, size=6)
@@ -178,7 +179,7 @@ def test_tree_shap_matches_brute_force():
     worst = 0.0
     for seed in range(10):
         model = random_ensemble(seed)
-        fn = as_predict_fn(model)
+        fn = partial(predict_gbt, model)
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         X = rng.uniform(-1, 1, size=(10, 6))
         e = explain_dataset(model, X, bg, method="tree")
@@ -191,7 +192,7 @@ def test_tree_shap_matches_brute_force():
 def test_tree_shap_matches_brute_force_wider_feature_space():
     rng = np.random.default_rng(30)
     model = random_ensemble(30, n_features=10, n_trees=6, max_depth=4, n_rows=120)
-    fn = as_predict_fn(model)
+    fn = partial(predict_gbt, model)
     bg = Background(rng.uniform(-1, 1, size=(4, 10)))
     X = rng.uniform(-1, 1, size=(5, 10))
     e = explain_dataset(model, X, bg, method="tree")
@@ -209,7 +210,7 @@ def test_tree_shap_repeated_feature_on_path():
     )
     root = TreeNode(feature=0, threshold=0.5, left=inner, right=TreeNode(value=5.0))
     model = TreeEnsemble(0.0, (root,), 1.0, 2)
-    fn = as_predict_fn(model)
+    fn = partial(predict_gbt, model)
     rng = np.random.default_rng(8)
     bg = Background(rng.uniform(-2, 2, size=(6, 2)))
     X = np.array([[x0, 0.3] for x0 in (-1.0, 0.0, 1.0)])
@@ -255,7 +256,7 @@ def test_tree_batch_matches_brute_force_row_by_row():
         X = np.vstack([rng.uniform(-1, 1, size=(10, 6)), on_threshold, bg.rows[:4], bg.rows[:2]])
 
         e = explain_dataset(model, X, bg, method="tree")
-        fn = as_predict_fn(model)
+        fn = partial(predict_gbt, model)
         for i, x in enumerate(X):
             phi_e, phi0_e = exact_shap(fn, x, bg)
             np.testing.assert_allclose(e.phi[i], phi_e, rtol=0, atol=1e-12)
@@ -270,7 +271,7 @@ def test_kernel_exact_mode_matches_brute_force():
     rng = np.random.default_rng(9)
     for seed in range(3):
         net = random_mlp(seed)
-        fn = as_predict_fn(net)
+        fn = partial(predict_mlp, net)
         bg = Background(rng.standard_normal((5, 8)))
         for _ in range(3):
             x = rng.standard_normal(8)
@@ -281,7 +282,7 @@ def test_kernel_exact_mode_matches_brute_force():
 
 
 def test_kernel_constant_model_zero_phi():
-    fn = as_predict_fn(lambda X: np.full(X.shape[0], 2.0))
+    fn = lambda X: np.full(X.shape[0], 2.0)
     bg = Background(np.random.default_rng(10).normal(size=(4, 5)))
     phi, phi0 = kernel_shap(fn, np.ones(5), bg, n_coalitions=None, seed=1)
     np.testing.assert_allclose(phi, 0.0, atol=1e-9)
@@ -289,7 +290,7 @@ def test_kernel_constant_model_zero_phi():
 
 
 def test_kernel_additive_model_centered_background():
-    fn = as_predict_fn(lambda X: X[:, 0] + X[:, 1] + X[:, 2])
+    fn = lambda X: X[:, 0] + X[:, 1] + X[:, 2]
     bg = Background(np.array([[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]]))
     x = np.array([4.0, 5.0, 6.0])
     phi, phi0 = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)
@@ -299,7 +300,7 @@ def test_kernel_additive_model_centered_background():
 
 def test_kernel_local_accuracy_structural_in_sampling_mode():
     net = random_mlp(11, n_features=10)
-    fn = as_predict_fn(net)
+    fn = partial(predict_mlp, net)
     rng = np.random.default_rng(11)
     bg = Background(rng.standard_normal((6, 10)))
     x = rng.standard_normal(10)
@@ -309,7 +310,7 @@ def test_kernel_local_accuracy_structural_in_sampling_mode():
 
 def test_kernel_sampling_mode_approximates_exact():
     net = random_mlp(12, n_features=10)
-    fn = as_predict_fn(net)
+    fn = partial(predict_mlp, net)
     rng = np.random.default_rng(12)
     bg = Background(rng.standard_normal((5, 10)))
     x = rng.standard_normal(10)
@@ -321,7 +322,7 @@ def test_kernel_sampling_mode_approximates_exact():
 
 def test_kernel_deterministic_given_seed():
     net = random_mlp(13, n_features=12)
-    fn = as_predict_fn(net)
+    fn = partial(predict_mlp, net)
     rng = np.random.default_rng(13)
     bg = Background(rng.standard_normal((4, 12)))
     x = rng.standard_normal(12)
@@ -331,7 +332,7 @@ def test_kernel_deterministic_given_seed():
 
 
 def test_kernel_singular_system_reported():
-    fn = as_predict_fn(lambda X: X.sum(axis=1))
+    fn = lambda X: X.sum(axis=1)
     bg = Background(np.zeros((2, 6)))
     with pytest.raises(SingularSystemError, match="n_coalitions"):
         kernel_shap(fn, np.ones(6), bg, n_coalitions=2, seed=0)
@@ -339,7 +340,7 @@ def test_kernel_singular_system_reported():
 
 def test_kernel_single_feature_matches_exact():
     # one feature leaves no regression to solve: phi is f(x) - phi0
-    fn = as_predict_fn(lambda X: np.sin(3 * X[:, 0]) + X[:, 0] ** 2)
+    fn = lambda X: np.sin(3 * X[:, 0]) + X[:, 0] ** 2
     bg = Background(np.array([[-0.4], [0.1], [1.3]]))
     x = np.array([0.7])
     phi_k, phi0_k = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)
@@ -356,7 +357,7 @@ def test_explain_dataset_empty_input():
     bg = Background(np.random.default_rng(14).uniform(-1, 1, size=(5, 6)))
     e = explain_dataset(model, np.empty((0, 6)), bg, method="tree")
     assert len(e) == 0
-    assert e.phi0 == pytest.approx(float(as_predict_fn(model)(bg.rows).mean()))
+    assert e.phi0 == pytest.approx(float(predict_gbt(model, bg.rows).mean()))
 
 
 def test_explain_dataset_duplicate_rows_identical_phi():
@@ -375,32 +376,33 @@ def test_explain_dataset_local_accuracy_tree():
     bg = Background(rng.uniform(-1, 1, size=(10, 6)))
     X = rng.uniform(-1, 1, size=(100, 6))
     e = explain_dataset(model, X, bg, method="tree")
-    gap = np.abs(e.phi0 + e.phi.sum(axis=1) - e.predictions)
-    assert gap.mean() < 1e-10
+    assert e.max_residual < 1e-10
 
 
-def test_explain_dataset_detects_broken_engine():
+def test_explain_dataset_detects_broken_engine(monkeypatch):
     # A model function that answers differently per call breaks the
     # value-function bookkeeping and must be flagged, not papered over.
     rng = np.random.default_rng(17)
 
-    def unstable(X):
+    def unstable(net, X):
         return rng.standard_normal(X.shape[0]) * 10.0
 
+    monkeypatch.setattr("regime_xai.shap.predict_mlp", unstable)
     bg = Background(rng.standard_normal((3, 4)))
     with pytest.raises(LocalAccuracyError):
-        explain_dataset(unstable, rng.standard_normal((3, 4)), bg, method="kernel")
+        explain_dataset(random_mlp(17, n_features=4), rng.standard_normal((3, 4)), bg, method="kernel")
 
 
-def test_explain_dataset_names_row_with_nan_residual():
+def test_explain_dataset_names_row_with_nan_residual(monkeypatch):
     # nan >= tol is False, so a NaN residual must be caught explicitly
-    def nan_for_large_x0(X):
+    def nan_for_large_x0(net, X):
         return np.where(X[:, 0] > 5.0, np.nan, X.sum(axis=1))
 
+    monkeypatch.setattr("regime_xai.shap.predict_mlp", nan_for_large_x0)
     bg = Background(np.zeros((2, 2)))
     X = np.array([[1.0, 2.0], [9.0, 1.0], [0.5, 0.5]])
     with pytest.raises(LocalAccuracyError, match="row 1: .* nan"):
-        explain_dataset(nan_for_large_x0, X, bg, method="kernel")
+        explain_dataset(random_mlp(18, n_features=2), X, bg, method="kernel")
 
 
 def test_explain_dataset_kernel_rows_use_their_own_seeds():
@@ -411,7 +413,7 @@ def test_explain_dataset_kernel_rows_use_their_own_seeds():
     bg = Background(rng.standard_normal((4, 6)))
     X = rng.standard_normal((12, 6))
     e = explain_dataset(net, X, bg, method="kernel", seed=5, n_coalitions=40)
-    fn = as_predict_fn(net)
+    fn = partial(predict_mlp, net)
     for i in range(len(X)):
         phi, _ = kernel_shap(fn, X[i], bg, 40, seed=derive_seed(5, i))
         np.testing.assert_array_equal(e.phi[i], phi)
@@ -445,7 +447,7 @@ def test_explain_dataset_row_order_preserved():
 
 
 def test_importance_single_feature():
-    e = Explanation(np.array([[2.0], [-4.0]]), 0.0, np.array([2.0, -4.0]))
+    e = Explanation(np.array([[2.0], [-4.0]]), 0.0, 0.0)
     iv = feature_importance(e)
     np.testing.assert_array_equal(iv.fi, [1.0])
     assert not iv.degenerate
@@ -453,7 +455,7 @@ def test_importance_single_feature():
 
 def test_importance_direct_formula():
     phi = np.array([[2.0, 1.0, -1.0], [-2.0, -1.0, 1.0]])
-    e = Explanation(phi, 0.0, phi.sum(axis=1))
+    e = Explanation(phi, 0.0, 0.0)
     iv = feature_importance(e)
     np.testing.assert_allclose(iv.fi, [0.5, 0.25, 0.25])
 
@@ -470,14 +472,14 @@ def test_importance_dummy_feature_zero_under_tree_engine():
 
 
 def test_importance_degenerate_all_zero():
-    e = Explanation(np.zeros((3, 2)), 1.0, np.ones(3))
+    e = Explanation(np.zeros((3, 2)), 1.0, 0.0)
     iv = feature_importance(e)
     assert iv.degenerate
     np.testing.assert_array_equal(iv.fi, [0.0, 0.0])
 
 
 def test_importance_empty_explanation_rejected():
-    e = Explanation(np.empty((0, 1)), 0.0, np.empty(0))
+    e = Explanation(np.empty((0, 1)), 0.0, 0.0)
     with pytest.raises(ValueError, match="empty"):
         feature_importance(e)
 

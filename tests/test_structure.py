@@ -206,3 +206,54 @@ def test_only_timeseries_reads_and_writes_csv():
     # timeseries.load_table and timeseries.write_csv are the one CSV reader
     # and the one CSV writer, so quoting and number formats cannot drift apart.
     assert _imports_outside_timeseries("csv") == []
+
+
+def test_every_import_is_used():
+    # No linter runs on this package, so a deletion that leaves an import
+    # behind is caught here. A name counts as used when the module refers to
+    # it anywhere outside its import statements.
+    unused = []
+    for name, tree in _package_trees().items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {alias}" for alias, line in imported.items() if alias not in used]
+    assert unused == []
+
+
+MODEL_FUNCTIONS = {"fit_gbt", "fit_mlp", "predict_gbt", "predict_mlp"}
+MODEL_CLASSES = {"TreeEnsemble", "MlpNet"}
+
+
+def _chooses_model_kind(node: ast.AST) -> bool:
+    """Whether node names a model kind's fit or predict function, or tests
+    a value's type against a model class."""
+    if isinstance(node, ast.Name):
+        return node.id in MODEL_FUNCTIONS
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and any(isinstance(n, ast.Name) and n.id in MODEL_CLASSES for n in ast.walk(node.args[1]))
+    )
+
+
+def test_the_model_kind_is_chosen_in_two_places():
+    # experiment.run_period picks how a window's model is fitted and
+    # predicted, and shap.explain_dataset picks the engine and the predict
+    # function it explains; no other code branches on the kind of model.
+    # gbt.py and mlp.py define the functions, and the verify checks in cli.py
+    # build models of a known kind.
+    allowed = {("experiment.py", "run_period"), ("shap.py", "explain_dataset")}
+    found = []
+    for name, tree in _package_trees().items():
+        if name in ("gbt.py", "mlp.py"):
+            continue
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            if (name, owner) in allowed or name == "cli.py" and owner.startswith("_check_"):
+                continue
+            found += [f"{name}:{n.lineno} in {owner}" for n in ast.walk(top) if _chooses_model_kind(n)]
+    assert found == []
