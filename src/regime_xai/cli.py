@@ -256,7 +256,7 @@ def _check_kernel_oracle():
         net = initial_net(fm, MlpParams(hidden_sizes=(8, 6), seed=seed))
         bg = Background(rng.standard_normal((5, 8)))
         rows = rng.standard_normal((5, 8))
-        worst = max(worst, _oracle_deviation(net, predict_mlp, rows, bg, "kernel"))
+        worst = max(worst, _oracle_deviation(net, partial(predict_mlp, work={}), rows, bg, "kernel"))
     return worst < 1e-6, f"max deviation {worst:.2e} (tolerance 1e-6)"
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -222,7 +223,7 @@ def run_period(
         def fit(train: FeatureMatrix, fit_seed: int):
             return fit_mlp(train, replace(config.mlp, seed=fit_seed))
 
-        predict, method = predict_mlp, "kernel"
+        predict, method = partial(predict_mlp, work={}), "kernel"
 
     try:
         windows = make_windows(len(data), config.n_windows, config.window_fraction)

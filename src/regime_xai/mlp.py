@@ -5,6 +5,11 @@ hidden layers and a linear output, and trains on mean squared error with
 mini-batch adaptive-moment (Adam) updates. Backpropagation is hand-written
 and checked against central finite differences (grad_check), which is the
 correctness anchor for everything the optimizer does.
+
+predict_mlp does the forward pass's arithmetic in buffers kept in a dict its
+caller owns for one explanation (or one period), with the same output bits.
+KernelSHAP calls it thousands of times on up to 65,536 rows; fresh arrays
+that large would be mapped and page-faulted in again on every call.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ class MlpParams:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if any(h < 1 for h in self.hidden_sizes) or not self.hidden_sizes:
             raise ValueError("hidden_sizes must be positive")
+        if any(h > np.iinfo(np.intp).max for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be at most {np.iinfo(np.intp).max} (numpy's dimension limit)")
         if min(self.max_epochs, self.batch_size, self.early_stop_patience) < 1:
             raise ValueError("max_epochs, batch_size and early_stop_patience must be >= 1")
         if self.step_size <= 0:
@@ -187,15 +194,40 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
     return MlpNet(tuple(best[0]), tuple(best[1]), net.x_mean, net.x_std)
 
 
-def predict_mlp(net: MlpNet, X) -> np.ndarray:
-    """Pure forward pass: standardize, hidden rectifiers, affine output."""
+def _buffer(work: dict, key, rows: int, width: int) -> np.ndarray:
+    """The first rows of work[key], replaced only when it has fewer rows
+    than asked or another width."""
+    buf = work.get(key)
+    if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
+        buf = work[key] = np.empty((rows, width))
+    return buf[:rows]
+
+
+def predict_mlp(net: MlpNet, X, work: dict) -> np.ndarray:
+    """Forward pass: standardize, hidden rectifiers, affine output.
+
+    Every step writes into buffers kept in work, a dict the caller owns and
+    may pass to later calls (on any net) so they reuse its memory; the
+    result is a fresh array that later calls do not touch.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n_features:
         raise ValueError(
             f"X has {X.shape[1] if X.ndim == 2 else 'bad'} columns, net expects {net.n_features}"
         )
-    Z = (X - net.x_mean) / net.x_std
-    return _forward(list(net.weights), list(net.biases), Z)[-1][:, 0]
+    n = X.shape[0]
+    h = _buffer(work, "z", n, X.shape[1])
+    np.subtract(X, net.x_mean, out=h)
+    np.divide(h, net.x_std, out=h)
+    last = len(net.weights) - 1
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = _buffer(work, l, n, W.shape[0])
+        np.matmul(h, W.T, out=z)
+        np.add(z, b, out=z)
+        if l < last:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    return h[:, 0].copy()
 
 
 def grad_check(net: MlpNet, X, y) -> float:

@@ -366,7 +366,7 @@ def explain_dataset(
         model_fn = partial(predict_gbt, model)
         engine = partial(_tree_shap_matrix, model)
     elif method == "kernel":
-        model_fn = partial(predict_mlp, model)
+        model_fn = partial(predict_mlp, model, work={})
         engine = partial(_kernel_shap_matrix, model_fn, n_coalitions=n_coalitions, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}")

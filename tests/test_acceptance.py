@@ -116,7 +116,7 @@ def test_c03_kernel_exact_mode_equivalence():
     worst = 0.0
     for seed in range(5):
         net = random_net(rng, 8, seed=seed)
-        fn = partial(predict_mlp, net)
+        fn = partial(predict_mlp, net, work={})
         bg = Background(rng.standard_normal((5, 8)))
         for _ in range(10):
             x = rng.standard_normal(8)

@@ -255,6 +255,9 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         pytest.param("model.gbt.learning_rate=1" + "0" * 400, "gbt.learning_rate: expected a finite number, got 1000",
                      id="model.gbt.learning_rate=10**400"),
         ('features.columns=["residual","wind","price"]', "columns: target column 'price' is also a feature"),
+        pytest.param("model.mlp.hidden_sizes=[1" + "0" * 20 + "]",
+                     f"mlp: hidden_sizes must be at most {np.iinfo(np.intp).max}",
+                     id="model.mlp.hidden_sizes=[10**20]"),
     ],
 )
 def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):

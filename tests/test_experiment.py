@@ -205,7 +205,7 @@ def test_run_period_rejects_non_finite_predictions_before_explaining(monkeypatch
     def explain_dataset(*args, **kwargs):
         raise AssertionError("a model with non-finite predictions was explained")
 
-    monkeypatch.setattr("regime_xai.experiment.predict_mlp", lambda net, X: np.full(len(X), np.inf))
+    monkeypatch.setattr("regime_xai.experiment.predict_mlp", lambda net, X, work: np.full(len(X), np.inf))
     monkeypatch.setattr("regime_xai.experiment.explain_dataset", explain_dataset)
     fm, _ = synth_regime(960, seed=5)
     config = ExperimentConfig(background_size=10, mlp=MlpParams(hidden_sizes=(4,), max_epochs=1))

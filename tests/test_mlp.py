@@ -50,7 +50,7 @@ def clean_rows(net, rng, n_rows, n_in, min_gap=1e-3):
 def validation_mse(net, fm, params):
     n_val = int(np.clip(round(params.validation_fraction * len(fm)), 1, len(fm) - 1))
     X_val, y_val = fm.X[-n_val:], fm.y[-n_val:]
-    return float(np.mean((predict_mlp(net, X_val) - y_val) ** 2))
+    return float(np.mean((predict_mlp(net, X_val, {}) - y_val) ** 2))
 
 
 # -------------------------------------------------------------------- fitting
@@ -73,7 +73,7 @@ def test_product_target_needs_hidden_layers():
     params = MlpParams(hidden_sizes=(64, 64), max_epochs=300, seed=1)
     net = fit_mlp(fm, params)
     n_val = int(round(0.2 * 2000))
-    pred = predict_mlp(net, X[-n_val:])
+    pred = predict_mlp(net, X[-n_val:], {})
     r2 = 1 - np.mean((pred - y[-n_val:]) ** 2) / np.var(y[-n_val:])
     assert r2 > 0.95
 
@@ -85,7 +85,7 @@ def test_linear_target_high_r2():
     fm = matrix(X, y)
     net = fit_mlp(fm, MlpParams(hidden_sizes=(32, 32), max_epochs=300, seed=2))
     n_val = int(round(0.2 * 1500))
-    pred = predict_mlp(net, X[-n_val:])
+    pred = predict_mlp(net, X[-n_val:], {})
     r2 = 1 - np.mean((pred - y[-n_val:]) ** 2) / np.var(y[-n_val:])
     assert r2 > 0.99
 
@@ -119,8 +119,8 @@ def test_training_reduces_mse():
         y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(400)
         fm = matrix(X, y)
         params = MlpParams(hidden_sizes=(16,), max_epochs=50, seed=seed)
-        before = float(np.mean((predict_mlp(initial_net(fm, params), X) - y) ** 2))
-        after = float(np.mean((predict_mlp(fit_mlp(fm, params), X) - y) ** 2))
+        before = float(np.mean((predict_mlp(initial_net(fm, params), X, {}) - y) ** 2))
+        after = float(np.mean((predict_mlp(fit_mlp(fm, params), X, {}) - y) ** 2))
         assert after <= before
 
 
@@ -131,7 +131,7 @@ def test_zero_weights_output_bias():
     weights = (np.zeros((4, 2)), np.zeros((1, 4)))
     biases = (np.zeros(4), np.array([3.5]))
     net = MlpNet(weights, biases, np.zeros(2), np.ones(2))
-    np.testing.assert_array_equal(predict_mlp(net, np.random.default_rng(0).normal(size=(5, 2))), np.full(5, 3.5))
+    np.testing.assert_array_equal(predict_mlp(net, np.random.default_rng(0).normal(size=(5, 2)), {}), np.full(5, 3.5))
 
 
 def test_single_hidden_unit_hand_computed():
@@ -141,7 +141,7 @@ def test_single_hidden_unit_hand_computed():
         np.zeros(1),
         np.ones(1),
     )
-    out = predict_mlp(net, np.array([[0.25], [-1.0]]))
+    out = predict_mlp(net, np.array([[0.25], [-1.0]]), {})
     # x=0.25: relu(2*0.25+0.5)=1.0 -> 3*1.0-1 = 2.0; x=-1: relu(-1.5)=0 -> -1.0
     np.testing.assert_allclose(out, [2.0, -1.0])
 
@@ -149,14 +149,40 @@ def test_single_hidden_unit_hand_computed():
 def test_duplicate_rows_identical_outputs():
     net, X, _ = small_net(seed=5)
     row = X[:1]
-    out = predict_mlp(net, np.repeat(row, 7, axis=0))
+    out = predict_mlp(net, np.repeat(row, 7, axis=0), {})
     assert np.all(out == out[0])
 
 
 def test_column_count_mismatch_rejected():
     net, _, _ = small_net()
     with pytest.raises(ValueError, match="columns"):
-        predict_mlp(net, np.zeros((3, 9)))
+        predict_mlp(net, np.zeros((3, 9)), {})
+
+
+def test_shared_work_gives_the_bits_of_a_fresh_one():
+    net, _, _ = small_net(seed=6)
+    other, _, _ = small_net(seed=7, hidden=(16, 3))
+    rng = np.random.default_rng(6)
+    work = {}
+    big = rng.standard_normal((5000, 4))
+    np.testing.assert_array_equal(predict_mlp(net, big, work), predict_mlp(net, big, {}))
+    buffers = [id(b) for b in work.values()]
+    small = rng.standard_normal((7, 4))
+    np.testing.assert_array_equal(predict_mlp(net, small, work), predict_mlp(net, small, {}))
+    # the smaller call ran in the larger call's buffers
+    assert [id(b) for b in work.values()] == buffers
+    np.testing.assert_array_equal(predict_mlp(other, big, work), predict_mlp(other, big, {}))
+
+
+def test_returned_array_survives_later_calls_on_the_same_work():
+    net, _, _ = small_net(seed=8)
+    rng = np.random.default_rng(8)
+    work = {}
+    first = predict_mlp(net, rng.standard_normal((300, 4)), work)
+    kept = first.copy()
+    predict_mlp(net, rng.standard_normal((300, 4)), work)
+    predict_mlp(net, rng.standard_normal((20, 4)), work)
+    np.testing.assert_array_equal(first, kept)
 
 
 # ----------------------------------------------------------------- grad_check

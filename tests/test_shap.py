@@ -271,7 +271,7 @@ def test_kernel_exact_mode_matches_brute_force():
     rng = np.random.default_rng(9)
     for seed in range(3):
         net = random_mlp(seed)
-        fn = partial(predict_mlp, net)
+        fn = partial(predict_mlp, net, work={})
         bg = Background(rng.standard_normal((5, 8)))
         for _ in range(3):
             x = rng.standard_normal(8)
@@ -300,7 +300,7 @@ def test_kernel_additive_model_centered_background():
 
 def test_kernel_local_accuracy_structural_in_sampling_mode():
     net = random_mlp(11, n_features=10)
-    fn = partial(predict_mlp, net)
+    fn = partial(predict_mlp, net, work={})
     rng = np.random.default_rng(11)
     bg = Background(rng.standard_normal((6, 10)))
     x = rng.standard_normal(10)
@@ -310,7 +310,7 @@ def test_kernel_local_accuracy_structural_in_sampling_mode():
 
 def test_kernel_sampling_mode_approximates_exact():
     net = random_mlp(12, n_features=10)
-    fn = partial(predict_mlp, net)
+    fn = partial(predict_mlp, net, work={})
     rng = np.random.default_rng(12)
     bg = Background(rng.standard_normal((5, 10)))
     x = rng.standard_normal(10)
@@ -322,7 +322,7 @@ def test_kernel_sampling_mode_approximates_exact():
 
 def test_kernel_deterministic_given_seed():
     net = random_mlp(13, n_features=12)
-    fn = partial(predict_mlp, net)
+    fn = partial(predict_mlp, net, work={})
     rng = np.random.default_rng(13)
     bg = Background(rng.standard_normal((4, 12)))
     x = rng.standard_normal(12)
@@ -384,7 +384,7 @@ def test_explain_dataset_detects_broken_engine(monkeypatch):
     # value-function bookkeeping and must be flagged, not papered over.
     rng = np.random.default_rng(17)
 
-    def unstable(net, X):
+    def unstable(net, X, work):
         return rng.standard_normal(X.shape[0]) * 10.0
 
     monkeypatch.setattr("regime_xai.shap.predict_mlp", unstable)
@@ -395,7 +395,7 @@ def test_explain_dataset_detects_broken_engine(monkeypatch):
 
 def test_explain_dataset_names_row_with_nan_residual(monkeypatch):
     # nan >= tol is False, so a NaN residual must be caught explicitly
-    def nan_for_large_x0(net, X):
+    def nan_for_large_x0(net, X, work):
         return np.where(X[:, 0] > 5.0, np.nan, X.sum(axis=1))
 
     monkeypatch.setattr("regime_xai.shap.predict_mlp", nan_for_large_x0)
@@ -413,7 +413,7 @@ def test_explain_dataset_kernel_rows_use_their_own_seeds():
     bg = Background(rng.standard_normal((4, 6)))
     X = rng.standard_normal((12, 6))
     e = explain_dataset(net, X, bg, method="kernel", seed=5, n_coalitions=40)
-    fn = partial(predict_mlp, net)
+    fn = partial(predict_mlp, net, work={})
     for i in range(len(X)):
         phi, _ = kernel_shap(fn, X[i], bg, 40, seed=derive_seed(5, i))
         np.testing.assert_array_equal(e.phi[i], phi)

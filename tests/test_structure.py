@@ -257,3 +257,34 @@ def test_the_model_kind_is_chosen_in_two_places():
                 continue
             found += [f"{name}:{n.lineno} in {owner}" for n in ast.walk(top) if _chooses_model_kind(n)]
     assert found == []
+
+
+def _is_scratch(value: ast.AST | None) -> bool:
+    """Whether value builds an empty container or an array to fill later."""
+    if isinstance(value, (ast.List, ast.Dict)):
+        return not (value.elts if isinstance(value, ast.List) else value.keys)
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    if isinstance(func, ast.Name):
+        return func.id in ("dict", "list") and not value.args and not value.keywords
+    return (
+        isinstance(func, ast.Attribute) and func.attr in ("empty", "zeros")
+        and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+    )
+
+
+def test_no_module_level_scratch_state():
+    # Buffers and caches belong to the call that made them (predict_mlp's
+    # work dict lives for one explain_dataset call), so nothing one caller
+    # leaves behind can reach the next: no global statement, and no module
+    # that starts out holding an empty container or an unfilled array.
+    found = []
+    for name, tree in _package_trees().items():
+        found += [f"{name}:{n.lineno} global" for n in ast.walk(tree) if isinstance(n, ast.Global)]
+        found += [
+            f"{name}:{node.lineno} scratch"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_scratch(node.value)
+        ]
+    assert found == []
