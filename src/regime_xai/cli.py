@@ -61,6 +61,14 @@ PERIOD_ORDER = ("before", "after")
 # ------------------------------------------------------------ feature builds
 
 
+def _add_derived(tables: list, i: int, name: str, series) -> None:
+    """Add the derived column name to tables[i]; a name any table already
+    holds (an input or an earlier derived column) is an error, not replaced."""
+    if any(name in t.columns for t in tables):
+        raise TimeSeriesError(f"derived column {name!r} would replace an existing column of that name")
+    tables[i] = with_column(tables[i], name, series)
+
+
 def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
     """Load, resample and feature-engineer the inputs into per-period matrices.
 
@@ -83,13 +91,13 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
             ror_lag_days=spec.ror_lag_days,
             samples_per_day=rows_per_day(t.step_seconds),
         )
-        tables[i] = with_column(t, spec.name, series)
+        _add_derived(tables, i, spec.name, series)
 
     for spec in config.features.mixed_prices:
         i = owning_table(tables, [spec.capacity, spec.energy])
         t = tables[i]
         series = mixed_price(t.columns[spec.capacity], t.columns[spec.energy], spec.alpha)
-        tables[i] = with_column(t, spec.name, series)
+        _add_derived(tables, i, spec.name, series)
 
     frames: dict[str, FeatureMatrix] = {}
     report = {"periods": {}, "columns": list(config.features.columns)}

@@ -135,9 +135,11 @@ def _typed(value, hint, field: str):
 
 
 def _typed_fields(obj, cls, path: str, names) -> dict:
-    """obj's keys, each one of names, with values checked against cls's hints."""
+    """obj's keys, each one of names, with values checked against cls's hints.
+    Each of names must be a field of cls, so a stale name fails every load."""
     _check_keys(obj, names, path)
     hints = get_type_hints(cls)
+    hints = {name: hints[name] for name in names}
     return {key: _typed(value, hints[key], f"{path}.{key}") for key, value in obj.items()}
 
 
@@ -279,7 +281,7 @@ def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
     given, section_of = {}, {}
     for section, names in (
         ("windows", ("n_windows", "window_fraction", "block_days", "test_fraction")),
-        ("shap", ("background_size", "n_coalitions", "explain_on")),
+        ("shap", ("background_size", "explain_on")),
     ):
         given |= _typed_fields(raw.get(section, {}), ExperimentConfig, section, names)
         section_of |= dict.fromkeys(names, section)

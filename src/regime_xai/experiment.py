@@ -67,7 +67,6 @@ class ExperimentConfig:
     block_days: int = 4
     test_fraction: float = 0.2
     background_size: int = 100
-    n_coalitions: int | None = None
     explain_on: str = "test"
     gbt: GbtParams = field(default_factory=GbtParams)
     mlp: MlpParams = field(default_factory=MlpParams)
@@ -83,8 +82,6 @@ class ExperimentConfig:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.background_size < 1:
             raise ValueError("background_size must be >= 1")
-        if self.n_coalitions is not None and self.n_coalitions < 2:
-            raise ValueError(f"n_coalitions must be None or >= 2, got {self.n_coalitions}")
         if self.explain_on not in ("test", "train"):
             raise ValueError(f"explain_on must be 'test' or 'train', got {self.explain_on!r}")
 
@@ -248,14 +245,7 @@ def run_period(
 
             bg = Background.subsample(train.X, config.background_size, derive_seed(seed, w, 2))
             explain = test if config.explain_on == "test" else train
-            explanation = explain_dataset(
-                model,
-                explain.X,
-                bg,
-                method=method,
-                seed=derive_seed(seed, w, 3),
-                n_coalitions=config.n_coalitions,
-            )
+            explanation = explain_dataset(model, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
             importance = feature_importance(explanation)
             if importance.degenerate:
                 log.warning("period %s window %d: degenerate importances", period.name, w)

@@ -6,10 +6,11 @@ mini-batch adaptive-moment (Adam) updates. Backpropagation is hand-written
 and checked against central finite differences (grad_check), which is the
 correctness anchor for everything the optimizer does.
 
-predict_mlp does the forward pass's arithmetic in buffers kept in a dict its
-caller owns for one explanation (or one period), with the same output bits.
-KernelSHAP calls it thousands of times on up to 65,536 rows; fresh arrays
-that large would be mapped and page-faulted in again on every call.
+There is one forward pass, _forward, and it does its arithmetic in buffers
+kept in a dict its caller owns: predict_mlp's caller for one explanation (or
+one period), fit_mlp and grad_check for one call. KernelSHAP predicts
+thousands of times on up to 65,536 rows; fresh arrays that large would be
+mapped and page-faulted in again on every call.
 """
 
 from __future__ import annotations
@@ -83,26 +84,39 @@ def _init_params(rng: np.random.Generator, sizes: tuple[int, ...], y_mean: float
     return weights, biases
 
 
-def _forward(weights, biases, Z):
-    """Forward pass on standardized inputs; returns activations per layer."""
+def _buffer(work: dict, key, rows: int, width: int) -> np.ndarray:
+    """The first rows of work[key], replaced only when it has fewer rows
+    than asked or another width."""
+    buf = work.get(key)
+    if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
+        buf = work[key] = np.empty((rows, width))
+    return buf[:rows]
+
+
+def _forward(weights, biases, Z, work: dict):
+    """Forward pass on standardized inputs; returns activations per layer,
+    Z first, then layer l's output in work's buffer l (valid until the next
+    pass on the same work)."""
     acts = [Z]
-    h = Z
     last = len(weights) - 1
     for l, (W, b) in enumerate(zip(weights, biases)):
-        z = h @ W.T + b
-        h = np.maximum(z, 0.0) if l < last else z
+        h = _buffer(work, l, Z.shape[0], W.shape[0])
+        np.matmul(acts[-1], W.T, out=h)
+        np.add(h, b, out=h)
+        if l < last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
 
-def _mse(weights, biases, Z, y) -> float:
-    pred = _forward(weights, biases, Z)[-1][:, 0]
+def _mse(weights, biases, Z, y, work: dict) -> float:
+    pred = _forward(weights, biases, Z, work)[-1][:, 0]
     return float(np.mean((pred - y) ** 2))
 
 
-def _backprop(weights, biases, Z, y):
+def _backprop(weights, biases, Z, y, work: dict):
     """Gradient of the MSE loss with respect to every weight and bias."""
-    acts = _forward(weights, biases, Z)
+    acts = _forward(weights, biases, Z, work)
     n = len(y)
     delta = (2.0 / n) * (acts[-1][:, 0] - y)[:, None]
     grads_w = [None] * len(weights)
@@ -161,8 +175,9 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
     adam_v = [np.zeros_like(p) for p in weights + biases]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
+    work: dict = {}
 
-    best_val = _mse(weights, biases, Z_val, y_val)
+    best_val = _mse(weights, biases, Z_val, y_val, work)
     best = ([W.copy() for W in weights], [b.copy() for b in biases])
     stale = 0
 
@@ -170,7 +185,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
         perm = rng.permutation(n_fit)
         for start in range(0, n_fit, params.batch_size):
             idx = perm[start : start + params.batch_size]
-            grads_w, grads_b = _backprop(weights, biases, Z_fit[idx], y_fit[idx])
+            grads_w, grads_b = _backprop(weights, biases, Z_fit[idx], y_fit[idx], work)
             t += 1
             for k, (p, g) in enumerate(zip(weights + biases, grads_w + grads_b)):
                 adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
@@ -179,7 +194,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
                 v_hat = adam_v[k] / (1 - beta2**t)
                 p -= params.step_size * m_hat / (np.sqrt(v_hat) + eps)
 
-        val = _mse(weights, biases, Z_val, y_val)
+        val = _mse(weights, biases, Z_val, y_val, work)
         if not np.isfinite(val):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         if val < best_val:
@@ -194,15 +209,6 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
     return MlpNet(tuple(best[0]), tuple(best[1]), net.x_mean, net.x_std)
 
 
-def _buffer(work: dict, key, rows: int, width: int) -> np.ndarray:
-    """The first rows of work[key], replaced only when it has fewer rows
-    than asked or another width."""
-    buf = work.get(key)
-    if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
-        buf = work[key] = np.empty((rows, width))
-    return buf[:rows]
-
-
 def predict_mlp(net: MlpNet, X, work: dict) -> np.ndarray:
     """Forward pass: standardize, hidden rectifiers, affine output.
 
@@ -215,19 +221,10 @@ def predict_mlp(net: MlpNet, X, work: dict) -> np.ndarray:
         raise ValueError(
             f"X has {X.shape[1] if X.ndim == 2 else 'bad'} columns, net expects {net.n_features}"
         )
-    n = X.shape[0]
-    h = _buffer(work, "z", n, X.shape[1])
-    np.subtract(X, net.x_mean, out=h)
-    np.divide(h, net.x_std, out=h)
-    last = len(net.weights) - 1
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = _buffer(work, l, n, W.shape[0])
-        np.matmul(h, W.T, out=z)
-        np.add(z, b, out=z)
-        if l < last:
-            np.maximum(z, 0.0, out=z)
-        h = z
-    return h[:, 0].copy()
+    Z = _buffer(work, "z", X.shape[0], X.shape[1])
+    np.subtract(X, net.x_mean, out=Z)
+    np.divide(Z, net.x_std, out=Z)
+    return _forward(net.weights, net.biases, Z, work)[-1][:, 0].copy()
 
 
 def grad_check(net: MlpNet, X, y) -> float:
@@ -245,7 +242,8 @@ def grad_check(net: MlpNet, X, y) -> float:
     Z = (X - net.x_mean) / net.x_std
     weights = [W.copy() for W in net.weights]
     biases = [b.copy() for b in net.biases]
-    grads_w, grads_b = _backprop(weights, biases, Z, y)
+    work: dict = {}
+    grads_w, grads_b = _backprop(weights, biases, Z, y, work)
 
     max_err = 0.0
     for params, grads in ((weights, grads_w), (biases, grads_b)):
@@ -255,9 +253,9 @@ def grad_check(net: MlpNet, X, y) -> float:
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + GRAD_CHECK_EPSILON
-                up = _mse(weights, biases, Z, y)
+                up = _mse(weights, biases, Z, y, work)
                 flat_p[i] = orig - GRAD_CHECK_EPSILON
-                down = _mse(weights, biases, Z, y)
+                down = _mse(weights, biases, Z, y, work)
                 flat_p[i] = orig
                 numeric = (up - down) / (2 * GRAD_CHECK_EPSILON)
                 analytic = flat_g[i]

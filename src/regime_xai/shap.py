@@ -40,7 +40,7 @@ class LocalAccuracyError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """The kernel regression system is rank-deficient; raise n_coalitions."""
+    """The kernel regression system is rank-deficient."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +247,9 @@ def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.
 # ---------------------------------------------------------------- KernelSHAP
 
 
-def default_coalition_budget(n: int) -> int:
+def _coalition_budget(n: int) -> int:
+    """Coalitions kernel_shap evaluates: all 2^n - 2 proper nonempty ones for
+    n <= 11, otherwise 2n + 2048 paired samples."""
     return min((1 << n) - 2, 2 * n + 2048)
 
 
@@ -259,18 +261,18 @@ def kernel_shap(
     model_fn,
     x,
     bg: Background,
-    n_coalitions: int | None,
     seed: int,
 ) -> tuple[np.ndarray, float]:
     """SHAP values from the Shapley-kernel weighted least squares problem.
 
     The intercept (base value) and the coefficient total (prediction minus
     base) are eliminated exactly, so local accuracy holds by construction.
-    When the budget covers all 2^n - 2 proper nonempty coalitions they are
-    enumerated with their exact kernel weights (exact mode, equal to
-    exact_shap); otherwise coalition sizes are sampled from the kernel
-    weight distribution and subsets are paired with their complements. With
-    one feature there is nothing to solve: its value is f(x) - phi0.
+    When the budget, which follows from n alone (_coalition_budget), covers
+    all 2^n - 2 proper nonempty coalitions they are enumerated with their
+    exact kernel weights (exact mode, equal to exact_shap); otherwise
+    coalition sizes are sampled from the kernel weight distribution and
+    subsets are paired with their complements. With one feature there is
+    nothing to solve: its value is f(x) - phi0.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -281,9 +283,7 @@ def kernel_shap(
     if n == 1:
         return np.array([fx - phi0]), phi0
 
-    budget = default_coalition_budget(n) if n_coalitions is None else int(n_coalitions)
-    if budget < 2:
-        raise ValueError("n_coalitions must be at least 2")
+    budget = _coalition_budget(n)
     full = (1 << n) - 1
 
     if (1 << n) - 2 <= budget:
@@ -320,9 +320,7 @@ def kernel_shap(
     sw = np.sqrt(weights)
     coef, _, rank, _ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
     if rank < n - 1:
-        raise SingularSystemError(
-            f"coalition design has rank {rank} < {n - 1}; raise n_coalitions"
-        )
+        raise SingularSystemError(f"coalition design has rank {rank} < {n - 1}")
     phi = np.append(coef, (fx - phi0) - coef.sum())
     return phi, phi0
 
@@ -330,11 +328,11 @@ def kernel_shap(
 # ------------------------------------------------------------ dataset driver
 
 
-def _kernel_shap_matrix(model_fn, X: np.ndarray, bg: Background, n_coalitions, seed: int) -> np.ndarray:
+def _kernel_shap_matrix(model_fn, X: np.ndarray, bg: Background, seed: int) -> np.ndarray:
     """kernel_shap for every row of X in order, each row with its own seed
     derived from (seed, row index), so no row's result depends on the others."""
     return np.vstack([
-        kernel_shap(model_fn, row, bg, n_coalitions, seed=derive_seed(seed, i))[0]
+        kernel_shap(model_fn, row, bg, seed=derive_seed(seed, i))[0]
         for i, row in enumerate(X)
     ])
 
@@ -345,7 +343,6 @@ def explain_dataset(
     bg: Background,
     method: str,
     seed: int = 0,
-    n_coalitions: int | None = None,
 ) -> Explanation:
     """Explain every row of X with TreeSHAP (method "tree", for a
     TreeEnsemble) or KernelSHAP (method "kernel", for an MlpNet).
@@ -367,7 +364,7 @@ def explain_dataset(
         engine = partial(_tree_shap_matrix, model)
     elif method == "kernel":
         model_fn = partial(predict_mlp, model, work={})
-        engine = partial(_kernel_shap_matrix, model_fn, n_coalitions=n_coalitions, seed=seed)
+        engine = partial(_kernel_shap_matrix, model_fn, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -159,10 +160,8 @@ def load_table(path, step_seconds: int) -> TimeTable:
 
         ts_list: list[int] = []
         rows: list[list[float]] = []
-        blank_lines: list[int] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
-                blank_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise ParseError(line_no, f"expected {len(header)} cells, got {len(row)}")
@@ -177,23 +176,20 @@ def load_table(path, step_seconds: int) -> TimeTable:
                     values.append(np.nan)
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(
                         line_no, f"column {name!r}: non-numeric value {cell!r}"
                     ) from None
+                if math.isinf(value):
+                    raise ParseError(line_no, f"column {name!r}: non-finite value {value}")
+                values.append(value)
             rows.append(values)
 
     if not ts_list:
         raise ParseError(2, "no data rows")
     ts = np.asarray(ts_list, dtype=np.int64)
     data = np.asarray(rows, dtype=np.float64).reshape(len(ts), len(names))
-    if np.isinf(data).any():
-        r, c = np.argwhere(np.isinf(data))[0]
-        line_no = int(r) + 2
-        for blank in blank_lines:
-            line_no += blank <= line_no
-        raise ParseError(line_no, f"column {names[c]!r}: non-finite value {data[r, c]}")
 
     order = np.argsort(ts, kind="stable")
     ts = ts[order]

@@ -73,14 +73,12 @@ def test_c01_local_accuracy_across_engines():
         worst = max(worst, e.max_residual)
         explained += len(e)
 
-    for i in range(4):  # kernel engine on random nets (exact and sampled)
-        n_features = 5 if i < 2 else 10
+    for i in range(4):  # kernel engine on random nets (exact mode, then sampled from 12 features)
+        n_features = 5 if i < 2 else 12
         net = random_net(rng, n_features, seed=i)
         bg = Background(rng.standard_normal((8, n_features)))
         X = rng.standard_normal((100, n_features))
-        e = explain_dataset(
-            net, X, bg, method="kernel", seed=i, n_coalitions=None if i < 2 else 120
-        )
+        e = explain_dataset(net, X, bg, method="kernel", seed=i)
         worst = max(worst, e.max_residual)
         explained += len(e)
 
@@ -120,7 +118,7 @@ def test_c03_kernel_exact_mode_equivalence():
         bg = Background(rng.standard_normal((5, 8)))
         for _ in range(10):
             x = rng.standard_normal(8)
-            phi_k, phi0_k = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)  # 254 coalitions: exact mode
+            phi_k, phi0_k = kernel_shap(fn, x, bg, seed=0)  # 254 coalitions: exact mode
             phi_e, phi0_e = exact_shap(fn, x, bg)
             worst = max(worst, float(np.max(np.abs(phi_k - phi_e))), abs(phi0_k - phi0_e))
     elapsed = time.perf_counter() - start

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from regime_xai.cli import (
     main,
 )
 from regime_xai.config import ConfigError, apply_override, load_config, parse_config
+from regime_xai.experiment import ExperimentConfig
 from regime_xai.timeseries import format_timestamp, parse_timestamp
 
 T0 = parse_timestamp("2018-01-01T00:00:00Z")
@@ -125,6 +127,34 @@ def test_unknown_nested_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_coalition_budget_is_not_a_setting(tmp_path, capsys):
+    # KernelSHAP's budget follows from the feature count alone
+    path = market_config(tmp_path)
+    assert main(["run", "--config", str(path), "--set", "shap.n_coalitions=null"]) == 1
+    assert "shap: unknown key(s) ['n_coalitions']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("gbt", "mlp")]
+)
+def test_each_experiment_setting_has_one_config_key(tmp_path, name):
+    # parse_config lists the windows and shap keys by hand; a field missing
+    # from both lists or listed in both fails here, and so does a listed name
+    # that is no field (left behind when a field is renamed or deleted)
+    default = getattr(ExperimentConfig(), name)
+    path = market_config(tmp_path)
+    loaded = []
+    for section in ("windows", "shap"):
+        try:
+            config = load_config(path, overrides=[f"{section}.{name}={json.dumps(default)}"])
+        except ConfigError as exc:
+            assert f"{section}: unknown key(s) [{name!r}]" in str(exc)
+            continue
+        assert getattr(config.experiment, name) == default
+        loaded.append(section)
+    assert len(loaded) == 1
+
+
 def test_overlapping_periods_rejected(tmp_path):
     path = market_config(
         tmp_path,
@@ -194,7 +224,6 @@ def test_seed_must_be_int(tmp_path):
         ("windows.n_windows", "6.7"),
         ("windows.block_days", "4.9"),
         ("shap.background_size", "49.5"),
-        ("shap.n_coalitions", "abc"),
         ("windows.n_windows", "true"),
         ("model.gbt.n_trees", "3.5"),
         ("model.gbt.n_trees", "true"),
@@ -237,7 +266,6 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
     [
         ("windows.block_days=0", "block_days must be >= 1"),
         ("shap.background_size=0", "background_size must be >= 1"),
-        ("shap.n_coalitions=1", "n_coalitions must be None or >= 2"),
         ("windows.test_fraction=5", "test_fraction must be in (0, 1)"),
         ("windows.test_fraction=-1", "test_fraction must be in (0, 1)"),
         ("windows.n_windows=0", "n_windows must be >= 1"),
@@ -304,7 +332,6 @@ def test_readme_config_example_parses():
     example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
     config = parse_config(example, Path("."), ())
     assert config.features.resample_hours is None
-    assert config.experiment.n_coalitions is None
 
 
 def test_non_numeric_resolution_exits_1(tmp_path, capsys):
@@ -468,6 +495,26 @@ def test_derived_column_sources_must_sit_in_one_input(tmp_path, capsys, column, 
     config_path.write_text(json.dumps(raw))
     assert main(["features", "--config", str(config_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, spec, name",
+    [
+        ("mixed_prices", {"name": "cap", "capacity": "cap", "energy": "energy"}, "cap"),
+        ("residual_loads", {"name": "wind", "load": "load", "wind": "wind", "solar": "solar", "ror": "ror"}, "wind"),
+        ("mixed_prices", {"name": "mixed", "capacity": "energy", "energy": "cap"}, "mixed"),
+    ],
+    ids=["mixed price named after its capacity", "residual load named after an input", "two mixed prices"],
+)
+def test_derived_column_never_replaces_a_column(tmp_path, capsys, kind, spec, name):
+    # the config's first residual load and mixed price stay; spec is added
+    # after them, so the last case repeats the name "mixed"
+    config_path = market_config(tmp_path)
+    raw = json.loads(config_path.read_text())
+    raw["features"][kind].append(spec)
+    config_path.write_text(json.dumps(raw))
+    assert main(["features", "--config", str(config_path)]) == 1
+    assert f"derived column {name!r} would replace an existing column" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

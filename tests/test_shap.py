@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt, predict_gbt
-from regime_xai.mlp import MlpParams, initial_net, predict_mlp
+from regime_xai.mlp import MlpParams, fit_mlp, initial_net, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import (
     Background,
@@ -275,7 +275,7 @@ def test_kernel_exact_mode_matches_brute_force():
         bg = Background(rng.standard_normal((5, 8)))
         for _ in range(3):
             x = rng.standard_normal(8)
-            phi_k, phi0_k = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)  # 2^8-2 = 254 <= default budget
+            phi_k, phi0_k = kernel_shap(fn, x, bg, seed=0)  # 2^8-2 = 254 coalitions: exact mode
             phi_e, phi0_e = exact_shap(fn, x, bg)
             worst = max(worst, np.max(np.abs(phi_k - phi_e)), abs(phi0_k - phi0_e))
     assert worst < 1e-6
@@ -284,7 +284,7 @@ def test_kernel_exact_mode_matches_brute_force():
 def test_kernel_constant_model_zero_phi():
     fn = lambda X: np.full(X.shape[0], 2.0)
     bg = Background(np.random.default_rng(10).normal(size=(4, 5)))
-    phi, phi0 = kernel_shap(fn, np.ones(5), bg, n_coalitions=None, seed=1)
+    phi, phi0 = kernel_shap(fn, np.ones(5), bg, seed=1)
     np.testing.assert_allclose(phi, 0.0, atol=1e-9)
     assert phi0 == pytest.approx(2.0)
 
@@ -293,31 +293,41 @@ def test_kernel_additive_model_centered_background():
     fn = lambda X: X[:, 0] + X[:, 1] + X[:, 2]
     bg = Background(np.array([[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]]))
     x = np.array([4.0, 5.0, 6.0])
-    phi, phi0 = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)
+    phi, phi0 = kernel_shap(fn, x, bg, seed=0)
     np.testing.assert_allclose(phi, [4.0, 5.0, 6.0], atol=1e-9)
     assert phi0 == pytest.approx(0.0)
 
 
 def test_kernel_local_accuracy_structural_in_sampling_mode():
-    net = random_mlp(11, n_features=10)
+    # 12 features: 2,072 of 4,094 coalitions, so sampled mode
+    net = random_mlp(11, n_features=12)
     fn = partial(predict_mlp, net, work={})
     rng = np.random.default_rng(11)
-    bg = Background(rng.standard_normal((6, 10)))
-    x = rng.standard_normal(10)
-    phi, phi0 = kernel_shap(fn, x, bg, n_coalitions=80, seed=3)
+    bg = Background(rng.standard_normal((6, 12)))
+    x = rng.standard_normal(12)
+    phi, phi0 = kernel_shap(fn, x, bg, seed=3)
     assert phi0 + phi.sum() == pytest.approx(float(fn(x[None])[0]), abs=1e-10)
 
 
 def test_kernel_sampling_mode_approximates_exact():
-    net = random_mlp(12, n_features=10)
-    fn = partial(predict_mlp, net, work={})
-    rng = np.random.default_rng(12)
-    bg = Background(rng.standard_normal((5, 10)))
-    x = rng.standard_normal(10)
-    phi_s, _ = kernel_shap(fn, x, bg, n_coalitions=600, seed=4)
-    phi_e, _ = exact_shap(fn, x, bg)
-    scale = max(np.abs(phi_e).max(), 1e-3)
-    assert np.max(np.abs(phi_s - phi_e)) / scale < 0.25
+    # The sampled budget, 2n + 2048 paired coalitions from n = 12 on, checked
+    # against the 2^n oracle on fitted nets. The error of a row is the L1 gap
+    # over sum |phi_exact|. Measured on this setup: median 0.51 %, max 0.97 %;
+    # without the complement pairing, median 1.77 %, max 5.2 %.
+    errors = []
+    for n in (12, 13):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((400, n))
+        y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3:].sum(axis=1) + 0.1 * rng.standard_normal(400)
+        net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(32, 32), max_epochs=50, seed=n))
+        fn = partial(predict_mlp, net, work={})
+        bg = Background(X[:20])
+        for i, x in enumerate(X[20:32]):
+            phi_s, _ = kernel_shap(fn, x, bg, seed=i)
+            phi_e, _ = exact_shap(fn, x, bg)
+            errors.append(np.abs(phi_s - phi_e).sum() / np.abs(phi_e).sum())
+    assert np.median(errors) < 0.01
+    assert max(errors) < 0.025
 
 
 def test_kernel_deterministic_given_seed():
@@ -326,16 +336,18 @@ def test_kernel_deterministic_given_seed():
     rng = np.random.default_rng(13)
     bg = Background(rng.standard_normal((4, 12)))
     x = rng.standard_normal(12)
-    phi1, _ = kernel_shap(fn, x, bg, n_coalitions=100, seed=7)
-    phi2, _ = kernel_shap(fn, x, bg, n_coalitions=100, seed=7)
+    phi1, _ = kernel_shap(fn, x, bg, seed=7)
+    phi2, _ = kernel_shap(fn, x, bg, seed=7)
     np.testing.assert_array_equal(phi1, phi2)
 
 
-def test_kernel_singular_system_reported():
+def test_kernel_singular_system_reported(monkeypatch):
+    # two coalitions cannot pin down six attributions
+    monkeypatch.setattr("regime_xai.shap._coalition_budget", lambda n: 2)
     fn = lambda X: X.sum(axis=1)
     bg = Background(np.zeros((2, 6)))
-    with pytest.raises(SingularSystemError, match="n_coalitions"):
-        kernel_shap(fn, np.ones(6), bg, n_coalitions=2, seed=0)
+    with pytest.raises(SingularSystemError, match="rank"):
+        kernel_shap(fn, np.ones(6), bg, seed=0)
 
 
 def test_kernel_single_feature_matches_exact():
@@ -343,7 +355,7 @@ def test_kernel_single_feature_matches_exact():
     fn = lambda X: np.sin(3 * X[:, 0]) + X[:, 0] ** 2
     bg = Background(np.array([[-0.4], [0.1], [1.3]]))
     x = np.array([0.7])
-    phi_k, phi0_k = kernel_shap(fn, x, bg, n_coalitions=None, seed=0)
+    phi_k, phi0_k = kernel_shap(fn, x, bg, seed=0)
     phi_e, phi0_e = exact_shap(fn, x, bg)
     np.testing.assert_allclose(phi_k, phi_e, rtol=0, atol=1e-12)
     assert phi0_k == phi0_e
@@ -406,16 +418,16 @@ def test_explain_dataset_names_row_with_nan_residual(monkeypatch):
 
 
 def test_explain_dataset_kernel_rows_use_their_own_seeds():
-    # 40 of 62 coalitions runs sampled mode; each row's draw depends only on
+    # 12 features run sampled mode; each row's draw depends only on
     # (seed, row index), so any execution order gives the same attributions
-    net = random_mlp(18, n_features=6)
+    net = random_mlp(18, n_features=12)
     rng = np.random.default_rng(18)
-    bg = Background(rng.standard_normal((4, 6)))
-    X = rng.standard_normal((12, 6))
-    e = explain_dataset(net, X, bg, method="kernel", seed=5, n_coalitions=40)
+    bg = Background(rng.standard_normal((4, 12)))
+    X = rng.standard_normal((12, 12))
+    e = explain_dataset(net, X, bg, method="kernel", seed=5)
     fn = partial(predict_mlp, net, work={})
     for i in range(len(X)):
-        phi, _ = kernel_shap(fn, X[i], bg, 40, seed=derive_seed(5, i))
+        phi, _ = kernel_shap(fn, X[i], bg, seed=derive_seed(5, i))
         np.testing.assert_array_equal(e.phi[i], phi)
 
 

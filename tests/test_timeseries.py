@@ -136,6 +136,15 @@ def test_load_table_rejects_infinity_with_line_and_column(tmp_path):
         load_table(p, 3600)
 
 
+def test_load_table_reports_the_first_bad_line_when_an_infinity_comes_first(tmp_path):
+    p = write_csv(
+        tmp_path / "a.csv",
+        ["timestamp,v", "2020-01-01T00:00:00Z,-inf", "2020-01-01T01:00:00Z,not-a-number"],
+    )
+    with pytest.raises(ParseError, match="line 2: column 'v': non-finite value -inf"):
+        load_table(p, 3600)
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
