@@ -33,7 +33,7 @@ from regime_xai.experiment import (
     write_manifest,
 )
 from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
-from regime_xai.mlp import MlpParams, grad_check, initial_net, predict_mlp
+from regime_xai.mlp import MlpParams, fit_mlp, grad_check, initial_net, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, exact_shap, explain_dataset
 from regime_xai.timeseries import (
@@ -268,6 +268,30 @@ def _check_kernel_oracle():
     return worst < 1e-6, f"max deviation {worst:.2e} (tolerance 1e-6)"
 
 
+def _check_kernel_sampled():
+    """Compare kernel explanations in sampled mode (12 features), made by the
+    call run makes, with the brute-force enumeration. The error of a row is
+    the L1 gap over sum |phi_exact|; this setup measures a median of 0.77 %
+    and a max of 1.46 %, and 1.85 % and 4.83 % without complement pairing."""
+    rng = np.random.default_rng(107)
+    X = rng.standard_normal((200, 12))
+    y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3:].sum(axis=1) + 0.1 * rng.standard_normal(200)
+    fm = FeatureMatrix(tuple(f"f{i}" for i in range(12)), X, y, np.arange(200))
+    net = fit_mlp(fm, MlpParams(hidden_sizes=(16, 16), max_epochs=30, seed=0))
+    bg, rows = Background(X[:5]), X[5:25]
+    e = explain_dataset(net, rows, bg, method="kernel")
+    fn = partial(predict_mlp, net, work={})
+    errors = []
+    for x, phi in zip(rows, e.phi):
+        phi_e, _ = exact_shap(fn, x, bg)
+        errors.append(np.abs(phi - phi_e).sum() / np.abs(phi_e).sum())
+    median, worst = float(np.median(errors)), float(max(errors))
+    return median < 0.0125 and worst < 0.03, (
+        f"L1 error over sum |phi_exact|, median {median:.2%}, max {worst:.2%} on 20 rows "
+        f"(tolerance 1.25%, 3%)"
+    )
+
+
 def _check_gradients():
     rng = np.random.default_rng(103)
     worst = 0.0
@@ -345,6 +369,7 @@ def _check_split_integrity():
 VERIFY_CHECKS = (
     ("tree-oracle equivalence", _check_tree_oracle),
     ("kernel-oracle equivalence (exact mode)", _check_kernel_oracle),
+    ("kernel-oracle error (sampled mode)", _check_kernel_sampled),
     ("mlp gradient check", _check_gradients),
     ("local accuracy", _check_local_accuracy),
     ("mixed price formula", _check_mixed_price),

@@ -107,9 +107,6 @@ class PeriodResult:
     fi_mean: np.ndarray
     fi_std: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "windows", tuple(self.windows))
-
     @property
     def degenerate_windows(self) -> tuple[int, ...]:
         return tuple(w.window_index for w in self.windows if w.importance.degenerate)
@@ -303,16 +300,14 @@ def dependence_data(result: PeriodResult, feature: str) -> dict[str, np.ndarray]
     if feature not in result.feature_names:
         raise ValueError(f"unknown feature {feature!r}; have {result.feature_names}")
     j = result.feature_names.index(feature)
-    window_tags, timestamps, x_values, phi_values = [], [], [], []
+    window_tags, x_values, phi_values = [], [], []
     for w in result.windows:
         k = len(w.explanation)
         window_tags.append(np.full(k, w.window_index, dtype=np.intp))
-        timestamps.append(w.explained_timestamps)
         x_values.append(w.explained_X[:, j])
         phi_values.append(w.explanation.phi[:, j])
     return {
         "window": np.concatenate(window_tags),
-        "timestamp": np.concatenate(timestamps),
         "x_value": np.concatenate(x_values),
         "phi_value": np.concatenate(phi_values),
     }

@@ -288,31 +288,23 @@ def kernel_shap(
 
     if (1 << n) - 2 <= budget:
         masks = np.arange(1, full, dtype=np.int64)
-        sizes = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+        Z = (masks[:, None] >> np.arange(n)) & 1
         size_weight = np.array([0.0] + [_kernel_weight(n, s) for s in range(1, n)])
-        weights = size_weight[sizes]
+        weights = size_weight[Z.sum(axis=1)]
     else:
+        # one draw of budget // 2 sizes and one uniform subset of each size
+        # (the features whose rank in a random row is below the size); each
+        # subset is paired with its complement, repeats add to the weight
         rng = np.random.default_rng(seed)
         size_mass = np.array([(n - 1) / (s * (n - s)) for s in range(1, n)])
-        size_dist = size_mass / size_mass.sum()
-        counts: dict[int, int] = {}
-        drawn = 0
-        while drawn < budget:
-            s = 1 + int(rng.choice(n - 1, p=size_dist))
-            members = rng.choice(n, size=s, replace=False)
-            mask = 0
-            for f in members:
-                mask |= 1 << int(f)
-            for m in (mask, full ^ mask):
-                counts[m] = counts.get(m, 0) + 1
-                drawn += 1
-                if drawn >= budget:
-                    break
-        masks = np.array(sorted(counts), dtype=np.int64)
-        weights = np.array([counts[int(m)] for m in masks], dtype=np.float64)
+        sizes = 1 + rng.choice(n - 1, size=budget // 2, p=size_mass / size_mass.sum())
+        half = np.argsort(rng.random((len(sizes), n)), axis=1) < sizes[:, None]
+        drawn = half @ (1 << np.arange(n, dtype=np.int64))
+        masks, counts = np.unique(np.concatenate([drawn, full ^ drawn]), return_counts=True)
+        Z = (masks[:, None] >> np.arange(n)) & 1
+        weights = counts.astype(np.float64)
 
     y = _mask_values(model_fn, x, bg, masks, n)
-    Z = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
     # eliminate the intercept (= phi0) and pivot feature n-1 (= remainder)
     target = y - phi0 - Z[:, -1] * (fx - phi0)

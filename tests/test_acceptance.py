@@ -73,7 +73,9 @@ def test_c01_local_accuracy_across_engines():
         worst = max(worst, e.max_residual)
         explained += len(e)
 
-    for i in range(4):  # kernel engine on random nets (exact mode, then sampled from 12 features)
+    # kernel engine on random nets (exact mode, then sampled from 12 features);
+    # the whole test takes about 1 s on two cores
+    for i in range(4):
         n_features = 5 if i < 2 else 12
         net = random_net(rng, n_features, seed=i)
         bg = Background(rng.standard_normal((8, n_features)))

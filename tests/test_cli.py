@@ -682,7 +682,7 @@ def test_module_entry_point_imports_cleanly():
 def test_cmd_verify_all_pass(capsys):
     assert cmd_verify() == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     assert "FAIL" not in out
 
 
@@ -705,4 +705,14 @@ def test_cmd_verify_fails_a_kernel_engine_that_misplaces_attributions(capsys, mo
     monkeypatch.setattr("regime_xai.shap.kernel_shap", swapped)
     assert cmd_verify() == 2
     out = capsys.readouterr().out
-    assert out.count("FAIL") == 1 and "FAIL kernel-oracle equivalence" in out
+    assert out.count("FAIL") == 2
+    assert "FAIL kernel-oracle equivalence (exact mode)" in out
+    assert "FAIL kernel-oracle error (sampled mode)" in out
+
+
+def test_cmd_verify_fails_a_starved_sampled_kernel_budget(capsys, monkeypatch):
+    # 64 coalitions from 12 features on; n <= 11 still enumerates all of them
+    monkeypatch.setattr("regime_xai.shap._coalition_budget", lambda n: (1 << n) - 2 if n <= 11 else 64)
+    assert cmd_verify() == 2
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 1 and "FAIL kernel-oracle error (sampled mode)" in out

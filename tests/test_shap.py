@@ -330,6 +330,21 @@ def test_kernel_sampling_mode_approximates_exact():
     assert max(errors) < 0.025
 
 
+def test_kernel_sampling_pairs_each_coalition_with_its_complement():
+    # a zero background and x = ones make every hybrid row a coalition's
+    # bit vector, so the model sees exactly the coalitions kernel_shap drew
+    seen = set()
+
+    def fn(X):
+        seen.update(map(tuple, X.astype(int).tolist()))
+        return X @ np.arange(1.0, 13.0)
+
+    kernel_shap(fn, np.ones(12), Background(np.zeros((1, 12))), seed=5)
+    coalitions = seen - {(0,) * 12, (1,) * 12}
+    assert len(coalitions) > 100
+    assert {tuple(1 - b for b in c) for c in coalitions} == coalitions
+
+
 def test_kernel_deterministic_given_seed():
     net = random_mlp(13, n_features=12)
     fn = partial(predict_mlp, net, work={})
