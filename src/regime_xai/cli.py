@@ -436,14 +436,10 @@ def main(argv=None) -> int:
         else:
             cmd_run(config)
         return 0
-    except (ConfigError, TimeSeriesError) as exc:
-        log.error("%s", exc)
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not crashes
         log.error("%s", exc)
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigError, TimeSeriesError)) else 2
 
 
 if __name__ == "__main__":

@@ -271,8 +271,9 @@ def kernel_shap(
     all 2^n - 2 proper nonempty coalitions they are enumerated with their
     exact kernel weights (exact mode, equal to exact_shap); otherwise
     coalition sizes are sampled from the kernel weight distribution and
-    subsets are paired with their complements. With one feature there is
-    nothing to solve: its value is f(x) - phi0.
+    subsets are paired with their complements. With one feature there are
+    no proper nonempty coalitions, so the design is empty and the value is
+    the remainder f(x) - phi0.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -280,8 +281,6 @@ def kernel_shap(
         raise ValueError("background width does not match the explained row")
     fx = float(model_fn(x[None, :])[0])
     phi0 = float(np.mean(model_fn(bg.rows)))
-    if n == 1:
-        return np.array([fx - phi0]), phi0
 
     budget = _coalition_budget(n)
     full = (1 << n) - 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,14 +32,6 @@ class ParseError(TimeSeriesError):
         super().__init__(f"line {line_number}: {message}")
 
 
-class ResolutionMismatchError(TimeSeriesError):
-    pass
-
-
-class DuplicateTimestampError(TimeSeriesError):
-    pass
-
-
 def parse_timestamp(text: str) -> int:
     """Parse an ISO-8601 UTC timestamp (YYYY-MM-DDThh:mm:ssZ) to epoch seconds."""
     dt = datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
@@ -52,48 +44,35 @@ def format_timestamp(epoch_seconds: int) -> str:
 
 @dataclass(frozen=True)
 class TimeTable:
-    """Timestamp-indexed table of named numeric series at a fixed step.
+    """Named numeric series on the grid start + i * step_seconds, i < n_rows.
 
-    timestamps: strictly increasing epoch seconds, uniformly spaced.
-    columns: name -> float64 array, NaN marks missing.
-    step_seconds: step between consecutive timestamps.
+    columns: name -> float64 array of n_rows values, NaN marks missing.
     """
 
-    timestamps: np.ndarray
-    columns: dict[str, np.ndarray]
+    start: int
     step_seconds: int
+    n_rows: int
+    columns: dict[str, np.ndarray]
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
-        object.__setattr__(self, "timestamps", ts)
         if self.step_seconds <= 0:
             raise TimeSeriesError(f"resolution must be positive, got {self.step_seconds / 3600:g}h")
-        if len(ts) > 1:
-            diffs = np.diff(ts)
-            if np.any(diffs <= 0):
-                bad = int(np.argmax(diffs <= 0))
-                raise DuplicateTimestampError(
-                    f"{'duplicate' if diffs[bad] == 0 else 'out-of-order'} timestamp "
-                    f"{format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
-                )
-            if np.any(diffs != self.step_seconds):
-                bad = int(np.argmax(diffs != self.step_seconds))
-                raise ResolutionMismatchError(
-                    f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
-                    f"and {format_timestamp(ts[bad + 1])}, expected {self.step_seconds / 3600:g}h"
-                )
         cols = {}
         for name, values in self.columns.items():
             arr = np.asarray(values, dtype=np.float64)
-            if arr.shape != ts.shape:
+            if arr.shape != (self.n_rows,):
                 raise TimeSeriesError(
-                    f"column {name!r} has length {arr.shape[0]}, expected {len(ts)}"
+                    f"column {name!r} has length {arr.shape[0]}, expected {self.n_rows}"
                 )
             cols[name] = arr
         object.__setattr__(self, "columns", cols)
 
+    @property
+    def timestamps(self) -> np.ndarray:
+        return self.start + self.step_seconds * np.arange(self.n_rows, dtype=np.int64)
+
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return self.n_rows
 
 
 @dataclass(frozen=True)
@@ -135,8 +114,8 @@ def load_table(path, step_seconds: int) -> TimeTable:
     """Load a CSV with a `timestamp` first column and numeric series columns.
 
     Empty cells become NaN; an infinite value is rejected with its line and
-    column. Rows are sorted by timestamp; TimeTable rejects duplicate
-    timestamps and steps other than step_seconds.
+    column. Rows are sorted by timestamp; a duplicate timestamp or a step
+    other than step_seconds is rejected.
     """
     try:
         # spreadsheet exports may lead with a BOM; a byte that is not UTF-8 becomes a
@@ -194,8 +173,18 @@ def load_table(path, step_seconds: int) -> TimeTable:
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     data = data[order]
+    diffs = np.diff(ts)
+    if np.any(diffs == 0):
+        bad = int(np.argmax(diffs == 0))
+        raise TimeSeriesError(f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}")
+    if np.any(diffs != step_seconds):
+        bad = int(np.argmax(diffs != step_seconds))
+        raise TimeSeriesError(
+            f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
+            f"and {format_timestamp(ts[bad + 1])}, expected {step_seconds / 3600:g}h"
+        )
     columns = {name: data[:, i].copy() for i, name in enumerate(names)}
-    return TimeTable(ts, columns, step_seconds)
+    return TimeTable(int(ts[0]), step_seconds, len(ts), columns)
 
 
 def rows_per_day(step_seconds: int) -> int:
@@ -217,16 +206,16 @@ def write_csv(path, header, rows) -> None:
 
 def with_column(table: TimeTable, name: str, values) -> TimeTable:
     """New TimeTable with an added or replaced column."""
-    columns = dict(table.columns)
-    columns[name] = np.asarray(values, dtype=np.float64)
-    return TimeTable(table.timestamps, columns, table.step_seconds)
+    return replace(table, columns={**table.columns, name: values})
 
 
 def resample_mean(table: TimeTable, block_seconds: int) -> TimeTable:
     """Aggregate to blocks of `block_seconds` by the mean of non-missing values.
 
-    Output timestamps are block starts; a trailing partial block is dropped;
-    a block with all values missing stays missing.
+    Blocks sit on the UTC clock: block j spans [j * block_seconds,
+    (j + 1) * block_seconds) and is stamped with its start. Leading and
+    trailing partial blocks are dropped; a block with all values missing
+    stays missing.
     """
     if block_seconds <= 0 or block_seconds % table.step_seconds:
         raise TimeSeriesError(
@@ -234,19 +223,21 @@ def resample_mean(table: TimeTable, block_seconds: int) -> TimeTable:
             f"{table.step_seconds / 3600:g}h resolution"
         )
     k = block_seconds // table.step_seconds
-    n_blocks = len(table) // k
-    if n_blocks == 0:
-        raise TimeSeriesError(f"table with {len(table)} rows has no complete {block_seconds / 3600:g}h block")
+    # rows before the first whole block: ceil(seconds to the next block start / step) mod k
+    skip = -(-(-table.start % block_seconds) // table.step_seconds) % k
+    n_blocks = (table.n_rows - skip) // k
+    if n_blocks <= 0:
+        raise TimeSeriesError(f"table with {table.n_rows} rows has no complete {block_seconds / 3600:g}h block")
 
-    ts = table.timestamps[: n_blocks * k : k]
+    start = table.start + skip * table.step_seconds
     columns = {}
     for name, values in table.columns.items():
-        blocks = values[: n_blocks * k].reshape(n_blocks, k)
+        blocks = values[skip : skip + n_blocks * k].reshape(n_blocks, k)
         present = ~np.isnan(blocks)
         counts = present.sum(axis=1)
         sums = np.where(present, blocks, 0.0).sum(axis=1)
         columns[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return TimeTable(ts, columns, block_seconds)
+    return TimeTable(start - start % block_seconds, block_seconds, n_blocks, columns)
 
 
 def trailing_mean_before(series, window_samples: int) -> np.ndarray:
@@ -346,8 +337,7 @@ def align_join(
 
     def locate(name: str) -> np.ndarray:
         t = tables[owning_table(tables, [name])]
-        pos = np.searchsorted(t.timestamps, common)
-        return t.columns[name][pos]
+        return t.columns[name][(common - t.start) // t.step_seconds]
 
     y = locate(target_col)
     X = np.column_stack([locate(name) for name in feature_cols]) if feature_cols else np.empty((common.size, 0))

@@ -453,6 +453,106 @@ def test_main_rejects_bad_override(tmp_path):
     assert main(["run", "--config", str(config_path), "--set", "bogus_key=1"]) == 1
 
 
+def last_error_record(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_main_out_overrides_the_configured_output_directory(tmp_path):
+    config_path = market_config(tmp_path)
+    assert main(["features", "--config", str(config_path), "--out", str(tmp_path / "elsewhere")]) == 0
+    assert (tmp_path / "elsewhere" / "features_report.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_reports_an_unexpected_failure_as_exit_2(tmp_path, capsys):
+    # an output directory that is a file is not a config or data fault
+    config_path = market_config(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main(["features", "--config", str(config_path), "--out", str(tmp_path / "taken")]) == 2
+    record = last_error_record(capsys)
+    assert record["error"] == "FileExistsError" and str(tmp_path / "taken") in record["message"]
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", "ParseError", "line 1: empty file"),
+        ("timestamp,x,x\n2018-01-01T00:00:00Z,1,2\n", "ParseError", "line 1: duplicate column names in header"),
+        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T01:00:00Z\n", "ParseError", "line 3: expected 2 cells, got 1"),
+        ("timestamp,x\n", "ParseError", "line 2: no data rows"),
+        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T00:00:00Z,2\n", "TimeSeriesError",
+         "duplicate timestamp 2018-01-01T00:00:00Z after 2018-01-01T00:00:00Z"),
+        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T02:00:00Z,2\n", "TimeSeriesError",
+         "observed step 2h between 2018-01-01T00:00:00Z and 2018-01-01T02:00:00Z, expected 1h"),
+    ],
+    ids=["empty", "duplicate names", "ragged row", "header only", "duplicate stamp", "gap"],
+)
+def test_malformed_input_exits_1_naming_the_fault(tmp_path, capsys, text, error, message):
+    config_path = market_config(tmp_path)
+    raw = json.loads(config_path.read_text())
+    raw["inputs"].append({"path": "bad.csv", "resolution_hours": 1})
+    config_path.write_text(json.dumps(raw))
+    (tmp_path / "bad.csv").write_text(text)
+    assert main(["features", "--config", str(config_path)]) == 1
+    assert last_error_record(capsys) == {"error": error, "message": message}
+
+
+def test_unreadable_input_exits_1_naming_it(tmp_path, capsys):
+    config_path = market_config(tmp_path)
+    (tmp_path / "market.csv").unlink()
+    assert main(["features", "--config", str(config_path)]) == 1
+    record = last_error_record(capsys)
+    assert record["error"] == "TimeSeriesError"
+    assert record["message"].startswith(f"cannot read {tmp_path / 'market.csv'}: ")
+
+
+def test_period_without_usable_rows_exits_1(tmp_path, capsys):
+    # the inputs start in 2018, so a 2017 period joins no rows
+    config_path = market_config(tmp_path)
+    overrides = ["--set", "periods.before.start=2017-01-01T00:00:00Z", "--set", "periods.before.end=2017-02-01T00:00:00Z"]
+    assert main(["features", "--config", str(config_path), *overrides]) == 1
+    assert last_error_record(capsys) == {"error": "TimeSeriesError", "message": "period 'before' contains no usable rows"}
+
+
+def test_hourly_inputs_that_start_at_different_hours_join_after_resampling(tmp_path):
+    # four-hour blocks sit on the clock, so both inputs' blocks start at 04:00, 08:00, ...
+    rng = np.random.default_rng(9)
+    for name, columns, first_hour in (("a.csv", "x1,x2", 0), ("b.csv", "y", 1)):
+        lines = [f"timestamp,{columns}"]
+        for i in range(first_hour, 24 * 40):
+            values = rng.uniform(-1, 1, size=len(columns.split(",")))
+            lines.append(f"{format_timestamp(T0 + 3600 * i)}," + ",".join(f"{v:.4f}" for v in values))
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    mid = format_timestamp(T0 + 3600 * 24 * 20)
+    raw = {
+        "inputs": [{"path": "a.csv", "resolution_hours": 1}, {"path": "b.csv", "resolution_hours": 1}],
+        "features": {"columns": ["x1", "x2"], "target": "y", "resample_hours": 4},
+        "periods": {
+            "before": {"start": format_timestamp(T0), "end": mid},
+            "after": {"start": mid, "end": format_timestamp(T0 + 3600 * 24 * 40)},
+        },
+        "model": {"kind": "gbt"},
+        "output_dir": "out",
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert main(["features", "--config", str(config_path)]) == 0
+    frames, _ = build_features(load_config(config_path))
+    # the block [00:00, 04:00) of b.csv lacks its 00:00 row and is dropped
+    assert frames["before"].timestamps[0] == T0 + 4 * 3600
+    assert len(frames["before"]) == 6 * 20 - 1 and len(frames["after"]) == 6 * 20
+
+
+def test_one_window_run(tmp_path):
+    config_path = cmd_synth(tmp_path, n_rows=960, seed=3)
+    assert main(["run", "--config", str(config_path), "--set", "windows.n_windows=1",
+                 "--set", "model.gbt.n_trees=10", "--set", "shap.background_size=10"]) == 0
+    metrics = json.loads((tmp_path / "run_output" / "manifest.json").read_text())["metrics"]
+    for period in ("before", "after"):
+        assert [m["window"] for m in metrics[period]] == [0]
+        assert metrics[period][0]["n_train"] + metrics[period][0]["n_test"] == 480
+
+
 def test_run_on_a_grid_whose_step_does_not_divide_a_day_exits_1(tmp_path, capsys):
     # a 7 h grid is a valid table, but four-day blocks cannot be counted in rows
     rng = np.random.default_rng(6)

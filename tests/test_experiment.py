@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,17 @@ def test_run_period_recovers_synthetic_ground_truth():
         assert fi[0] > fi[1] > fi[2]
         assert fi[2] < 0.05
     assert len(result.windows) == 6
+
+
+@pytest.mark.parametrize("background_size, centred", [(10**6, True), (30, False)])
+def test_run_period_takes_every_train_row_as_background_when_they_are_fewer(background_size, centred):
+    # explained on its train rows, a window whose background is those rows has
+    # attributions that average to zero: mean f(x) - phi0 = 0
+    fm, _ = synth_regime(960, seed=4)
+    config = replace(FAST, n_windows=2, background_size=background_size, explain_on="train")
+    result = run_period(fm, period_for(fm), "gbt", config, seed=2)
+    for w in result.windows:
+        assert (abs(w.explanation.phi.sum(axis=1).mean()) < 1e-9) == centred
 
 
 def test_run_period_deterministic():

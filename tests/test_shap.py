@@ -366,7 +366,7 @@ def test_kernel_singular_system_reported(monkeypatch):
 
 
 def test_kernel_single_feature_matches_exact():
-    # one feature leaves no regression to solve: phi is f(x) - phi0
+    # one feature has no proper nonempty coalition: phi is the remainder f(x) - phi0
     fn = lambda X: np.sin(3 * X[:, 0]) + X[:, 0] ** 2
     bg = Background(np.array([[-0.4], [0.1], [1.3]]))
     x = np.array([0.7])
@@ -514,6 +514,13 @@ def test_importance_empty_explanation_rejected():
 def test_importance_vector_validates_sum():
     with pytest.raises(ValueError, match="sum"):
         ImportanceVector(np.array([0.5, 0.2]))
+
+
+def test_background_subsample_keeps_every_row_of_a_small_matrix():
+    X = np.random.default_rng(24).normal(size=(10, 3))
+    b = Background.subsample(X, size=50, seed=9)
+    np.testing.assert_array_equal(b.rows, X)
+    assert b.rows is not X
 
 
 def test_background_subsample_deterministic():

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regime_xai.timeseries import (
-    DuplicateTimestampError,
     FeatureMatrix,
     ParseError,
-    ResolutionMismatchError,
     TimeSeriesError,
     TimeTable,
     align_join,
@@ -27,8 +25,7 @@ EVER = (T0, T0 + 10**6 * 3600)  # a join span that covers every test table
 
 def hourly_table(values_by_col, start=T0):
     n = len(next(iter(values_by_col.values())))
-    ts = start + 3600 * np.arange(n)
-    return TimeTable(ts, {k: np.asarray(v, dtype=float) for k, v in values_by_col.items()}, 3600)
+    return TimeTable(start, 3600, n, {k: np.asarray(v, dtype=float) for k, v in values_by_col.items()})
 
 
 # ---------------------------------------------------------------- load_table
@@ -91,7 +88,7 @@ def test_load_table_resolution_mismatch(tmp_path):
             "2020-01-01T02:00:00Z,2",
         ],
     )
-    with pytest.raises(ResolutionMismatchError, match="between 2020-01-01T00:00:00Z and 2020-01-01T02:00:00Z"):
+    with pytest.raises(TimeSeriesError, match="between 2020-01-01T00:00:00Z and 2020-01-01T02:00:00Z"):
         load_table(p, 3600)
 
 
@@ -104,7 +101,31 @@ def test_load_table_duplicate_timestamp(tmp_path):
             "2020-01-01T00:00:00Z,2",
         ],
     )
-    with pytest.raises(DuplicateTimestampError, match="duplicate timestamp 2020-01-01T00:00:00Z"):
+    with pytest.raises(TimeSeriesError, match="duplicate timestamp 2020-01-01T00:00:00Z"):
+        load_table(p, 3600)
+
+
+def test_load_table_accepts_a_file_with_only_timestamps(tmp_path):
+    p = write_csv(tmp_path / "a.csv", ["timestamp", "2020-01-01T01:00:00Z", "2020-01-01T00:00:00Z"])
+    t = load_table(p, 3600)
+    assert len(t) == 2 and t.columns == {}
+    np.testing.assert_array_equal(t.timestamps, [T0, T0 + 3600])
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([], "line 1: empty file"),
+        (["timestamp,v,v", "2020-01-01T00:00:00Z,1,2"], "line 1: duplicate column names in header"),
+        (["timestamp,v", "2020-01-01T00:00:00Z,1", "2020-01-01T01:00:00Z,2,3"], "line 3: expected 2 cells, got 3"),
+        (["timestamp,v", ""], "line 2: no data rows"),
+    ],
+    ids=["empty", "duplicate names", "ragged row", "header only"],
+)
+def test_load_table_rejects_a_malformed_file_naming_the_line(tmp_path, lines, message):
+    p = tmp_path / "a.csv"
+    p.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_table(p, 3600)
 
 
@@ -201,6 +222,32 @@ def test_resample_mean_all_missing_block_stays_missing():
     t = hourly_table({"v": [np.nan] * 4 + [1, 1, 1, 1]})
     r = resample_mean(t, 4 * 3600)
     assert np.isnan(r.columns["v"][0]) and r.columns["v"][1] == 1
+
+
+@pytest.mark.parametrize(
+    "start_hour, n, stamps, means",
+    [
+        # rows 01:00-03:00 and 08:00-09:00 fall in partial blocks and are dropped
+        (1, 9, [4], [5.5]),
+        # 00:30-03:30 are every grid point of the block [00:00, 04:00)
+        (0.5, 4, [0], [2.0]),
+    ],
+    ids=["on the hour", "on the half hour"],
+)
+def test_resample_mean_puts_blocks_on_the_utc_clock(start_hour, n, stamps, means):
+    # each row holds its hour of the day
+    t = hourly_table({"v": start_hour + np.arange(n)}, start=T0 + int(start_hour * 3600))
+    r = resample_mean(t, 4 * 3600)
+    np.testing.assert_array_equal(r.timestamps, T0 + 3600 * np.array(stamps))
+    np.testing.assert_array_equal(r.columns["v"], means)
+
+
+def test_resampled_tables_that_start_at_different_hours_join():
+    a = hourly_table({"f1": np.arange(24.0)}, start=T0)
+    b = hourly_table({"tgt": np.arange(24.0)}, start=T0 + 3600)
+    fm = align_join([resample_mean(a, 4 * 3600), resample_mean(b, 4 * 3600)], ["f1"], "tgt", *EVER)
+    np.testing.assert_array_equal(fm.timestamps, T0 + 4 * 3600 * np.arange(1, 6))
+    np.testing.assert_array_equal(fm.X[:, 0], fm.y + 1)
 
 
 def test_resample_mean_rejects_non_multiple():
@@ -388,16 +435,9 @@ def test_synth_regime_periods_are_contiguous():
 # ------------------------------------------------------------- type contracts
 
 
-def test_timetable_rejects_nonuniform_spacing():
-    ts = np.array([0, 3600, 3 * 3600])
-    with pytest.raises(ResolutionMismatchError):
-        TimeTable(ts, {"v": np.zeros(3)}, 3600)
-
-
 def test_timetable_rejects_length_mismatch():
-    ts = np.array([0, 3600])
     with pytest.raises(TimeSeriesError):
-        TimeTable(ts, {"v": np.zeros(3)}, 3600)
+        TimeTable(0, 3600, 2, {"v": np.zeros(3)})
 
 
 def test_feature_matrix_rejects_nan():
