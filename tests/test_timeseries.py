@@ -199,7 +199,7 @@ def test_load_table_rejects_bad_header(tmp_path):
 
 def test_resample_mean_block_of_four():
     t = hourly_table({"v": [1, 2, 3, 4]})
-    r = resample_mean(t, 4 * 3600)
+    r = resample_mean(t, 4 * 3600, 0)
     assert len(r) == 1
     assert r.columns["v"][0] == 2.5
     assert r.timestamps[0] == t.timestamps[0]
@@ -208,19 +208,19 @@ def test_resample_mean_block_of_four():
 
 def test_resample_mean_drops_trailing_partial_block():
     t = hourly_table({"v": [1, 2, 3, 4, 5]})
-    r = resample_mean(t, 4 * 3600)
+    r = resample_mean(t, 4 * 3600, 0)
     assert list(r.columns["v"]) == [2.5]
 
 
 def test_resample_mean_skips_missing():
     t = hourly_table({"v": [1, np.nan, 3, 4]})
-    r = resample_mean(t, 4 * 3600)
+    r = resample_mean(t, 4 * 3600, 0)
     assert r.columns["v"][0] == pytest.approx(8 / 3)
 
 
 def test_resample_mean_all_missing_block_stays_missing():
     t = hourly_table({"v": [np.nan] * 4 + [1, 1, 1, 1]})
-    r = resample_mean(t, 4 * 3600)
+    r = resample_mean(t, 4 * 3600, 0)
     assert np.isnan(r.columns["v"][0]) and r.columns["v"][1] == 1
 
 
@@ -237,23 +237,31 @@ def test_resample_mean_all_missing_block_stays_missing():
 def test_resample_mean_puts_blocks_on_the_utc_clock(start_hour, n, stamps, means):
     # each row holds its hour of the day
     t = hourly_table({"v": start_hour + np.arange(n)}, start=T0 + int(start_hour * 3600))
-    r = resample_mean(t, 4 * 3600)
+    r = resample_mean(t, 4 * 3600, 0)
     np.testing.assert_array_equal(r.timestamps, T0 + 3600 * np.array(stamps))
     np.testing.assert_array_equal(r.columns["v"], means)
+
+
+def test_resample_mean_anchors_blocks_at_the_origin():
+    # blocks [02:00, 06:00) and [06:00, 10:00); rows 00:00-01:00 and 10:00 are partial
+    t = hourly_table({"v": np.arange(11.0)}, start=T0)
+    r = resample_mean(t, 4 * 3600, 2 * 3600)
+    np.testing.assert_array_equal(r.timestamps, T0 + 3600 * np.array([2, 6]))
+    np.testing.assert_array_equal(r.columns["v"], [3.5, 7.5])
 
 
 def test_resampled_tables_that_start_at_different_hours_join():
     a = hourly_table({"f1": np.arange(24.0)}, start=T0)
     b = hourly_table({"tgt": np.arange(24.0)}, start=T0 + 3600)
-    fm = align_join([resample_mean(a, 4 * 3600), resample_mean(b, 4 * 3600)], ["f1"], "tgt", *EVER)
+    fm = align_join([resample_mean(a, 4 * 3600, 0), resample_mean(b, 4 * 3600, 0)], ["f1"], "tgt", *EVER)
     np.testing.assert_array_equal(fm.timestamps, T0 + 4 * 3600 * np.arange(1, 6))
     np.testing.assert_array_equal(fm.X[:, 0], fm.y + 1)
 
 
 def test_resample_mean_rejects_non_multiple():
-    t = resample_mean(hourly_table({"v": np.arange(8.0)}), 4 * 3600)
+    t = resample_mean(hourly_table({"v": np.arange(8.0)}), 4 * 3600, 0)
     with pytest.raises(TimeSeriesError):
-        resample_mean(t, 6 * 3600)
+        resample_mean(t, 6 * 3600, 0)
 
 
 @given(st.integers(1, 6), st.integers(0, 7))
@@ -263,8 +271,8 @@ def test_resample_mean_idempotent_for_same_block(blocks, extra):
     n = blocks * block_hours + extra
     rng = np.random.default_rng(n)
     t = hourly_table({"v": rng.normal(size=n)})
-    once = resample_mean(t, block_hours * 3600)
-    twice = resample_mean(once, block_hours * 3600)
+    once = resample_mean(t, block_hours * 3600, 0)
+    twice = resample_mean(once, block_hours * 3600, 0)
     np.testing.assert_array_equal(once.columns["v"], twice.columns["v"])
     np.testing.assert_array_equal(once.timestamps, twice.timestamps)
 
@@ -379,7 +387,7 @@ def test_align_join_rejects_ambiguous_column():
 
 def test_align_join_rejects_mixed_resolutions():
     a = hourly_table({"f1": np.arange(8.0)})
-    b = resample_mean(hourly_table({"tgt": np.arange(8.0)}), 4 * 3600)
+    b = resample_mean(hourly_table({"tgt": np.arange(8.0)}), 4 * 3600, 0)
     with pytest.raises(TimeSeriesError, match="resolution"):
         align_join([a, b], ["f1"], "tgt", *EVER)
 
