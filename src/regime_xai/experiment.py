@@ -88,11 +88,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class WindowResult:
-    window_index: int
+    """One window's split, fit and explanation; `explained` holds the rows `explanation.phi` covers."""
+
     split: SplitPlan
     explanation: Explanation
-    explained_X: np.ndarray
-    explained_timestamps: np.ndarray
+    explained: FeatureMatrix
     importance: ImportanceVector
     test_mse: float
     test_r2: float
@@ -109,7 +109,7 @@ class PeriodResult:
 
     @property
     def degenerate_windows(self) -> tuple[int, ...]:
-        return tuple(w.window_index for w in self.windows if w.importance.degenerate)
+        return tuple(i for i, w in enumerate(self.windows) if w.importance.degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +139,7 @@ def make_windows(n_rows: int, n_windows: int, window_fraction: float) -> list[ra
     if width < 1 or n_rows < n_windows:
         raise TimeSeriesError(f"period too short: {n_rows} rows for {n_windows} windows")
     span = n_rows - width
-    if n_windows == 1:
-        offsets = [0]
-    else:
-        offsets = [round(i * span / (n_windows - 1)) for i in range(n_windows)]
+    offsets = [round(i * span / max(n_windows - 1, 1)) for i in range(n_windows)]
     return [range(off, off + width) for off in offsets]
 
 
@@ -255,11 +252,9 @@ def run_period(
 
         results.append(
             WindowResult(
-                window_index=w,
                 split=plan,
                 explanation=explanation,
-                explained_X=explain.X,
-                explained_timestamps=explain.timestamps,
+                explained=explain,
                 importance=importance,
                 test_mse=mse,
                 test_r2=r2,
@@ -294,34 +289,15 @@ def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparis
     )
 
 
-def dependence_data(result: PeriodResult, feature: str) -> dict[str, np.ndarray]:
-    """Plot-ready (feature value, SHAP value) pairs over every window's
-    explained rows, tagged by window; no binning or smoothing."""
-    if feature not in result.feature_names:
-        raise ValueError(f"unknown feature {feature!r}; have {result.feature_names}")
-    j = result.feature_names.index(feature)
-    window_tags, x_values, phi_values = [], [], []
-    for w in result.windows:
-        k = len(w.explanation)
-        window_tags.append(np.full(k, w.window_index, dtype=np.intp))
-        x_values.append(w.explained_X[:, j])
-        phi_values.append(w.explanation.phi[:, j])
-    return {
-        "window": np.concatenate(window_tags),
-        "x_value": np.concatenate(x_values),
-        "phi_value": np.concatenate(phi_values),
-    }
-
-
 # ----------------------------------------------------------------- exporters
 
 
 def write_importance_csv(path, results: dict[str, PeriodResult]) -> None:
     """One row per (period, window, feature): relative SHAP importance."""
     rows = (
-        (name, w.window_index, feat, fi)
+        (name, i, feat, fi)
         for name, result in results.items()
-        for w in result.windows
+        for i, w in enumerate(result.windows)
         for feat, fi in zip(result.feature_names, w.importance.fi.tolist())
     )
     write_csv(path, ["period", "window", "feature", "fi"], rows)
@@ -342,12 +318,11 @@ def write_dependence_csv(path, results: dict[str, PeriodResult]) -> None:
 
     def rows():
         for name, result in results.items():
-            stamps = [format_timestamp(t) for w in result.windows for t in w.explained_timestamps.tolist()]
-            for feat in result.feature_names:
-                data = dependence_data(result, feat)
-                for w, t, x, phi in zip(data["window"].tolist(), stamps, data["x_value"].tolist(),
-                                        data["phi_value"].tolist()):
-                    yield name, w, t, feat, x, phi
+            stamps = [[format_timestamp(t) for t in w.explained.timestamps.tolist()] for w in result.windows]
+            for j, feat in enumerate(result.feature_names):
+                for i, (w, ts) in enumerate(zip(result.windows, stamps)):
+                    for t, x, phi in zip(ts, w.explained.X[:, j].tolist(), w.explanation.phi[:, j].tolist()):
+                        yield name, i, t, feat, x, phi
 
     write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], rows())
 
@@ -355,10 +330,10 @@ def write_dependence_csv(path, results: dict[str, PeriodResult]) -> None:
 def window_metrics(result: PeriodResult) -> list[dict]:
     """Per-window fit quality for the run manifest."""
     out = []
-    for w in result.windows:
+    for i, w in enumerate(result.windows):
         out.append(
             {
-                "window": w.window_index,
+                "window": i,
                 "n_train": int(len(w.split.train_indices)),
                 "n_test": int(len(w.split.test_indices)),
                 "test_mse": w.test_mse,

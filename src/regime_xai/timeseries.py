@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -115,7 +116,7 @@ def load_table(path, step_seconds: int) -> TimeTable:
 
     Empty cells become NaN; an infinite value is rejected with its line and
     column. Rows are sorted by timestamp; a duplicate timestamp or a step
-    other than step_seconds is rejected.
+    other than step_seconds is rejected with the later row's line.
     """
     try:
         # spreadsheet exports may lead with a BOM; a byte that is not UTF-8 becomes a
@@ -138,6 +139,7 @@ def load_table(path, step_seconds: int) -> TimeTable:
             raise ParseError(1, "duplicate column names in header")
 
         ts_list: list[int] = []
+        line_nos = array("l")  # each row's file line for the grid errors; 8 bytes a row, not a list's 40
         rows: list[list[float]] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -148,6 +150,7 @@ def load_table(path, step_seconds: int) -> TimeTable:
                 ts_list.append(parse_timestamp(row[0].strip()))
             except ValueError:
                 raise ParseError(line_no, f"malformed timestamp {row[0]!r}") from None
+            line_nos.append(line_no)
             values = []
             for name, cell in zip(names, row[1:]):
                 cell = cell.strip()
@@ -176,11 +179,13 @@ def load_table(path, step_seconds: int) -> TimeTable:
     diffs = np.diff(ts)
     if np.any(diffs == 0):
         bad = int(np.argmax(diffs == 0))
-        raise TimeSeriesError(f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}")
+        raise ParseError(
+            line_nos[order[bad + 1]], f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
+        )
     if np.any(diffs != step_seconds):
         bad = int(np.argmax(diffs != step_seconds))
-        raise TimeSeriesError(
-            f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
+        raise ParseError(
+            line_nos[order[bad + 1]], f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
             f"and {format_timestamp(ts[bad + 1])}, expected {step_seconds / 3600:g}h"
         )
     columns = {name: data[:, i].copy() for i, name in enumerate(names)}

@@ -477,10 +477,10 @@ def test_main_reports_an_unexpected_failure_as_exit_2(tmp_path, capsys):
     "text, error, message",
     [
         ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T01:00:00Z\n", "ParseError", "line 3: expected 2 cells, got 1"),
-        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T00:00:00Z,2\n", "TimeSeriesError",
-         "duplicate timestamp 2018-01-01T00:00:00Z after 2018-01-01T00:00:00Z"),
-        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T02:00:00Z,2\n", "TimeSeriesError",
-         "observed step 2h between 2018-01-01T00:00:00Z and 2018-01-01T02:00:00Z, expected 1h"),
+        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T00:00:00Z,2\n", "ParseError",
+         "line 3: duplicate timestamp 2018-01-01T00:00:00Z after 2018-01-01T00:00:00Z"),
+        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T02:00:00Z,2\n", "ParseError",
+         "line 3: observed step 2h between 2018-01-01T00:00:00Z and 2018-01-01T02:00:00Z, expected 1h"),
     ],
     ids=["ragged row", "duplicate stamp", "gap"],
 )

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from regime_xai.experiment import (
     SplitPlan,
     WindowResult,
     compare_periods,
-    dependence_data,
     make_windows,
     run_period,
     split_blocks,
@@ -293,7 +293,7 @@ def test_compare_rejects_feature_mismatch():
         compare_periods(result, other)
 
 
-# ------------------------------------------------------------- dependence_data
+# -------------------------------------------------------------- dependence.csv
 
 
 def linear_net(coef):
@@ -308,16 +308,14 @@ def additive_period_result():
     rng = np.random.default_rng(11)
     bg = Background(np.array([[1.0, -2.0], [-1.0, 2.0]]))
     windows = []
-    for w in range(2):
+    for _ in range(2):
         X = rng.uniform(-1, 1, size=(15, 2))
         e = explain_dataset(linear_net([1.0, 1.0]), X, bg, method="kernel")
         windows.append(
             WindowResult(
-                window_index=w,
                 split=SplitPlan(np.arange(15, 30), np.arange(15)),
                 explanation=e,
-                explained_X=X,
-                explained_timestamps=np.arange(15) * 3600,
+                explained=FeatureMatrix(("x1", "x2"), X, X.sum(axis=1), np.arange(15) * 3600),
                 importance=feature_importance(e),
                 test_mse=0.0,
                 test_r2=1.0,
@@ -327,33 +325,41 @@ def additive_period_result():
     return PeriodResult(("x1", "x2"), tuple(windows), fi.mean(axis=0), fi.std(axis=0))
 
 
-def test_dependence_concatenates_all_windows():
-    result = additive_period_result()
-    table = dependence_data(result, "x1")
+def dependence_rows(tmp_path, results):
+    """The rows write_dependence_csv writes, read back with typed cells."""
+    path = tmp_path / "dependence.csv"
+    write_dependence_csv(path, results)
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [
+            dict(r, window=int(r["window"]), x_value=float(r["x_value"]), phi_value=float(r["phi_value"]))
+            for r in csv.DictReader(fh)
+        ]
+
+
+def dependence_columns(tmp_path, result, feature):
+    rows = [r for r in dependence_rows(tmp_path, {"p": result}) if r["feature"] == feature]
+    return {key: np.array([r[key] for r in rows]) for key in ("window", "x_value", "phi_value")}
+
+
+def test_dependence_concatenates_all_windows(tmp_path):
+    table = dependence_columns(tmp_path, additive_period_result(), "x1")
     assert len(table["window"]) == 30
-    assert set(table["window"]) == {0, 1}
+    assert set(table["window"].tolist()) == {0, 1}
 
 
-def test_dependence_additive_model_on_diagonal():
-    result = additive_period_result()
-    table = dependence_data(result, "x1")
+def test_dependence_additive_model_on_diagonal(tmp_path):
+    table = dependence_columns(tmp_path, additive_period_result(), "x1")
     np.testing.assert_allclose(table["phi_value"], table["x_value"], atol=1e-6)
 
 
-def test_dependence_unknown_feature():
-    result = additive_period_result()
-    with pytest.raises(ValueError, match="unknown feature"):
-        dependence_data(result, "x9")
-
-
-def test_dependence_profile_of_fitted_model_tracks_coefficient():
+def test_dependence_profile_of_fitted_model_tracks_coefficient(tmp_path):
     # On period A (target 3*x1 + x2 + noise) the x1 dependence profile of a
     # fitted tree model must rise with x1 and do so ~3x as steeply as x2's.
     fm, _ = synth_regime(960, seed=15)
     result = run_period(fm, period_for(fm, "A"), "gbt", FAST, seed=11)
     slopes = {}
     for feat in ("x1", "x2"):
-        table = dependence_data(result, feat)
+        table = dependence_columns(tmp_path, result, feat)
         slope, _ = np.polyfit(table["x_value"], table["phi_value"], 1)
         corr = np.corrcoef(table["x_value"], table["phi_value"])[0, 1]
         assert corr > 0.9
@@ -361,16 +367,45 @@ def test_dependence_profile_of_fitted_model_tracks_coefficient():
     assert 2.0 < slopes["x1"] / slopes["x2"] < 4.5
 
 
-def test_dependence_dummy_feature_zero():
+def test_dependence_dummy_feature_zero(tmp_path):
     rng = np.random.default_rng(12)
     bg = Background(rng.normal(size=(4, 2)))
     X = rng.normal(size=(10, 2))
     e = explain_dataset(linear_net([2.0, 0.0]), X, bg, method="kernel")
-    w = WindowResult(0, SplitPlan(np.arange(10, 20), np.arange(10)), e, X,
-                     np.arange(10) * 3600, feature_importance(e), 0.0, 1.0)
+    explained = FeatureMatrix(("x1", "x2"), X, 2.0 * X[:, 0], np.arange(10) * 3600)
+    w = WindowResult(SplitPlan(np.arange(10, 20), np.arange(10)), e, explained, feature_importance(e), 0.0, 1.0)
     result = PeriodResult(("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
-    table = dependence_data(result, "x2")
+    table = dependence_columns(tmp_path, result, "x2")
+    assert len(table["phi_value"]) == 10
     np.testing.assert_allclose(table["phi_value"], 0.0, atol=1e-12)
+
+
+def test_dependence_rows_are_each_windows_explained_rows(tmp_path):
+    # Two disjoint windows explain different test rows: every row of a window
+    # carries that window's own stamp, feature value and attribution, and
+    # dependence.csv, importance.csv and the manifest's metrics number the
+    # windows alike.
+    fm, _ = synth_regime(960, seed=16)
+    result = run_period(fm, period_for(fm), "gbt", replace(FAST, n_windows=2), seed=12)
+    first, second = (w.explained.timestamps.tolist() for w in result.windows)
+    assert set(first).isdisjoint(second)
+
+    rows = dependence_rows(tmp_path, {"p": result})
+    for j, feat in enumerate(result.feature_names):
+        got = [(r["window"], r["timestamp"], r["x_value"], r["phi_value"]) for r in rows if r["feature"] == feat]
+        want = [
+            (i, format_timestamp(t), x, phi)
+            for i, w in enumerate(result.windows)
+            for t, x, phi in zip(w.explained.timestamps.tolist(), w.explained.X[:, j].tolist(),
+                                 w.explanation.phi[:, j].tolist())
+        ]
+        assert got == want
+
+    write_importance_csv(tmp_path / "importance.csv", {"p": result})
+    with open(tmp_path / "importance.csv", newline="", encoding="utf-8") as fh:
+        importance_windows = sorted({int(r["window"]) for r in csv.DictReader(fh)})
+    manifest_windows = [m["window"] for m in window_metrics(result)]
+    assert sorted({r["window"] for r in rows}) == importance_windows == manifest_windows == [0, 1]
 
 
 # -------------------------------------------------------------------- exports
@@ -408,18 +443,14 @@ def test_export_text_is_pinned(tmp_path):
     names = ("load", "wind")
     t0 = 1577836800  # 2020-01-01T00:00:00Z
     windows = []
-    for w, (fi, ts, X, phi) in enumerate(
-        [
-            ([1 / 3, 2 / 3], [t0, t0 + 3600], [[0.1, 1e16], [-0.0, 1 / 3]], [[1e-300, -2.5], [0.1, 1 / 3]]),
-            ([-0.0, 1.0], [t0 + 86400], [[2.0, -1.5]], [[0.0, 7.0]]),
-        ]
-    ):
+    for fi, ts, X, phi in [
+        ([1 / 3, 2 / 3], [t0, t0 + 3600], [[0.1, 1e16], [-0.0, 1 / 3]], [[1e-300, -2.5], [0.1, 1 / 3]]),
+        ([-0.0, 1.0], [t0 + 86400], [[2.0, -1.5]], [[0.0, 7.0]]),
+    ]:
         phi = np.array(phi)
         e = Explanation(phi, 0.0, 0.0)
-        windows.append(
-            WindowResult(w, None, e, np.array(X), np.array(ts, dtype=np.int64),
-                         ImportanceVector(np.array(fi)), 0.0, 1.0)
-        )
+        explained = FeatureMatrix(names, np.array(X), np.zeros(len(ts)), np.array(ts, dtype=np.int64))
+        windows.append(WindowResult(None, e, explained, ImportanceVector(np.array(fi)), 0.0, 1.0))
     result = PeriodResult(names, tuple(windows), np.zeros(2), np.zeros(2))
 
     write_importance_csv(tmp_path / "importance.csv", {"before": result, "after": result})

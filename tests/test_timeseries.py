@@ -105,6 +105,36 @@ def test_load_table_duplicate_timestamp(tmp_path):
         load_table(p, 3600)
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            ["timestamp,v", "2018-01-01T02:00:00Z,3", "2018-01-01T00:00:00Z,1", "2018-01-01T01:00:00Z,2",
+             "2018-01-01T00:00:00Z,4"],
+            "line 5: duplicate timestamp 2018-01-01T00:00:00Z after 2018-01-01T00:00:00Z",
+        ),
+        (
+            ["timestamp,v", "2018-01-01T03:00:00Z,4", "2018-01-01T00:00:00Z,1", "", "2018-01-01T01:00:00Z,2"],
+            "line 2: observed step 2h between 2018-01-01T01:00:00Z and 2018-01-01T03:00:00Z, expected 1h",
+        ),
+    ],
+    ids=["duplicate", "gap"],
+)
+def test_load_table_names_the_file_line_of_a_grid_fault_in_unsorted_rows(tmp_path, lines, message):
+    # the later row of the faulty pair sits at sorted index 1 (duplicate) and 2 (gap):
+    # the message names its line in the file, not its place after the sort
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
+@pytest.mark.parametrize("stamp", ["2018-01-01 00:00:00", "2018-01-01T00:00", "2018-01-01T00:00:00+00:00"])
+def test_load_table_rejects_timestamps_numpy_would_accept(tmp_path, stamp):
+    # numpy's datetime64 parses all three forms; ingest takes only YYYY-MM-DDThh:mm:ssZ
+    lines = ["timestamp,v", "2017-12-31T23:00:00Z,1", f"{stamp},2"]
+    with pytest.raises(ParseError, match=f"^{re.escape(f'line 3: malformed timestamp {stamp!r}')}$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
 def test_load_table_accepts_a_file_with_only_timestamps(tmp_path):
     p = write_csv(tmp_path / "a.csv", ["timestamp", "2020-01-01T01:00:00Z", "2020-01-01T00:00:00Z"])
     t = load_table(p, 3600)
