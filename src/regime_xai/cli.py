@@ -231,18 +231,6 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
 # ---------------------------------------------------------------- self-tests
 
 
-def _oracle_deviation(model, predict, X, bg: Background, method: str) -> float:
-    """Largest gap between explain_dataset and the brute-force enumeration
-    of the same model under predict, over every row's phi and phi0."""
-    e = explain_dataset(model, X, bg, method=method)
-    fn = partial(predict, model)
-    worst = 0.0
-    for x, phi in zip(X, e.phi):
-        phi_e, phi0_e = exact_shap(fn, x, bg)
-        worst = max(worst, float(np.max(np.abs(phi - phi_e))), abs(e.phi0 - phi0_e))
-    return worst
-
-
 def _check_tree_oracle():
     """Compare tree explanations against the brute-force enumeration."""
     rng = np.random.default_rng(101)
@@ -254,24 +242,12 @@ def _check_tree_oracle():
         model = fit_gbt(fm, GbtParams(n_trees=5, max_depth=3, min_samples_leaf=5, learning_rate=0.3))
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         rows = rng.uniform(-1, 1, size=(10, 6))
-        worst = max(worst, _oracle_deviation(model, predict_gbt, rows, bg, "tree"))
+        e = explain_dataset(model, rows, bg, method="tree")
+        fn = partial(predict_gbt, model)
+        for x, phi in zip(rows, e.phi):
+            phi_e, phi0_e = exact_shap(fn, x, bg)
+            worst = max(worst, float(np.max(np.abs(phi - phi_e))), abs(e.phi0 - phi0_e))
     return worst < 1e-9, f"max deviation {worst:.2e} (tolerance 1e-9)"
-
-
-def _check_kernel_oracle():
-    """Compare kernel explanations in exact mode (8 features) against the
-    brute-force enumeration."""
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for seed in range(2):
-        X = rng.standard_normal((60, 8))
-        y = rng.standard_normal(60)
-        fm = FeatureMatrix(tuple(f"f{i}" for i in range(8)), X, y, np.arange(60))
-        net = initial_net(fm, MlpParams(hidden_sizes=(8, 6), seed=seed))
-        bg = Background(rng.standard_normal((5, 8)))
-        rows = rng.standard_normal((5, 8))
-        worst = max(worst, _oracle_deviation(net, partial(predict_mlp, work={}), rows, bg, "kernel"))
-    return worst < 1e-6, f"max deviation {worst:.2e} (tolerance 1e-6)"
 
 
 def _check_kernel_sampled():
@@ -374,7 +350,6 @@ def _check_split_integrity():
 
 VERIFY_CHECKS = (
     ("tree-oracle equivalence", _check_tree_oracle),
-    ("kernel-oracle equivalence (exact mode)", _check_kernel_oracle),
     ("kernel-oracle error (sampled mode)", _check_kernel_sampled),
     ("mlp gradient check", _check_gradients),
     ("local accuracy", _check_local_accuracy),

@@ -42,9 +42,6 @@ class TreeEnsemble:
     learning_rate: float
     n_features: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
-
 
 @dataclass(frozen=True)
 class GbtParams:

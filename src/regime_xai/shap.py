@@ -12,9 +12,11 @@ of that,
   background codes that occurs is a coalition game whose Shapley value has a
   closed form, so the cost grows with rows plus background rather than their
   product,
-* kernel_shap solves the weighted least-squares formulation over sampled
-  coalitions, with the two known constraints (intercept and total) eliminated
-  exactly so the attributions always sum to the prediction.
+* kernel_shap returns exact_shap's values while its coalition budget covers
+  every coalition (n <= 11); above that it solves the weighted least-squares
+  formulation over sampled coalitions, with the two known constraints
+  (intercept and total) eliminated exactly so the attributions always sum to
+  the prediction.
 
 Per-feature importances are the mean absolute attributions normalized to
 sum to one.
@@ -248,13 +250,13 @@ def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.
 
 
 def _coalition_budget(n: int) -> int:
-    """Coalitions kernel_shap evaluates: all 2^n - 2 proper nonempty ones for
-    n <= 11, otherwise 2n + 2048 paired samples."""
-    return min((1 << n) - 2, 2 * n + 2048)
+    """Coalitions kernel_shap may evaluate for one row of n features.
 
-
-def _kernel_weight(n: int, size: int) -> float:
-    return (n - 1) / (math.comb(n, size) * size * (n - size))
+    When the budget covers all 2^n - 2 proper nonempty coalitions (n <= 11)
+    kernel_shap enumerates instead of sampling; otherwise it draws this many
+    paired samples.
+    """
+    return 2 * n + 2048
 
 
 def kernel_shap(
@@ -265,43 +267,37 @@ def kernel_shap(
 ) -> tuple[np.ndarray, float]:
     """SHAP values from the Shapley-kernel weighted least squares problem.
 
-    The intercept (base value) and the coefficient total (prediction minus
-    base) are eliminated exactly, so local accuracy holds by construction.
     When the budget, which follows from n alone (_coalition_budget), covers
-    all 2^n - 2 proper nonempty coalitions they are enumerated with their
-    exact kernel weights (exact mode, equal to exact_shap); otherwise
-    coalition sizes are sampled from the kernel weight distribution and
-    subsets are paired with their complements. With one feature there are
-    no proper nonempty coalitions, so the design is empty and the value is
-    the remainder f(x) - phi0.
+    all 2^n - 2 proper nonempty coalitions, the regression over all of them
+    has the Shapley values as its solution, so they are computed by
+    enumeration: the result is exact_shap's. Otherwise coalition sizes are
+    sampled from the kernel weight distribution, subsets are paired with
+    their complements, and the intercept (base value) and the coefficient
+    total (prediction minus base) are eliminated exactly, so local accuracy
+    holds by construction.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if bg.n_features != n:
         raise ValueError("background width does not match the explained row")
+    budget = _coalition_budget(n)
+    if (1 << n) - 2 <= budget:
+        return exact_shap(model_fn, x, bg)
     fx = float(model_fn(x[None, :])[0])
     phi0 = float(np.mean(model_fn(bg.rows)))
 
-    budget = _coalition_budget(n)
+    # one draw of budget // 2 sizes and one uniform subset of each size
+    # (the features whose rank in a random row is below the size); each
+    # subset is paired with its complement, repeats add to the weight
     full = (1 << n) - 1
-
-    if (1 << n) - 2 <= budget:
-        masks = np.arange(1, full, dtype=np.int64)
-        Z = (masks[:, None] >> np.arange(n)) & 1
-        size_weight = np.array([0.0] + [_kernel_weight(n, s) for s in range(1, n)])
-        weights = size_weight[Z.sum(axis=1)]
-    else:
-        # one draw of budget // 2 sizes and one uniform subset of each size
-        # (the features whose rank in a random row is below the size); each
-        # subset is paired with its complement, repeats add to the weight
-        rng = np.random.default_rng(seed)
-        size_mass = np.array([(n - 1) / (s * (n - s)) for s in range(1, n)])
-        sizes = 1 + rng.choice(n - 1, size=budget // 2, p=size_mass / size_mass.sum())
-        half = np.argsort(rng.random((len(sizes), n)), axis=1) < sizes[:, None]
-        drawn = half @ (1 << np.arange(n, dtype=np.int64))
-        masks, counts = np.unique(np.concatenate([drawn, full ^ drawn]), return_counts=True)
-        Z = (masks[:, None] >> np.arange(n)) & 1
-        weights = counts.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    size_mass = np.array([(n - 1) / (s * (n - s)) for s in range(1, n)])
+    sizes = 1 + rng.choice(n - 1, size=budget // 2, p=size_mass / size_mass.sum())
+    half = np.argsort(rng.random((len(sizes), n)), axis=1) < sizes[:, None]
+    drawn = half @ (1 << np.arange(n, dtype=np.int64))
+    masks, counts = np.unique(np.concatenate([drawn, full ^ drawn]), return_counts=True)
+    Z = (masks[:, None] >> np.arange(n)) & 1
+    weights = counts.astype(np.float64)
 
     y = _mask_values(model_fn, x, bg, masks, n)
 

@@ -369,6 +369,8 @@ def synth_regime(n_rows_per_period: int, seed: int) -> tuple[FeatureMatrix, Feat
     n = int(n_rows_per_period)
     if n < 500:
         raise TimeSeriesError(f"n_rows_per_period must be >= 500, got {n}")
+    if seed < 0:
+        raise TimeSeriesError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     periods = []

@@ -442,6 +442,13 @@ def test_main_exit_codes(tmp_path):
     assert missing == 1
 
 
+def test_synth_negative_seed_exits_1_naming_the_seed(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "s"), "--seed", "-1"]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "TimeSeriesError", "message": "seed must be >= 0, got -1"}
+    assert not (tmp_path / "s" / "synth_data.csv").exists()
+
+
 def test_main_features_command(tmp_path):
     config_path = market_config(tmp_path)
     assert main(["features", "--config", str(config_path)]) == 0
@@ -809,7 +816,7 @@ def test_module_entry_point_imports_cleanly():
 def test_cmd_verify_all_pass(capsys):
     assert cmd_verify() == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
 
 
@@ -832,8 +839,23 @@ def test_cmd_verify_fails_a_kernel_engine_that_misplaces_attributions(capsys, mo
     monkeypatch.setattr("regime_xai.shap.kernel_shap", swapped)
     assert cmd_verify() == 2
     out = capsys.readouterr().out
+    assert out.count("FAIL") == 1 and "FAIL kernel-oracle error (sampled mode)" in out
+
+
+def test_cmd_verify_fails_an_enumeration_that_misplaces_attributions(capsys, monkeypatch):
+    # the oracle itself is wrong: both fast paths checked against it disagree
+    exact_shap = regime_xai.shap.exact_shap
+
+    def swapped(*args):
+        phi, phi0 = exact_shap(*args)
+        return phi[[1, 0, *range(2, len(phi))]], phi0
+
+    monkeypatch.setattr("regime_xai.shap.exact_shap", swapped)
+    monkeypatch.setattr("regime_xai.cli.exact_shap", swapped)
+    assert cmd_verify() == 2
+    out = capsys.readouterr().out
     assert out.count("FAIL") == 2
-    assert "FAIL kernel-oracle equivalence (exact mode)" in out
+    assert "FAIL tree-oracle equivalence" in out
     assert "FAIL kernel-oracle error (sampled mode)" in out
 
 

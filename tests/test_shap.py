@@ -267,18 +267,19 @@ def test_tree_batch_matches_brute_force_row_by_row():
 
 
 def test_kernel_exact_mode_matches_brute_force():
-    worst = 0.0
+    # while the budget covers all 2^n - 2 coalitions (n <= 11) kernel_shap
+    # returns the enumeration's values themselves
     rng = np.random.default_rng(9)
-    for seed in range(3):
-        net = random_mlp(seed)
+    for seed, n in enumerate((1, 2, 8, 8, 8, 11)):
+        net = random_mlp(seed, n_features=n)
         fn = partial(predict_mlp, net, work={})
-        bg = Background(rng.standard_normal((5, 8)))
+        bg = Background(rng.standard_normal((5, n)))
         for _ in range(3):
-            x = rng.standard_normal(8)
-            phi_k, phi0_k = kernel_shap(fn, x, bg, seed=0)  # 2^8-2 = 254 coalitions: exact mode
+            x = rng.standard_normal(n)
+            phi_k, phi0_k = kernel_shap(fn, x, bg, seed=0)
             phi_e, phi0_e = exact_shap(fn, x, bg)
-            worst = max(worst, np.max(np.abs(phi_k - phi_e)), abs(phi0_k - phi0_e))
-    assert worst < 1e-6
+            np.testing.assert_array_equal(phi_k, phi_e)
+            assert phi0_k == phi0_e
 
 
 def test_kernel_constant_model_zero_phi():
@@ -354,6 +355,9 @@ def test_kernel_deterministic_given_seed():
     phi1, _ = kernel_shap(fn, x, bg, seed=7)
     phi2, _ = kernel_shap(fn, x, bg, seed=7)
     np.testing.assert_array_equal(phi1, phi2)
+    # 2^12 - 2 = 4,094 coalitions exceed the budget of 2,072: n = 12 samples
+    phi3, _ = kernel_shap(fn, x, bg, seed=8)
+    assert not np.array_equal(phi1, phi3)
 
 
 def test_kernel_singular_system_reported(monkeypatch):
