@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import regime_xai
-from regime_xai.config import ConfigError, RunConfig, load_config
+from regime_xai.config import PERIODS, ConfigError, RunConfig, load_config
 from regime_xai.experiment import (
     compare_periods,
     run_period,
@@ -54,8 +54,6 @@ from regime_xai.timeseries import (
 from regime_xai import experiment as experiment_mod
 
 log = logging.getLogger("regime_xai")
-
-PERIOD_ORDER = ("before", "after")
 
 
 # ------------------------------------------------------------ feature builds
@@ -107,7 +105,7 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
 
     frames: dict[str, FeatureMatrix] = {}
     report = {"periods": {}, "columns": list(config.features.columns)}
-    for name in PERIOD_ORDER:
+    for name in PERIODS:
         period = config.periods[name]
         target_col = config.features.target[name]
         frames[name] = align_join(tables, list(config.features.columns), target_col, period.start, period.end)
@@ -151,7 +149,7 @@ def cmd_run(config: RunConfig) -> dict:
 
     results = {}
     period_seeds = {}
-    for index, name in enumerate(PERIOD_ORDER):
+    for index, name in enumerate(PERIODS):
         period_seeds[name] = derive_seed(config.seed, index)
         log.info("fitting %s models for period %s", config.model_kind, name)
         results[name] = run_period(
@@ -176,7 +174,7 @@ def cmd_run(config: RunConfig) -> dict:
         "seed": config.seed,
         "period_seeds": period_seeds,
         "features": feature_report,
-        "metrics": {name: window_metrics(results[name]) for name in PERIOD_ORDER},
+        "metrics": {name: window_metrics(results[name]) for name in PERIODS},
         "flagged_features": [
             feat for feat, hit in zip(comparison.feature_names, comparison.flagged) if hit
         ],
@@ -259,7 +257,7 @@ def _check_kernel_sampled():
     X = rng.standard_normal((200, 12))
     y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3:].sum(axis=1) + 0.1 * rng.standard_normal(200)
     fm = FeatureMatrix(tuple(f"f{i}" for i in range(12)), X, y, np.arange(200))
-    net = fit_mlp(fm, MlpParams(hidden_sizes=(16, 16), max_epochs=30, seed=0))
+    net = fit_mlp(fm, MlpParams(hidden_sizes=(16, 16), max_epochs=30), seed=0)
     bg, rows = Background(X[:5]), X[5:25]
     e = explain_dataset(net, rows, bg, method="kernel")
     fn = partial(predict_mlp, net, work={})
@@ -281,7 +279,7 @@ def _check_gradients():
         X = rng.standard_normal((64, 3))
         y = rng.standard_normal(64)
         fm = FeatureMatrix(("a", "b", "c"), X, y, np.arange(64))
-        net = initial_net(fm, MlpParams(hidden_sizes=(6, 5), seed=seed))
+        net = initial_net(fm, MlpParams(hidden_sizes=(6, 5)), seed)
         for _ in range(20):
             X_check = rng.standard_normal((8, 3))
             pre = (X_check - net.x_mean) / net.x_std
@@ -307,7 +305,7 @@ def _check_local_accuracy():
     model = fit_gbt(fm, GbtParams(n_trees=20, max_depth=3, min_samples_leaf=10))
     e_tree = explain_dataset(model, X[:100], bg, method="tree")
 
-    net = initial_net(fm, MlpParams(hidden_sizes=(8,), seed=0))
+    net = initial_net(fm, MlpParams(hidden_sizes=(8,)), seed=0)
     e_kernel = explain_dataset(net, X[:50], bg, method="kernel", seed=0)
 
     worst = max(e_tree.max_residual, e_kernel.max_residual)

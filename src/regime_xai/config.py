@@ -21,6 +21,8 @@ from regime_xai.gbt import GbtParams
 from regime_xai.mlp import MlpParams
 from regime_xai.timeseries import parse_timestamp
 
+PERIODS = ("before", "after")  # the two periods a run compares, in time order
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending field path."""
@@ -143,10 +145,10 @@ def _typed_fields(obj, cls, path: str, names) -> dict:
     return {key: _typed(value, hints[key], f"{path}.{key}") for key, value in obj.items()}
 
 
-def _dataclass_from(obj, cls, path: str, banned=()):
+def _dataclass_from(obj, cls, path: str):
     """cls(**obj), each value checked against its field's type hint and each
     field without a default required; range errors name the path."""
-    given = _typed_fields(obj, cls, path, [f.name for f in fields(cls) if f.name not in banned])
+    given = _typed_fields(obj, cls, path, [f.name for f in fields(cls)])
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING:
             _require(obj, f.name, path)
@@ -164,9 +166,9 @@ def _parse_instant(text, path: str) -> int:
 
 
 def _parse_periods(obj, path: str) -> dict[str, PeriodSpec]:
-    _check_keys(obj, ("before", "after"), path)
+    _check_keys(obj, PERIODS, path)
     periods = {}
-    for name in ("before", "after"):
+    for name in PERIODS:
         section = _require(obj, name, path)
         _check_keys(section, ("start", "end"), f"{path}.{name}")
         start = _parse_instant(_require(section, "start", f"{path}.{name}"), f"{path}.{name}.start")
@@ -190,13 +192,13 @@ def _parse_features(obj, path: str) -> FeatureConfig:
             raise ConfigError(f"{path}.columns: duplicate column {name!r}")
     target = _require(obj, "target", path)
     if isinstance(target, dict):
-        _check_keys(target, ("before", "after"), f"{path}.target")
+        _check_keys(target, PERIODS, f"{path}.target")
         target = {
             name: _typed(_require(target, name, f"{path}.target"), str, f"{path}.target.{name}")
-            for name in ("before", "after")
+            for name in PERIODS
         }
     else:
-        target = dict.fromkeys(("before", "after"), _typed(target, str, f"{path}.target"))
+        target = dict.fromkeys(PERIODS, _typed(target, str, f"{path}.target"))
     for name in target.values():
         if name in columns:
             raise ConfigError(f"{path}.columns: target column {name!r} is also a feature")
@@ -226,7 +228,7 @@ def _parse_model(obj, path: str):
     if kind not in MODEL_KINDS:
         raise ConfigError(f"{path}.kind: expected one of {list(MODEL_KINDS)}, got {kind!r}")
     gbt = _dataclass_from(obj.get("gbt", {}), GbtParams, f"{path}.gbt")
-    mlp = _dataclass_from(obj.get("mlp", {}), MlpParams, f"{path}.mlp", banned=("seed",))
+    mlp = _dataclass_from(obj.get("mlp", {}), MlpParams, f"{path}.mlp")
     return kind, gbt, mlp
 
 

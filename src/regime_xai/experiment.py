@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -104,8 +104,6 @@ class PeriodResult:
 
     feature_names: tuple[str, ...]
     windows: tuple[WindowResult, ...]
-    fi_mean: np.ndarray
-    fi_std: np.ndarray
 
     @property
     def degenerate_windows(self) -> tuple[int, ...]:
@@ -114,12 +112,8 @@ class PeriodResult:
 
 @dataclass(frozen=True, eq=False)
 class RegimeComparison:
-    """Per-feature importance statistics for two periods plus deltas.
-
-    A feature is flagged as shifted when |delta| exceeds the sum of the two
-    window standard deviations, i.e. when the error bars of the two periods
-    would not overlap.
-    """
+    """Per-feature importance statistics for two periods plus deltas, as
+    compare_periods computes them."""
 
     feature_names: tuple[str, ...]
     before_mean: np.ndarray
@@ -212,7 +206,7 @@ def run_period(
         predict, method = predict_gbt, "tree"
     else:
         def fit(train: FeatureMatrix, fit_seed: int):
-            return fit_mlp(train, replace(config.mlp, seed=fit_seed))
+            return fit_mlp(train, config.mlp, fit_seed)
 
         predict, method = partial(predict_mlp, work={}), "kernel"
 
@@ -261,31 +255,35 @@ def run_period(
             )
         )
 
-    fi = np.vstack([r.importance.fi for r in results])
-    return PeriodResult(
-        feature_names=data.feature_names,
-        windows=tuple(results),
-        fi_mean=fi.mean(axis=0),
-        fi_std=fi.std(axis=0),
-    )
+    return PeriodResult(feature_names=data.feature_names, windows=tuple(results))
 
 
 def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparison:
-    """Per-feature deltas and shift flags between two periods."""
+    """Per-feature importance mean and spread of each period, their deltas
+    and the shift flags.
+
+    A period's mean and spread are the mean and the population standard
+    deviation of its window importances. A feature is flagged as shifted when
+    |delta| exceeds the sum of the two spreads, i.e. when the error bars of
+    the two periods would not overlap.
+    """
     if before.feature_names != after.feature_names:
         raise ValueError(
             f"feature lists differ: {before.feature_names} vs {after.feature_names}"
         )
-    delta = after.fi_mean - before.fi_mean
-    flagged = np.abs(delta) > (before.fi_std + after.fi_std)
+    fi_before = np.vstack([w.importance.fi for w in before.windows])
+    fi_after = np.vstack([w.importance.fi for w in after.windows])
+    before_mean, before_std = fi_before.mean(axis=0), fi_before.std(axis=0)
+    after_mean, after_std = fi_after.mean(axis=0), fi_after.std(axis=0)
+    delta = after_mean - before_mean
     return RegimeComparison(
         feature_names=before.feature_names,
-        before_mean=before.fi_mean,
-        before_std=before.fi_std,
-        after_mean=after.fi_mean,
-        after_std=after.fi_std,
+        before_mean=before_mean,
+        before_std=before_std,
+        after_mean=after_mean,
+        after_std=after_std,
         delta=delta,
-        flagged=flagged,
+        flagged=np.abs(delta) > (before_std + after_std),
     )
 
 

@@ -56,7 +56,6 @@ class MlpParams:
     step_size: float = 1e-3
     early_stop_patience: int = 20
     validation_fraction: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -137,7 +136,7 @@ def _standardize_stats(X: np.ndarray):
     return mean, std
 
 
-def _start(train: FeatureMatrix, params: MlpParams):
+def _start(train: FeatureMatrix, params: MlpParams, seed: int):
     """The untrained net, the generator past its init draws, and the number
     of head rows that are fitted on (the tail is held out for validation)."""
     n = len(train)
@@ -147,17 +146,17 @@ def _start(train: FeatureMatrix, params: MlpParams):
     n_val = int(np.clip(round(params.validation_fraction * n), 1, max(n - 1, 1)))
     n_fit = max(n - n_val, 1)
     mean, std = _standardize_stats(train.X[:n_fit])
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     weights, biases = _init_params(rng, sizes, float(train.y[:n_fit].mean()))
     return MlpNet(tuple(weights), tuple(biases), mean, std), rng, n_fit
 
 
-def initial_net(train: FeatureMatrix, params: MlpParams) -> MlpNet:
+def initial_net(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
     """The untrained net fit_mlp would start from (same seed, same init draws)."""
-    return _start(train, params)[0]
+    return _start(train, params, seed)[0]
 
 
-def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
+def fit_mlp(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
     """Train by mini-batch Adam on MSE with early stopping.
 
     The validation slice is the time-ordered tail of the window
@@ -165,7 +164,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams) -> MlpNet:
     remaining head so the held-out rows never leak into the statistics.
     Targets stay in original units. Deterministic for a fixed seed.
     """
-    net, rng, n_fit = _start(train, params)
+    net, rng, n_fit = _start(train, params, seed)
     weights, biases = list(net.weights), list(net.biases)
     Z = (train.X - net.x_mean) / net.x_std
     Z_fit, y_fit = Z[:n_fit], train.y[:n_fit]

@@ -48,7 +48,7 @@ def random_ensemble(rng, n_features=6, n_trees=5, max_depth=3):
 def random_net(rng, n_features, hidden=(8, 6), seed=0):
     X = rng.standard_normal((60, n_features))
     y = rng.standard_normal(60)
-    return initial_net(matrix(X, y), MlpParams(hidden_sizes=hidden, seed=seed))
+    return initial_net(matrix(X, y), MlpParams(hidden_sizes=hidden), seed=seed)
 
 
 def period_for(fm, name):
@@ -197,7 +197,7 @@ def test_c06_gbt_monotone_training_loss():
 REGIME_CFG = ExperimentConfig(
     background_size=30,
     gbt=GbtParams(n_trees=60, max_depth=3, min_samples_leaf=20, learning_rate=0.1),
-    mlp=MlpParams(hidden_sizes=(32,), max_epochs=100, seed=0),
+    mlp=MlpParams(hidden_sizes=(32,), max_epochs=100),
 )
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -21,6 +22,8 @@ from regime_xai.cli import (
 )
 from regime_xai.config import ConfigError, apply_override, load_config, parse_config
 from regime_xai.experiment import ExperimentConfig
+from regime_xai.gbt import GbtParams
+from regime_xai.mlp import MlpParams
 from regime_xai.timeseries import format_timestamp, parse_timestamp
 
 T0 = parse_timestamp("2018-01-01T00:00:00Z")
@@ -153,6 +156,19 @@ def test_each_experiment_setting_has_one_config_key(tmp_path, name):
         assert getattr(config.experiment, name) == default
         loaded.append(section)
     assert len(loaded) == 1
+
+
+def test_each_model_setting_has_one_config_key(tmp_path, capsys):
+    # every model parameter is a config key under model.<kind>; the fit seed
+    # is derived per window from the run seed, so it is none
+    path = market_config(tmp_path)
+    for kind, cls in (("gbt", GbtParams), ("mlp", MlpParams)):
+        for f in dataclasses.fields(cls):
+            default = getattr(cls(), f.name)
+            config = load_config(path, overrides=[f"model.{kind}.{f.name}={json.dumps(default)}"])
+            assert getattr(getattr(config.experiment, kind), f.name) == default
+    assert main(["run", "--config", str(path), "--set", "model.mlp.seed=0"]) == 1
+    assert "model.mlp: unknown key(s) ['seed']" in capsys.readouterr().err
 
 
 def test_overlapping_periods_rejected(tmp_path):
@@ -407,6 +423,37 @@ def test_cmd_run_end_to_end_on_synth(tmp_path):
     assert by_feature["x3"]["flagged"] == "false"
     assert manifest["flagged_features"] == ["x1", "x2"]
     assert manifest["toolkit_version"]
+
+
+def test_comparison_csv_is_the_window_statistics_of_importance_csv(tmp_path):
+    # each period's mean and spread are those of its windows' importances,
+    # the spread a population standard deviation (ddof=0)
+    config_path = cmd_synth(tmp_path, n_rows=960, seed=8)
+    cmd_run(load_config(config_path, overrides=["model.gbt.n_trees=20", "shap.background_size=20"]))
+    out = tmp_path / "run_output"
+    with open(out / "importance.csv", newline="", encoding="utf-8") as fh:
+        importance = list(csv.DictReader(fh))
+    with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
+        comparison = list(csv.DictReader(fh))
+    features = [row["feature"] for row in comparison]
+    assert features == ["x1", "x2", "x3"]
+    stats = {}
+    for period in ("before", "after"):
+        fi = {}  # window -> feature -> fi
+        for row in importance:
+            if row["period"] == period:
+                fi.setdefault(int(row["window"]), {})[row["feature"]] = float(row["fi"])
+        assert sorted(fi) == list(range(6))
+        matrix = np.array([[fi[w][feat] for feat in features] for w in sorted(fi)])
+        stats[period] = matrix.mean(axis=0), matrix.std(axis=0, ddof=0)
+    for j, row in enumerate(comparison):
+        before_mean, before_std = (float(row[k]) for k in ("before_mean", "before_std"))
+        after_mean, after_std = (float(row[k]) for k in ("after_mean", "after_std"))
+        assert (before_mean, before_std) == (stats["before"][0][j], stats["before"][1][j])
+        assert (after_mean, after_std) == (stats["after"][0][j], stats["after"][1][j])
+        assert float(row["delta"]) == after_mean - before_mean
+        flagged = abs(after_mean - before_mean) > before_std + after_std
+        assert row["flagged"] == ("true" if flagged else "false")
 
 
 def test_cmd_run_byte_identical_outputs(tmp_path):

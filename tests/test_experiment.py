@@ -36,7 +36,7 @@ def period_for(fm: FeatureMatrix, name="p"):
 FAST = ExperimentConfig(
     background_size=30,
     gbt=GbtParams(n_trees=40, max_depth=3, min_samples_leaf=20, learning_rate=0.1),
-    mlp=MlpParams(hidden_sizes=(16,), max_epochs=60, seed=0),
+    mlp=MlpParams(hidden_sizes=(16,), max_epochs=60),
 )
 
 
@@ -175,8 +175,8 @@ def test_run_period_deterministic():
     spec = period_for(fm, "A")
     r1 = run_period(fm, spec, "gbt", FAST, seed=9)
     r2 = run_period(fm, spec, "gbt", FAST, seed=9)
-    np.testing.assert_array_equal(r1.fi_mean, r2.fi_mean)
     for a, b in zip(r1.windows, r2.windows):
+        np.testing.assert_array_equal(a.importance.fi, b.importance.fi)
         np.testing.assert_array_equal(a.explanation.phi, b.explanation.phi)
         np.testing.assert_array_equal(a.split.test_indices, b.split.test_indices)
         assert a.test_mse == b.test_mse
@@ -242,7 +242,7 @@ def test_run_period_window_fraction_one_low_importance_spread():
     fm, _ = synth_regime(960, seed=6)
     config = ExperimentConfig(window_fraction=1.0, background_size=30, gbt=FAST.gbt)
     result = run_period(fm, period_for(fm), "gbt", config, seed=2)
-    assert np.all(result.fi_std < 0.05)
+    assert np.all(compare_periods(result, result).before_std < 0.05)
 
 
 def test_run_period_mlp_kernel_path():
@@ -283,12 +283,7 @@ def test_compare_synth_regimes_flags_flip():
 def test_compare_rejects_feature_mismatch():
     fm, _ = synth_regime(960, seed=10)
     result = run_period(fm, period_for(fm), "gbt", FAST, seed=7)
-    other = PeriodResult(
-        feature_names=("a", "b", "c"),
-        windows=result.windows,
-        fi_mean=result.fi_mean,
-        fi_std=result.fi_std,
-    )
+    other = PeriodResult(feature_names=("a", "b", "c"), windows=result.windows)
     with pytest.raises(ValueError, match="differ"):
         compare_periods(result, other)
 
@@ -321,8 +316,7 @@ def additive_period_result():
                 test_r2=1.0,
             )
         )
-    fi = np.vstack([w.importance.fi for w in windows])
-    return PeriodResult(("x1", "x2"), tuple(windows), fi.mean(axis=0), fi.std(axis=0))
+    return PeriodResult(("x1", "x2"), tuple(windows))
 
 
 def dependence_rows(tmp_path, results):
@@ -374,7 +368,7 @@ def test_dependence_dummy_feature_zero(tmp_path):
     e = explain_dataset(linear_net([2.0, 0.0]), X, bg, method="kernel")
     explained = FeatureMatrix(("x1", "x2"), X, 2.0 * X[:, 0], np.arange(10) * 3600)
     w = WindowResult(SplitPlan(np.arange(10, 20), np.arange(10)), e, explained, feature_importance(e), 0.0, 1.0)
-    result = PeriodResult(("x1", "x2"), (w,), w.importance.fi, np.zeros(2))
+    result = PeriodResult(("x1", "x2"), (w,))
     table = dependence_columns(tmp_path, result, "x2")
     assert len(table["phi_value"]) == 10
     np.testing.assert_allclose(table["phi_value"], 0.0, atol=1e-12)
@@ -451,7 +445,7 @@ def test_export_text_is_pinned(tmp_path):
         e = Explanation(phi, 0.0, 0.0)
         explained = FeatureMatrix(names, np.array(X), np.zeros(len(ts)), np.array(ts, dtype=np.int64))
         windows.append(WindowResult(None, e, explained, ImportanceVector(np.array(fi)), 0.0, 1.0))
-    result = PeriodResult(names, tuple(windows), np.zeros(2), np.zeros(2))
+    result = PeriodResult(names, tuple(windows))
 
     write_importance_csv(tmp_path / "importance.csv", {"before": result, "after": result})
     block = (

@@ -23,7 +23,7 @@ def small_net(seed=0, n_in=4, hidden=(8, 8)):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((64, n_in))
     y = rng.standard_normal(64)
-    return initial_net(matrix(X, y), MlpParams(hidden_sizes=hidden, seed=seed)), X, y
+    return initial_net(matrix(X, y), MlpParams(hidden_sizes=hidden), seed=seed), X, y
 
 
 def kink_distance(net, X):
@@ -60,8 +60,8 @@ def test_constant_target_absorbed_by_bias():
     rng = np.random.default_rng(0)
     c = 5.0
     fm = matrix(rng.uniform(-1, 1, size=(400, 3)), np.full(400, c))
-    params = MlpParams(hidden_sizes=(16,), max_epochs=400, seed=0)
-    net = fit_mlp(fm, params)
+    params = MlpParams(hidden_sizes=(16,), max_epochs=400)
+    net = fit_mlp(fm, params, seed=0)
     assert validation_mse(net, fm, params) < 1e-4 * max(1.0, c * c)
 
 
@@ -70,8 +70,8 @@ def test_product_target_needs_hidden_layers():
     X = rng.uniform(-1, 1, size=(2000, 2))
     y = X[:, 0] * X[:, 1]
     fm = matrix(X, y)
-    params = MlpParams(hidden_sizes=(64, 64), max_epochs=300, seed=1)
-    net = fit_mlp(fm, params)
+    params = MlpParams(hidden_sizes=(64, 64), max_epochs=300)
+    net = fit_mlp(fm, params, seed=1)
     n_val = int(round(0.2 * 2000))
     pred = predict_mlp(net, X[-n_val:], {})
     r2 = 1 - np.mean((pred - y[-n_val:]) ** 2) / np.var(y[-n_val:])
@@ -83,7 +83,7 @@ def test_linear_target_high_r2():
     X = rng.uniform(-1, 1, size=(1500, 2))
     y = 3 * X[:, 0] + X[:, 1]
     fm = matrix(X, y)
-    net = fit_mlp(fm, MlpParams(hidden_sizes=(32, 32), max_epochs=300, seed=2))
+    net = fit_mlp(fm, MlpParams(hidden_sizes=(32, 32), max_epochs=300), seed=2)
     n_val = int(round(0.2 * 1500))
     pred = predict_mlp(net, X[-n_val:], {})
     r2 = 1 - np.mean((pred - y[-n_val:]) ** 2) / np.var(y[-n_val:])
@@ -93,21 +93,21 @@ def test_linear_target_high_r2():
 def test_empty_training_set_rejected():
     fm = matrix(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError, match="empty"):
-        fit_mlp(fm, MlpParams())
+        fit_mlp(fm, MlpParams(), seed=0)
 
 
 def test_divergence_reports_epoch():
     rng = np.random.default_rng(3)
     fm = matrix(rng.standard_normal((128, 2)), rng.standard_normal(128))
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
-        fit_mlp(fm, MlpParams(hidden_sizes=(8,), max_epochs=50, step_size=1e200, seed=3))
+        fit_mlp(fm, MlpParams(hidden_sizes=(8,), max_epochs=50, step_size=1e200), seed=3)
 
 
 def test_fixed_seed_reproduces_parameters():
     rng = np.random.default_rng(4)
     fm = matrix(rng.uniform(-1, 1, size=(300, 3)), rng.standard_normal(300))
-    params = MlpParams(hidden_sizes=(16, 16), max_epochs=30, seed=11)
-    n1, n2 = fit_mlp(fm, params), fit_mlp(fm, params)
+    params = MlpParams(hidden_sizes=(16, 16), max_epochs=30)
+    n1, n2 = fit_mlp(fm, params, seed=11), fit_mlp(fm, params, seed=11)
     for a, b in zip(n1.weights + n1.biases, n2.weights + n2.biases):
         np.testing.assert_array_equal(a, b)
 
@@ -118,9 +118,9 @@ def test_training_reduces_mse():
         X = rng.uniform(-1, 1, size=(400, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(400)
         fm = matrix(X, y)
-        params = MlpParams(hidden_sizes=(16,), max_epochs=50, seed=seed)
-        before = float(np.mean((predict_mlp(initial_net(fm, params), X, {}) - y) ** 2))
-        after = float(np.mean((predict_mlp(fit_mlp(fm, params), X, {}) - y) ** 2))
+        params = MlpParams(hidden_sizes=(16,), max_epochs=50)
+        before = float(np.mean((predict_mlp(initial_net(fm, params, seed), X, {}) - y) ** 2))
+        after = float(np.mean((predict_mlp(fit_mlp(fm, params, seed), X, {}) - y) ** 2))
         assert after <= before
 
 
@@ -203,7 +203,7 @@ def test_grad_check_trained_net_off_kinks():
     rng = np.random.default_rng(8)
     X = rng.uniform(-1, 1, size=(300, 3))
     y = X @ np.array([1.0, 0.5, -1.0])
-    net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(8,), max_epochs=40, seed=8))
+    net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(8,), max_epochs=40), seed=8)
     X_check = X[:16] + 1e-3 * rng.standard_normal((16, 3))
     assert grad_check(net, X_check, y[:16]) < 1e-3
 
@@ -225,6 +225,6 @@ def test_constant_feature_gets_unit_std():
     rng = np.random.default_rng(10)
     X = rng.uniform(-1, 1, size=(100, 2))
     X[:, 1] = 4.2
-    net = initial_net(matrix(X, X[:, 0]), MlpParams(hidden_sizes=(4,), seed=0))
+    net = initial_net(matrix(X, X[:, 0]), MlpParams(hidden_sizes=(4,)), seed=0)
     assert net.x_std[1] == 1.0
     assert net.x_mean[1] == pytest.approx(4.2)

@@ -41,7 +41,7 @@ def random_mlp(seed, n_features=8):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((80, n_features))
     y = rng.standard_normal(80)
-    return initial_net(matrix(X, y), MlpParams(hidden_sizes=(8, 6), seed=seed))
+    return initial_net(matrix(X, y), MlpParams(hidden_sizes=(8, 6)), seed=seed)
 
 
 # ------------------------------------------------------------- value function
@@ -320,7 +320,7 @@ def test_kernel_sampling_mode_approximates_exact():
         rng = np.random.default_rng(n)
         X = rng.standard_normal((400, n))
         y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3:].sum(axis=1) + 0.1 * rng.standard_normal(400)
-        net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(32, 32), max_epochs=50, seed=n))
+        net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(32, 32), max_epochs=50), seed=n)
         fn = partial(predict_mlp, net, work={})
         bg = Background(X[:20])
         for i, x in enumerate(X[20:32]):
