@@ -535,8 +535,10 @@ def test_main_reports_an_unexpected_failure_as_exit_2(tmp_path, capsys):
          "line 3: duplicate timestamp 2018-01-01T00:00:00Z after 2018-01-01T00:00:00Z"),
         ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T02:00:00Z,2\n", "ParseError",
          "line 3: observed step 2h between 2018-01-01T00:00:00Z and 2018-01-01T02:00:00Z, expected 1h"),
+        ("timestamp,x\n2018-01-01T00:00:00Z,1\n2018-01-01T01:00:00Z,1" + "0" * 140_000 + "\n", "ParseError",
+         "line 3: field larger than field limit (131072)"),
     ],
-    ids=["ragged row", "duplicate stamp", "gap"],
+    ids=["ragged row", "duplicate stamp", "gap", "oversized cell"],
 )
 def test_malformed_input_exits_1_naming_the_fault(tmp_path, capsys, text, error, message):
     config_path = market_config(tmp_path)

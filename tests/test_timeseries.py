@@ -1,8 +1,12 @@
+import csv
+import math
 import re
+import warnings
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regime_xai.timeseries import (
@@ -11,6 +15,7 @@ from regime_xai.timeseries import (
     TimeSeriesError,
     TimeTable,
     align_join,
+    format_timestamp,
     load_table,
     mixed_price,
     parse_timestamp,
@@ -222,6 +227,251 @@ def test_load_table_rejects_bad_header(tmp_path):
     p = write_csv(tmp_path / "a.csv", ["time,v", "2020-01-01T00:00:00Z,1"])
     with pytest.raises(ParseError, match="line 1"):
         load_table(p, 3600)
+
+
+# ------------------------------------------------------- load_table's oracle
+
+
+def reference_load_table(path, step_seconds: int) -> TimeTable:
+    """load_table as one loop over csv.reader rows: the oracle the chunked
+    numpy pass must match, value for value and error for error."""
+    try:
+        # spreadsheet exports may lead with a BOM; a byte that is not UTF-8 becomes a
+        # lone surrogate, so the cell holding it fails its timestamp or number check
+        fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
+    except OSError as exc:
+        raise TimeSeriesError(f"cannot read {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(1, "empty file") from None
+        if not header or header[0].strip() != "timestamp":
+            raise ParseError(1, f"first column must be named 'timestamp', got {header[:1]!r}")
+        if any("\udc80" <= c <= "\udcff" for c in "".join(header)):
+            raise ParseError(1, f"header is not UTF-8 text: {header!r}")
+        names = [h.strip() for h in header[1:]]
+        if len(set(names)) != len(names):
+            raise ParseError(1, "duplicate column names in header")
+
+        ts_list: list[int] = []
+        line_nos = array("l")  # each row's file line for the grid errors; 8 bytes a row, not a list's 40
+        rows: list[list[float]] = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(line_no, f"expected {len(header)} cells, got {len(row)}")
+            try:
+                ts_list.append(parse_timestamp(row[0].strip()))
+            except ValueError:
+                raise ParseError(line_no, f"malformed timestamp {row[0]!r}") from None
+            line_nos.append(line_no)
+            values = []
+            for name, cell in zip(names, row[1:]):
+                cell = cell.strip()
+                if cell == "":
+                    values.append(np.nan)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        line_no, f"column {name!r}: non-numeric value {cell!r}"
+                    ) from None
+                if math.isinf(value):
+                    raise ParseError(line_no, f"column {name!r}: non-finite value {value}")
+                values.append(value)
+            rows.append(values)
+
+    if not ts_list:
+        raise ParseError(2, "no data rows")
+    ts = np.asarray(ts_list, dtype=np.int64)
+    data = np.asarray(rows, dtype=np.float64).reshape(len(ts), len(names))
+
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    data = data[order]
+    diffs = np.diff(ts)
+    if np.any(diffs == 0):
+        bad = int(np.argmax(diffs == 0))
+        raise ParseError(
+            line_nos[order[bad + 1]], f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
+        )
+    if np.any(diffs != step_seconds):
+        bad = int(np.argmax(diffs != step_seconds))
+        raise ParseError(
+            line_nos[order[bad + 1]], f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
+            f"and {format_timestamp(ts[bad + 1])}, expected {step_seconds / 3600:g}h"
+        )
+    columns = {name: data[:, i].copy() for i, name in enumerate(names)}
+    return TimeTable(int(ts[0]), step_seconds, len(ts), columns)
+
+
+def load_outcome(loader, path):
+    """(start, n_rows, columns as bit patterns), or the error's type and message."""
+    try:
+        t = loader(path, 3600)
+    except TimeSeriesError as exc:
+        return type(exc).__name__, str(exc)
+    return t.start, t.n_rows, {name: values.view(np.int64).tolist() for name, values in t.columns.items()}
+
+
+VALUE_FORMS = ["{0:.4f}", "{0!r}", "{0:.3e}", "{0:+.2E}", "{0:+.1f}", "{0:.0f}.", ".{1:.0f}", " {0:.2f}  ",
+               "\t{0:g}", "", "", " ", "nan", "-nan", "NaN", "-0", "1_000"]
+
+
+def value_cells(rng, n: int) -> list[str]:
+    """n numbers or missing cells in forms exports write: padded, with exponents
+    and signs, empty, nan."""
+    forms = rng.integers(len(VALUE_FORMS), size=n)
+    return [VALUE_FORMS[k].format(x, abs(x)) for k, x in zip(forms, rng.normal(0, 50, n))]
+
+
+BAD_CELLS = [
+    # values the loop rejects: words, infinities, forms float() refuses, NUL, a byte that is not UTF-8
+    ("value", "abc"), ("value", "inf"), ("value", "-Infinity"), ("value", "1e500"), ("value", "0x10"),
+    ("value", "1d3"), ("value", "1\x00"), ("value", "7\udce9"), ("value", '"1,5"'), ("value", "1,2"),
+    # values the loop accepts that the numpy pass leaves to it
+    ("value", "\uff11\uff12"), ("value", '"2.5"'), ("value", "\x1c3"), ("value", " " * 80 + "4"),
+    # timestamps numpy reads and strptime refuses, and forms strptime reads
+    ("stamp", "2018-01-01 00:00:00"), ("stamp", "2018-01-01T00:00"), ("stamp", "0000-01-01T00:00:00Z"),
+    ("stamp", "-001-01-01T00:00:00Z"), ("stamp", "2018-01-01T00+01:00Z"), ("stamp", "NaT"), ("stamp", ""),
+    ("stamp", "unpadded"), ("stamp", "padded"),
+    # rows that break the grid
+    ("row", "duplicate"), ("row", "missing"), ("row", "spaces"),
+]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_rows=st.integers(1030, 2100),
+    width=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+    bad=st.none() | st.tuples(st.sampled_from(BAD_CELLS), st.floats(0, 1)),
+)
+def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line_end, bad):
+    # files of one to three chunks; the oracle's verdict, table or error, is the one to match
+    rng = np.random.default_rng(seed)
+    values = value_cells(rng, n_rows * (width - 1))
+    rows = [[format_timestamp(T0 + 3600 * i), *values[i * (width - 1) : (i + 1) * (width - 1)]] for i in range(n_rows)]
+    if bad is not None:
+        (kind, cell), where = bad
+        i = min(int(where * n_rows), n_rows - 1)
+        row = rows[i]
+        if kind == "value":
+            row[-1] = cell  # the timestamp when there is no value column
+        elif kind == "stamp":
+            row[0] = {"unpadded": row[0].replace("-0", "-"), "padded": f"  {row[0]} "}.get(cell, cell)
+        elif cell == "duplicate":
+            rows.insert(i, list(row))
+        elif cell == "spaces":
+            rows.insert(i, ["   "])  # not blank to csv.reader: a row of one cell
+        else:
+            del rows[i]
+    lines = [",".join(row) for row in rows]
+    for i in sorted(rng.choice(len(lines), size=len(lines) // 200, replace=False), reverse=True):
+        lines.insert(int(i), "")  # blank lines, which csv.reader skips
+    header = ",".join(["timestamp", *(f"c{j}" for j in range(1, width))])
+    p = tmp_path / "a.csv"
+    p.write_bytes(line_end.join([header, *lines, ""]).encode("utf-8", "surrogateescape"))
+    assert load_outcome(load_table, p) == load_outcome(reference_load_table, p)
+
+
+def hourly_lines(hours) -> list[str]:
+    return ["timestamp,v", *(f"{format_timestamp(T0 + 3600 * h)},{h}" for h in hours)]
+
+
+# the first chunk holds file lines 2-1025, the 1,024 lines after the header; line 1026 opens the second
+
+
+def test_load_table_names_a_bad_cell_that_opens_the_second_chunk(tmp_path):
+    lines = hourly_lines(range(1100))
+    lines[1025] = lines[1025].replace(",1024", ",x")
+    with pytest.raises(ParseError, match="^line 1026: column 'v': non-numeric value 'x'$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
+def test_a_blank_line_that_ends_a_chunk_shifts_no_later_line(tmp_path):
+    lines = hourly_lines(range(1100))
+    lines.insert(1024, "")  # file line 1025
+    t = load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+    assert t.start == T0 and t.n_rows == 1100
+    np.testing.assert_array_equal(t.columns["v"], np.arange(1100.0))
+    lines[1029] = lines[1029].replace(",1027", ",x")
+    with pytest.raises(ParseError, match="^line 1030: column 'v': non-numeric value 'x'$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
+@pytest.mark.parametrize(
+    "hours, message",
+    [
+        ([*range(1100), 10], "line 1102: duplicate timestamp 2020-01-01T10:00:00Z after 2020-01-01T10:00:00Z"),
+        ([*range(600), *range(602, 1100), 601],
+         "line 1100: observed step 2h between 2020-01-25T23:00:00Z and 2020-01-26T01:00:00Z, expected 1h"),
+    ],
+    ids=["duplicate", "gap"],
+)
+def test_load_table_names_the_later_line_of_a_grid_fault_across_chunks(tmp_path, hours, message):
+    # the earlier row of the pair sits in the first chunk, the later one in the second
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_table(write_csv(tmp_path / "a.csv", hourly_lines(hours)), 3600)
+
+
+@pytest.mark.parametrize(
+    "cell, verdict",
+    [
+        ("1_000", 1000.0), ("\uff11\uff12", 12.0), ("+.5", 0.5), ("5.", 5.0), ("nan", np.nan),
+        ("1e500", "non-finite value inf"), ("0x10", "non-numeric value '0x10'"), ("1d3", "non-numeric value '1d3'"),
+    ],
+)
+def test_load_table_gives_a_cell_the_verdict_of_float(tmp_path, cell, verdict):
+    # float()'s verdicts; numpy's own string-to-float cast may differ from them across numpy versions
+    p = write_csv(tmp_path / "a.csv", ["timestamp,v", f"2020-01-01T00:00:00Z,{cell}", "2020-01-01T01:00:00Z,1"])
+    if isinstance(verdict, str):
+        with pytest.raises(ParseError, match=f"^line 2: column 'v': {re.escape(verdict)}$"):
+            load_table(p, 3600)
+    else:
+        np.testing.assert_array_equal(load_table(p, 3600).columns["v"], [verdict, 1.0])
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0000-01-01T00:00:00Z,1", "line 3: malformed timestamp '0000-01-01T00:00:00Z'"),
+        ("-001-01-01T00:00:00Z,1", "line 3: malformed timestamp '-001-01-01T00:00:00Z'"),
+        ("2018-01-01T00+01:00Z,1", "line 3: malformed timestamp '2018-01-01T00+01:00Z'"),
+        ("2018-01-01T01:00:00Z,1\x00", "line 3: column 'v': non-numeric value '1\\x00'"),
+        ("2018-01-01T01:00:00Z\x00,1", "line 3: malformed timestamp '2018-01-01T01:00:00Z\\x00'"),
+    ],
+    ids=["year 0", "negative year", "timezone", "NUL in a value", "NUL in a timestamp"],
+)
+def test_load_table_refuses_what_numpy_alone_would_read(tmp_path, line, message):
+    # numpy parses years before 0001 and reads timezones with a warning,
+    # and its string arrays drop trailing NULs; the loop refuses all of them,
+    # and numpy's warning stays inside load_table where warnings are not errors
+    p = write_csv(tmp_path / "a.csv", ["timestamp,v", "2018-01-01T00:00:00Z,0", line])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_table(p, 3600)
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        # the value reads as a finite 1.0, so only the length of its cell is at fault
+        (["timestamp,v", "2018-01-01T00:00:00Z,0", "2018-01-01T01:00:00Z,1." + "0" * 140_000], 3),
+        (["timestamp,v" + "w" * 140_000, "2018-01-01T00:00:00Z,0"], 1),
+    ],
+    ids=["value", "header"],
+)
+def test_load_table_names_the_line_of_a_cell_over_the_csv_field_limit(tmp_path, lines, line):
+    with pytest.raises(ParseError, match=rf"^line {line}: field larger than field limit \(131072\)$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
 
 
 # ------------------------------------------------------------- resample_mean
