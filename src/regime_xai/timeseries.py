@@ -167,24 +167,31 @@ def load_table(path, step_seconds: int) -> TimeTable:
 
     if not any(len(part[0]) for part in parts):
         raise ParseError(2, "no data rows")
-    ts, data, line_nos = (np.concatenate(p) for p in zip(*parts))
+    ts = np.concatenate([part[0] for part in parts])
+    line_nos = np.concatenate([part[2] for part in parts])
+    # column i is row i of one block: a file already in time order is not copied
+    # again, and the block goes back to the OS in one piece when the table is
+    # dropped. Separate per-column copies landed on the malloc heap, where whether
+    # they were returned hung on the heap's layout and moved a run's peak RSS by 4.5 MiB.
+    data = np.concatenate([part[1].T for part in parts], axis=1)
+    del parts
 
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
+    if np.any(ts[1:] < ts[:-1]):
+        order = np.argsort(ts, kind="stable")
+        ts, line_nos, data = ts[order], line_nos[order], data[:, order]
     diffs = np.diff(ts)
     if np.any(diffs == 0):
         bad = int(np.argmax(diffs == 0))
         raise ParseError(
-            int(line_nos[order[bad + 1]]), f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
+            int(line_nos[bad + 1]), f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
         )
     if np.any(diffs != step_seconds):
         bad = int(np.argmax(diffs != step_seconds))
         raise ParseError(
-            int(line_nos[order[bad + 1]]), f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
+            int(line_nos[bad + 1]), f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
             f"and {format_timestamp(ts[bad + 1])}, expected {step_seconds / 3600:g}h"
         )
-    columns = {name: data[order, i] for i, name in enumerate(names)}
-    return TimeTable(int(ts[0]), step_seconds, len(ts), columns)
+    return TimeTable(int(ts[0]), step_seconds, len(ts), dict(zip(names, data)))
 
 
 def _parse_chunk(chunk: list[str], width: int, first_line: int):

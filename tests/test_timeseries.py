@@ -326,7 +326,8 @@ def value_cells(rng, n: int) -> list[str]:
     """n numbers or missing cells in forms exports write: padded, with exponents
     and signs, empty, nan."""
     forms = rng.integers(len(VALUE_FORMS), size=n)
-    return [VALUE_FORMS[k].format(x, abs(x)) for k, x in zip(forms, rng.normal(0, 50, n))]
+    # Python floats: numpy 2 writes a numpy scalar's repr as np.float64(...), which no export holds
+    return [VALUE_FORMS[k].format(x, abs(x)) for k, x in zip(forms, rng.normal(0, 50, n).tolist())]
 
 
 BAD_CELLS = [
@@ -351,9 +352,11 @@ BAD_CELLS = [
     seed=st.integers(0, 2**32 - 1),
     line_end=st.sampled_from(["\n", "\r\n"]),
     bad=st.none() | st.tuples(st.sampled_from(BAD_CELLS), st.floats(0, 1)),
+    shuffled=st.booleans(),
 )
-def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line_end, bad):
-    # files of one to three chunks; the oracle's verdict, table or error, is the one to match
+def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line_end, bad, shuffled):
+    # files of one to three chunks, in time order or shuffled across chunks; the
+    # oracle's verdict, table or error, is the one to match
     rng = np.random.default_rng(seed)
     values = value_cells(rng, n_rows * (width - 1))
     rows = [[format_timestamp(T0 + 3600 * i), *values[i * (width - 1) : (i + 1) * (width - 1)]] for i in range(n_rows)]
@@ -371,6 +374,8 @@ def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line
             rows.insert(i, ["   "])  # not blank to csv.reader: a row of one cell
         else:
             del rows[i]
+    if shuffled:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
     lines = [",".join(row) for row in rows]
     for i in sorted(rng.choice(len(lines), size=len(lines) // 200, replace=False), reverse=True):
         lines.insert(int(i), "")  # blank lines, which csv.reader skips
