@@ -161,7 +161,7 @@ def _dataclass_from(obj, cls, path: str):
 def _parse_instant(text, path: str) -> int:
     try:
         return parse_timestamp(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"{path}: expected UTC instant like 2018-10-01T00:00:00Z, got {text!r}") from None
 
 

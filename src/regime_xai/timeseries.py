@@ -13,14 +13,11 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from itertools import chain, islice
 
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 
 class TimeSeriesError(ValueError):
@@ -35,13 +32,40 @@ class ParseError(TimeSeriesError):
 
 
 def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 UTC timestamp (YYYY-MM-DDThh:mm:ssZ) to epoch seconds."""
-    dt = datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    """Epoch seconds of one YYYY-MM-DDThh:mm:ssZ stamp, the form _epoch_seconds
+    reads; anything else, a string holding NUL included, is a ValueError."""
+    # numpy's string arrays drop trailing NULs, so the round trip cannot see them
+    ts = None if not isinstance(text, str) or "\x00" in text else _epoch_seconds(np.array([text]))
+    if ts is None:
+        raise ValueError(f"not a YYYY-MM-DDThh:mm:ssZ timestamp: {text!r}")
+    return int(ts[0])
 
 
 def format_timestamp(epoch_seconds: int) -> str:
-    return datetime.fromtimestamp(int(epoch_seconds), tz=timezone.utc).strftime(TIMESTAMP_FORMAT)
+    """The stamp of an instant, in the one form parse_timestamp reads back."""
+    return f"{np.datetime64(int(epoch_seconds), 's')}Z"
+
+
+_FIRST_STAMP = np.datetime64("0001-01-01T00:00:00", "s")  # four-digit years: 0001-9999
+
+
+def _epoch_seconds(stamps: np.ndarray):
+    """int64 epoch seconds of an array of YYYY-MM-DDThh:mm:ssZ stamps, or None
+    unless every stamp is exactly that form: two-digit fields, ASCII digits,
+    upper-case T and Z, a year from 0001 to 9999. The stamp text is the one
+    numpy writes for the instant it reads, so format_timestamp is its inverse."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a timezone suffix
+        try:
+            ts = stamps.astype("U19").astype("datetime64[s]")
+        except (ValueError, Warning):
+            return None
+    # numpy also reads "2018-01-01 00:00:00", "2018-01-01T00:00", "" (as NaT)
+    # and years before 0001
+    exact = np.char.add(np.datetime_as_string(ts, unit="s"), "Z") == stamps
+    if not exact.all() or (ts < _FIRST_STAMP).any():
+        return None
+    return ts.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -114,7 +138,6 @@ class FeatureMatrix:
 
 _CHUNK_LINES = 1024  # 4,096 parsed no faster and raised a run's peak RSS by 4.5 %
 _STAMP_CHARS = 64  # numpy gives every timestamp of a chunk the longest one's width
-_FIRST_STAMP = np.datetime64("0001-01-01T00:00:00", "s")  # strptime's %Y takes years 0001-9999
 _EMPTY_CELLS = {"": "nan", "\n": "nan", "\r\n": "nan", "\r": "nan"}  # a line's last cell keeps its line end
 
 
@@ -127,11 +150,12 @@ def load_table(path, step_seconds: int) -> TimeTable:
 
     After the header the file is read in chunks of _CHUNK_LINES lines, and
     each chunk is parsed in one vectorized pass (_parse_chunk). A chunk that
-    pass cannot vouch for, because it holds a fault or a form numpy might
-    read differently, is parsed again by the per-row loop (_parse_rows). The loop
-    gives the same values for every row the numpy pass accepts, and it is
-    what reports a fault: the first one raises a ParseError naming its file
-    line and, for a value, its column.
+    pass cannot vouch for, because it holds a fault, a quote or text that is
+    not ASCII, is parsed again by the per-row loop (_parse_rows). Both read
+    timestamps through _epoch_seconds, and the loop gives the same values for
+    every row the numpy pass accepts. The loop is what reports a fault: the
+    first one raises a ParseError naming the file line its record starts on
+    and, for a value, its column.
     """
     try:
         # spreadsheet exports may lead with a BOM; a byte that is not UTF-8 becomes a
@@ -198,8 +222,8 @@ def _parse_chunk(chunk: list[str], width: int, first_line: int):
     """The chunk's rows as (epoch seconds, values, file lines) arrays, or None
     where this pass might differ from the per-row loop: quotes, NUL (numpy
     drops trailing ones), text that is not ASCII, a line longer than the csv
-    field limit, a ragged row, a cell that fails to parse, a timestamp other
-    than YYYY-MM-DDThh:mm:ssZ, or an infinite value."""
+    field limit, a ragged row, a value float() refuses, a timestamp
+    _epoch_seconds refuses, or an infinite value."""
     kept = [i for i, line in enumerate(chunk) if line.strip("\r\n")]  # csv.reader's blank lines
     lines = [chunk[i] for i in kept]
     text = ",".join(lines)
@@ -214,33 +238,29 @@ def _parse_chunk(chunk: list[str], width: int, first_line: int):
     del values[::width]
     if max(map(len, stamps)) > _STAMP_CHARS:
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy warns on a timezone suffix
-        try:
-            stamps = np.char.strip(np.array(stamps))
-            ts = stamps.astype("U19").astype("datetime64[s]")
-            # float() reads a cell as the loop does, blanks around it included
-            data = np.fromiter(map(float, map(_EMPTY_CELLS.get, values, values)), np.float64, len(values))
-        except (ValueError, Warning):
-            return None
-    # numpy also reads "2018-01-01 00:00:00", "2018-01-01T00:00" and years before 0001
-    exact = np.char.add(np.datetime_as_string(ts, unit="s"), "Z") == stamps
-    if not exact.all() or (ts < _FIRST_STAMP).any() or np.isinf(data).any():
+    ts = _epoch_seconds(np.char.strip(np.array(stamps)))
+    try:
+        # float() reads a cell as the loop does, blanks around it included
+        data = np.fromiter(map(float, map(_EMPTY_CELLS.get, values, values)), np.float64, len(values))
+    except ValueError:
+        return None
+    if ts is None or np.isinf(data).any():
         return None
     rows = first_line + np.array(kept, dtype=np.int64)
-    return ts.astype(np.int64), data.reshape(len(lines), width - 1), rows
+    return ts, data.reshape(len(lines), width - 1), rows
 
 
-def _parse_rows(lines, n_lines: int, names: list[str], line_no: int):
+def _parse_rows(lines, n_lines: int, names: list[str], first_line: int):
     """Parse, row by row, the records that start in the first n_lines of
-    lines, the first of them on file line line_no, and raise the first fault
-    as a ParseError naming its line. Returns the rows as _parse_chunk does
-    and the file line of the next record."""
+    lines, which start on file line first_line, and raise the first fault as
+    a ParseError naming the line its record starts on. Returns the rows as
+    _parse_chunk does and the file line of the next record."""
     reader = csv.reader(lines)
     ts_list: list[int] = []
     line_nos: list[int] = []
     rows: list[list[float]] = []
     while reader.line_num < n_lines:
+        line_no = first_line + reader.line_num  # a quoted cell may hold line breaks
         try:
             row = next(reader)
         except csv.Error as exc:
@@ -269,13 +289,12 @@ def _parse_rows(lines, n_lines: int, names: list[str], line_no: int):
                     raise ParseError(line_no, f"column {name!r}: non-finite value {value}")
                 values.append(value)
             rows.append(values)
-        line_no += 1
     part = (
         np.asarray(ts_list, dtype=np.int64),
         np.asarray(rows, dtype=np.float64).reshape(len(ts_list), len(names)),
         np.asarray(line_nos, dtype=np.int64),
     )
-    return part, line_no
+    return part, first_line + reader.line_num
 
 
 def rows_per_day(step_seconds: int) -> int:

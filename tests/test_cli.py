@@ -204,11 +204,17 @@ def test_override_requires_assignment():
         apply_override({}, "model.kind")
 
 
-def test_bad_instant_reported_with_path(tmp_path):
+@pytest.mark.parametrize(
+    "bound",
+    ["yesterday", "2018-1-1T0:0:0Z", "2018-01-01t00:00:00z", "\uff12\uff10\uff11\uff18-01-01T00:00:00Z",
+     ["2018-01-01T00:00:00Z"]],
+    ids=["word", "one-digit fields", "lower case", "full-width digits", "list"],
+)
+def test_bad_instant_reported_with_path(tmp_path, bound):
     path = market_config(
         tmp_path,
         periods={
-            "before": {"start": "yesterday", "end": "2018-03-01T00:00:00Z"},
+            "before": {"start": bound, "end": "2018-03-01T00:00:00Z"},
             "after": {"start": "2018-03-01T00:00:00Z", "end": "2018-04-01T00:00:00Z"},
         },
     )

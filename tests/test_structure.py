@@ -166,17 +166,25 @@ def test_every_method_and_property_is_used_outside_its_class():
     assert unused == []
 
 
+def _uses_of(names: set[str], skip: str = "") -> list[str]:
+    """file:line name of each attribute, name or imported name in names, in
+    every package file but skip."""
+    field_of = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name in names:
+                uses.append(f"{path.name}:{node.lineno} {name}")
+    return uses
+
+
 def test_no_setting_is_read_from_the_environment():
     # Settings come from the config file and the command line only, so the
     # config echo in a run's manifest describes the run completely.
-    field_of = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
-    reads = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = getattr(node, field_of.get(type(node), ""), None)
-            if name in ("environ", "getenv"):
-                reads.append(f"{path.name}:{node.lineno} {name}")
-    assert reads == []
+    assert _uses_of({"environ", "getenv"}) == []
 
 
 def _imports_outside_timeseries(module: str) -> list[str]:
@@ -198,8 +206,11 @@ def _imports_outside_timeseries(module: str) -> list[str]:
 
 def test_only_timeseries_converts_time():
     # Epoch seconds are the one time unit once text is parsed, and
-    # timeseries.py holds the only conversions from and to text.
+    # timeseries.py holds the only conversions from and to text, so a stamp
+    # has one grammar wherever it is read or written.
     assert _imports_outside_timeseries("datetime") == []
+    assert _imports_outside_timeseries("time") == []
+    assert _uses_of({"datetime64", "datetime_as_string", "strptime", "strftime"}, skip="timeseries.py") == []
 
 
 def test_only_timeseries_reads_and_writes_csv():

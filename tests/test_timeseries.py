@@ -132,12 +132,34 @@ def test_load_table_names_the_file_line_of_a_grid_fault_in_unsorted_rows(tmp_pat
         load_table(write_csv(tmp_path / "a.csv", lines), 3600)
 
 
-@pytest.mark.parametrize("stamp", ["2018-01-01 00:00:00", "2018-01-01T00:00", "2018-01-01T00:00:00+00:00"])
+@pytest.mark.parametrize(
+    "stamp",
+    ["2018-01-01 00:00:00", "2018-01-01T00:00", "2018-01-01T00:00:00+00:00",
+     "2018-1-1T0:0:0Z", "2018-01-01t00:00:00z", "\uff12\uff10\uff11\uff18-01-01T00:00:00Z"],
+)
 def test_load_table_rejects_timestamps_numpy_would_accept(tmp_path, stamp):
-    # numpy's datetime64 parses all three forms; ingest takes only YYYY-MM-DDThh:mm:ssZ
+    # numpy's datetime64 parses the first three forms and Python's strptime the
+    # last three; ingest takes only YYYY-MM-DDThh:mm:ssZ
     lines = ["timestamp,v", "2017-12-31T23:00:00Z,1", f"{stamp},2"]
     with pytest.raises(ParseError, match=f"^{re.escape(f'line 3: malformed timestamp {stamp!r}')}$"):
         load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
+def test_load_table_reads_a_year_before_1000_and_writes_it_back(tmp_path):
+    lines = ["timestamp,v", "0999-12-31T22:00:00Z,1", "0999-12-31T23:00:00Z,2"]
+    t = load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+    assert t.n_rows == 2 and format_timestamp(t.start) == "0999-12-31T22:00:00Z"
+
+
+FIRST_STAMP, LAST_STAMP = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(FIRST_STAMP, LAST_STAMP))
+def test_every_written_stamp_reads_back(t):
+    stamp = format_timestamp(t)
+    assert len(stamp) == 20 and stamp.isascii()
+    assert parse_timestamp(stamp) == t
 
 
 def test_load_table_accepts_a_file_with_only_timestamps(tmp_path):
@@ -336,7 +358,8 @@ BAD_CELLS = [
     ("value", "1d3"), ("value", "1\x00"), ("value", "7\udce9"), ("value", '"1,5"'), ("value", "1,2"),
     # values the loop accepts that the numpy pass leaves to it
     ("value", "\uff11\uff12"), ("value", '"2.5"'), ("value", "\x1c3"), ("value", " " * 80 + "4"),
-    # timestamps numpy reads and strptime refuses, and forms strptime reads
+    # timestamps numpy reads that are not YYYY-MM-DDThh:mm:ssZ, one-digit fields
+    # (refused by both loaders), and blanks around a stamp (stripped by both)
     ("stamp", "2018-01-01 00:00:00"), ("stamp", "2018-01-01T00:00"), ("stamp", "0000-01-01T00:00:00Z"),
     ("stamp", "-001-01-01T00:00:00Z"), ("stamp", "2018-01-01T00+01:00Z"), ("stamp", "NaT"), ("stamp", ""),
     ("stamp", "unpadded"), ("stamp", "padded"),
@@ -396,6 +419,25 @@ def test_load_table_names_a_bad_cell_that_opens_the_second_chunk(tmp_path):
     lines = hourly_lines(range(1100))
     lines[1025] = lines[1025].replace(",1024", ",x")
     with pytest.raises(ParseError, match="^line 1026: column 'v': non-numeric value 'x'$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
+def test_a_quoted_line_break_shifts_no_later_line(tmp_path):
+    # the cell opened on line 3 closes on line 4, so the bad cell sits on line 8, the 7th record
+    lines = ["timestamp,a", "2018-01-01T00:00:00Z,0", '2018-01-01T01:00:00Z,"1', '"', "2018-01-01T02:00:00Z,2",
+             "2018-01-01T03:00:00Z,3", "2018-01-01T04:00:00Z,4", "2018-01-01T05:00:00Z,abc"]
+    with pytest.raises(ParseError, match="^line 8: column 'a': non-numeric value 'abc'$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
+def test_a_quoted_line_break_across_chunks_shifts_no_later_line(tmp_path):
+    # the cell opened on line 1025, the first chunk's last, closes on line 1026, so
+    # the second chunk starts on line 1027
+    lines = hourly_lines(range(1100))
+    lines[1024] = lines[1024].replace(",1023", ',"1023')
+    lines.insert(1025, '"')
+    lines[1050] = lines[1050].replace(",1048", ",abc")
+    with pytest.raises(ParseError, match="^line 1051: column 'v': non-numeric value 'abc'$"):
         load_table(write_csv(tmp_path / "a.csv", lines), 3600)
 
 
