@@ -128,9 +128,17 @@ def write_feature_csv(path, fm: FeatureMatrix, target_name: str) -> None:
 # ------------------------------------------------------------------ commands
 
 
+def _output_dir(path, key: str) -> Path:
+    """path, made with its parents; a path that cannot be made is a fault of key."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot create directory {path} ({exc.strerror})") from None
+    return Path(path)
+
+
 def cmd_features(config: RunConfig) -> dict:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config.output_dir, "output_dir")
     frames, report = build_features(config)
     for name, fm in frames.items():
         path = out_dir / f"features_{name}.csv"
@@ -143,17 +151,16 @@ def cmd_features(config: RunConfig) -> dict:
 
 
 def cmd_run(config: RunConfig) -> dict:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config.output_dir, "output_dir")
     frames, feature_report = build_features(config)
 
     results = {}
     period_seeds = {}
     for index, name in enumerate(PERIODS):
         period_seeds[name] = derive_seed(config.seed, index)
-        log.info("fitting %s models for period %s", config.model_kind, name)
+        log.info("fitting %s models for period %s", config.model.kind, name)
         results[name] = run_period(
-            frames[name], config.periods[name], config.model_kind, config.experiment, period_seeds[name]
+            frames[name], config.periods[name], config.model, config.windows, config.shap, period_seeds[name]
         )
     comparison = compare_periods(results["before"], results["after"])
 
@@ -188,8 +195,7 @@ def cmd_run(config: RunConfig) -> dict:
 
 def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
     """Write a stacked two-regime synthetic dataset and a matching config."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir, "--out")
     period_a, period_b = synth_regime(n_rows, seed=seed)
 
     data_path = out_dir / "synth_data.csv"

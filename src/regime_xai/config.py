@@ -1,9 +1,10 @@
 """Run configuration: a single JSON file plus --set overrides.
 
-Unknown keys anywhere in the file are hard errors so typos never silently
-fall back to defaults, and every value is checked once, at load, against the
-type its dataclass field declares. Relative input paths and the output
-directory are resolved against the directory containing the config file.
+Unknown and repeated keys anywhere in the file are hard errors so typos never
+silently fall back to defaults, and every value is checked once, at load,
+against the type its dataclass field declares. Relative input paths and the
+output directory are resolved against the directory containing the config
+file.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from regime_xai.experiment import MODEL_KINDS, ExperimentConfig, PeriodSpec
-from regime_xai.gbt import GbtParams
-from regime_xai.mlp import MlpParams
+from regime_xai.experiment import ModelConfig, PeriodSpec, ShapConfig, WindowConfig
 from regime_xai.timeseries import parse_timestamp
 
 PERIODS = ("before", "after")  # the two periods a run compares, in time order
@@ -88,8 +87,9 @@ class RunConfig:
     inputs: tuple[InputSpec, ...]
     features: FeatureConfig
     periods: dict[str, PeriodSpec]
-    model_kind: str
-    experiment: ExperimentConfig
+    model: ModelConfig
+    windows: WindowConfig
+    shap: ShapConfig
     seed: int
     output_dir: str
     echo: dict
@@ -117,7 +117,10 @@ def _typed(value, hint, field: str):
     """value checked against a dataclass field's type hint: int takes a JSON
     integer, float a finite JSON number (an integer is converted), str a
     string, tuple[X, ...] a list of X (a bare value is one item), X | None
-    also null. A boolean is never a number."""
+    also null, a dataclass an object of its fields. A boolean is never a
+    number."""
+    if is_dataclass(hint):
+        return _dataclass_from(value, hint, field)
     args = get_args(hint)
     if get_origin(hint) is tuple:
         items = value if isinstance(value, list) else [value]
@@ -136,26 +139,20 @@ def _typed(value, hint, field: str):
     raise ConfigError(f"{field}: expected {_EXPECTED[hint]}, got {value!r}")
 
 
-def _typed_fields(obj, cls, path: str, names) -> dict:
-    """obj's keys, each one of names, with values checked against cls's hints.
-    Each of names must be a field of cls, so a stale name fails every load."""
-    _check_keys(obj, names, path)
-    hints = get_type_hints(cls)
-    hints = {name: hints[name] for name in names}
-    return {key: _typed(value, hints[key], f"{path}.{key}") for key, value in obj.items()}
-
-
 def _dataclass_from(obj, cls, path: str):
-    """cls(**obj), each value checked against its field's type hint and each
-    field without a default required; range errors name the path."""
-    given = _typed_fields(obj, cls, path, [f.name for f in fields(cls)])
+    """cls(**obj), each key a field of cls, each value checked against its
+    field's type hint and each field without a default required. A range
+    error reads path.message, as each message begins with its field's name."""
+    _check_keys(obj, [f.name for f in fields(cls)], path)
+    hints = get_type_hints(cls)
+    given = {key: _typed(value, hints[key], f"{path}.{key}") for key, value in obj.items()}
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING:
             _require(obj, f.name, path)
     try:
         return cls(**given)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def _parse_instant(text, path: str) -> int:
@@ -183,7 +180,7 @@ def _parse_periods(obj, path: str) -> dict[str, PeriodSpec]:
 
 
 def _parse_features(obj, path: str) -> FeatureConfig:
-    _check_keys(obj, ("columns", "target", "resample_hours", "residual_loads", "mixed_prices"), path)
+    _check_keys(obj, [f.name for f in fields(FeatureConfig)], path)
     columns = _require(obj, "columns", path)
     if not isinstance(columns, list) or not columns or not all(isinstance(c, str) for c in columns):
         raise ConfigError(f"{path}.columns: expected a non-empty list of column names")
@@ -203,33 +200,18 @@ def _parse_features(obj, path: str) -> FeatureConfig:
         if name in columns:
             raise ConfigError(f"{path}.columns: target column {name!r} is also a feature")
 
-    for key in ("residual_loads", "mixed_prices"):
-        if not isinstance(obj.get(key, []), list):
+    derived = {}
+    for key, cls in (("residual_loads", ResidualLoadSpec), ("mixed_prices", MixedPriceSpec)):
+        specs = obj.get(key, [])
+        if not isinstance(specs, list):
             raise ConfigError(f"{path}.{key}: expected a list")
-    residual = tuple(
-        _dataclass_from(spec, ResidualLoadSpec, f"{path}.residual_loads[{i}]")
-        for i, spec in enumerate(obj.get("residual_loads", []))
-    )
-    mixed = tuple(
-        _dataclass_from(spec, MixedPriceSpec, f"{path}.mixed_prices[{i}]")
-        for i, spec in enumerate(obj.get("mixed_prices", []))
-    )
+        derived[key] = tuple(_dataclass_from(spec, cls, f"{path}.{key}[{i}]") for i, spec in enumerate(specs))
     resample = _typed(obj.get("resample_hours"), float | None, f"{path}.resample_hours")
     if resample is not None and math.isinf(resample * 3600):
         raise ConfigError(f"{path}.resample_hours: expected a finite number of seconds, got {resample!r}")
     if resample is not None and round(resample * 3600) < 1:
         raise ConfigError(f"{path}.resample_hours: expected at least one second, got {resample!r}")
-    return FeatureConfig(tuple(columns), target, resample, residual, mixed)
-
-
-def _parse_model(obj, path: str):
-    _check_keys(obj, ("kind", "gbt", "mlp"), path)
-    kind = _require(obj, "kind", path)
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"{path}.kind: expected one of {list(MODEL_KINDS)}, got {kind!r}")
-    gbt = _dataclass_from(obj.get("gbt", {}), GbtParams, f"{path}.gbt")
-    mlp = _dataclass_from(obj.get("mlp", {}), MlpParams, f"{path}.mlp")
-    return kind, gbt, mlp
+    return FeatureConfig(tuple(columns), target, resample, **derived)
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -278,20 +260,9 @@ def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
 
     features = _parse_features(_require(raw, "features", ""), "features")
     periods = _parse_periods(_require(raw, "periods", ""), "periods")
-    kind, gbt_params, mlp_params = _parse_model(_require(raw, "model", ""), "model")
-
-    given, section_of = {}, {}
-    for section, names in (
-        ("windows", ("n_windows", "window_fraction", "block_days", "test_fraction")),
-        ("shap", ("background_size", "explain_on")),
-    ):
-        given |= _typed_fields(raw.get(section, {}), ExperimentConfig, section, names)
-        section_of |= dict.fromkeys(names, section)
-    try:
-        experiment = ExperimentConfig(**given, gbt=gbt_params, mlp=mlp_params)
-    except ValueError as exc:
-        # each range message begins with its field name
-        raise ConfigError(f"{section_of[str(exc).split()[0]]}.{exc}") from None
+    model = _dataclass_from(_require(raw, "model", ""), ModelConfig, "model")
+    windows = _dataclass_from(raw.get("windows", {}), WindowConfig, "windows")
+    shap = _dataclass_from(raw.get("shap", {}), ShapConfig, "shap")
 
     seed = _typed(raw.get("seed", 0), int, "seed")
     output_dir = _typed(raw.get("output_dir", "out"), str, "output_dir")
@@ -303,8 +274,9 @@ def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
         inputs=tuple(inputs),
         features=features,
         periods=periods,
-        model_kind=kind,
-        experiment=experiment,
+        model=model,
+        windows=windows,
+        shap=shap,
         seed=seed,
         output_dir=output_dir,
         echo=echo,
@@ -315,8 +287,17 @@ def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
 def load_config(path, overrides=()) -> RunConfig:
     """Load a JSON config file and apply --set overrides in order."""
     path = Path(path)
+
+    def unique(pairs):  # a key given twice would silently keep its last value
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ConfigError(f"{path}: key {twice!r} given twice")
+        return obj
+
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=unique)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

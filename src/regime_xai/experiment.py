@@ -28,8 +28,6 @@ from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timesta
 
 log = logging.getLogger(__name__)
 
-MODEL_KINDS = ("gbt", "mlp")
-
 
 @dataclass(frozen=True)
 class PeriodSpec:
@@ -61,15 +59,22 @@ class SplitPlan:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ModelConfig:
+    kind: str
+    gbt: GbtParams = field(default_factory=GbtParams)
+    mlp: MlpParams = field(default_factory=MlpParams)
+
+    def __post_init__(self):
+        if self.kind not in ("gbt", "mlp"):
+            raise ValueError(f"kind: expected one of ['gbt', 'mlp'], got {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class WindowConfig:
     n_windows: int = 6
     window_fraction: float = 0.5
     block_days: int = 4
     test_fraction: float = 0.2
-    background_size: int = 100
-    explain_on: str = "test"
-    gbt: GbtParams = field(default_factory=GbtParams)
-    mlp: MlpParams = field(default_factory=MlpParams)
 
     def __post_init__(self):
         if self.n_windows < 1:
@@ -80,6 +85,14 @@ class ExperimentConfig:
             raise ValueError("block_days must be >= 1")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+
+
+@dataclass(frozen=True)
+class ShapConfig:
+    background_size: int = 100
+    explain_on: str = "test"
+
+    def __post_init__(self):
         if self.background_size < 1:
             raise ValueError("background_size must be >= 1")
         if self.explain_on not in ("test", "train"):
@@ -170,8 +183,9 @@ def split_blocks(
 def run_period(
     data: FeatureMatrix,
     period: PeriodSpec,
-    model_kind: str,
-    config: ExperimentConfig,
+    model: ModelConfig,
+    windows: WindowConfig,
+    shap: ShapConfig,
     seed: int,
 ) -> PeriodResult:
     """Fit, explain and score one model per sliding window of the period.
@@ -183,9 +197,6 @@ def run_period(
     explained. Failures are re-raised annotated with the period name and the
     window index; a period too short for the protocol is a TimeSeriesError.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
-
     if len(data) == 0:
         raise ValueError(f"no rows fall inside period {period.name!r}")
     ts = data.timestamps
@@ -199,41 +210,41 @@ def run_period(
 
     # The one branch on the model kind. The functions are looked up here, at
     # call time, so a profiler that rebinds these module names sees each call.
-    if model_kind == "gbt":
+    if model.kind == "gbt":
         def fit(train: FeatureMatrix, fit_seed: int):
-            return fit_gbt(train, config.gbt)
+            return fit_gbt(train, model.gbt)
 
         predict, method = predict_gbt, "tree"
     else:
         def fit(train: FeatureMatrix, fit_seed: int):
-            return fit_mlp(train, config.mlp, fit_seed)
+            return fit_mlp(train, model.mlp, fit_seed)
 
         predict, method = partial(predict_mlp, work={}), "kernel"
 
     try:
-        windows = make_windows(len(data), config.n_windows, config.window_fraction)
+        spans = make_windows(len(data), windows.n_windows, windows.window_fraction)
     except TimeSeriesError as exc:
         raise TimeSeriesError(f"{period.name}: {exc}") from exc
     results = []
-    for w, window in enumerate(windows):
+    for w, window in enumerate(spans):
         try:
             plan = split_blocks(
                 window,
-                block_days=config.block_days,
-                test_fraction=config.test_fraction,
+                block_days=windows.block_days,
+                test_fraction=windows.test_fraction,
                 seed=derive_seed(seed, w, 0),
                 rows_per_day=per_day,
             )
             train = data.take(plan.train_indices)
             test = data.take(plan.test_indices)
-            model = fit(train, derive_seed(seed, w, 1))
-            pred = predict(model, test.X)
+            fitted = fit(train, derive_seed(seed, w, 1))
+            pred = predict(fitted, test.X)
             if not np.isfinite(pred).all():
                 raise ValueError(f"non-finite prediction for test row {int(np.argmin(np.isfinite(pred)))}")
 
-            bg = Background.subsample(train.X, config.background_size, derive_seed(seed, w, 2))
-            explain = test if config.explain_on == "test" else train
-            explanation = explain_dataset(model, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
+            bg = Background.subsample(train.X, shap.background_size, derive_seed(seed, w, 2))
+            explain = test if shap.explain_on == "test" else train
+            explanation = explain_dataset(fitted, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
             importance = feature_importance(explanation)
             if importance.degenerate:
                 log.warning("period %s window %d: degenerate importances", period.name, w)

@@ -12,8 +12,10 @@ import pytest
 from regime_xai.cli import cmd_run, cmd_synth
 from regime_xai.config import load_config
 from regime_xai.experiment import (
-    ExperimentConfig,
+    ModelConfig,
     PeriodSpec,
+    ShapConfig,
+    WindowConfig,
     compare_periods,
     run_period,
     split_blocks,
@@ -194,11 +196,8 @@ def test_c06_gbt_monotone_training_loss():
     report(6, f"20 datasets, largest stage-to-stage MSE change = {worst_uptick:.2e} (never positive)")
 
 
-REGIME_CFG = ExperimentConfig(
-    background_size=30,
-    gbt=GbtParams(n_trees=60, max_depth=3, min_samples_leaf=20, learning_rate=0.1),
-    mlp=MlpParams(hidden_sizes=(32,), max_epochs=100),
-)
+REGIME_GBT = GbtParams(n_trees=60, max_depth=3, min_samples_leaf=20, learning_rate=0.1)
+REGIME_MLP = MlpParams(hidden_sizes=(32,), max_epochs=100)
 
 
 def _regime_flip_detected(cmp) -> bool:
@@ -218,11 +217,12 @@ def _regime_flip_detected(cmp) -> bool:
 @pytest.mark.parametrize("kind", ["gbt", "mlp"])
 def test_c07_synthetic_regime_shift_reproduction(kind):
     start = time.perf_counter()
+    protocol = ModelConfig(kind, REGIME_GBT, REGIME_MLP), WindowConfig(), ShapConfig(background_size=30)
     hits = 0
     for seed in range(10):
         before_fm, after_fm = synth_regime(960, seed=derive_seed(seed, 100))
-        before = run_period(before_fm, period_for(before_fm, "before"), kind, REGIME_CFG, derive_seed(seed, 0))
-        after = run_period(after_fm, period_for(after_fm, "after"), kind, REGIME_CFG, derive_seed(seed, 1))
+        before = run_period(before_fm, period_for(before_fm, "before"), *protocol, derive_seed(seed, 0))
+        after = run_period(after_fm, period_for(after_fm, "after"), *protocol, derive_seed(seed, 1))
         hits += _regime_flip_detected(compare_periods(before, after))
     elapsed = time.perf_counter() - start
     assert hits >= 9

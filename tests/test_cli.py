@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -21,9 +22,7 @@ from regime_xai.cli import (
     main,
 )
 from regime_xai.config import ConfigError, apply_override, load_config, parse_config
-from regime_xai.experiment import ExperimentConfig
-from regime_xai.gbt import GbtParams
-from regime_xai.mlp import MlpParams
+from regime_xai.experiment import ModelConfig, ShapConfig, WindowConfig
 from regime_xai.timeseries import format_timestamp, parse_timestamp
 
 T0 = parse_timestamp("2018-01-01T00:00:00Z")
@@ -95,10 +94,10 @@ def config_with(tmp_path, keys, value):
 
 def test_load_config_happy_path(tmp_path):
     config = load_config(market_config(tmp_path))
-    assert config.model_kind == "gbt"
+    assert config.model.kind == "gbt"
     assert config.features.target == {"before": "price", "after": "price"}
     assert config.periods["before"].end <= config.periods["after"].start
-    assert config.experiment.gbt.n_trees == 25
+    assert config.model.gbt.n_trees == 25
 
 
 @pytest.mark.parametrize("case", ["byte-order mark", "directory", "latin-1 byte"])
@@ -137,14 +136,14 @@ def test_coalition_budget_is_not_a_setting(tmp_path, capsys):
     assert "shap: unknown key(s) ['n_coalitions']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "name", [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("gbt", "mlp")]
-)
-def test_each_experiment_setting_has_one_config_key(tmp_path, name):
-    # parse_config lists the windows and shap keys by hand; a field missing
-    # from both lists or listed in both fails here, and so does a listed name
-    # that is no field (left behind when a field is renamed or deleted)
-    default = getattr(ExperimentConfig(), name)
+SETTINGS = [(cls, f.name) for cls in (WindowConfig, ShapConfig) for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", SETTINGS, ids=[name for _, name in SETTINGS])
+def test_each_experiment_setting_has_one_config_key(tmp_path, cls, name):
+    # each field of WindowConfig and ShapConfig is a key of one section,
+    # with no key list kept by hand
+    default = getattr(cls(), name)
     path = market_config(tmp_path)
     loaded = []
     for section in ("windows", "shap"):
@@ -153,7 +152,7 @@ def test_each_experiment_setting_has_one_config_key(tmp_path, name):
         except ConfigError as exc:
             assert f"{section}: unknown key(s) [{name!r}]" in str(exc)
             continue
-        assert getattr(config.experiment, name) == default
+        assert getattr(getattr(config, section), name) == default
         loaded.append(section)
     assert len(loaded) == 1
 
@@ -162,11 +161,12 @@ def test_each_model_setting_has_one_config_key(tmp_path, capsys):
     # every model parameter is a config key under model.<kind>; the fit seed
     # is derived per window from the run seed, so it is none
     path = market_config(tmp_path)
-    for kind, cls in (("gbt", GbtParams), ("mlp", MlpParams)):
-        for f in dataclasses.fields(cls):
-            default = getattr(cls(), f.name)
+    for kind in (f.name for f in dataclasses.fields(ModelConfig) if f.name != "kind"):
+        params = getattr(ModelConfig(kind), kind)
+        for f in dataclasses.fields(params):
+            default = getattr(params, f.name)
             config = load_config(path, overrides=[f"model.{kind}.{f.name}={json.dumps(default)}"])
-            assert getattr(getattr(config.experiment, kind), f.name) == default
+            assert getattr(getattr(config.model, kind), f.name) == default
     assert main(["run", "--config", str(path), "--set", "model.mlp.seed=0"]) == 1
     assert "model.mlp: unknown key(s) ['seed']" in capsys.readouterr().err
 
@@ -306,7 +306,7 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
                      id="model.gbt.learning_rate=10**400"),
         ('features.columns=["residual","wind","price"]', "columns: target column 'price' is also a feature"),
         pytest.param("model.mlp.hidden_sizes=[1" + "0" * 20 + "]",
-                     f"mlp: hidden_sizes must be at most {np.iinfo(np.intp).max}",
+                     f"mlp.hidden_sizes must be at most {np.iinfo(np.intp).max}",
                      id="model.mlp.hidden_sizes=[10**20]"),
     ],
 )
@@ -321,9 +321,9 @@ def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, a
 @pytest.mark.parametrize(
     "keys, value, message",
     [
-        (("features", "residual_loads", 0, "ror_lag_days"), 0, "features.residual_loads[0]: ror_lag_days must be >= 1"),
-        (("inputs", 0, "resolution_hours"), 0.0001, "inputs[0]: resolution_hours must be at least one second"),
-        (("inputs", 0, "resolution_hours"), 1e308, "inputs[0]: resolution_hours must be a finite number of seconds"),
+        (("features", "residual_loads", 0, "ror_lag_days"), 0, "features.residual_loads[0].ror_lag_days must be >= 1"),
+        (("inputs", 0, "resolution_hours"), 0.0001, "inputs[0].resolution_hours must be at least one second"),
+        (("inputs", 0, "resolution_hours"), 1e308, "inputs[0].resolution_hours must be a finite number of seconds"),
     ],
 )
 def test_list_entry_out_of_range_exits_1_before_inputs_are_read(tmp_path, capsys, keys, value, message):
@@ -345,15 +345,34 @@ def test_mixed_price_alpha_above_percent_range_warns_at_load(tmp_path):
 
 def test_negative_mixed_price_alpha_rejected_at_load(tmp_path):
     path = config_with(tmp_path, ("features", "mixed_prices", 0, "alpha"), -0.1)
-    with pytest.raises(ConfigError, match=re.escape("features.mixed_prices[0]: alpha must be nonnegative")):
+    with pytest.raises(ConfigError, match=re.escape("features.mixed_prices[0].alpha must be nonnegative")):
         load_config(path)
 
 
-def test_readme_config_example_parses():
+def test_config_key_given_twice_is_refused_naming_it(tmp_path, capsys):
+    path = market_config(tmp_path)
+    assert load_config(path, overrides=["seed=1", "seed=5"]).seed == 5  # a later --set still wins
+    path.write_text(path.read_text().replace('"seed": 7', '"seed": 1, "seed": 5'))
+    assert main(["run", "--config", str(path)]) == 1
+    assert last_error_record(capsys) == {"error": "ConfigError", "message": f"{path}: key 'seed' given twice"}
+
+
+def readme_block(language: str) -> str:
+    """The first fenced block of README.md in language."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    return re.search(rf"```{language}\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_config_example_parses():
+    example = json.loads(readme_block("json"))
     config = parse_config(example, Path("."), ())
     assert config.features.resample_hours is None
+
+
+def test_readme_python_example_runs(capsys):
+    exec(readme_block("python"), {})
+    delta = ast.literal_eval(capsys.readouterr().out)
+    assert list(delta) == ["x1", "x2", "x3"] and delta["x1"] < 0 < delta["x2"]
 
 
 def test_non_numeric_resolution_exits_1(tmp_path, capsys):
@@ -525,12 +544,29 @@ def test_main_out_overrides_the_configured_output_directory(tmp_path):
 
 
 def test_main_reports_an_unexpected_failure_as_exit_2(tmp_path, capsys):
-    # an output directory that is a file is not a config or data fault
+    # an output file that cannot be written is not a config or data fault
     config_path = market_config(tmp_path)
-    (tmp_path / "taken").write_text("")
+    (tmp_path / "taken" / "features_before.csv").mkdir(parents=True)
     assert main(["features", "--config", str(config_path), "--out", str(tmp_path / "taken")]) == 2
     record = last_error_record(capsys)
-    assert record["error"] == "FileExistsError" and str(tmp_path / "taken") in record["message"]
+    assert record["error"] == "IsADirectoryError" and str(tmp_path / "taken") in record["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "features", "synth"])
+@pytest.mark.parametrize("place", ["a file", "under a file"])
+def test_output_directory_that_cannot_be_created_exits_1_naming_it(tmp_path, capsys, command, place):
+    # The input does not exist, so the named key shows the check ran first.
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" if place == "a file" else tmp_path / "taken" / "sub"
+    if command == "synth":
+        argv, key = ["synth", "--out", str(out)], "--out"
+    else:
+        path = config_with(tmp_path, ("inputs", 0, "path"), str(tmp_path / "absent.csv"))
+        argv, key = [command, "--config", str(path), "--set", f"output_dir={out}"], "output_dir"
+    assert main(argv) == 1
+    record = last_error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{key}: cannot create directory {out} (")
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regime_xai.experiment import (
-    ExperimentConfig,
+    ModelConfig,
     PeriodResult,
     PeriodSpec,
     RegimeComparison,
+    ShapConfig,
     SplitPlan,
+    WindowConfig,
     WindowResult,
     compare_periods,
     make_windows,
@@ -33,11 +35,14 @@ def period_for(fm: FeatureMatrix, name="p"):
     return PeriodSpec(name, int(fm.timestamps[0]), int(fm.timestamps[-1]) + 3600)
 
 
-FAST = ExperimentConfig(
-    background_size=30,
+GBT = ModelConfig(
+    "gbt",
     gbt=GbtParams(n_trees=40, max_depth=3, min_samples_leaf=20, learning_rate=0.1),
     mlp=MlpParams(hidden_sizes=(16,), max_epochs=60),
 )
+MLP = replace(GBT, kind="mlp")
+WINDOWS = WindowConfig()
+SHAP = ShapConfig(background_size=30)
 
 
 # ---------------------------------------------------------------- make_windows
@@ -149,7 +154,7 @@ def test_split_blocks_integrity(n_blocks, extra, rows_per_day, seed):
 
 def test_run_period_recovers_synthetic_ground_truth():
     fm, _ = synth_regime(960, seed=0)
-    result = run_period(fm, period_for(fm, "A"), "gbt", FAST, seed=1)
+    result = run_period(fm, period_for(fm, "A"), GBT, WINDOWS, SHAP, seed=1)
     names = result.feature_names
     assert names == ("x1", "x2", "x3")
     for w in result.windows:
@@ -164,8 +169,8 @@ def test_run_period_takes_every_train_row_as_background_when_they_are_fewer(back
     # explained on its train rows, a window whose background is those rows has
     # attributions that average to zero: mean f(x) - phi0 = 0
     fm, _ = synth_regime(960, seed=4)
-    config = replace(FAST, n_windows=2, background_size=background_size, explain_on="train")
-    result = run_period(fm, period_for(fm), "gbt", config, seed=2)
+    windows, shap = WindowConfig(n_windows=2), ShapConfig(background_size, explain_on="train")
+    result = run_period(fm, period_for(fm), GBT, windows, shap, seed=2)
     for w in result.windows:
         assert (abs(w.explanation.phi.sum(axis=1).mean()) < 1e-9) == centred
 
@@ -173,8 +178,8 @@ def test_run_period_takes_every_train_row_as_background_when_they_are_fewer(back
 def test_run_period_deterministic():
     fm, _ = synth_regime(960, seed=3)
     spec = period_for(fm, "A")
-    r1 = run_period(fm, spec, "gbt", FAST, seed=9)
-    r2 = run_period(fm, spec, "gbt", FAST, seed=9)
+    r1 = run_period(fm, spec, GBT, WINDOWS, SHAP, seed=9)
+    r2 = run_period(fm, spec, GBT, WINDOWS, SHAP, seed=9)
     for a, b in zip(r1.windows, r2.windows):
         np.testing.assert_array_equal(a.importance.fi, b.importance.fi)
         np.testing.assert_array_equal(a.explanation.phi, b.explanation.phi)
@@ -187,22 +192,22 @@ def test_run_period_constant_target_degenerate_but_completes():
     ts = parse_timestamp("2020-01-01T00:00:00Z") + 3600 * np.arange(n)
     X = np.random.default_rng(0).uniform(-1, 1, size=(n, 3))
     fm = FeatureMatrix(("x1", "x2", "x3"), X, np.full(n, 2.0), ts)
-    result = run_period(fm, period_for(fm), "gbt", FAST, seed=0)
+    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=0)
     assert result.degenerate_windows == (0, 1, 2, 3, 4, 5)
     assert all(np.isnan(w.test_r2) for w in result.windows)
 
 
 def test_run_period_annotates_window_errors():
     fm, _ = synth_regime(960, seed=4)
-    bad = ExperimentConfig(block_days=100, gbt=FAST.gbt)  # windows span < 5 blocks
+    bad = WindowConfig(block_days=100)  # windows span < 5 blocks
     with pytest.raises(ValueError, match="window 0"):
-        run_period(fm, period_for(fm), "gbt", bad, seed=0)
+        run_period(fm, period_for(fm), GBT, bad, ShapConfig(), seed=0)
 
 
 def test_run_period_rejects_unknown_kind():
-    fm, _ = synth_regime(960, seed=5)
-    with pytest.raises(ValueError, match="model_kind"):
-        run_period(fm, period_for(fm), "boost", FAST, seed=0)
+    # run_period takes a ModelConfig, which cannot hold an unknown kind
+    with pytest.raises(ValueError, match="kind: expected one of \\['gbt', 'mlp'\\], got 'boost'"):
+        ModelConfig("boost")
 
 
 def test_run_period_rejects_row_outside_period():
@@ -211,7 +216,7 @@ def test_run_period_rejects_row_outside_period():
     short = PeriodSpec("p", spec.start, int(fm.timestamps[-1]))
     last = format_timestamp(fm.timestamps[-1])
     with pytest.raises(ValueError, match=f"row at {last} lies outside period 'p'"):
-        run_period(fm, short, "gbt", FAST, seed=0)
+        run_period(fm, short, GBT, WINDOWS, SHAP, seed=0)
 
 
 def test_run_period_rejects_non_finite_predictions_before_explaining(monkeypatch):
@@ -221,9 +226,9 @@ def test_run_period_rejects_non_finite_predictions_before_explaining(monkeypatch
     monkeypatch.setattr("regime_xai.experiment.predict_mlp", lambda net, X, work: np.full(len(X), np.inf))
     monkeypatch.setattr("regime_xai.experiment.explain_dataset", explain_dataset)
     fm, _ = synth_regime(960, seed=5)
-    config = ExperimentConfig(background_size=10, mlp=MlpParams(hidden_sizes=(4,), max_epochs=1))
+    model = ModelConfig("mlp", mlp=MlpParams(hidden_sizes=(4,), max_epochs=1))
     with pytest.raises(ValueError, match="window 0: non-finite prediction for test row 0"):
-        run_period(fm, period_for(fm), "mlp", config, seed=0)
+        run_period(fm, period_for(fm), model, WINDOWS, ShapConfig(background_size=10), seed=0)
 
 
 def test_run_period_blocks_span_four_days_when_second_row_is_missing():
@@ -231,8 +236,8 @@ def test_run_period_blocks_span_four_days_when_second_row_is_missing():
     # read as 1 h, so every test block is 4 days of 24 rows.
     fm, _ = synth_regime(1200, seed=0)
     gapped = fm.take(np.delete(np.arange(len(fm)), 1))
-    result = run_period(gapped, period_for(gapped), "gbt", FAST, seed=0)
-    windows = make_windows(len(gapped), FAST.n_windows, FAST.window_fraction)
+    result = run_period(gapped, period_for(gapped), GBT, WINDOWS, SHAP, seed=0)
+    windows = make_windows(len(gapped), WINDOWS.n_windows, WINDOWS.window_fraction)
     for window, w in zip(windows, result.windows):
         _, sizes = np.unique((w.split.test_indices - window.start) // 96, return_counts=True)
         assert sizes.tolist() == [96] * len(sizes)
@@ -240,14 +245,13 @@ def test_run_period_blocks_span_four_days_when_second_row_is_missing():
 
 def test_run_period_window_fraction_one_low_importance_spread():
     fm, _ = synth_regime(960, seed=6)
-    config = ExperimentConfig(window_fraction=1.0, background_size=30, gbt=FAST.gbt)
-    result = run_period(fm, period_for(fm), "gbt", config, seed=2)
+    result = run_period(fm, period_for(fm), GBT, WindowConfig(window_fraction=1.0), SHAP, seed=2)
     assert np.all(compare_periods(result, result).before_std < 0.05)
 
 
 def test_run_period_mlp_kernel_path():
     fm, _ = synth_regime(960, seed=7)
-    result = run_period(fm, period_for(fm), "mlp", FAST, seed=3)
+    result = run_period(fm, period_for(fm), MLP, WINDOWS, SHAP, seed=3)
     for w in result.windows:
         fi = w.importance.fi
         assert fi[0] > fi[1] > fi[2]
@@ -259,7 +263,7 @@ def test_run_period_mlp_kernel_path():
 
 def test_compare_identical_periods_no_flags():
     fm, _ = synth_regime(960, seed=8)
-    result = run_period(fm, period_for(fm), "gbt", FAST, seed=4)
+    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=4)
     cmp = compare_periods(result, result)
     np.testing.assert_array_equal(cmp.delta, np.zeros(3))
     assert not cmp.flagged.any()
@@ -270,8 +274,8 @@ def test_compare_identical_periods_no_flags():
 
 def test_compare_synth_regimes_flags_flip():
     before_fm, after_fm = synth_regime(960, seed=9)
-    before = run_period(before_fm, period_for(before_fm, "before"), "gbt", FAST, seed=5)
-    after = run_period(after_fm, period_for(after_fm, "after"), "gbt", FAST, seed=6)
+    before = run_period(before_fm, period_for(before_fm, "before"), GBT, WINDOWS, SHAP, seed=5)
+    after = run_period(after_fm, period_for(after_fm, "after"), GBT, WINDOWS, SHAP, seed=6)
     cmp = compare_periods(before, after)
     i1, i2, i3 = (cmp.feature_names.index(f) for f in ("x1", "x2", "x3"))
     assert cmp.flagged[i1] and cmp.flagged[i2]
@@ -282,7 +286,7 @@ def test_compare_synth_regimes_flags_flip():
 
 def test_compare_rejects_feature_mismatch():
     fm, _ = synth_regime(960, seed=10)
-    result = run_period(fm, period_for(fm), "gbt", FAST, seed=7)
+    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=7)
     other = PeriodResult(feature_names=("a", "b", "c"), windows=result.windows)
     with pytest.raises(ValueError, match="differ"):
         compare_periods(result, other)
@@ -350,7 +354,7 @@ def test_dependence_profile_of_fitted_model_tracks_coefficient(tmp_path):
     # On period A (target 3*x1 + x2 + noise) the x1 dependence profile of a
     # fitted tree model must rise with x1 and do so ~3x as steeply as x2's.
     fm, _ = synth_regime(960, seed=15)
-    result = run_period(fm, period_for(fm, "A"), "gbt", FAST, seed=11)
+    result = run_period(fm, period_for(fm, "A"), GBT, WINDOWS, SHAP, seed=11)
     slopes = {}
     for feat in ("x1", "x2"):
         table = dependence_columns(tmp_path, result, feat)
@@ -380,7 +384,7 @@ def test_dependence_rows_are_each_windows_explained_rows(tmp_path):
     # dependence.csv, importance.csv and the manifest's metrics number the
     # windows alike.
     fm, _ = synth_regime(960, seed=16)
-    result = run_period(fm, period_for(fm), "gbt", replace(FAST, n_windows=2), seed=12)
+    result = run_period(fm, period_for(fm), GBT, WindowConfig(n_windows=2), SHAP, seed=12)
     first, second = (w.explained.timestamps.tolist() for w in result.windows)
     assert set(first).isdisjoint(second)
 
@@ -407,8 +411,8 @@ def test_dependence_rows_are_each_windows_explained_rows(tmp_path):
 
 def test_export_csvs(tmp_path):
     before_fm, after_fm = synth_regime(960, seed=13)
-    before = run_period(before_fm, period_for(before_fm, "before"), "gbt", FAST, seed=8)
-    after = run_period(after_fm, period_for(after_fm, "after"), "gbt", FAST, seed=9)
+    before = run_period(before_fm, period_for(before_fm, "before"), GBT, WINDOWS, SHAP, seed=8)
+    after = run_period(after_fm, period_for(after_fm, "after"), GBT, WINDOWS, SHAP, seed=9)
     results = {"before": before, "after": after}
 
     imp = tmp_path / "importance.csv"
@@ -495,7 +499,7 @@ def test_export_text_is_pinned(tmp_path):
 
 def test_window_metrics_json_safe():
     fm, _ = synth_regime(960, seed=14)
-    result = run_period(fm, period_for(fm), "gbt", FAST, seed=10)
+    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=10)
     metrics = window_metrics(result)
     assert len(metrics) == 6
     assert all(m["n_train"] + m["n_test"] == 480 for m in metrics)

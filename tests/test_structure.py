@@ -1,9 +1,15 @@
 """Design checks that read the package source instead of running it."""
 
 import ast
+import dataclasses
+import inspect
+import re
+import textwrap
+import typing
 from pathlib import Path
 
 import regime_xai
+from regime_xai import config
 
 SRC = Path(regime_xai.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -299,3 +305,52 @@ def test_no_module_level_scratch_state():
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_scratch(node.value)
         ]
     assert found == []
+
+
+def _built_by_dataclass_from() -> set[type]:
+    """Each dataclass that config.py passes to _dataclass_from, and each one
+    a field of those declares, which _typed builds through it in turn."""
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    todo = [
+        getattr(config, node.args[1].id, None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_dataclass_from"
+        and isinstance(node.args[1], ast.Name)
+    ]
+    built = set()
+    while todo:
+        cls = todo.pop()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls not in built:
+            built.add(cls)
+            for hint in typing.get_type_hints(cls).values():
+                todo += [hint, *typing.get_args(hint)]
+    return built
+
+
+def _value_error_messages(cls: type) -> list[str]:
+    """The leading text of each ValueError message cls.__post_init__ raises."""
+    if "__post_init__" not in vars(cls):
+        return []
+    fn = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
+    messages = []
+    for node in ast.walk(fn):
+        exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError":
+            first = exc.args[0].values[0] if isinstance(exc.args[0], ast.JoinedStr) else exc.args[0]
+            messages.append(first.value if isinstance(first, ast.Constant) else "")
+    return messages
+
+
+def test_every_range_error_of_a_config_section_begins_with_its_field():
+    # _dataclass_from reports a range error as path.message, so each message
+    # must begin with the name of the field it is about, as in
+    # windows.block_days must be >= 1
+    built = _built_by_dataclass_from()
+    assert {"ModelConfig", "WindowConfig", "ShapConfig", "GbtParams", "InputSpec"} <= {c.__name__ for c in built}
+    stray = [
+        f"{cls.__name__}: {text!r}"
+        for cls in built
+        for text in _value_error_messages(cls)
+        if re.match(r"\w*", text).group() not in {f.name for f in dataclasses.fields(cls)}
+    ]
+    assert stray == []
