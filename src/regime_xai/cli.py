@@ -194,9 +194,10 @@ def cmd_run(config: RunConfig) -> dict:
 
 
 def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
-    """Write a stacked two-regime synthetic dataset and a matching config."""
-    out_dir = _output_dir(out_dir, "--out")
+    """Write a stacked two-regime synthetic dataset and a matching config.
+    The data is made first, so a failing command leaves no directory behind."""
     period_a, period_b = synth_regime(n_rows, seed=seed)
+    out_dir = _output_dir(out_dir, "--out")
 
     data_path = out_dir / "synth_data.csv"
     both = FeatureMatrix(
@@ -363,10 +364,14 @@ VERIFY_CHECKS = (
 
 
 def cmd_verify() -> int:
-    """Run the reduced oracle and invariant suites; print one line per check."""
+    """Run the reduced oracle and invariant suites; print one line per check.
+    A check that raises fails with the exception, and the rest still run."""
     failures = 0
     for name, check in VERIFY_CHECKS:
-        ok, detail = check()
+        try:
+            ok, detail = check()
+        except Exception as exc:  # noqa: BLE001 - a broken engine is a failed check
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     print(f"{len(VERIFY_CHECKS) - failures}/{len(VERIFY_CHECKS)} checks passed")

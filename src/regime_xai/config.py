@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from regime_xai.experiment import ModelConfig, PeriodSpec, ShapConfig, WindowConfig
-from regime_xai.timeseries import parse_timestamp
+from regime_xai.timeseries import format_timestamp, parse_timestamp
 
 PERIODS = ("before", "after")  # the two periods a run compares, in time order
 
@@ -27,17 +27,22 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending field path."""
 
 
+def _check_grid_step(field: str, hours: float) -> None:
+    """The rule for a grid step given in hours: a finite number of seconds, at
+    least one, as the step is rounded to whole seconds."""
+    if math.isinf(hours * 3600):
+        raise ValueError(f"{field} must be a finite number of seconds, got {hours!r}")
+    if round(hours * 3600) < 1:
+        raise ValueError(f"{field} must be at least one second, got {hours!r}")
+
+
 @dataclass(frozen=True)
 class InputSpec:
     path: str
     resolution_hours: float
 
     def __post_init__(self):
-        seconds = self.resolution_hours * 3600
-        if math.isinf(seconds):
-            raise ValueError(f"resolution_hours must be a finite number of seconds, got {self.resolution_hours!r}")
-        if round(seconds) < 1:  # the grid step is a whole number of seconds
-            raise ValueError(f"resolution_hours must be at least one second, got {self.resolution_hours!r}")
+        _check_grid_step("resolution_hours", self.resolution_hours)
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,18 @@ class FeatureConfig:
     residual_loads: tuple[ResidualLoadSpec, ...] = ()
     mixed_prices: tuple[MixedPriceSpec, ...] = ()
 
+    def __post_init__(self):
+        if not self.columns:
+            raise ValueError("columns: expected a non-empty list of column names")
+        for i, name in enumerate(self.columns):
+            if name in self.columns[:i]:
+                raise ValueError(f"columns: duplicate column {name!r}")
+        for name in self.target.values():
+            if name in self.columns:
+                raise ValueError(f"columns: target column {name!r} is also a feature")
+        if self.resample_hours is not None:
+            _check_grid_step("resample_hours", self.resample_hours)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -116,15 +133,22 @@ _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 def _typed(value, hint, field: str):
     """value checked against a dataclass field's type hint: int takes a JSON
     integer, float a finite JSON number (an integer is converted), str a
-    string, tuple[X, ...] a list of X (a bare value is one item), X | None
-    also null, a dataclass an object of its fields. A boolean is never a
-    number."""
+    string, tuple[X, ...] a list of X, entry i named field[i] (a bare value
+    is one item), dict[str, X] an object of one X per period (a bare value is
+    both periods'), X | None also null, a dataclass an object of its fields.
+    A boolean is never a number."""
     if is_dataclass(hint):
         return _dataclass_from(value, hint, field)
     args = get_args(hint)
     if get_origin(hint) is tuple:
-        items = value if isinstance(value, list) else [value]
-        return tuple(_typed(item, args[0], field) for item in items)
+        if not isinstance(value, list):
+            return (_typed(value, args[0], field),)
+        return tuple(_typed(item, args[0], f"{field}[{i}]") for i, item in enumerate(value))
+    if get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            return dict.fromkeys(PERIODS, _typed(value, args[1], field))
+        _check_keys(value, PERIODS, field)
+        return {name: _typed(_require(value, name, field), args[1], f"{field}.{name}") for name in PERIODS}
     if type(None) in args:
         if value is None:
             return None
@@ -173,45 +197,11 @@ def _parse_periods(obj, path: str) -> dict[str, PeriodSpec]:
         try:
             periods[name] = PeriodSpec(name, start, end)
         except ValueError as exc:
-            raise ConfigError(f"{path}.{name}: {exc}") from None
-    if periods["before"].end > periods["after"].start:
-        raise ConfigError(f"{path}: periods overlap; before.end must not exceed after.start")
+            raise ConfigError(f"{path}.{name}.{exc}") from None
+    before, after = periods["before"], periods["after"]
+    if before.end > after.start:
+        raise ConfigError(f"{path}.after.start must not precede before.end {format_timestamp(before.end)}, as periods may not overlap")
     return periods
-
-
-def _parse_features(obj, path: str) -> FeatureConfig:
-    _check_keys(obj, [f.name for f in fields(FeatureConfig)], path)
-    columns = _require(obj, "columns", path)
-    if not isinstance(columns, list) or not columns or not all(isinstance(c, str) for c in columns):
-        raise ConfigError(f"{path}.columns: expected a non-empty list of column names")
-    for i, name in enumerate(columns):
-        if name in columns[:i]:
-            raise ConfigError(f"{path}.columns: duplicate column {name!r}")
-    target = _require(obj, "target", path)
-    if isinstance(target, dict):
-        _check_keys(target, PERIODS, f"{path}.target")
-        target = {
-            name: _typed(_require(target, name, f"{path}.target"), str, f"{path}.target.{name}")
-            for name in PERIODS
-        }
-    else:
-        target = dict.fromkeys(PERIODS, _typed(target, str, f"{path}.target"))
-    for name in target.values():
-        if name in columns:
-            raise ConfigError(f"{path}.columns: target column {name!r} is also a feature")
-
-    derived = {}
-    for key, cls in (("residual_loads", ResidualLoadSpec), ("mixed_prices", MixedPriceSpec)):
-        specs = obj.get(key, [])
-        if not isinstance(specs, list):
-            raise ConfigError(f"{path}.{key}: expected a list")
-        derived[key] = tuple(_dataclass_from(spec, cls, f"{path}.{key}[{i}]") for i, spec in enumerate(specs))
-    resample = _typed(obj.get("resample_hours"), float | None, f"{path}.resample_hours")
-    if resample is not None and math.isinf(resample * 3600):
-        raise ConfigError(f"{path}.resample_hours: expected a finite number of seconds, got {resample!r}")
-    if resample is not None and round(resample * 3600) < 1:
-        raise ConfigError(f"{path}.resample_hours: expected at least one second, got {resample!r}")
-    return FeatureConfig(tuple(columns), target, resample, **derived)
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -258,7 +248,7 @@ def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
         echo["inputs"][i]["path"] = spec.path
         inputs.append(spec)
 
-    features = _parse_features(_require(raw, "features", ""), "features")
+    features = _dataclass_from(_require(raw, "features", ""), FeatureConfig, "features")
     periods = _parse_periods(_require(raw, "periods", ""), "periods")
     model = _dataclass_from(_require(raw, "model", ""), ModelConfig, "model")
     windows = _dataclass_from(raw.get("windows", {}), WindowConfig, "windows")

@@ -39,7 +39,7 @@ class PeriodSpec:
 
     def __post_init__(self):
         if self.start >= self.end:
-            raise ValueError(f"period {self.name!r}: start must precede end")
+            raise ValueError(f"end must be after start {format_timestamp(self.start)}, got {format_timestamp(self.end)}")
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,17 @@ def test_overlapping_periods_rejected(tmp_path):
         load_config(path)
 
 
+def test_a_single_list_entry_is_a_list_of_one(tmp_path):
+    path = market_config(tmp_path)
+    listed = load_config(path).features
+    bare = load_config(path, overrides=[
+        "features.columns=wind",
+        'features.mixed_prices={"name": "mixed", "capacity": "cap", "energy": "energy", "alpha": 0.05}',
+    ]).features
+    assert bare.columns == ("wind",)
+    assert bare.mixed_prices == listed.mixed_prices
+
+
 def test_per_period_targets(tmp_path):
     path = market_config(tmp_path)
     config = load_config(path, overrides=['features.target={"before": "price", "after": "cap"}'])
@@ -258,7 +269,8 @@ def test_seed_must_be_int(tmp_path):
 )
 def test_counts_must_be_json_integers(tmp_path, field, value):
     path = market_config(tmp_path)
-    with pytest.raises(ConfigError, match=re.escape(f"{field}: expected an integer")):
+    entry = f"{field}[0]" if value.startswith("[") else field  # a list entry is named by its index
+    with pytest.raises(ConfigError, match=re.escape(f"{entry}: expected an integer")):
         load_config(path, overrides=[f"{field}={value}"])
 
 
@@ -293,13 +305,13 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("windows.n_windows=0", "n_windows must be >= 1"),
         ("windows.window_fraction=0", "window_fraction must be in (0, 1]"),
         ("shap.explain_on=both", "explain_on must be 'test' or 'train'"),
-        ("features.resample_hours=0.0001", "resample_hours: expected at least one second"),
-        ("features.residual_loads=null", "residual_loads: expected a list"),
-        ("features.residual_loads=5", "residual_loads: expected a list"),
-        ("features.mixed_prices=null", "mixed_prices: expected a list"),
-        ("features.mixed_prices=5", "mixed_prices: expected a list"),
+        ("features.resample_hours=0.0001", "resample_hours must be at least one second, got 0.0001"),
+        ("features.residual_loads=null", "residual_loads: expected an object"),
+        ("features.residual_loads=5", "residual_loads: expected an object"),
+        ("features.mixed_prices=null", "mixed_prices: expected an object"),
+        ("features.mixed_prices=5", "mixed_prices: expected an object"),
         ('features.columns=["x1","x1","x2"]', "columns: duplicate column 'x1'"),
-        ("features.resample_hours=1e308", "resample_hours: expected a finite number of seconds, got 1e+308"),
+        ("features.resample_hours=1e308", "resample_hours must be a finite number of seconds, got 1e+308"),
         pytest.param("windows.window_fraction=1" + "0" * 400, "window_fraction: expected a finite number, got 1000",
                      id="windows.window_fraction=10**400"),
         pytest.param("model.gbt.learning_rate=1" + "0" * 400, "gbt.learning_rate: expected a finite number, got 1000",
@@ -308,6 +320,10 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         pytest.param("model.mlp.hidden_sizes=[1" + "0" * 20 + "]",
                      f"mlp.hidden_sizes must be at most {np.iinfo(np.intp).max}",
                      id="model.mlp.hidden_sizes=[10**20]"),
+        ("periods.before.end=2017-01-01T00:00:00Z",
+         "before.end must be after start 2018-01-01T00:00:00Z, got 2017-01-01T00:00:00Z"),
+        ("periods.after.start=2018-02-01T00:00:00Z",
+         "after.start must not precede before.end 2018-02-20T00:00:00Z, as periods may not overlap"),
     ],
 )
 def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, assignment, message):
@@ -519,6 +535,13 @@ def test_synth_negative_seed_exits_1_naming_the_seed(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "TimeSeriesError", "message": "seed must be >= 0, got -1"}
     assert not (tmp_path / "s" / "synth_data.csv").exists()
+
+
+def test_failing_synth_leaves_no_directory_behind(tmp_path, capsys):
+    out = tmp_path / "fresh" / "sub"
+    assert main(["synth", "--out", str(out), "--rows", "200"]) == 1
+    assert last_error_record(capsys)["message"] == "n_rows_per_period must be >= 500, got 200"
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_main_features_command(tmp_path):
@@ -956,3 +979,15 @@ def test_cmd_verify_fails_a_starved_sampled_kernel_budget(capsys, monkeypatch):
     assert cmd_verify() == 2
     out = capsys.readouterr().out
     assert out.count("FAIL") == 1 and "FAIL kernel-oracle error (sampled mode)" in out
+
+
+def test_cmd_verify_reports_a_check_that_raises_and_runs_the_rest(capsys, monkeypatch):
+    # phi off by 1e-3 breaks local accuracy, so explain_dataset raises inside two checks
+    tree_shap_matrix = regime_xai.shap._tree_shap_matrix
+    monkeypatch.setattr("regime_xai.shap._tree_shap_matrix", lambda *args: tree_shap_matrix(*args) + 1e-3)
+    assert cmd_verify() == 2
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 4 and out.count("FAIL") == 2
+    assert "FAIL tree-oracle equivalence: LocalAccuracyError: row " in out
+    assert "FAIL local accuracy: LocalAccuracyError: row " in out
+    assert out.splitlines()[-1] == "4/6 checks passed"

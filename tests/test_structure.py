@@ -10,6 +10,7 @@ from pathlib import Path
 
 import regime_xai
 from regime_xai import config
+from regime_xai.experiment import PeriodSpec
 
 SRC = Path(regime_xai.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -327,17 +328,25 @@ def _built_by_dataclass_from() -> set[type]:
     return built
 
 
-def _value_error_messages(cls: type) -> list[str]:
-    """The leading text of each ValueError message cls.__post_init__ raises."""
-    if "__post_init__" not in vars(cls):
-        return []
-    fn = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
+def _value_error_messages(fn, bound: dict | None = None) -> list[str]:
+    """The leading text of each ValueError message fn raises, itself or
+    through a function of its own module that it calls, where a message that
+    begins with a parameter reads the constant the call passes for it."""
+    bound = bound or {}
+    module = vars(inspect.getmodule(fn))
     messages = []
-    for node in ast.walk(fn):
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
         exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
         if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError":
             first = exc.args[0].values[0] if isinstance(exc.args[0], ast.JoinedStr) else exc.args[0]
+            if isinstance(first, ast.FormattedValue) and isinstance(first.value, ast.Name):
+                first = ast.Constant(bound.get(first.value.id, ""))
             messages.append(first.value if isinstance(first, ast.Constant) else "")
+        callee = module.get(getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+        if inspect.isfunction(callee) and callee.__module__ == fn.__module__:
+            params = inspect.signature(callee).parameters
+            consts = {p: a.value for p, a in zip(params, node.args) if isinstance(a, ast.Constant)}
+            messages += _value_error_messages(callee, consts)
     return messages
 
 
@@ -345,12 +354,17 @@ def test_every_range_error_of_a_config_section_begins_with_its_field():
     # _dataclass_from reports a range error as path.message, so each message
     # must begin with the name of the field it is about, as in
     # windows.block_days must be >= 1
+    # _parse_periods joins PeriodSpec's messages the same way.
     built = _built_by_dataclass_from()
-    assert {"ModelConfig", "WindowConfig", "ShapConfig", "GbtParams", "InputSpec"} <= {c.__name__ for c in built}
+    assert {
+        "ModelConfig", "WindowConfig", "ShapConfig", "GbtParams", "InputSpec",
+        "FeatureConfig", "ResidualLoadSpec", "MixedPriceSpec",
+    } <= {c.__name__ for c in built}
     stray = [
         f"{cls.__name__}: {text!r}"
-        for cls in built
-        for text in _value_error_messages(cls)
+        for cls in built | {PeriodSpec}
+        if "__post_init__" in vars(cls)
+        for text in _value_error_messages(cls.__post_init__)
         if re.match(r"\w*", text).group() not in {f.name for f in dataclasses.fields(cls)}
     ]
     assert stray == []
