@@ -6,6 +6,11 @@ fits a depth-limited tree to the current residuals using variance-reduction
 splits with deterministic tie-breaking (lowest feature index, then lowest
 threshold), so a given dataset and parameter set always yields the same
 ensemble.
+
+X never changes during a fit, so each column is sorted once per fit (as in
+SLIQ and XGBoost's exact greedy mode) and each node filters that order. A
+filtered stable sort keeps equal values in row order, as a stable sort of the
+node's own rows would, so the splits and their tie-breaks are the same.
 """
 
 from __future__ import annotations
@@ -73,48 +78,54 @@ def _eval_into(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) 
     _eval_into(node.right, X, idx[~goes_left], out)
 
 
-def _best_split(X: np.ndarray, residual: np.ndarray, min_leaf: int):
-    """Exact greedy variance-reduction split of one node's rows, all features at once.
+def _best_split(X: np.ndarray, residual: np.ndarray, order: np.ndarray, total: float, min_leaf: int):
+    """Exact greedy variance-reduction split of one node, all features at once.
 
-    Each column is sorted once (stable: equal values keep row order) and
-    scanned with one prefix sum. Returns (feature, threshold) of the first
-    largest gain in feature-major order, which breaks ties by lowest feature,
-    then lowest threshold; None when no valid cut gains more than zero.
+    order[f] holds the node's rows sorted by column f, equal values in row
+    order; total is the sum of the node's residuals. Each column is scanned
+    with one prefix sum. Returns (feature, threshold) of the first largest
+    gain in feature-major order, which breaks ties by lowest feature, then
+    lowest threshold; None when no valid cut gains more than zero.
     """
-    n = len(residual)
-    total = residual.sum()
+    k, n = order.shape
     parent_term = total * total / n
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    cum = np.cumsum(residual[order], axis=0)[:-1]
-    # cut i puts the first i sorted rows left, at threshold xs[i - 1]
-    i = np.arange(1, n)[:, None]
-    valid = (xs[:-1] != xs[1:]) & (i >= min_leaf) & (n - i >= min_leaf)
-    gains = np.where(valid, cum**2 / i + (total - cum) ** 2 / (n - i) - parent_term, -np.inf)
-    f, j = divmod(int(np.argmax(gains.T)), n - 1)
-    return (f, float(xs[j, f])) if gains[j, f] > 0 else None
+    xs = X[order, np.arange(k)[:, None]]
+    cum = np.cumsum(residual[order], axis=1)[:, :-1]
+    # cut i puts the first i sorted rows left, at threshold xs[f, i - 1]
+    i = np.arange(1, n)
+    gains = cum**2 / i + (total - cum) ** 2 / (n - i) - parent_term
+    # no cut between equal values, nor one that leaves fewer than min_leaf rows on a side
+    gains[xs[:, :-1] == xs[:, 1:]] = -np.inf
+    gains[:, : min_leaf - 1] = gains[:, n - min_leaf :] = -np.inf
+    f, j = divmod(int(np.argmax(gains)), n - 1)
+    return (f, float(xs[f, j])) if gains[f, j] > 0 else None
 
 
-def _build_tree(X: np.ndarray, residual: np.ndarray, rows: np.ndarray, depth: int, params: GbtParams,
-                fitted: np.ndarray) -> TreeNode:
+def _build_tree(X: np.ndarray, residual: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int,
+                params: GbtParams, fitted: np.ndarray) -> TreeNode:
     """Fit the subtree for rows, ascending indices into X and residual.
 
-    X[rows] is gathered for the split search only; each child gets its share
-    of rows, still ascending. A leaf writes its value, the mean residual of
-    its rows, into fitted[rows] as it is made, so fitted ends up holding the
-    tree's output on every training row.
+    order[f] is rows sorted by X[:, f]. A split marks its left rows in a
+    mask as long as X and filters every order[f] by that mark, so each child
+    gets its rows, still ascending, and its order, still sorted. A leaf
+    writes its value, the mean residual of its rows, into fitted[rows] as it
+    is made, so fitted ends up holding the tree's output on every training
+    row.
     """
     r = residual[rows]
     split = None
     if depth < params.max_depth and len(rows) >= 2 * params.min_samples_leaf and np.any(r != r[0]):
-        split = _best_split(X[rows], r, params.min_samples_leaf)
+        split = _best_split(X, residual, order, r.sum(), params.min_samples_leaf)
     if split is None:
         fitted[rows] = value = float(r.mean())
         return TreeNode(value=value)
     f, thr = split
     goes_left = X[rows, f] <= thr
-    left = _build_tree(X, residual, rows[goes_left], depth + 1, params, fitted)
-    right = _build_tree(X, residual, rows[~goes_left], depth + 1, params, fitted)
+    mark = np.zeros(len(X), dtype=bool)
+    mark[rows] = goes_left
+    keep, k = mark[order], len(order)
+    left = _build_tree(X, residual, rows[goes_left], order[keep].reshape(k, -1), depth + 1, params, fitted)
+    right = _build_tree(X, residual, rows[~goes_left], order[~keep].reshape(k, -1), depth + 1, params, fitted)
     return TreeNode(feature=f, threshold=thr, left=left, right=right)
 
 
@@ -134,12 +145,13 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams) -> TreeEnsemble:
     base = float(y.mean())
     residual = y - base
     rows = np.arange(len(y))
+    order = np.argsort(X.T, axis=1, kind="stable")
     fitted = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(params.n_trees):
         if np.max(np.abs(residual)) == 0.0:
             break
-        trees.append(_build_tree(X, residual, rows, 0, params, fitted))
+        trees.append(_build_tree(X, residual, rows, order, 0, params, fitted))
         residual = residual - params.learning_rate * fitted
     return TreeEnsemble(base, tuple(trees), params.learning_rate, X.shape[1])
 

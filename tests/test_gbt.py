@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt, predict_gbt
 from regime_xai.timeseries import FeatureMatrix
@@ -216,3 +218,87 @@ def test_every_leaf_holds_min_samples_leaf_training_rows(min_leaf):
 def test_fitted_ensemble_json_is_pinned(fm, params, digest):
     # any change to the split arithmetic, its tie-breaks or the leaf values moves these digests
     assert hashlib.sha256(ensemble_json(fit_gbt(fm, params), fm.feature_names).encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------- presorted split search
+
+
+def reference_fit(fm, params):
+    """The exact greedy fit with a stable argsort of each node's own rows. A
+    stable sort keeps equal values in row order, as fit_gbt's filtered
+    presort does, so fit_gbt must equal this oracle bit for bit."""
+    X, y, min_leaf = fm.X, fm.y, params.min_samples_leaf
+    if np.all(y == y[0]):
+        return TreeEnsemble(float(y[0]), (), params.learning_rate, X.shape[1])
+
+    def best_split(Xn, r):
+        n, total = len(r), r.sum()
+        order = np.argsort(Xn, axis=0, kind="stable")
+        xs = np.take_along_axis(Xn, order, axis=0)
+        cum = np.cumsum(r[order], axis=0)[:-1]
+        i = np.arange(1, n)[:, None]
+        valid = (xs[:-1] != xs[1:]) & (i >= min_leaf) & (n - i >= min_leaf)
+        gains = np.where(valid, cum**2 / i + (total - cum) ** 2 / (n - i) - total * total / n, -np.inf)
+        f, j = divmod(int(np.argmax(gains.T)), n - 1)
+        return (f, float(xs[j, f])) if gains[j, f] > 0 else None
+
+    def build(rows, depth):
+        r = residual[rows]
+        split = None
+        if depth < params.max_depth and len(rows) >= 2 * min_leaf and np.any(r != r[0]):
+            split = best_split(X[rows], r)
+        if split is None:
+            fitted[rows] = value = float(r.mean())
+            return TreeNode(value=value)
+        f, thr = split
+        goes_left = X[rows, f] <= thr
+        return TreeNode(feature=f, threshold=thr, left=build(rows[goes_left], depth + 1),
+                        right=build(rows[~goes_left], depth + 1))
+
+    base = float(y.mean())
+    residual, fitted, trees = y - base, np.empty(len(y)), []
+    for _ in range(params.n_trees):
+        if np.max(np.abs(residual)) == 0.0:
+            break
+        trees.append(build(np.arange(len(y)), 0))
+        residual = residual - params.learning_rate * fitted
+    return TreeEnsemble(base, tuple(trees), params.learning_rate, X.shape[1])
+
+
+def oracle_matrix(seed, n, k, decimals):
+    """seeded_matrix plus a copy of column 0 and a constant column, the
+    columns shuffled so the copy may come before or after its original."""
+    fm = seeded_matrix(seed, n, k, decimals)
+    X = np.column_stack([fm.X, fm.X[:, 0], np.full(n, 0.5)])
+    return matrix(X[:, np.random.default_rng(seed).permutation(k + 2)], fm.y)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 2000),
+    k=st.integers(1, 5),
+    decimals=st.sampled_from([None, 1]),
+    max_depth=st.integers(1, 6),
+    min_leaf=st.integers(1, 25),
+)
+def test_presorted_fit_equals_a_sort_at_every_node(seed, n, k, decimals, max_depth, min_leaf):
+    fm = oracle_matrix(seed, n, k, decimals)
+    params = GbtParams(n_trees=5, max_depth=max_depth, min_samples_leaf=min_leaf, learning_rate=0.3)
+    assert repr(fit_gbt(fm, params)) == repr(reference_fit(fm, params))
+
+
+@pytest.mark.parametrize("n_trees, max_depth", [(1, 1), (5, 3), (20, 6)])
+def test_one_fit_sorts_each_column_once(monkeypatch, n_trees, max_depth):
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    model = fit_gbt(seeded_matrix(13, 600, 4, decimals=1),
+                    GbtParams(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=5))
+    assert sum(len(splits(t)) for t in model.trees) >= n_trees * max_depth
+    assert len(calls) == 1

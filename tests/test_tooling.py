@@ -1,10 +1,12 @@
 """Checks of the test setup itself."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, settings
@@ -33,3 +35,18 @@ def test_a_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_every_bench_record_names_its_runs_and_the_declared_workloads():
+    # A BENCH_*.json backs a performance claim: it must say what changed
+    # against which parent, hold its pairs, and summarize exactly the
+    # workloads BENCHMARK.json declares.
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        missing = {"parent", "change", "claim", "pairs", "median_over_pairs"} - record.keys()
+        assert not missing, f"{path.name} lacks {sorted(missing)}"
+        assert isinstance(record["pairs"], list) and record["pairs"], path.name
+        assert set(record["median_over_pairs"]) == workloads, path.name
