@@ -159,9 +159,14 @@ def cmd_run(config: RunConfig) -> dict:
     for index, name in enumerate(PERIODS):
         period_seeds[name] = derive_seed(config.seed, index)
         log.info("fitting %s models for period %s", config.model.kind, name)
-        results[name] = run_period(
-            frames[name], config.periods[name], config.model, config.windows, config.shap, period_seeds[name]
-        )
+        try:
+            results[name] = run_period(
+                frames[name], config.periods[name], config.model, config.windows, config.shap, period_seeds[name]
+            )
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
+        if results[name].degenerate_windows:
+            log.warning("period %s: degenerate importances in windows %s", name, list(results[name].degenerate_windows))
     comparison = compare_periods(results["before"], results["after"])
 
     outputs = {

@@ -1,10 +1,12 @@
 """Run configuration: a single JSON file plus --set overrides.
 
+The whole file is read by one function, _dataclass_from, which builds
+RunConfig and, through the type hints of its fields, every section and
+period: each value is checked once, at load, against the type its dataclass
+field declares, and each range rule lives in its dataclass's __post_init__.
 Unknown and repeated keys anywhere in the file are hard errors so typos never
-silently fall back to defaults, and every value is checked once, at load,
-against the type its dataclass field declares. Relative input paths and the
-output directory are resolved against the directory containing the config
-file.
+silently fall back to defaults. Relative input paths and the output directory
+are resolved against the directory containing the config file.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import json
 import math
 import sys
 import warnings
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from regime_xai.experiment import ModelConfig, PeriodSpec, ShapConfig, WindowConfig
-from regime_xai.timeseries import format_timestamp, parse_timestamp
+from regime_xai.timeseries import Instant, format_timestamp, parse_timestamp
 
 PERIODS = ("before", "after")  # the two periods a run compares, in time order
 
@@ -101,16 +104,29 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The run a config file describes. echo (the file as read, with its paths
+    resolved) and overrides (the --set assignments) are set by parse_config;
+    they are not keys of the file."""
+
     inputs: tuple[InputSpec, ...]
     features: FeatureConfig
     periods: dict[str, PeriodSpec]
     model: ModelConfig
-    windows: WindowConfig
-    shap: ShapConfig
-    seed: int
-    output_dir: str
     echo: dict
-    overrides: tuple[str, ...] = ()
+    overrides: tuple[str, ...]
+    windows: WindowConfig = WindowConfig()
+    shap: ShapConfig = ShapConfig()
+    seed: int = 0
+    output_dir: str = "out"
+
+    def __post_init__(self):
+        if not self.inputs:
+            raise ValueError("inputs: expected a non-empty list")
+        before, after = self.periods["before"], self.periods["after"]
+        if before.end > after.start:
+            raise ValueError(
+                f"periods.after.start must not precede before.end {format_timestamp(before.end)}, as periods may not overlap"
+            )
 
 
 def _require(obj: dict, key: str, path: str):
@@ -127,18 +143,27 @@ def _check_keys(obj, allowed, path: str) -> None:
         raise ConfigError(f"{path or '<root>'}: unknown key(s) {sorted(unknown)}")
 
 
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+_EXPECTED = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    Instant: "UTC instant like 2018-10-01T00:00:00Z",
+}
 
 
 def _typed(value, hint, field: str):
     """value checked against a dataclass field's type hint: int takes a JSON
     integer, float a finite JSON number (an integer is converted), str a
-    string, tuple[X, ...] a list of X, entry i named field[i] (a bare value
-    is one item), dict[str, X] an object of one X per period (a bare value is
-    both periods'), X | None also null, a dataclass an object of its fields.
-    A boolean is never a number."""
+    string, Instant a timestamp string (read by parse_timestamp), tuple[X, ...]
+    a list of X, entry i named field[i] (a bare value is one item), dict[str, X]
+    an object of one X per period (a bare value is both periods'), X | None
+    also null, a dataclass an object of its fields. A boolean is never a
+    number."""
     if is_dataclass(hint):
         return _dataclass_from(value, hint, field)
+    if hint is Instant:
+        with suppress(ValueError):
+            return parse_timestamp(value)
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
@@ -163,45 +188,23 @@ def _typed(value, hint, field: str):
     raise ConfigError(f"{field}: expected {_EXPECTED[hint]}, got {value!r}")
 
 
-def _dataclass_from(obj, cls, path: str):
-    """cls(**obj), each key a field of cls, each value checked against its
-    field's type hint and each field without a default required. A range
-    error reads path.message, as each message begins with its field's name."""
-    _check_keys(obj, [f.name for f in fields(cls)], path)
+def _dataclass_from(obj, cls, path: str, **filled):
+    """cls(**obj, **filled), each key of obj a field of cls, each value checked
+    against its field's type hint and each field without a default required;
+    the fields in filled are set by the caller, so obj may not hold them. A
+    range error reads path.message, as each message begins with its field's
+    name; at the root, where path is "", it reads message."""
+    prefix = f"{path}." if path else ""
+    _check_keys(obj, [f.name for f in fields(cls) if f.name not in filled], path)
     hints = get_type_hints(cls)
-    given = {key: _typed(value, hints[key], f"{path}.{key}") for key, value in obj.items()}
+    given = {key: _typed(value, hints[key], prefix + key) for key, value in obj.items()}
     for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING:
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in filled:
             _require(obj, f.name, path)
     try:
-        return cls(**given)
+        return cls(**given, **filled)
     except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from None
-
-
-def _parse_instant(text, path: str) -> int:
-    try:
-        return parse_timestamp(text)
-    except ValueError:
-        raise ConfigError(f"{path}: expected UTC instant like 2018-10-01T00:00:00Z, got {text!r}") from None
-
-
-def _parse_periods(obj, path: str) -> dict[str, PeriodSpec]:
-    _check_keys(obj, PERIODS, path)
-    periods = {}
-    for name in PERIODS:
-        section = _require(obj, name, path)
-        _check_keys(section, ("start", "end"), f"{path}.{name}")
-        start = _parse_instant(_require(section, "start", f"{path}.{name}"), f"{path}.{name}.start")
-        end = _parse_instant(_require(section, "end", f"{path}.{name}"), f"{path}.{name}.end")
-        try:
-            periods[name] = PeriodSpec(name, start, end)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.{name}.{exc}") from None
-    before, after = periods["before"], periods["after"]
-    if before.end > after.start:
-        raise ConfigError(f"{path}.after.start must not precede before.end {format_timestamp(before.end)}, as periods may not overlap")
-    return periods
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -229,49 +232,17 @@ def apply_override(raw: dict, assignment: str) -> None:
 
 
 def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
-    _check_keys(
-        raw,
-        ("inputs", "features", "periods", "model", "shap", "windows", "seed", "output_dir"),
-        "",
-    )
-
+    """The RunConfig raw describes, its input paths and output directory
+    resolved against base_dir (an absolute path stays as it is); echo is a
+    copy of raw that records the resolved paths."""
     echo = json.loads(json.dumps(raw))  # deep copy; resolved paths recorded below
-
-    inputs_raw = _require(raw, "inputs", "")
-    if not isinstance(inputs_raw, list) or not inputs_raw:
-        raise ConfigError("inputs: expected a non-empty list")
-    inputs = []
-    for i, spec in enumerate(inputs_raw):
-        spec = _dataclass_from(spec, InputSpec, f"inputs[{i}]")
-        if not Path(spec.path).is_absolute():
-            spec = replace(spec, path=str(base_dir / spec.path))
-        echo["inputs"][i]["path"] = spec.path
-        inputs.append(spec)
-
-    features = _dataclass_from(_require(raw, "features", ""), FeatureConfig, "features")
-    periods = _parse_periods(_require(raw, "periods", ""), "periods")
-    model = _dataclass_from(_require(raw, "model", ""), ModelConfig, "model")
-    windows = _dataclass_from(raw.get("windows", {}), WindowConfig, "windows")
-    shap = _dataclass_from(raw.get("shap", {}), ShapConfig, "shap")
-
-    seed = _typed(raw.get("seed", 0), int, "seed")
-    output_dir = _typed(raw.get("output_dir", "out"), str, "output_dir")
-    if not Path(output_dir).is_absolute():
-        output_dir = str(base_dir / output_dir)
-    echo["output_dir"] = output_dir
-
-    return RunConfig(
-        inputs=tuple(inputs),
-        features=features,
-        periods=periods,
-        model=model,
-        windows=windows,
-        shap=shap,
-        seed=seed,
-        output_dir=output_dir,
-        echo=echo,
-        overrides=tuple(overrides),
-    )
+    config = _dataclass_from(raw, RunConfig, "", echo=echo, overrides=tuple(overrides))
+    inputs = tuple(replace(spec, path=str(base_dir / spec.path)) for spec in config.inputs)
+    listed = echo["inputs"] if isinstance(echo["inputs"], list) else [echo["inputs"]]  # a bare object is one input
+    for entry, spec in zip(listed, inputs):
+        entry["path"] = spec.path
+    echo["output_dir"] = str(base_dir / config.output_dir)
+    return replace(config, inputs=inputs, output_dir=echo["output_dir"])
 
 
 def load_config(path, overrides=()) -> RunConfig:

@@ -14,7 +14,6 @@ index, purpose), so a run is reproducible to the last exported digit.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,18 +23,16 @@ from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamp, rows_per_day, write_csv
-
-log = logging.getLogger(__name__)
+from regime_xai.timeseries import FeatureMatrix, Instant, TimeSeriesError, format_timestamp, rows_per_day, write_csv
 
 
 @dataclass(frozen=True)
 class PeriodSpec:
-    """Named half-open interval [start, end) of UTC epoch seconds."""
+    """Half-open interval [start, end) of UTC epoch seconds; the run config
+    keys each period by its name."""
 
-    name: str
-    start: int
-    end: int
+    start: Instant
+    end: Instant
 
     def __post_init__(self):
         if self.start >= self.end:
@@ -194,17 +191,18 @@ def run_period(
     Tree models are explained with the tree engine, nets with the kernel
     engine, both against a background subsampled from the window's training
     rows. A model with a non-finite test prediction fails before it is
-    explained. Failures are re-raised annotated with the period name and the
-    window index; a period too short for the protocol is a TimeSeriesError.
+    explained. A window's failure is re-raised as "window w: ..."; the caller,
+    which knows the period's name, adds it. A period too short for the
+    protocol is a TimeSeriesError.
     """
     if len(data) == 0:
-        raise ValueError(f"no rows fall inside period {period.name!r}")
+        raise ValueError("no rows fall inside the period")
     ts = data.timestamps
     outside = np.flatnonzero((ts < period.start) | (ts >= period.end))
     if outside.size:
-        raise ValueError(f"row at {format_timestamp(ts[outside[0]])} lies outside period {period.name!r}")
+        raise ValueError(f"row at {format_timestamp(ts[outside[0]])} lies outside the period")
     if len(ts) < 2:
-        raise TimeSeriesError(f"{period.name}: need at least two rows to infer the resolution")
+        raise TimeSeriesError("need at least two rows to infer the resolution")
     # the smallest step is the resolution: rows dropped by the join leave wider ones
     per_day = rows_per_day(int(np.diff(ts).min()))
 
@@ -221,12 +219,8 @@ def run_period(
 
         predict, method = partial(predict_mlp, work={}), "kernel"
 
-    try:
-        spans = make_windows(len(data), windows.n_windows, windows.window_fraction)
-    except TimeSeriesError as exc:
-        raise TimeSeriesError(f"{period.name}: {exc}") from exc
     results = []
-    for w, window in enumerate(spans):
+    for w, window in enumerate(make_windows(len(data), windows.n_windows, windows.window_fraction)):
         try:
             plan = split_blocks(
                 window,
@@ -246,14 +240,12 @@ def run_period(
             explain = test if shap.explain_on == "test" else train
             explanation = explain_dataset(fitted, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
             importance = feature_importance(explanation)
-            if importance.degenerate:
-                log.warning("period %s window %d: degenerate importances", period.name, w)
 
             mse = float(np.mean((pred - test.y) ** 2))
             sst = float(np.sum((test.y - test.y.mean()) ** 2))
             r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")
         except (ValueError, RuntimeError) as exc:
-            raise type(exc)(f"{period.name}: window {w}: {exc}") from exc
+            raise type(exc)(f"window {w}: {exc}") from exc
 
         results.append(
             WindowResult(

@@ -31,7 +31,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from regime_xai.gbt import TreeEnsemble, TreeNode, predict_gbt
-from regime_xai.mlp import predict_mlp
+from regime_xai.mlp import MlpNet, predict_mlp
 from regime_xai.seeds import derive_seed
 
 LOCAL_ACCURACY_TOL = 1e-6
@@ -341,6 +341,8 @@ def explain_dataset(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2D")
+    if bg.n_features != X.shape[1]:
+        raise ValueError(f"background has {bg.n_features} columns, X has {X.shape[1]}")
     # The one branch on the model kind. The predict functions are looked up
     # here, at call time, so a profiler that rebinds these module names sees
     # each call.
@@ -350,6 +352,8 @@ def explain_dataset(
         model_fn = partial(predict_gbt, model)
         engine = partial(_tree_shap_matrix, model)
     elif method == "kernel":
+        if not isinstance(model, MlpNet):
+            raise ValueError("kernel method requires an MlpNet")
         model_fn = partial(predict_mlp, model, work={})
         engine = partial(_kernel_shap_matrix, model_fn, seed=seed)
     else:

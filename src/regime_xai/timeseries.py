@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain, islice
+from typing import NewType
 
 import numpy as np
 
@@ -31,14 +32,17 @@ class ParseError(TimeSeriesError):
         super().__init__(f"line {line_number}: {message}")
 
 
-def parse_timestamp(text: str) -> int:
+Instant = NewType("Instant", int)  # UTC epoch seconds; a config field of this type is read by parse_timestamp
+
+
+def parse_timestamp(text: str) -> Instant:
     """Epoch seconds of one YYYY-MM-DDThh:mm:ssZ stamp, the form _epoch_seconds
     reads; anything else, a string holding NUL included, is a ValueError."""
     # numpy's string arrays drop trailing NULs, so the round trip cannot see them
     ts = None if not isinstance(text, str) or "\x00" in text else _epoch_seconds(np.array([text]))
     if ts is None:
         raise ValueError(f"not a YYYY-MM-DDThh:mm:ssZ timestamp: {text!r}")
-    return int(ts[0])
+    return Instant(int(ts[0]))
 
 
 def format_timestamp(epoch_seconds: int) -> str:

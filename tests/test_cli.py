@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import json
+import logging
 import os
 import re
 import subprocess
@@ -245,6 +246,17 @@ def test_relative_paths_resolve_against_config_dir(tmp_path):
     assert config.output_dir == str(tmp_path / "results")
 
 
+def test_a_bare_inputs_object_is_one_input_with_its_path_resolved(tmp_path):
+    csv_path = write_market_csv(tmp_path / "market.csv", n_hours=2400)
+    raw = json.loads(market_config(tmp_path).read_text())
+    raw["inputs"] = {"path": "market.csv", "resolution_hours": 1}
+    config_path = tmp_path / "bare.json"
+    config_path.write_text(json.dumps(raw))
+    config = load_config(config_path)
+    assert [spec.path for spec in config.inputs] == [str(csv_path)]
+    assert config.echo["inputs"] == {"path": str(csv_path), "resolution_hours": 1}
+
+
 def test_seed_must_be_int(tmp_path):
     path = market_config(tmp_path, seed="abc")
     with pytest.raises(ConfigError, match="seed"):
@@ -464,6 +476,21 @@ def test_cmd_run_end_to_end_on_synth(tmp_path):
     assert by_feature["x3"]["flagged"] == "false"
     assert manifest["flagged_features"] == ["x1", "x2"]
     assert manifest["toolkit_version"]
+
+
+def test_degenerate_importances_are_logged_once_per_period_naming_it(tmp_path, caplog):
+    config_path = cmd_synth(tmp_path, n_rows=960, seed=3)
+    data = tmp_path / "synth_data.csv"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    # rows 1-960 are the before period; a constant target there gives every window all-zero SHAP values
+    lines[1:961] = [line.rsplit(",", 1)[0] + ",2.0" for line in lines[1:961]]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="regime_xai"):
+        manifest = cmd_run(load_config(config_path, overrides=["model.gbt.n_trees=10", "shap.background_size=10"]))
+    assert [w["degenerate_importance"] for w in manifest["metrics"]["before"]] == [True] * 6
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "period before: degenerate importances in windows [0, 1, 2, 3, 4, 5]"
+    ]
 
 
 def test_comparison_csv_is_the_window_statistics_of_importance_csv(tmp_path):

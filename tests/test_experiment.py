@@ -31,8 +31,8 @@ from regime_xai.shap import Background, Explanation, ImportanceVector, explain_d
 from regime_xai.timeseries import FeatureMatrix, format_timestamp, parse_timestamp, synth_regime
 
 
-def period_for(fm: FeatureMatrix, name="p"):
-    return PeriodSpec(name, int(fm.timestamps[0]), int(fm.timestamps[-1]) + 3600)
+def period_for(fm: FeatureMatrix):
+    return PeriodSpec(int(fm.timestamps[0]), int(fm.timestamps[-1]) + 3600)
 
 
 GBT = ModelConfig(
@@ -154,7 +154,7 @@ def test_split_blocks_integrity(n_blocks, extra, rows_per_day, seed):
 
 def test_run_period_recovers_synthetic_ground_truth():
     fm, _ = synth_regime(960, seed=0)
-    result = run_period(fm, period_for(fm, "A"), GBT, WINDOWS, SHAP, seed=1)
+    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=1)
     names = result.feature_names
     assert names == ("x1", "x2", "x3")
     for w in result.windows:
@@ -177,7 +177,7 @@ def test_run_period_takes_every_train_row_as_background_when_they_are_fewer(back
 
 def test_run_period_deterministic():
     fm, _ = synth_regime(960, seed=3)
-    spec = period_for(fm, "A")
+    spec = period_for(fm)
     r1 = run_period(fm, spec, GBT, WINDOWS, SHAP, seed=9)
     r2 = run_period(fm, spec, GBT, WINDOWS, SHAP, seed=9)
     for a, b in zip(r1.windows, r2.windows):
@@ -213,9 +213,9 @@ def test_run_period_rejects_unknown_kind():
 def test_run_period_rejects_row_outside_period():
     fm, _ = synth_regime(960, seed=5)
     spec = period_for(fm)
-    short = PeriodSpec("p", spec.start, int(fm.timestamps[-1]))
+    short = PeriodSpec(spec.start, int(fm.timestamps[-1]))
     last = format_timestamp(fm.timestamps[-1])
-    with pytest.raises(ValueError, match=f"row at {last} lies outside period 'p'"):
+    with pytest.raises(ValueError, match=f"row at {last} lies outside the period"):
         run_period(fm, short, GBT, WINDOWS, SHAP, seed=0)
 
 
@@ -274,8 +274,8 @@ def test_compare_identical_periods_no_flags():
 
 def test_compare_synth_regimes_flags_flip():
     before_fm, after_fm = synth_regime(960, seed=9)
-    before = run_period(before_fm, period_for(before_fm, "before"), GBT, WINDOWS, SHAP, seed=5)
-    after = run_period(after_fm, period_for(after_fm, "after"), GBT, WINDOWS, SHAP, seed=6)
+    before = run_period(before_fm, period_for(before_fm), GBT, WINDOWS, SHAP, seed=5)
+    after = run_period(after_fm, period_for(after_fm), GBT, WINDOWS, SHAP, seed=6)
     cmp = compare_periods(before, after)
     i1, i2, i3 = (cmp.feature_names.index(f) for f in ("x1", "x2", "x3"))
     assert cmp.flagged[i1] and cmp.flagged[i2]
@@ -354,7 +354,7 @@ def test_dependence_profile_of_fitted_model_tracks_coefficient(tmp_path):
     # On period A (target 3*x1 + x2 + noise) the x1 dependence profile of a
     # fitted tree model must rise with x1 and do so ~3x as steeply as x2's.
     fm, _ = synth_regime(960, seed=15)
-    result = run_period(fm, period_for(fm, "A"), GBT, WINDOWS, SHAP, seed=11)
+    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=11)
     slopes = {}
     for feat in ("x1", "x2"):
         table = dependence_columns(tmp_path, result, feat)
@@ -411,8 +411,8 @@ def test_dependence_rows_are_each_windows_explained_rows(tmp_path):
 
 def test_export_csvs(tmp_path):
     before_fm, after_fm = synth_regime(960, seed=13)
-    before = run_period(before_fm, period_for(before_fm, "before"), GBT, WINDOWS, SHAP, seed=8)
-    after = run_period(after_fm, period_for(after_fm, "after"), GBT, WINDOWS, SHAP, seed=9)
+    before = run_period(before_fm, period_for(before_fm), GBT, WINDOWS, SHAP, seed=8)
+    after = run_period(after_fm, period_for(after_fm), GBT, WINDOWS, SHAP, seed=9)
     results = {"before": before, "after": after}
 
     imp = tmp_path / "importance.csv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regime_xai import gbt
 from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt, predict_gbt
 from regime_xai.timeseries import FeatureMatrix
 
@@ -302,3 +303,21 @@ def test_one_fit_sorts_each_column_once(monkeypatch, n_trees, max_depth):
                     GbtParams(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=5))
     assert sum(len(splits(t)) for t in model.trees) >= n_trees * max_depth
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [14, 15])
+def test_every_node_total_is_its_residuals_summed_in_row_order(monkeypatch, seed):
+    # The oracle property above compares trees, and a node total that drifts
+    # in its last bit (say, one summed in column 0's sorted order) moves a
+    # split only where two gains nearly tie. This checks each total itself.
+    best_split = gbt._best_split
+    totals = []
+
+    def checked(X, residual, order, total, min_leaf):
+        totals.append(total)
+        assert total == residual[np.sort(order[0])].sum()  # bit for bit
+        return best_split(X, residual, order, total, min_leaf)
+
+    monkeypatch.setattr(gbt, "_best_split", checked)
+    fit_gbt(seeded_matrix(seed, 600, 4), GbtParams(n_trees=5, max_depth=4, min_samples_leaf=5))
+    assert len(totals) >= 5 * 7  # every tree searched at least its first three levels

@@ -463,6 +463,19 @@ def test_explain_dataset_rejects_tree_method_for_net():
         explain_dataset(net, np.zeros((1, 4)), Background(np.zeros((1, 4))), method="tree")
 
 
+def test_explain_dataset_rejects_kernel_method_for_tree_ensemble():
+    model = random_ensemble(19, n_features=4)
+    with pytest.raises(ValueError, match="kernel method requires an MlpNet"):
+        explain_dataset(model, np.zeros((1, 4)), Background(np.zeros((1, 4))), method="kernel")
+
+
+@pytest.mark.parametrize("method", ["tree", "kernel"])
+def test_explain_dataset_names_a_background_of_the_wrong_width(method):
+    model = random_ensemble(21, n_features=3) if method == "tree" else random_mlp(21, n_features=3)
+    with pytest.raises(ValueError, match="background has 2 columns, X has 3"):
+        explain_dataset(model, np.zeros((1, 3)), Background(np.zeros((4, 2))), method=method)
+
+
 def test_explain_dataset_row_order_preserved():
     model = random_ensemble(20)
     rng = np.random.default_rng(20)

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import regime_xai
 from regime_xai import config
-from regime_xai.experiment import PeriodSpec
 
 SRC = Path(regime_xai.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -350,19 +349,36 @@ def _value_error_messages(fn, bound: dict | None = None) -> list[str]:
     return messages
 
 
+def test_config_file_is_read_by_one_reader():
+    # _dataclass_from builds RunConfig and, through _typed, every section and
+    # period of it, so only these two check keys, require them or read a
+    # timestamp, and each config error has one form.
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    readers = {"_check_keys", "_require", "parse_timestamp"}
+    found = [
+        f"config.py:{node.lineno} {node.func.id} in {getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        if getattr(top, "name", None) not in ("_typed", "_dataclass_from")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers
+    ]
+    assert found == []
+
+
 def test_every_range_error_of_a_config_section_begins_with_its_field():
     # _dataclass_from reports a range error as path.message, so each message
     # must begin with the name of the field it is about, as in
     # windows.block_days must be >= 1
-    # _parse_periods joins PeriodSpec's messages the same way.
+    # At the root, RunConfig, the message is kept as it is, so it names the
+    # field itself, as in inputs: expected a non-empty list
     built = _built_by_dataclass_from()
     assert {
-        "ModelConfig", "WindowConfig", "ShapConfig", "GbtParams", "InputSpec",
-        "FeatureConfig", "ResidualLoadSpec", "MixedPriceSpec",
+        "RunConfig", "ModelConfig", "WindowConfig", "ShapConfig", "GbtParams", "InputSpec",
+        "FeatureConfig", "ResidualLoadSpec", "MixedPriceSpec", "PeriodSpec",
     } <= {c.__name__ for c in built}
     stray = [
         f"{cls.__name__}: {text!r}"
-        for cls in built | {PeriodSpec}
+        for cls in built
         if "__post_init__" in vars(cls)
         for text in _value_error_messages(cls.__post_init__)
         if re.match(r"\w*", text).group() not in {f.name for f in dataclasses.fields(cls)}
