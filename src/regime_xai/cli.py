@@ -342,11 +342,11 @@ def _check_split_integrity():
     for _ in range(50):
         n_blocks = int(rng.integers(5, 30))
         rows_per_day = int(rng.choice([1, 6, 24]))
-        rows_per_block = 4 * rows_per_day
+        rows_per_block = experiment_mod.BLOCK_DAYS * rows_per_day
         extra = int(rng.integers(0, rows_per_block))
         window = range(0, n_blocks * rows_per_block + extra)
         plan = experiment_mod.split_blocks(
-            window, block_days=4, test_fraction=0.2, seed=int(rng.integers(2**31)), rows_per_day=rows_per_day
+            window, test_fraction=0.2, seed=int(rng.integers(2**31)), rows_per_day=rows_per_day
         )
         if np.intersect1d(plan.train_indices, plan.test_indices).size:
             return False, "train/test overlap"

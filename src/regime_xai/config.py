@@ -32,11 +32,14 @@ class ConfigError(ValueError):
 
 def _check_grid_step(field: str, hours: float) -> None:
     """The rule for a grid step given in hours: a finite number of seconds, at
-    least one, as the step is rounded to whole seconds."""
+    least one, as the step is rounded to whole seconds, that divides a day, as
+    test blocks are whole days counted in rows."""
     if math.isinf(hours * 3600):
-        raise ValueError(f"{field} must be a finite number of seconds, got {hours!r}")
+        raise ValueError(f"{field} must be a finite number of seconds, got {hours:g}")
     if round(hours * 3600) < 1:
-        raise ValueError(f"{field} must be at least one second, got {hours!r}")
+        raise ValueError(f"{field} must be at least one second, got {hours:g}")
+    if 86400 % round(hours * 3600):
+        raise ValueError(f"{field} must divide a day, got {hours:g}")
 
 
 @dataclass(frozen=True)

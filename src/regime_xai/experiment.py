@@ -2,10 +2,12 @@
 train/test splits, model fitting, explanation, and before/after comparison.
 
 Each period gets six overlapping windows covering half the period each.
-Within a window the test set is a random 20% of consecutive four-day blocks;
-a model is fitted on the remaining rows and explained on the test rows. The
-per-window normalized importances are aggregated to a mean and standard
-deviation per feature, and the two periods are compared feature by feature.
+Within a window the test set is a random 20% of consecutive blocks of
+BLOCK_DAYS days; a model is fitted on the remaining rows and explained on the
+test rows. Window width and block length are fixed terms of the protocol, not
+settings. The per-window normalized importances are aggregated to a mean and
+standard deviation per feature, and the two periods are compared feature by
+feature.
 
 Every random choice is driven by seeds derived from (master seed, window
 index, purpose), so a run is reproducible to the last exported digit.
@@ -24,6 +26,9 @@ from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, Instant, TimeSeriesError, format_timestamp, rows_per_day, write_csv
+
+
+BLOCK_DAYS = 4  # days per test block: whole days, so a block holds every hour of the day
 
 
 @dataclass(frozen=True)
@@ -69,17 +74,11 @@ class ModelConfig:
 @dataclass(frozen=True)
 class WindowConfig:
     n_windows: int = 6
-    window_fraction: float = 0.5
-    block_days: int = 4
     test_fraction: float = 0.2
 
     def __post_init__(self):
         if self.n_windows < 1:
             raise ValueError("n_windows must be >= 1")
-        if not 0 < self.window_fraction <= 1:
-            raise ValueError("window_fraction must be in (0, 1]")
-        if self.block_days < 1:
-            raise ValueError("block_days must be >= 1")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
@@ -134,12 +133,13 @@ class RegimeComparison:
     flagged: np.ndarray
 
 
-def make_windows(n_rows: int, n_windows: int, window_fraction: float) -> list[range]:
-    """Evenly spaced overlapping windows of floor(window_fraction * n_rows)
-    rows each; the first starts at row 0 and the last ends at row n_rows."""
+def make_windows(n_rows: int, n_windows: int) -> list[range]:
+    """Evenly spaced windows of n_rows // 2 rows each; the first starts at row
+    0 and the last ends at row n_rows, so with two or more windows the first
+    and the last share no row."""
     if n_windows < 1:
         raise ValueError("n_windows must be >= 1")
-    width = int(window_fraction * n_rows)
+    width = n_rows // 2
     if width < 1 or n_rows < n_windows:
         raise TimeSeriesError(f"period too short: {n_rows} rows for {n_windows} windows")
     span = n_rows - width
@@ -147,18 +147,12 @@ def make_windows(n_rows: int, n_windows: int, window_fraction: float) -> list[ra
     return [range(off, off + width) for off in offsets]
 
 
-def split_blocks(
-    window: range,
-    block_days: int,
-    test_fraction: float,
-    seed: int,
-    rows_per_day: int,
-) -> SplitPlan:
-    """Partition a window into consecutive blocks of block_days and pick
+def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: int) -> SplitPlan:
+    """Partition a window into consecutive blocks of BLOCK_DAYS days and pick
     round(test_fraction * n_blocks) of them, uniformly without replacement,
     as the test set. A trailing partial block goes to the training set."""
     rows = np.arange(window.start, window.stop, dtype=np.intp)
-    rows_per_block = int(block_days) * int(rows_per_day)
+    rows_per_block = BLOCK_DAYS * int(rows_per_day)
     if rows_per_block < 1:
         raise ValueError("block must cover at least one row")
     n_blocks = len(rows) // rows_per_block
@@ -220,11 +214,10 @@ def run_period(
         predict, method = partial(predict_mlp, work={}), "kernel"
 
     results = []
-    for w, window in enumerate(make_windows(len(data), windows.n_windows, windows.window_fraction)):
+    for w, window in enumerate(make_windows(len(data), windows.n_windows)):
         try:
             plan = split_blocks(
                 window,
-                block_days=windows.block_days,
                 test_fraction=windows.test_fraction,
                 seed=derive_seed(seed, w, 0),
                 rows_per_day=per_day,

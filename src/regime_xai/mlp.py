@@ -4,7 +4,9 @@ The net standardizes inputs with training statistics, applies rectified
 hidden layers and a linear output, and trains on mean squared error with
 mini-batch adaptive-moment (Adam) updates. Backpropagation is hand-written
 and checked against central finite differences (grad_check), which is the
-correctness anchor for everything the optimizer does.
+correctness anchor for everything the optimizer does. The training terms
+(batch size, Adam step, early-stopping patience, validation tail) are fixed
+constants; only the layer sizes and the epoch budget are settings.
 
 There is one forward pass, _forward, and it does its arithmetic in buffers
 kept in a dict its caller owns: predict_mlp's caller for one explanation (or
@@ -23,6 +25,10 @@ from regime_xai.timeseries import FeatureMatrix
 
 
 GRAD_CHECK_EPSILON = 1e-5  # central-difference step of grad_check
+BATCH_SIZE = 64  # rows per Adam step
+STEP_SIZE = 1e-3  # Adam step size
+EARLY_STOP_PATIENCE = 20  # epochs without a better validation loss before fit_mlp stops
+VALIDATION_FRACTION = 0.2  # share of a window's rows, at its end, held out for early stopping
 
 
 class TrainingDivergedError(RuntimeError):
@@ -52,10 +58,6 @@ class MlpNet:
 class MlpParams:
     hidden_sizes: tuple[int, ...] = (64, 64)
     max_epochs: int = 300
-    batch_size: int = 64
-    step_size: float = 1e-3
-    early_stop_patience: int = 20
-    validation_fraction: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -63,12 +65,8 @@ class MlpParams:
             raise ValueError("hidden_sizes must be positive")
         if any(h > np.iinfo(np.intp).max for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be at most {np.iinfo(np.intp).max} (numpy's dimension limit)")
-        if min(self.max_epochs, self.batch_size, self.early_stop_patience) < 1:
-            raise ValueError("max_epochs, batch_size and early_stop_patience must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 < self.validation_fraction <= 0.5:
-            raise ValueError(f"validation_fraction must be in (0, 0.5], got {self.validation_fraction}")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
 
 
 def _init_params(rng: np.random.Generator, sizes: tuple[int, ...], y_mean: float):
@@ -143,7 +141,7 @@ def _start(train: FeatureMatrix, params: MlpParams, seed: int):
     if n == 0:
         raise ValueError("empty training set")
     sizes = (train.X.shape[1],) + params.hidden_sizes + (1,)
-    n_val = int(np.clip(round(params.validation_fraction * n), 1, max(n - 1, 1)))
+    n_val = int(np.clip(round(VALIDATION_FRACTION * n), 1, max(n - 1, 1)))
     n_fit = max(n - n_val, 1)
     mean, std = _standardize_stats(train.X[:n_fit])
     rng = np.random.default_rng(seed)
@@ -160,7 +158,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
     """Train by mini-batch Adam on MSE with early stopping.
 
     The validation slice is the time-ordered tail of the window
-    (validation_fraction of the rows); input standardization uses the
+    (VALIDATION_FRACTION of the rows); input standardization uses the
     remaining head so the held-out rows never leak into the statistics.
     Targets stay in original units. Deterministic for a fixed seed.
     """
@@ -182,8 +180,8 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
 
     for epoch in range(params.max_epochs):
         perm = rng.permutation(n_fit)
-        for start in range(0, n_fit, params.batch_size):
-            idx = perm[start : start + params.batch_size]
+        for start in range(0, n_fit, BATCH_SIZE):
+            idx = perm[start : start + BATCH_SIZE]
             grads_w, grads_b = _backprop(weights, biases, Z_fit[idx], y_fit[idx], work)
             t += 1
             for k, (p, g) in enumerate(zip(weights + biases, grads_w + grads_b)):
@@ -191,7 +189,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
                 adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
                 m_hat = adam_m[k] / (1 - beta1**t)
                 v_hat = adam_v[k] / (1 - beta2**t)
-                p -= params.step_size * m_hat / (np.sqrt(v_hat) + eps)
+                p -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + eps)
 
         val = _mse(weights, biases, Z_val, y_val, work)
         if not np.isfinite(val):
@@ -202,7 +200,7 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
             stale = 0
         else:
             stale += 1
-            if stale >= params.early_stop_patience:
+            if stale >= EARLY_STOP_PATIENCE:
                 break
 
     return MlpNet(tuple(best[0]), tuple(best[1]), net.x_mean, net.x_std)

@@ -12,6 +12,7 @@ import pytest
 from regime_xai.cli import cmd_run, cmd_synth
 from regime_xai.config import load_config
 from regime_xai.experiment import (
+    BLOCK_DAYS,
     ModelConfig,
     PeriodSpec,
     ShapConfig,
@@ -252,13 +253,12 @@ def test_c09_split_integrity_over_random_windows():
     for _ in range(200):
         n_blocks = int(rng.integers(5, 40))
         rows_per_day = int(rng.choice([1, 6, 24]))
-        rows_per_block = 4 * rows_per_day
+        rows_per_block = BLOCK_DAYS * rows_per_day
         extra = int(rng.integers(0, rows_per_block))
         start = int(rng.integers(0, 1000))
         window = range(start, start + n_blocks * rows_per_block + extra)
         plan = split_blocks(
             window,
-            block_days=4,
             test_fraction=0.2,
             seed=int(rng.integers(2**31)),
             rows_per_day=rows_per_day,

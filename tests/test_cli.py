@@ -137,6 +137,27 @@ def test_coalition_budget_is_not_a_setting(tmp_path, capsys):
     assert "shap: unknown key(s) ['n_coalitions']" in capsys.readouterr().err
 
 
+FIXED_TERMS = {
+    "windows.window_fraction": 0.5,
+    "windows.block_days": 4,
+    "model.mlp.batch_size": 64,
+    "model.mlp.step_size": 1e-3,
+    "model.mlp.early_stop_patience": 20,
+    "model.mlp.validation_fraction": 0.2,
+}
+
+
+@pytest.mark.parametrize("key", FIXED_TERMS)
+def test_fixed_protocol_terms_are_not_settings(tmp_path, capsys, key):
+    # half-period windows, four-day blocks and the MLP's training terms are
+    # constants: a config that sets one, even to its value, is refused before
+    # any input is read
+    path = config_with(tmp_path, ("inputs", 0, "path"), str(tmp_path / "absent.csv"))
+    assert main(["run", "--config", str(path), "--set", f"{key}={FIXED_TERMS[key]}"]) == 1
+    section, name = key.rsplit(".", 1)
+    assert f"{section}: unknown key(s) [{name!r}]" in capsys.readouterr().err
+
+
 SETTINGS = [(cls, f.name) for cls in (WindowConfig, ShapConfig) for f in dataclasses.fields(cls)]
 
 
@@ -267,14 +288,12 @@ def test_seed_must_be_int(tmp_path):
     "field, value",
     [
         ("windows.n_windows", "6.7"),
-        ("windows.block_days", "4.9"),
         ("shap.background_size", "49.5"),
         ("windows.n_windows", "true"),
         ("model.gbt.n_trees", "3.5"),
         ("model.gbt.n_trees", "true"),
         ("model.gbt.max_depth", "2.5"),
         ("model.gbt.min_samples_leaf", "20.5"),
-        ("model.mlp.batch_size", "64.5"),
         ("model.mlp.hidden_sizes", "[8.9]"),
         ("model.mlp.hidden_sizes", '"88"'),
     ],
@@ -289,7 +308,6 @@ def test_counts_must_be_json_integers(tmp_path, field, value):
 TYPE_CASES = [
     (("model", "gbt", "learning_rate"), True, "model.gbt.learning_rate: expected a finite number, got True"),
     (("windows", "test_fraction"), True, "windows.test_fraction: expected a finite number, got True"),
-    (("windows", "window_fraction"), "0.5", "windows.window_fraction: expected a finite number, got '0.5'"),
     (("features", "resample_hours"), True, "features.resample_hours: expected a finite number, got True"),
     (("inputs", 0, "resolution_hours"), True, "inputs[0].resolution_hours: expected a finite number, got True"),
     (("inputs", 0, "path"), 5, "inputs[0].path: expected a string, got 5"),
@@ -297,7 +315,6 @@ TYPE_CASES = [
     (("features", "target"), {"before": 3, "after": "y"}, "features.target.before: expected a string, got 3"),
     (("features", "mixed_prices", 0, "alpha"), True,
      "features.mixed_prices[0].alpha: expected a finite number, got True"),
-    (("model", "mlp", "step_size"), "0.1", "model.mlp.step_size: expected a finite number, got '0.1'"),
 ]
 
 
@@ -310,22 +327,19 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
 @pytest.mark.parametrize(
     "assignment, message",
     [
-        ("windows.block_days=0", "block_days must be >= 1"),
         ("shap.background_size=0", "background_size must be >= 1"),
         ("windows.test_fraction=5", "test_fraction must be in (0, 1)"),
         ("windows.test_fraction=-1", "test_fraction must be in (0, 1)"),
         ("windows.n_windows=0", "n_windows must be >= 1"),
-        ("windows.window_fraction=0", "window_fraction must be in (0, 1]"),
         ("shap.explain_on=both", "explain_on must be 'test' or 'train'"),
         ("features.resample_hours=0.0001", "resample_hours must be at least one second, got 0.0001"),
+        ("features.resample_hours=7", "resample_hours must divide a day, got 7"),
         ("features.residual_loads=null", "residual_loads: expected an object"),
         ("features.residual_loads=5", "residual_loads: expected an object"),
         ("features.mixed_prices=null", "mixed_prices: expected an object"),
         ("features.mixed_prices=5", "mixed_prices: expected an object"),
         ('features.columns=["x1","x1","x2"]', "columns: duplicate column 'x1'"),
         ("features.resample_hours=1e308", "resample_hours must be a finite number of seconds, got 1e+308"),
-        pytest.param("windows.window_fraction=1" + "0" * 400, "window_fraction: expected a finite number, got 1000",
-                     id="windows.window_fraction=10**400"),
         pytest.param("model.gbt.learning_rate=1" + "0" * 400, "gbt.learning_rate: expected a finite number, got 1000",
                      id="model.gbt.learning_rate=10**400"),
         ('features.columns=["residual","wind","price"]', "columns: target column 'price' is also a feature"),
@@ -352,6 +366,7 @@ def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, a
         (("features", "residual_loads", 0, "ror_lag_days"), 0, "features.residual_loads[0].ror_lag_days must be >= 1"),
         (("inputs", 0, "resolution_hours"), 0.0001, "inputs[0].resolution_hours must be at least one second"),
         (("inputs", 0, "resolution_hours"), 1e308, "inputs[0].resolution_hours must be a finite number of seconds"),
+        (("inputs", 0, "resolution_hours"), 7, "inputs[0].resolution_hours must divide a day, got 7"),
     ],
 )
 def test_list_entry_out_of_range_exits_1_before_inputs_are_read(tmp_path, capsys, keys, value, message):
@@ -699,7 +714,8 @@ def test_one_window_run(tmp_path):
 
 
 def test_run_on_a_grid_whose_step_does_not_divide_a_day_exits_1(tmp_path, capsys):
-    # a 7 h grid is a valid table, but four-day blocks cannot be counted in rows
+    # a 7 h grid is a valid table, but test blocks of whole days cannot be
+    # counted in its rows, so the config is refused before the table is read
     rng = np.random.default_rng(6)
     lines = ["timestamp,x1,x2,y"]
     for i in range(400):
@@ -719,7 +735,7 @@ def test_run_on_a_grid_whose_step_does_not_divide_a_day_exits_1(tmp_path, capsys
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(config_path)]) == 1
-    assert "row step of 25200s does not divide a day" in capsys.readouterr().err
+    assert "inputs[0].resolution_hours must divide a day, got 7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -765,7 +781,8 @@ def test_derived_column_never_replaces_a_column(tmp_path, capsys, kind, spec, na
 @pytest.mark.parametrize(
     "assignment, message",
     [
-        ("windows.block_days=1000", "before: window 0: window of 480 rows spans only 0 blocks of 24000 rows; need at least 5"),
+        ("periods.before.end=2018-01-21T00:00:00Z",
+         "before: window 0: window of 240 rows spans only 2 blocks of 96 rows; need at least 5"),
         ("windows.n_windows=2000", "before: period too short: 960 rows for 2000 windows"),
         ("periods.before.end=2018-01-01T01:00:00Z", "before: need at least two rows to infer the resolution"),
     ],

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regime_xai.experiment import (
+    BLOCK_DAYS,
     ModelConfig,
     PeriodResult,
     PeriodSpec,
@@ -48,50 +49,53 @@ SHAP = ShapConfig(background_size=30)
 # ---------------------------------------------------------------- make_windows
 
 
+@given(n_rows=st.integers(2, 20_000), data=st.data())
+@settings(deadline=None)
+def test_make_windows_first_and_last_share_no_row(n_rows, data):
+    # windows are half the period wide, so with two or more of them the
+    # first and the last never overlap
+    n_windows = data.draw(st.integers(2, n_rows), label="n_windows")
+    windows = make_windows(n_rows, n_windows)
+    assert len(windows) == n_windows
+    assert all(len(w) == n_rows // 2 for w in windows)
+    assert windows[0].start == 0 and windows[-1].stop == n_rows
+    assert windows[0].stop <= windows[-1].start
+
+
 def test_make_windows_evenly_spaced_360():
-    windows = make_windows(360, n_windows=6, window_fraction=0.5)
+    windows = make_windows(360, n_windows=6)
     assert [w.start for w in windows] == [0, 36, 72, 108, 144, 180]
-    assert all(len(w) == 180 for w in windows)
-    assert windows[-1].stop == 360
 
 
 def test_make_windows_evenly_spaced_100():
-    windows = make_windows(100, n_windows=6, window_fraction=0.5)
+    windows = make_windows(100, n_windows=6)
     assert [w.start for w in windows] == [0, 10, 20, 30, 40, 50]
-    assert all(len(w) == 50 for w in windows)
 
 
 def test_make_windows_union_covers_period():
     for n in (100, 101, 123, 360, 961):
-        windows = make_windows(n, n_windows=6, window_fraction=0.5)
         covered = np.zeros(n, dtype=bool)
-        for w in windows:
+        for w in make_windows(n, n_windows=6):
             covered[w.start : w.stop] = True
-            assert len(w) == n // 2
         assert covered.all()
-
-
-def test_make_windows_full_fraction_identical_windows():
-    windows = make_windows(50, n_windows=6, window_fraction=1.0)
-    assert all(w.start == 0 and w.stop == 50 for w in windows)
 
 
 def test_make_windows_too_short():
     with pytest.raises(ValueError, match="too short"):
-        make_windows(4, n_windows=6, window_fraction=0.5)
+        make_windows(4, n_windows=6)
 
 
 # ---------------------------------------------------------------- split_blocks
 
 
 def test_split_blocks_forty_days_daily():
-    plan = split_blocks(range(0, 40), block_days=4, test_fraction=0.2, seed=0, rows_per_day=1)
+    plan = split_blocks(range(0, 40), test_fraction=0.2, seed=0, rows_per_day=1)
     assert len(plan.test_indices) == 8  # 10 blocks, 2 test blocks
     assert len(plan.train_indices) == 32
 
 
 def test_split_blocks_partial_block_goes_to_train():
-    plan = split_blocks(range(0, 42), block_days=4, test_fraction=0.2, seed=1, rows_per_day=1)
+    plan = split_blocks(range(0, 42), test_fraction=0.2, seed=1, rows_per_day=1)
     assert len(plan.test_indices) == 8
     assert len(plan.train_indices) == 34
     # the trailing partial rows 40, 41 are always training rows
@@ -99,15 +103,15 @@ def test_split_blocks_partial_block_goes_to_train():
 
 
 def test_split_blocks_same_seed_identical():
-    a = split_blocks(range(0, 40), block_days=4, test_fraction=0.2, seed=7, rows_per_day=1)
-    b = split_blocks(range(0, 40), block_days=4, test_fraction=0.2, seed=7, rows_per_day=1)
+    a = split_blocks(range(0, 40), test_fraction=0.2, seed=7, rows_per_day=1)
+    b = split_blocks(range(0, 40), test_fraction=0.2, seed=7, rows_per_day=1)
     np.testing.assert_array_equal(a.test_indices, b.test_indices)
 
 
 def test_split_blocks_different_seeds_usually_differ():
     # 10 blocks choose 2 gives 45 outcomes; over 10 seed pairs expect >90% distinct.
     plans = [
-        split_blocks(range(0, 40), block_days=4, test_fraction=0.2, seed=s, rows_per_day=1).test_indices
+        split_blocks(range(0, 40), test_fraction=0.2, seed=s, rows_per_day=1).test_indices
         for s in range(11)
     ]
     differing = sum(not np.array_equal(plans[i], plans[i + 1]) for i in range(10))
@@ -116,7 +120,7 @@ def test_split_blocks_different_seeds_usually_differ():
 
 def test_split_blocks_window_too_short():
     with pytest.raises(ValueError, match="at least 5"):
-        split_blocks(range(0, 16), block_days=4, test_fraction=0.2, seed=0, rows_per_day=1)
+        split_blocks(range(0, 16), test_fraction=0.2, seed=0, rows_per_day=1)
 
 
 @given(
@@ -127,11 +131,10 @@ def test_split_blocks_window_too_short():
 )
 @settings(max_examples=60, deadline=None)
 def test_split_blocks_integrity(n_blocks, extra, rows_per_day, seed):
-    block_days = 4
-    rows_per_block = block_days * rows_per_day
+    rows_per_block = BLOCK_DAYS * rows_per_day
     start = 17
     window = range(start, start + n_blocks * rows_per_block + extra)
-    plan = split_blocks(window, block_days=block_days, test_fraction=0.2, seed=seed, rows_per_day=rows_per_day)
+    plan = split_blocks(window, test_fraction=0.2, seed=seed, rows_per_day=rows_per_day)
 
     # partition: no leakage, nothing lost
     assert np.intersect1d(plan.train_indices, plan.test_indices).size == 0
@@ -199,9 +202,9 @@ def test_run_period_constant_target_degenerate_but_completes():
 
 def test_run_period_annotates_window_errors():
     fm, _ = synth_regime(960, seed=4)
-    bad = WindowConfig(block_days=100)  # windows span < 5 blocks
-    with pytest.raises(ValueError, match="window 0"):
-        run_period(fm, period_for(fm), GBT, bad, ShapConfig(), seed=0)
+    short = fm.take(np.arange(600))  # windows of 300 rows span 3 four-day blocks
+    with pytest.raises(ValueError, match="window 0: window of 300 rows spans only 3 blocks"):
+        run_period(short, period_for(short), GBT, WINDOWS, ShapConfig(), seed=0)
 
 
 def test_run_period_rejects_unknown_kind():
@@ -237,16 +240,10 @@ def test_run_period_blocks_span_four_days_when_second_row_is_missing():
     fm, _ = synth_regime(1200, seed=0)
     gapped = fm.take(np.delete(np.arange(len(fm)), 1))
     result = run_period(gapped, period_for(gapped), GBT, WINDOWS, SHAP, seed=0)
-    windows = make_windows(len(gapped), WINDOWS.n_windows, WINDOWS.window_fraction)
+    windows = make_windows(len(gapped), WINDOWS.n_windows)
     for window, w in zip(windows, result.windows):
         _, sizes = np.unique((w.split.test_indices - window.start) // 96, return_counts=True)
         assert sizes.tolist() == [96] * len(sizes)
-
-
-def test_run_period_window_fraction_one_low_importance_spread():
-    fm, _ = synth_regime(960, seed=6)
-    result = run_period(fm, period_for(fm), GBT, WindowConfig(window_fraction=1.0), SHAP, seed=2)
-    assert np.all(compare_periods(result, result).before_std < 0.05)
 
 
 def test_run_period_mlp_kernel_path():

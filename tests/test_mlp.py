@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from regime_xai.mlp import (
+    VALIDATION_FRACTION,
     MlpNet,
     MlpParams,
     TrainingDivergedError,
@@ -47,8 +48,8 @@ def clean_rows(net, rng, n_rows, n_in, min_gap=1e-3):
     raise AssertionError("could not find kink-free inputs")
 
 
-def validation_mse(net, fm, params):
-    n_val = int(np.clip(round(params.validation_fraction * len(fm)), 1, len(fm) - 1))
+def validation_mse(net, fm):
+    n_val = int(np.clip(round(VALIDATION_FRACTION * len(fm)), 1, len(fm) - 1))
     X_val, y_val = fm.X[-n_val:], fm.y[-n_val:]
     return float(np.mean((predict_mlp(net, X_val, {}) - y_val) ** 2))
 
@@ -62,7 +63,7 @@ def test_constant_target_absorbed_by_bias():
     fm = matrix(rng.uniform(-1, 1, size=(400, 3)), np.full(400, c))
     params = MlpParams(hidden_sizes=(16,), max_epochs=400)
     net = fit_mlp(fm, params, seed=0)
-    assert validation_mse(net, fm, params) < 1e-4 * max(1.0, c * c)
+    assert validation_mse(net, fm) < 1e-4 * max(1.0, c * c)
 
 
 def test_product_target_needs_hidden_layers():
@@ -97,10 +98,11 @@ def test_empty_training_set_rejected():
 
 
 def test_divergence_reports_epoch():
+    # targets this large overflow the squared error in the first epoch
     rng = np.random.default_rng(3)
-    fm = matrix(rng.standard_normal((128, 2)), rng.standard_normal(128))
-    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
-        fit_mlp(fm, MlpParams(hidden_sizes=(8,), max_epochs=50, step_size=1e200), seed=3)
+    fm = matrix(rng.standard_normal((128, 2)), np.where(rng.random(128) < 0.5, -1e200, 1e200))
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 0"):
+        fit_mlp(fm, MlpParams(hidden_sizes=(8,), max_epochs=50), seed=3)
 
 
 def test_fixed_seed_reproduces_parameters():

@@ -327,6 +327,42 @@ def _built_by_dataclass_from() -> set[type]:
     return built
 
 
+def test_every_config_default_is_set_by_a_caller():
+    # A config field with a default that no caller outside the tests sets has
+    # one value in use, so it is a constant, not a setting. The callers are
+    # the benchmark's workload configs, the config synth writes and the
+    # package's own constructor calls, as verify's GbtParams(learning_rate=0.3).
+    # A field counts as set even at its default: residual_loads[].ror_lag_days
+    # has one value in use, 7, but csv-export's config sets it, and removing
+    # the field would refuse the benchmark's own config as an unknown key.
+    built = _built_by_dataclass_from()
+    synth = next(node for node in _package_trees()["cli.py"].body if getattr(node, "name", None) == "cmd_synth")
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    keys = {
+        key.value
+        for tree in (workloads, synth)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant)
+    }
+    keys |= {
+        keyword.arg
+        for tree in _package_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {cls.__name__ for cls in built}
+        for keyword in node.keywords
+    }
+    unset = sorted(
+        f"{cls.__name__}.{f.name}"
+        for cls in built
+        for f in dataclasses.fields(cls)
+        if (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
+        and f.name not in keys
+    )
+    assert unset == []
+
+
 def _value_error_messages(fn, bound: dict | None = None) -> list[str]:
     """The leading text of each ValueError message fn raises, itself or
     through a function of its own module that it calls, where a message that
@@ -368,7 +404,7 @@ def test_config_file_is_read_by_one_reader():
 def test_every_range_error_of_a_config_section_begins_with_its_field():
     # _dataclass_from reports a range error as path.message, so each message
     # must begin with the name of the field it is about, as in
-    # windows.block_days must be >= 1
+    # windows.n_windows must be >= 1
     # At the root, RunConfig, the message is kept as it is, so it names the
     # field itself, as in inputs: expected a non-empty list
     built = _built_by_dataclass_from()
