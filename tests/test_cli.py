@@ -147,6 +147,12 @@ FIXED_TERMS = {
 }
 
 
+def refusal_of(key):
+    """The error of a config that sets the fixed protocol term key, whatever its value."""
+    section, name = key.rsplit(".", 1)
+    return f"{section}: unknown key(s) [{name!r}]"
+
+
 @pytest.mark.parametrize("key", FIXED_TERMS)
 def test_fixed_protocol_terms_are_not_settings(tmp_path, capsys, key):
     # half-period windows, four-day blocks and the MLP's training terms are
@@ -154,18 +160,19 @@ def test_fixed_protocol_terms_are_not_settings(tmp_path, capsys, key):
     # any input is read
     path = config_with(tmp_path, ("inputs", 0, "path"), str(tmp_path / "absent.csv"))
     assert main(["run", "--config", str(path), "--set", f"{key}={FIXED_TERMS[key]}"]) == 1
-    section, name = key.rsplit(".", 1)
-    assert f"{section}: unknown key(s) [{name!r}]" in capsys.readouterr().err
+    assert refusal_of(key) in capsys.readouterr().err
 
 
-SETTINGS = [(cls, f.name) for cls in (WindowConfig, ShapConfig) for f in dataclasses.fields(cls)]
+SETTINGS = {f.name: getattr(cls(), f.name) for cls in (WindowConfig, ShapConfig) for f in dataclasses.fields(cls)}
+FORMER_SETTINGS = {key.split(".")[1]: value for key, value in FIXED_TERMS.items() if key.startswith("windows.")}
 
 
-@pytest.mark.parametrize("cls, name", SETTINGS, ids=[name for _, name in SETTINGS])
-def test_each_experiment_setting_has_one_config_key(tmp_path, cls, name):
+@pytest.mark.parametrize("name", [*SETTINGS, *FORMER_SETTINGS])
+def test_each_experiment_setting_has_one_config_key(tmp_path, name):
     # each field of WindowConfig and ShapConfig is a key of one section,
-    # with no key list kept by hand
-    default = getattr(cls(), name)
+    # with no key list kept by hand; a former setting that is now a fixed
+    # protocol term is a key of none
+    default = SETTINGS.get(name, FORMER_SETTINGS.get(name))
     path = market_config(tmp_path)
     loaded = []
     for section in ("windows", "shap"):
@@ -176,7 +183,7 @@ def test_each_experiment_setting_has_one_config_key(tmp_path, cls, name):
             continue
         assert getattr(getattr(config, section), name) == default
         loaded.append(section)
-    assert len(loaded) == 1
+    assert len(loaded) == (0 if name in FORMER_SETTINGS else 1)
 
 
 def test_each_model_setting_has_one_config_key(tmp_path, capsys):
@@ -288,20 +295,24 @@ def test_seed_must_be_int(tmp_path):
     "field, value",
     [
         ("windows.n_windows", "6.7"),
+        ("windows.block_days", "4.9"),
         ("shap.background_size", "49.5"),
         ("windows.n_windows", "true"),
         ("model.gbt.n_trees", "3.5"),
         ("model.gbt.n_trees", "true"),
         ("model.gbt.max_depth", "2.5"),
         ("model.gbt.min_samples_leaf", "20.5"),
+        ("model.mlp.batch_size", "64.5"),
         ("model.mlp.hidden_sizes", "[8.9]"),
         ("model.mlp.hidden_sizes", '"88"'),
     ],
 )
 def test_counts_must_be_json_integers(tmp_path, field, value):
+    # a fixed protocol term is refused as an unknown key before its value is read
     path = market_config(tmp_path)
     entry = f"{field}[0]" if value.startswith("[") else field  # a list entry is named by its index
-    with pytest.raises(ConfigError, match=re.escape(f"{entry}: expected an integer")):
+    message = refusal_of(field) if field in FIXED_TERMS else f"{entry}: expected an integer"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path, overrides=[f"{field}={value}"])
 
 
@@ -316,9 +327,15 @@ TYPE_CASES = [
     (("features", "mixed_prices", 0, "alpha"), True,
      "features.mixed_prices[0].alpha: expected a finite number, got True"),
 ]
+# a fixed protocol term is refused as an unknown key before its type is checked
+FIXED_TERM_TYPE_CASES = [(("windows", "window_fraction"), "0.5"), (("model", "mlp", "step_size"), "0.1")]
 
 
-@pytest.mark.parametrize("keys, value, message", TYPE_CASES, ids=[m.split(":")[0] for _, _, m in TYPE_CASES])
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [pytest.param(*case, id=case[2].split(":")[0]) for case in TYPE_CASES]
+    + [pytest.param(keys, value, refusal_of(".".join(keys)), id=".".join(keys)) for keys, value in FIXED_TERM_TYPE_CASES],
+)
 def test_config_values_must_match_field_types(tmp_path, keys, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(config_with(tmp_path, keys, value))
@@ -331,6 +348,11 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("windows.test_fraction=5", "test_fraction must be in (0, 1)"),
         ("windows.test_fraction=-1", "test_fraction must be in (0, 1)"),
         ("windows.n_windows=0", "n_windows must be >= 1"),
+        # a fixed protocol term is refused as an unknown key before its range is checked
+        pytest.param("windows.block_days=0", None, id="windows.block_days=0-block_days is a fixed protocol term"),
+        pytest.param("windows.window_fraction=0", None,
+                     id="windows.window_fraction=0-window_fraction is a fixed protocol term"),
+        pytest.param("windows.window_fraction=1" + "0" * 400, None, id="windows.window_fraction=10**400"),
         ("shap.explain_on=both", "explain_on must be 'test' or 'train'"),
         ("features.resample_hours=0.0001", "resample_hours must be at least one second, got 0.0001"),
         ("features.resample_hours=7", "resample_hours must divide a day, got 7"),
@@ -356,8 +378,9 @@ def test_out_of_range_settings_exit_1_before_inputs_are_read(tmp_path, capsys, a
     # The input does not exist, so the named field shows the check ran first.
     path = config_with(tmp_path, ("inputs", 0, "path"), str(tmp_path / "absent.csv"))
     assert main(["run", "--config", str(path), "--set", assignment]) == 1
-    section = assignment.split(".")[0]
-    assert f"{section}.{message}" in capsys.readouterr().err
+    key = assignment.split("=")[0]
+    section = key.split(".")[0]
+    assert (refusal_of(key) if key in FIXED_TERMS else f"{section}.{message}") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
