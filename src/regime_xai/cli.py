@@ -200,7 +200,15 @@ def cmd_run(config: RunConfig) -> dict:
 
 def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
     """Write a stacked two-regime synthetic dataset and a matching config.
-    The data is made first, so a failing command leaves no directory behind."""
+    The data is made first, so a failing command leaves no directory behind.
+    n_rows must give each half-period window MIN_BLOCKS whole blocks of
+    hourly rows, or `run` would refuse the config `synth` wrote."""
+    blocks, days = experiment_mod.MIN_BLOCKS, experiment_mod.BLOCK_DAYS
+    min_rows = 2 * blocks * days * rows_per_day(3600)
+    if n_rows < min_rows:
+        raise ConfigError(
+            f"--rows must be >= {min_rows}, so each half-period window spans {blocks} blocks of {days} days, got {n_rows}"
+        )
     period_a, period_b = synth_regime(n_rows, seed=seed)
     out_dir = _output_dir(out_dir, "--out")
 

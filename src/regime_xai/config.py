@@ -125,6 +125,20 @@ class RunConfig:
     def __post_init__(self):
         if not self.inputs:
             raise ValueError("inputs: expected a non-empty list")
+        # the grids must join: one step, or a block every step divides
+        first, block = self.inputs[0].resolution_hours, self.features.resample_hours
+        for i, spec in enumerate(self.inputs):
+            step = round(spec.resolution_hours * 3600)
+            if block is None and step != round(first * 3600):
+                raise ValueError(
+                    f"inputs[{i}].resolution_hours must equal inputs[0]'s {first:g} when "
+                    f"features.resample_hours is null, got {spec.resolution_hours:g}"
+                )
+            if block is not None and round(block * 3600) % step:
+                raise ValueError(
+                    f"features.resample_hours must be a multiple of inputs[{i}].resolution_hours "
+                    f"{spec.resolution_hours:g}, got {block:g}"
+                )
         before, after = self.periods["before"], self.periods["after"]
         if before.end > after.start:
             raise ValueError(

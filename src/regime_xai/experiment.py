@@ -1,7 +1,8 @@
 """Protocol orchestration: sliding windows per regime period, block-wise
 train/test splits, model fitting, explanation, and before/after comparison.
 
-Each period gets six overlapping windows covering half the period each.
+Each period gets n_windows overlapping windows (six by default) covering
+half the period each, and run_period runs each by one run_window call.
 Within a window the test set is a random 20% of consecutive blocks of
 BLOCK_DAYS days; a model is fitted on the remaining rows and explained on the
 test rows. Window width and block length are fixed terms of the protocol, not
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from regime_xai.timeseries import FeatureMatrix, Instant, TimeSeriesError, forma
 
 
 BLOCK_DAYS = 4  # days per test block: whole days, so a block holds every hour of the day
+MIN_BLOCKS = 5  # whole blocks a window must span, so train and test both hold whole blocks
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,8 @@ class RegimeComparison:
 def make_windows(n_rows: int, n_windows: int) -> list[range]:
     """Evenly spaced windows of n_rows // 2 rows each; the first starts at row
     0 and the last ends at row n_rows, so with two or more windows the first
-    and the last share no row."""
+    and the last share no row. One window covers only the first half. With
+    two windows and an odd n_rows the middle row is in no window."""
     if n_windows < 1:
         raise ValueError("n_windows must be >= 1")
     width = n_rows // 2
@@ -156,10 +158,10 @@ def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: i
     if rows_per_block < 1:
         raise ValueError("block must cover at least one row")
     n_blocks = len(rows) // rows_per_block
-    if n_blocks < 5:
+    if n_blocks < MIN_BLOCKS:
         raise TimeSeriesError(
             f"window of {len(rows)} rows spans only {n_blocks} blocks of "
-            f"{rows_per_block} rows; need at least 5"
+            f"{rows_per_block} rows; need at least {MIN_BLOCKS}"
         )
     n_test = int(np.clip(round(test_fraction * n_blocks), 1, n_blocks - 1))
     rng = np.random.default_rng(seed)
@@ -171,6 +173,51 @@ def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: i
     return SplitPlan(train_indices=rows[~test_mask], test_indices=rows[test_mask])
 
 
+def run_window(
+    data: FeatureMatrix,
+    window: range,
+    w: int,
+    per_day: int,
+    model: ModelConfig,
+    windows: WindowConfig,
+    shap: ShapConfig,
+    seed: int,
+) -> WindowResult:
+    """Split, fit, score and explain window w, rows `window` of data at
+    per_day rows a day. A tree model is explained with the tree engine, a net
+    with the kernel engine, both against a background drawn from the training
+    rows. Seeds derive from (seed, w), so no window depends on another. A
+    non-finite test prediction fails before the explanation; a failure reads
+    "window w: ..."."""
+    try:
+        plan = split_blocks(window, windows.test_fraction, derive_seed(seed, w, 0), per_day)
+        train = data.take(plan.train_indices)
+        test = data.take(plan.test_indices)
+        # One of the two branches on the model kind (shap.explain_dataset has
+        # the other). The functions are looked up here, at call time, so a
+        # profiler that rebinds these module names sees each call.
+        if model.kind == "gbt":
+            fitted = fit_gbt(train, model.gbt)
+            pred, method = predict_gbt(fitted, test.X), "tree"
+        else:
+            fitted = fit_mlp(train, model.mlp, derive_seed(seed, w, 1))
+            pred, method = predict_mlp(fitted, test.X, work={}), "kernel"
+        if not np.isfinite(pred).all():
+            raise ValueError(f"non-finite prediction for test row {int(np.argmin(np.isfinite(pred)))}")
+
+        bg = Background.subsample(train.X, shap.background_size, derive_seed(seed, w, 2))
+        explain = test if shap.explain_on == "test" else train
+        explanation = explain_dataset(fitted, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
+        importance = feature_importance(explanation)
+
+        mse = float(np.mean((pred - test.y) ** 2))
+        sst = float(np.sum((test.y - test.y.mean()) ** 2))
+        r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"window {w}: {exc}") from exc
+    return WindowResult(plan, explanation, explain, importance, test_mse=mse, test_r2=r2)
+
+
 def run_period(
     data: FeatureMatrix,
     period: PeriodSpec,
@@ -179,16 +226,11 @@ def run_period(
     shap: ShapConfig,
     seed: int,
 ) -> PeriodResult:
-    """Fit, explain and score one model per sliding window of the period.
-
-    data holds the period's rows only; a row outside period is an error.
-    Tree models are explained with the tree engine, nets with the kernel
-    engine, both against a background subsampled from the window's training
-    rows. A model with a non-finite test prediction fails before it is
-    explained. A window's failure is re-raised as "window w: ..."; the caller,
-    which knows the period's name, adds it. A period too short for the
-    protocol is a TimeSeriesError.
-    """
+    """Fit, explain and score one model per sliding window of the period,
+    each by run_window. data holds the period's rows only; a row outside
+    period is an error. The caller, which knows the period's name, adds it to
+    a window's failure. A period too short for the protocol is a
+    TimeSeriesError."""
     if len(data) == 0:
         raise ValueError("no rows fall inside the period")
     ts = data.timestamps
@@ -199,59 +241,9 @@ def run_period(
         raise TimeSeriesError("need at least two rows to infer the resolution")
     # the smallest step is the resolution: rows dropped by the join leave wider ones
     per_day = rows_per_day(int(np.diff(ts).min()))
-
-    # The one branch on the model kind. The functions are looked up here, at
-    # call time, so a profiler that rebinds these module names sees each call.
-    if model.kind == "gbt":
-        def fit(train: FeatureMatrix, fit_seed: int):
-            return fit_gbt(train, model.gbt)
-
-        predict, method = predict_gbt, "tree"
-    else:
-        def fit(train: FeatureMatrix, fit_seed: int):
-            return fit_mlp(train, model.mlp, fit_seed)
-
-        predict, method = partial(predict_mlp, work={}), "kernel"
-
-    results = []
-    for w, window in enumerate(make_windows(len(data), windows.n_windows)):
-        try:
-            plan = split_blocks(
-                window,
-                test_fraction=windows.test_fraction,
-                seed=derive_seed(seed, w, 0),
-                rows_per_day=per_day,
-            )
-            train = data.take(plan.train_indices)
-            test = data.take(plan.test_indices)
-            fitted = fit(train, derive_seed(seed, w, 1))
-            pred = predict(fitted, test.X)
-            if not np.isfinite(pred).all():
-                raise ValueError(f"non-finite prediction for test row {int(np.argmin(np.isfinite(pred)))}")
-
-            bg = Background.subsample(train.X, shap.background_size, derive_seed(seed, w, 2))
-            explain = test if shap.explain_on == "test" else train
-            explanation = explain_dataset(fitted, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
-            importance = feature_importance(explanation)
-
-            mse = float(np.mean((pred - test.y) ** 2))
-            sst = float(np.sum((test.y - test.y.mean()) ** 2))
-            r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")
-        except (ValueError, RuntimeError) as exc:
-            raise type(exc)(f"window {w}: {exc}") from exc
-
-        results.append(
-            WindowResult(
-                split=plan,
-                explanation=explanation,
-                explained=explain,
-                importance=importance,
-                test_mse=mse,
-                test_r2=r2,
-            )
-        )
-
-    return PeriodResult(feature_names=data.feature_names, windows=tuple(results))
+    spans = enumerate(make_windows(len(data), windows.n_windows))
+    results = tuple(run_window(data, window, w, per_day, model, windows, shap, seed) for w, window in spans)
+    return PeriodResult(feature_names=data.feature_names, windows=results)
 
 
 def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparison:
@@ -261,7 +253,8 @@ def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparis
     A period's mean and spread are the mean and the population standard
     deviation of its window importances. A feature is flagged as shifted when
     |delta| exceeds the sum of the two spreads, i.e. when the error bars of
-    the two periods would not overlap.
+    the two periods would not overlap. A period of one window has no spread,
+    so then no feature is flagged.
     """
     if before.feature_names != after.feature_names:
         raise ValueError(
@@ -279,7 +272,7 @@ def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparis
         after_mean=after_mean,
         after_std=after_std,
         delta=delta,
-        flagged=np.abs(delta) > (before_std + after_std),
+        flagged=(np.abs(delta) > (before_std + after_std)) & (min(len(fi_before), len(fi_after)) > 1),
     )
 
 
@@ -306,19 +299,19 @@ def write_comparison_csv(path, comparison: RegimeComparison) -> None:
 
 
 def write_dependence_csv(path, results: dict[str, PeriodResult]) -> None:
-    """One row per (period, feature, explained row): feature and SHAP value.
-    Every feature of a period shares its explained rows, so each timestamp is
-    formatted once per period."""
+    """One row per (period, feature, explained row): feature and SHAP value."""
+    write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], _dependence_rows(results))
 
-    def rows():
-        for name, result in results.items():
-            stamps = [[format_timestamp(t) for t in w.explained.timestamps.tolist()] for w in result.windows]
-            for j, feat in enumerate(result.feature_names):
-                for i, (w, ts) in enumerate(zip(result.windows, stamps)):
-                    for t, x, phi in zip(ts, w.explained.X[:, j].tolist(), w.explanation.phi[:, j].tolist()):
-                        yield name, i, t, feat, x, phi
 
-    write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], rows())
+def _dependence_rows(results: dict[str, PeriodResult]):
+    """Every feature of a period shares its explained rows, so each timestamp
+    is formatted once per period."""
+    for name, result in results.items():
+        stamps = [[format_timestamp(t) for t in w.explained.timestamps.tolist()] for w in result.windows]
+        for j, feat in enumerate(result.feature_names):
+            for i, (w, ts) in enumerate(zip(result.windows, stamps)):
+                for t, x, phi in zip(ts, w.explained.X[:, j].tolist(), w.explanation.phi[:, j].tolist()):
+                    yield name, i, t, feat, x, phi
 
 
 def window_metrics(result: PeriodResult) -> list[dict]:

@@ -10,7 +10,7 @@ constants; only the layer sizes and the epoch budget are settings.
 
 There is one forward pass, _forward, and it does its arithmetic in buffers
 kept in a dict its caller owns: predict_mlp's caller for one explanation (or
-one period), fit_mlp and grad_check for one call. KernelSHAP predicts
+one window), fit_mlp and grad_check for one call. KernelSHAP predicts
 thousands of times on up to 65,536 rows; fresh arrays that large would be
 mapped and page-faulted in again on every call.
 """

@@ -343,9 +343,9 @@ def explain_dataset(
         raise ValueError("X must be 2D")
     if bg.n_features != X.shape[1]:
         raise ValueError(f"background has {bg.n_features} columns, X has {X.shape[1]}")
-    # The one branch on the model kind. The predict functions are looked up
-    # here, at call time, so a profiler that rebinds these module names sees
-    # each call.
+    # One of the two branches on the model kind (experiment.run_window has
+    # the other). The predict functions are looked up here, at call time, so
+    # a profiler that rebinds these module names sees each call.
     if method == "tree":
         if not isinstance(model, TreeEnsemble):
             raise ValueError("tree method requires a TreeEnsemble")

@@ -402,6 +402,26 @@ def test_list_entry_out_of_range_exits_1_before_inputs_are_read(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "hours, resample_hours, message",
+    [
+        ([1, 0.25], None,
+         "inputs[1].resolution_hours must equal inputs[0]'s 1 when features.resample_hours is null, got 0.25"),
+        ([1], 1.5, "features.resample_hours must be a multiple of inputs[0].resolution_hours 1, got 1.5"),
+    ],
+    ids=["mixed resolutions", "block off the input grid"],
+)
+def test_unjoinable_grids_exit_1_before_inputs_are_read(tmp_path, capsys, hours, resample_hours, message):
+    # align_join and resample_mean would refuse these grids only after every input was read
+    path = market_config(tmp_path)
+    raw = json.loads(path.read_text())
+    raw["inputs"] = [{"path": str(tmp_path / f"absent{i}.csv"), "resolution_hours": h} for i, h in enumerate(hours)]
+    raw["features"]["resample_hours"] = resample_hours
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    assert last_error_record(capsys) == {"error": "ConfigError", "message": message}
+
+
 def test_mixed_price_alpha_above_percent_range_warns_at_load(tmp_path):
     path = config_with(tmp_path, ("features", "mixed_prices", 0, "alpha"), 0.5)
     with pytest.warns(RuntimeWarning, match="alpha=0.5"):
@@ -590,7 +610,7 @@ def test_cmd_run_byte_identical_outputs(tmp_path):
 
 
 def test_main_exit_codes(tmp_path):
-    assert main(["synth", "--out", str(tmp_path / "s"), "--rows", "500"]) == 0
+    assert main(["synth", "--out", str(tmp_path / "s"), "--rows", "960"]) == 0
     missing = main(["run", "--config", str(tmp_path / "nope.json")])
     assert missing == 1
 
@@ -603,9 +623,13 @@ def test_synth_negative_seed_exits_1_naming_the_seed(tmp_path, capsys):
 
 
 def test_failing_synth_leaves_no_directory_behind(tmp_path, capsys):
+    # 960 rows is the protocol's floor: half-period windows of MIN_BLOCKS
+    # blocks of BLOCK_DAYS hourly days, so one row fewer leaves a window short
     out = tmp_path / "fresh" / "sub"
-    assert main(["synth", "--out", str(out), "--rows", "200"]) == 1
-    assert last_error_record(capsys)["message"] == "n_rows_per_period must be >= 500, got 200"
+    assert main(["synth", "--out", str(out), "--rows", "959"]) == 1
+    assert last_error_record(capsys)["message"] == (
+        "--rows must be >= 960, so each half-period window spans 5 blocks of 4 days, got 959"
+    )
     assert not (tmp_path / "fresh").exists()
 
 
@@ -727,13 +751,17 @@ def test_hourly_inputs_that_start_at_different_hours_join_after_resampling(tmp_p
 
 
 def test_one_window_run(tmp_path):
+    # one window covers the first half of each period and gives no spread, so
+    # no delta can be judged against it: nothing is flagged, not even the
+    # flipped x1 and x2, where zero spreads would flag the noise feature x3
     config_path = cmd_synth(tmp_path, n_rows=960, seed=3)
     assert main(["run", "--config", str(config_path), "--set", "windows.n_windows=1",
                  "--set", "model.gbt.n_trees=10", "--set", "shap.background_size=10"]) == 0
-    metrics = json.loads((tmp_path / "run_output" / "manifest.json").read_text())["metrics"]
+    manifest = json.loads((tmp_path / "run_output" / "manifest.json").read_text())
     for period in ("before", "after"):
-        assert [m["window"] for m in metrics[period]] == [0]
-        assert metrics[period][0]["n_train"] + metrics[period][0]["n_test"] == 480
+        assert [m["window"] for m in manifest["metrics"][period]] == [0]
+        assert manifest["metrics"][period][0]["n_train"] + manifest["metrics"][period][0]["n_test"] == 480
+    assert manifest["flagged_features"] == []
 
 
 def test_run_on_a_grid_whose_step_does_not_divide_a_day_exits_1(tmp_path, capsys):

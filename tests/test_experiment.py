@@ -1,4 +1,5 @@
 import csv
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from regime_xai.experiment import (
     compare_periods,
     make_windows,
     run_period,
+    run_window,
     split_blocks,
     window_metrics,
     write_comparison_csv,
@@ -153,6 +155,26 @@ def test_split_blocks_integrity(n_blocks, extra, rows_per_day, seed):
 
 
 # ------------------------------------------------------------------ run_period
+
+
+@pytest.mark.parametrize("model", [GBT, MLP], ids=["gbt", "mlp"])
+def test_run_window_matches_run_period(model):
+    # a window's result depends only on the data, its rows, its index and the
+    # seed, so a window run alone, in any order, gives run_period's bits, and
+    # run_window pickles by reference: what a process pool relies on
+    fm, _ = synth_regime(960, seed=17)
+    windows = WindowConfig(n_windows=3)
+    result = run_period(fm, period_for(fm), model, windows, SHAP, seed=4)
+    spans = make_windows(len(fm), windows.n_windows)
+    for w in (2, 0):
+        alone = run_window(fm, spans[w], w, 24, model, windows, SHAP, seed=4)
+        in_period = result.windows[w]
+        np.testing.assert_array_equal(alone.explanation.phi, in_period.explanation.phi)
+        np.testing.assert_array_equal(alone.importance.fi, in_period.importance.fi)
+        np.testing.assert_array_equal(alone.split.train_indices, in_period.split.train_indices)
+        np.testing.assert_array_equal(alone.split.test_indices, in_period.split.test_indices)
+        assert (alone.test_mse, alone.test_r2) == (in_period.test_mse, in_period.test_r2)
+    assert pickle.loads(pickle.dumps(run_window)) is run_window
 
 
 def test_run_period_recovers_synthetic_ground_truth():

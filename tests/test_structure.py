@@ -258,12 +258,12 @@ def _chooses_model_kind(node: ast.AST) -> bool:
 
 
 def test_the_model_kind_is_chosen_in_two_places():
-    # experiment.run_period picks how a window's model is fitted and
+    # experiment.run_window picks how a window's model is fitted and
     # predicted, and shap.explain_dataset picks the engine and the predict
     # function it explains; no other code branches on the kind of model.
     # gbt.py and mlp.py define the functions, and the verify checks in cli.py
     # build models of a known kind.
-    allowed = {("experiment.py", "run_period"), ("shap.py", "explain_dataset")}
+    allowed = {("experiment.py", "run_window"), ("shap.py", "explain_dataset")}
     found = []
     for name, tree in _package_trees().items():
         if name in ("gbt.py", "mlp.py"):

@@ -591,6 +591,12 @@ def test_resample_mean_rejects_non_multiple():
         resample_mean(t, 6 * 3600, 0)
 
 
+def test_resample_mean_names_a_block_off_the_grid():
+    # a library caller gets the error the config loader gives at load
+    with pytest.raises(TimeSeriesError, match=re.escape("block of 1.5h is not a positive multiple of the 1h resolution")):
+        resample_mean(hourly_table({"v": np.arange(8.0)}), 5400, 0)
+
+
 @given(st.integers(1, 6), st.integers(0, 7))
 @settings(max_examples=30, deadline=None)
 def test_resample_mean_idempotent_for_same_block(blocks, extra):
@@ -665,6 +671,14 @@ def test_mixed_price_direct_formula():
 
 
 # ---------------------------------------------------------------- align_join
+
+
+def test_align_join_refuses_mixed_resolutions():
+    # a library caller gets the error the config loader gives at load
+    hourly = hourly_table({"f1": np.arange(8.0)})
+    quarter = TimeTable(T0, 900, 32, {"tgt": np.arange(32.0)})
+    with pytest.raises(TimeSeriesError, match=re.escape("tables have mixed resolutions: 0.25h, 1h")):
+        align_join([hourly, quarter], ["f1"], "tgt", *EVER)
 
 
 def test_align_join_identical_timestamps():
