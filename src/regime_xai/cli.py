@@ -160,9 +160,7 @@ def cmd_run(config: RunConfig) -> dict:
         period_seeds[name] = derive_seed(config.seed, index)
         log.info("fitting %s models for period %s", config.model.kind, name)
         try:
-            results[name] = run_period(
-                frames[name], config.periods[name], config.model, config.windows, config.shap, period_seeds[name]
-            )
+            results[name] = run_period(frames[name], config.model, config.windows, config.shap, period_seeds[name])
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"{name}: {exc}") from exc
         if results[name].degenerate_windows:

@@ -4,6 +4,8 @@ The whole file is read by one function, _dataclass_from, which builds
 RunConfig and, through the type hints of its fields, every section and
 period: each value is checked once, at load, against the type its dataclass
 field declares, and each range rule lives in its dataclass's __post_init__.
+A period is a PeriodSpec, whose bounds only the feature join reads; the
+experiment takes the rows the join kept.
 Unknown and repeated keys anywhere in the file are hard errors so typos never
 silently fall back to defaults. Relative input paths and the output directory
 are resolved against the directory containing the config file.
@@ -20,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from regime_xai.experiment import ModelConfig, PeriodSpec, ShapConfig, WindowConfig
+from regime_xai.experiment import ModelConfig, ShapConfig, WindowConfig
 from regime_xai.timeseries import Instant, format_timestamp, parse_timestamp
 
 PERIODS = ("before", "after")  # the two periods a run compares, in time order
@@ -103,6 +105,20 @@ class FeatureConfig:
                 raise ValueError(f"columns: target column {name!r} is also a feature")
         if self.resample_hours is not None:
             _check_grid_step("resample_hours", self.resample_hours)
+
+
+@dataclass(frozen=True)
+class PeriodSpec:
+    """Half-open interval [start, end) of UTC epoch seconds; the run config
+    keys each period by its name, and the join that builds the period's
+    feature matrix keeps the rows inside it."""
+
+    start: Instant
+    end: Instant
+
+    def __post_init__(self):
+        if self.start >= self.end:
+            raise ValueError(f"end must be after start {format_timestamp(self.start)}, got {format_timestamp(self.end)}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Protocol orchestration: sliding windows per regime period, block-wise
 train/test splits, model fitting, explanation, and before/after comparison.
 
-Each period gets n_windows overlapping windows (six by default) covering
-half the period each, and run_period runs each by one run_window call.
+A period is the rows of its feature matrix, in strictly increasing time;
+the run config holds its bounds, and the join that builds the matrix keeps
+only the rows inside them. Each period gets n_windows overlapping windows
+(six by default) covering half the period each, and run_period runs each by
+one run_window call.
 Within a window the test set is a random 20% of consecutive blocks of
 BLOCK_DAYS days; a model is fitted on the remaining rows and explained on the
 test rows. Window width and block length are fixed terms of the protocol, not
@@ -25,24 +28,11 @@ from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, Instant, TimeSeriesError, format_timestamp, rows_per_day, write_csv
+from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamp, rows_per_day, write_csv
 
 
 BLOCK_DAYS = 4  # days per test block: whole days, so a block holds every hour of the day
 MIN_BLOCKS = 5  # whole blocks a window must span, so train and test both hold whole blocks
-
-
-@dataclass(frozen=True)
-class PeriodSpec:
-    """Half-open interval [start, end) of UTC epoch seconds; the run config
-    keys each period by its name."""
-
-    start: Instant
-    end: Instant
-
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"end must be after start {format_timestamp(self.start)}, got {format_timestamp(self.end)}")
 
 
 @dataclass(frozen=True)
@@ -218,30 +208,14 @@ def run_window(
     return WindowResult(plan, explanation, explain, importance, test_mse=mse, test_r2=r2)
 
 
-def run_period(
-    data: FeatureMatrix,
-    period: PeriodSpec,
-    model: ModelConfig,
-    windows: WindowConfig,
-    shap: ShapConfig,
-    seed: int,
-) -> PeriodResult:
-    """Fit, explain and score one model per sliding window of the period,
-    each by run_window. data holds the period's rows only; a row outside
-    period is an error. The caller, which knows the period's name, adds it to
-    a window's failure. A period too short for the protocol is a
-    TimeSeriesError."""
-    if len(data) == 0:
-        raise ValueError("no rows fall inside the period")
-    ts = data.timestamps
-    outside = np.flatnonzero((ts < period.start) | (ts >= period.end))
-    if outside.size:
-        raise ValueError(f"row at {format_timestamp(ts[outside[0]])} lies outside the period")
-    if len(ts) < 2:
-        raise TimeSeriesError("need at least two rows to infer the resolution")
-    # the smallest step is the resolution: rows dropped by the join leave wider ones
-    per_day = rows_per_day(int(np.diff(ts).min()))
+def run_period(data: FeatureMatrix, model: ModelConfig, windows: WindowConfig, shap: ShapConfig, seed: int) -> PeriodResult:
+    """Fit, explain and score one model per sliding window of the period
+    whose rows data holds, each by run_window. The caller, which knows the
+    period's name, adds it to a window's failure. A period too short for the
+    protocol is a TimeSeriesError."""
     spans = enumerate(make_windows(len(data), windows.n_windows))
+    # the smallest step is the resolution: rows dropped by the join leave wider ones
+    per_day = rows_per_day(int(np.diff(data.timestamps).min()))
     results = tuple(run_window(data, window, w, per_day, model, windows, shap, seed) for w, window in spans)
     return PeriodResult(feature_names=data.feature_names, windows=results)
 

@@ -62,14 +62,9 @@ class GbtParams:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
 
 
-def _eval_tree(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Vectorized tree evaluation; boundary x[feature] == threshold goes left."""
-    out = np.empty(X.shape[0])
-    _eval_into(node, X, np.arange(X.shape[0]), out)
-    return out
-
-
 def _eval_into(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """out[idx] = the tree's output on rows idx of X; boundary x[feature] ==
+    threshold goes left."""
     if node.is_leaf:
         out[idx] = node.value
         return
@@ -164,7 +159,9 @@ def predict_gbt(model: TreeEnsemble, X) -> np.ndarray:
             f"X has {X.shape[1] if X.ndim == 2 else 'bad'} columns, model expects {model.n_features}"
         )
     out = np.full(X.shape[0], model.base_score)
+    rows, leaf = np.arange(X.shape[0]), np.empty(X.shape[0])
     for tree in model.trees:
-        out += model.learning_rate * _eval_tree(tree, X)
+        _eval_into(tree, X, rows, leaf)
+        out += model.learning_rate * leaf
     return out
 

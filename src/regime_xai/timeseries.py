@@ -107,7 +107,8 @@ class TimeTable:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Model-ready matrix: one row per retained timestamp, every cell finite."""
+    """Model-ready matrix: one row per retained timestamp, in strictly
+    increasing time, every cell finite."""
 
     feature_names: tuple[str, ...]
     X: np.ndarray
@@ -128,6 +129,11 @@ class FeatureMatrix:
             raise TimeSeriesError("X, y and timestamps must have equal row counts")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise TimeSeriesError("feature matrix must not contain missing or infinite values")
+        if (bad := np.flatnonzero(np.diff(ts) <= 0)).size:
+            i = int(bad[0]) + 1
+            raise TimeSeriesError(
+                f"timestamps must increase: row {i} at {format_timestamp(ts[i])} follows {format_timestamp(ts[i - 1])}"
+            )
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "timestamps", ts)

@@ -14,7 +14,6 @@ from regime_xai.config import load_config
 from regime_xai.experiment import (
     BLOCK_DAYS,
     ModelConfig,
-    PeriodSpec,
     ShapConfig,
     WindowConfig,
     compare_periods,
@@ -52,10 +51,6 @@ def random_net(rng, n_features, hidden=(8, 6), seed=0):
     X = rng.standard_normal((60, n_features))
     y = rng.standard_normal(60)
     return initial_net(matrix(X, y), MlpParams(hidden_sizes=hidden), seed=seed)
-
-
-def period_for(fm):
-    return PeriodSpec(int(fm.timestamps[0]), int(fm.timestamps[-1]) + 3600)
 
 
 def report(n, detail):
@@ -222,8 +217,8 @@ def test_c07_synthetic_regime_shift_reproduction(kind):
     hits = 0
     for seed in range(10):
         before_fm, after_fm = synth_regime(960, seed=derive_seed(seed, 100))
-        before = run_period(before_fm, period_for(before_fm), *protocol, derive_seed(seed, 0))
-        after = run_period(after_fm, period_for(after_fm), *protocol, derive_seed(seed, 1))
+        before = run_period(before_fm, *protocol, derive_seed(seed, 0))
+        after = run_period(after_fm, *protocol, derive_seed(seed, 1))
         hits += _regime_flip_detected(compare_periods(before, after))
     elapsed = time.perf_counter() - start
     assert hits >= 9

@@ -835,7 +835,7 @@ def test_derived_column_never_replaces_a_column(tmp_path, capsys, kind, spec, na
         ("periods.before.end=2018-01-21T00:00:00Z",
          "before: window 0: window of 240 rows spans only 2 blocks of 96 rows; need at least 5"),
         ("windows.n_windows=2000", "before: period too short: 960 rows for 2000 windows"),
-        ("periods.before.end=2018-01-01T01:00:00Z", "before: need at least two rows to infer the resolution"),
+        ("periods.before.end=2018-01-01T01:00:00Z", "before: period too short: 1 rows for 6 windows"),
     ],
 )
 def test_period_too_short_for_the_protocol_exits_1_naming_it(tmp_path, capsys, assignment, message):

@@ -11,7 +11,6 @@ from regime_xai.experiment import (
     BLOCK_DAYS,
     ModelConfig,
     PeriodResult,
-    PeriodSpec,
     RegimeComparison,
     ShapConfig,
     SplitPlan,
@@ -31,11 +30,7 @@ from regime_xai.gbt import GbtParams
 from regime_xai.mlp import MlpNet, MlpParams
 from regime_xai.cli import write_feature_csv
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, format_timestamp, parse_timestamp, synth_regime
-
-
-def period_for(fm: FeatureMatrix):
-    return PeriodSpec(int(fm.timestamps[0]), int(fm.timestamps[-1]) + 3600)
+from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamp, parse_timestamp, synth_regime
 
 
 GBT = ModelConfig(
@@ -164,7 +159,7 @@ def test_run_window_matches_run_period(model):
     # run_window pickles by reference: what a process pool relies on
     fm, _ = synth_regime(960, seed=17)
     windows = WindowConfig(n_windows=3)
-    result = run_period(fm, period_for(fm), model, windows, SHAP, seed=4)
+    result = run_period(fm, model, windows, SHAP, seed=4)
     spans = make_windows(len(fm), windows.n_windows)
     for w in (2, 0):
         alone = run_window(fm, spans[w], w, 24, model, windows, SHAP, seed=4)
@@ -179,7 +174,7 @@ def test_run_window_matches_run_period(model):
 
 def test_run_period_recovers_synthetic_ground_truth():
     fm, _ = synth_regime(960, seed=0)
-    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=1)
+    result = run_period(fm, GBT, WINDOWS, SHAP, seed=1)
     names = result.feature_names
     assert names == ("x1", "x2", "x3")
     for w in result.windows:
@@ -195,16 +190,15 @@ def test_run_period_takes_every_train_row_as_background_when_they_are_fewer(back
     # attributions that average to zero: mean f(x) - phi0 = 0
     fm, _ = synth_regime(960, seed=4)
     windows, shap = WindowConfig(n_windows=2), ShapConfig(background_size, explain_on="train")
-    result = run_period(fm, period_for(fm), GBT, windows, shap, seed=2)
+    result = run_period(fm, GBT, windows, shap, seed=2)
     for w in result.windows:
         assert (abs(w.explanation.phi.sum(axis=1).mean()) < 1e-9) == centred
 
 
 def test_run_period_deterministic():
     fm, _ = synth_regime(960, seed=3)
-    spec = period_for(fm)
-    r1 = run_period(fm, spec, GBT, WINDOWS, SHAP, seed=9)
-    r2 = run_period(fm, spec, GBT, WINDOWS, SHAP, seed=9)
+    r1 = run_period(fm, GBT, WINDOWS, SHAP, seed=9)
+    r2 = run_period(fm, GBT, WINDOWS, SHAP, seed=9)
     for a, b in zip(r1.windows, r2.windows):
         np.testing.assert_array_equal(a.importance.fi, b.importance.fi)
         np.testing.assert_array_equal(a.explanation.phi, b.explanation.phi)
@@ -217,7 +211,7 @@ def test_run_period_constant_target_degenerate_but_completes():
     ts = parse_timestamp("2020-01-01T00:00:00Z") + 3600 * np.arange(n)
     X = np.random.default_rng(0).uniform(-1, 1, size=(n, 3))
     fm = FeatureMatrix(("x1", "x2", "x3"), X, np.full(n, 2.0), ts)
-    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=0)
+    result = run_period(fm, GBT, WINDOWS, SHAP, seed=0)
     assert result.degenerate_windows == (0, 1, 2, 3, 4, 5)
     assert all(np.isnan(w.test_r2) for w in result.windows)
 
@@ -226,22 +220,20 @@ def test_run_period_annotates_window_errors():
     fm, _ = synth_regime(960, seed=4)
     short = fm.take(np.arange(600))  # windows of 300 rows span 3 four-day blocks
     with pytest.raises(ValueError, match="window 0: window of 300 rows spans only 3 blocks"):
-        run_period(short, period_for(short), GBT, WINDOWS, ShapConfig(), seed=0)
+        run_period(short, GBT, WINDOWS, ShapConfig(), seed=0)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_run_period_refuses_a_period_too_short_for_its_windows(n_rows):
+    fm, _ = synth_regime(960, seed=5)
+    with pytest.raises(TimeSeriesError, match=f"period too short: {n_rows} rows for 6 windows"):
+        run_period(fm.take(np.arange(n_rows)), GBT, WINDOWS, SHAP, seed=0)
 
 
 def test_run_period_rejects_unknown_kind():
     # run_period takes a ModelConfig, which cannot hold an unknown kind
     with pytest.raises(ValueError, match="kind: expected one of \\['gbt', 'mlp'\\], got 'boost'"):
         ModelConfig("boost")
-
-
-def test_run_period_rejects_row_outside_period():
-    fm, _ = synth_regime(960, seed=5)
-    spec = period_for(fm)
-    short = PeriodSpec(spec.start, int(fm.timestamps[-1]))
-    last = format_timestamp(fm.timestamps[-1])
-    with pytest.raises(ValueError, match=f"row at {last} lies outside the period"):
-        run_period(fm, short, GBT, WINDOWS, SHAP, seed=0)
 
 
 def test_run_period_rejects_non_finite_predictions_before_explaining(monkeypatch):
@@ -253,7 +245,7 @@ def test_run_period_rejects_non_finite_predictions_before_explaining(monkeypatch
     fm, _ = synth_regime(960, seed=5)
     model = ModelConfig("mlp", mlp=MlpParams(hidden_sizes=(4,), max_epochs=1))
     with pytest.raises(ValueError, match="window 0: non-finite prediction for test row 0"):
-        run_period(fm, period_for(fm), model, WINDOWS, ShapConfig(background_size=10), seed=0)
+        run_period(fm, model, WINDOWS, ShapConfig(background_size=10), seed=0)
 
 
 def test_run_period_blocks_span_four_days_when_second_row_is_missing():
@@ -261,7 +253,7 @@ def test_run_period_blocks_span_four_days_when_second_row_is_missing():
     # read as 1 h, so every test block is 4 days of 24 rows.
     fm, _ = synth_regime(1200, seed=0)
     gapped = fm.take(np.delete(np.arange(len(fm)), 1))
-    result = run_period(gapped, period_for(gapped), GBT, WINDOWS, SHAP, seed=0)
+    result = run_period(gapped, GBT, WINDOWS, SHAP, seed=0)
     windows = make_windows(len(gapped), WINDOWS.n_windows)
     for window, w in zip(windows, result.windows):
         _, sizes = np.unique((w.split.test_indices - window.start) // 96, return_counts=True)
@@ -270,7 +262,7 @@ def test_run_period_blocks_span_four_days_when_second_row_is_missing():
 
 def test_run_period_mlp_kernel_path():
     fm, _ = synth_regime(960, seed=7)
-    result = run_period(fm, period_for(fm), MLP, WINDOWS, SHAP, seed=3)
+    result = run_period(fm, MLP, WINDOWS, SHAP, seed=3)
     for w in result.windows:
         fi = w.importance.fi
         assert fi[0] > fi[1] > fi[2]
@@ -282,7 +274,7 @@ def test_run_period_mlp_kernel_path():
 
 def test_compare_identical_periods_no_flags():
     fm, _ = synth_regime(960, seed=8)
-    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=4)
+    result = run_period(fm, GBT, WINDOWS, SHAP, seed=4)
     cmp = compare_periods(result, result)
     np.testing.assert_array_equal(cmp.delta, np.zeros(3))
     assert not cmp.flagged.any()
@@ -293,8 +285,8 @@ def test_compare_identical_periods_no_flags():
 
 def test_compare_synth_regimes_flags_flip():
     before_fm, after_fm = synth_regime(960, seed=9)
-    before = run_period(before_fm, period_for(before_fm), GBT, WINDOWS, SHAP, seed=5)
-    after = run_period(after_fm, period_for(after_fm), GBT, WINDOWS, SHAP, seed=6)
+    before = run_period(before_fm, GBT, WINDOWS, SHAP, seed=5)
+    after = run_period(after_fm, GBT, WINDOWS, SHAP, seed=6)
     cmp = compare_periods(before, after)
     i1, i2, i3 = (cmp.feature_names.index(f) for f in ("x1", "x2", "x3"))
     assert cmp.flagged[i1] and cmp.flagged[i2]
@@ -305,7 +297,7 @@ def test_compare_synth_regimes_flags_flip():
 
 def test_compare_rejects_feature_mismatch():
     fm, _ = synth_regime(960, seed=10)
-    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=7)
+    result = run_period(fm, GBT, WINDOWS, SHAP, seed=7)
     other = PeriodResult(feature_names=("a", "b", "c"), windows=result.windows)
     with pytest.raises(ValueError, match="differ"):
         compare_periods(result, other)
@@ -373,7 +365,7 @@ def test_dependence_profile_of_fitted_model_tracks_coefficient(tmp_path):
     # On period A (target 3*x1 + x2 + noise) the x1 dependence profile of a
     # fitted tree model must rise with x1 and do so ~3x as steeply as x2's.
     fm, _ = synth_regime(960, seed=15)
-    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=11)
+    result = run_period(fm, GBT, WINDOWS, SHAP, seed=11)
     slopes = {}
     for feat in ("x1", "x2"):
         table = dependence_columns(tmp_path, result, feat)
@@ -403,7 +395,7 @@ def test_dependence_rows_are_each_windows_explained_rows(tmp_path):
     # dependence.csv, importance.csv and the manifest's metrics number the
     # windows alike.
     fm, _ = synth_regime(960, seed=16)
-    result = run_period(fm, period_for(fm), GBT, WindowConfig(n_windows=2), SHAP, seed=12)
+    result = run_period(fm, GBT, WindowConfig(n_windows=2), SHAP, seed=12)
     first, second = (w.explained.timestamps.tolist() for w in result.windows)
     assert set(first).isdisjoint(second)
 
@@ -430,8 +422,8 @@ def test_dependence_rows_are_each_windows_explained_rows(tmp_path):
 
 def test_export_csvs(tmp_path):
     before_fm, after_fm = synth_regime(960, seed=13)
-    before = run_period(before_fm, period_for(before_fm), GBT, WINDOWS, SHAP, seed=8)
-    after = run_period(after_fm, period_for(after_fm), GBT, WINDOWS, SHAP, seed=9)
+    before = run_period(before_fm, GBT, WINDOWS, SHAP, seed=8)
+    after = run_period(after_fm, GBT, WINDOWS, SHAP, seed=9)
     results = {"before": before, "after": after}
 
     imp = tmp_path / "importance.csv"
@@ -518,7 +510,7 @@ def test_export_text_is_pinned(tmp_path):
 
 def test_window_metrics_json_safe():
     fm, _ = synth_regime(960, seed=14)
-    result = run_period(fm, period_for(fm), GBT, WINDOWS, SHAP, seed=10)
+    result = run_period(fm, GBT, WINDOWS, SHAP, seed=10)
     metrics = window_metrics(result)
     assert len(metrics) == 6
     assert all(m["n_train"] + m["n_test"] == 480 for m in metrics)

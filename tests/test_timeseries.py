@@ -800,3 +800,17 @@ def test_feature_matrix_rejects_infinity(bad):
     (X if bad == "X" else y)[1] = -np.inf
     with pytest.raises(TimeSeriesError, match="infinite"):
         FeatureMatrix(("a",), X, y, np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "hours, message",
+    [
+        ([3, 2, 1, 0], "row 1 at 2020-01-01T02:00:00Z follows 2020-01-01T03:00:00Z"),
+        ([0, 1, 2, 2, 3], "row 3 at 2020-01-01T02:00:00Z follows 2020-01-01T02:00:00Z"),
+    ],
+    ids=["reversed", "repeated stamp"],
+)
+def test_feature_matrix_rejects_rows_out_of_time_order(hours, message):
+    ts = T0 + 3600 * np.array(hours)
+    with pytest.raises(TimeSeriesError, match=f"timestamps must increase: {message}"):
+        FeatureMatrix(("a",), np.zeros((len(ts), 1)), np.zeros(len(ts)), ts)
