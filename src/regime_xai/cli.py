@@ -59,12 +59,15 @@ log = logging.getLogger("regime_xai")
 # ------------------------------------------------------------ feature builds
 
 
-def _add_derived(tables: list, i: int, name: str, series) -> None:
-    """Add the derived column name to tables[i]; a name any table already
-    holds (an input or an earlier derived column) is an error, not replaced."""
+def _derive_column(tables: list, name: str, sources: list[str], formula) -> None:
+    """Add column name, formula(step_seconds, *source columns), to the one
+    table that holds every source; a name any table already holds (an input
+    or an earlier derived column) is an error, not replaced."""
+    i = owning_table(tables, sources)
     if any(name in t.columns for t in tables):
         raise TimeSeriesError(f"derived column {name!r} would replace an existing column of that name")
-    tables[i] = with_column(tables[i], name, series)
+    t = tables[i]
+    tables[i] = with_column(t, name, formula(t.step_seconds, *(t.columns[s] for s in sources)))
 
 
 def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
@@ -82,26 +85,14 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
             listed = ", ".join(f"{path} +{phase / 3600:g}h" for phase, path in phases.items())
             raise TimeSeriesError(f"inputs at the {block / 3600:g}h block step start off the UTC clock by different offsets: {listed}")
         origin = next(iter(phases), 0)
-        tables = [t if t.step_seconds == block else resample_mean(t, block, origin) for t in tables]
+        tables = [resample_mean(t, block, origin) for t in tables]
 
     for spec in config.features.residual_loads:
-        i = owning_table(tables, [spec.load, spec.wind, spec.solar, spec.ror])
-        t = tables[i]
-        series = residual_load(
-            t.columns[spec.load],
-            t.columns[spec.wind],
-            t.columns[spec.solar],
-            t.columns[spec.ror],
-            ror_lag_days=spec.ror_lag_days,
-            samples_per_day=rows_per_day(t.step_seconds),
-        )
-        _add_derived(tables, i, spec.name, series)
-
+        _derive_column(tables, spec.name, [spec.load, spec.wind, spec.solar, spec.ror], lambda step, *series: (
+            residual_load(*series, ror_lag_days=spec.ror_lag_days, samples_per_day=rows_per_day(step))))
     for spec in config.features.mixed_prices:
-        i = owning_table(tables, [spec.capacity, spec.energy])
-        t = tables[i]
-        series = mixed_price(t.columns[spec.capacity], t.columns[spec.energy], spec.alpha)
-        _add_derived(tables, i, spec.name, series)
+        _derive_column(tables, spec.name, [spec.capacity, spec.energy],
+                       lambda step, capacity, energy: mixed_price(capacity, energy, spec.alpha))
 
     frames: dict[str, FeatureMatrix] = {}
     report = {"periods": {}, "columns": list(config.features.columns)}
@@ -222,7 +213,7 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
     boundary = format_timestamp(period_b.timestamps[0])
     config = {
         "inputs": [{"path": "synth_data.csv", "resolution_hours": 1}],
-        "features": {"columns": ["x1", "x2", "x3"], "target": "y"},
+        "features": {"columns": list(period_a.feature_names), "target": "y"},
         "periods": {
             "before": {"start": format_timestamp(period_a.timestamps[0]), "end": boundary},
             "after": {"start": boundary, "end": format_timestamp(period_b.timestamps[-1] + 3600)},
@@ -247,22 +238,29 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
 # ---------------------------------------------------------------- self-tests
 
 
+def _matrix(X, y) -> FeatureMatrix:
+    """The matrix of rows X and target y, features f0, f1, ... and stamps 0, 1, ..."""
+    return FeatureMatrix(tuple(f"f{i}" for i in range(X.shape[1])), X, y, np.arange(len(y)))
+
+
+def _exact(predict, rows, bg):
+    """phi (rows x features) and phi0 (one per row) of rows, by the brute-force enumeration."""
+    phi, phi0 = zip(*(exact_shap(predict, x, bg) for x in rows))
+    return np.array(phi), np.array(phi0)
+
+
 def _check_tree_oracle():
     """Compare tree explanations against the brute-force enumeration."""
     rng = np.random.default_rng(101)
     worst = 0.0
-    for seed in range(5):
-        X = rng.uniform(-1, 1, size=(60, 6))
-        y = rng.standard_normal(60)
-        fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), X, y, np.arange(60))
+    for _ in range(5):
+        fm = _matrix(rng.uniform(-1, 1, size=(60, 6)), rng.standard_normal(60))
         model = fit_gbt(fm, GbtParams(n_trees=5, max_depth=3, min_samples_leaf=5, learning_rate=0.3))
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         rows = rng.uniform(-1, 1, size=(10, 6))
         e = explain_dataset(model, rows, bg, method="tree")
-        fn = partial(predict_gbt, model)
-        for x, phi in zip(rows, e.phi):
-            phi_e, phi0_e = exact_shap(fn, x, bg)
-            worst = max(worst, float(np.max(np.abs(phi - phi_e))), abs(e.phi0 - phi0_e))
+        phi_e, phi0_e = _exact(partial(predict_gbt, model), rows, bg)
+        worst = max(worst, float(np.abs(e.phi - phi_e).max()), float(np.abs(e.phi0 - phi0_e).max()))
     return worst < 1e-9, f"max deviation {worst:.2e} (tolerance 1e-9)"
 
 
@@ -274,16 +272,12 @@ def _check_kernel_sampled():
     rng = np.random.default_rng(107)
     X = rng.standard_normal((200, 12))
     y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3:].sum(axis=1) + 0.1 * rng.standard_normal(200)
-    fm = FeatureMatrix(tuple(f"f{i}" for i in range(12)), X, y, np.arange(200))
-    net = fit_mlp(fm, MlpParams(hidden_sizes=(16, 16), max_epochs=30), seed=0)
+    net = fit_mlp(_matrix(X, y), MlpParams(hidden_sizes=(16, 16), max_epochs=30), seed=0)
     bg, rows = Background(X[:5]), X[5:25]
     e = explain_dataset(net, rows, bg, method="kernel")
-    fn = partial(predict_mlp, net, work={})
-    errors = []
-    for x, phi in zip(rows, e.phi):
-        phi_e, _ = exact_shap(fn, x, bg)
-        errors.append(np.abs(phi - phi_e).sum() / np.abs(phi_e).sum())
-    median, worst = float(np.median(errors)), float(max(errors))
+    phi_e, _ = _exact(partial(predict_mlp, net, work={}), rows, bg)
+    errors = np.abs(e.phi - phi_e).sum(axis=1) / np.abs(phi_e).sum(axis=1)
+    median, worst = float(np.median(errors)), float(errors.max())
     return median < 0.0125 and worst < 0.03, (
         f"L1 error over sum |phi_exact|, median {median:.2%}, max {worst:.2%} on 20 rows "
         f"(tolerance 1.25%, 3%)"
@@ -296,8 +290,7 @@ def _check_gradients():
     for seed in range(5):
         X = rng.standard_normal((64, 3))
         y = rng.standard_normal(64)
-        fm = FeatureMatrix(("a", "b", "c"), X, y, np.arange(64))
-        net = initial_net(fm, MlpParams(hidden_sizes=(6, 5)), seed)
+        net = initial_net(_matrix(X, y), MlpParams(hidden_sizes=(6, 5)), seed)
         for _ in range(20):
             X_check = rng.standard_normal((8, 3))
             pre = (X_check - net.x_mean) / net.x_std
@@ -317,7 +310,7 @@ def _check_local_accuracy():
     rng = np.random.default_rng(104)
     X = rng.uniform(-1, 1, size=(150, 5))
     y = X @ rng.normal(size=5) + 0.1 * rng.standard_normal(150)
-    fm = FeatureMatrix(tuple(f"f{i}" for i in range(5)), X, y, np.arange(150))
+    fm = _matrix(X, y)
     bg = Background(rng.uniform(-1, 1, size=(10, 5)))
 
     model = fit_gbt(fm, GbtParams(n_trees=20, max_depth=3, min_samples_leaf=10))

@@ -154,9 +154,9 @@ _EMPTY_CELLS = {"": "nan", "\n": "nan", "\r\n": "nan", "\r": "nan"}  # a line's 
 def load_table(path, step_seconds: int) -> TimeTable:
     """Load a CSV with a `timestamp` first column and numeric series columns.
 
-    Empty cells become NaN; an infinite value is rejected with its line and
-    column. Rows are sorted by timestamp; a duplicate timestamp or a step
-    other than step_seconds is rejected with the later row's line.
+    Empty and `nan` cells become NaN; an infinite value is rejected with its
+    line and column. Rows are sorted; the first step other than step_seconds in
+    time order (a duplicate is a step of 0) is rejected with the later row's line.
 
     After the header the file is read in chunks of _CHUNK_LINES lines, and
     each chunk is parsed in one vectorized pass (_parse_chunk). A chunk that
@@ -214,16 +214,13 @@ def load_table(path, step_seconds: int) -> TimeTable:
         order = np.argsort(ts, kind="stable")
         ts, line_nos, data = ts[order], line_nos[order], data[:, order]
     diffs = np.diff(ts)
-    if np.any(diffs == 0):
-        bad = int(np.argmax(diffs == 0))
+    if (bad := np.flatnonzero(diffs != step_seconds)).size:
+        i = int(bad[0])  # the first fault in time order; a repeated stamp is a step of 0
+        earlier, later = format_timestamp(ts[i]), format_timestamp(ts[i + 1])
+        if diffs[i] == 0:
+            raise ParseError(int(line_nos[i + 1]), f"duplicate timestamp {later} after {earlier}")
         raise ParseError(
-            int(line_nos[bad + 1]), f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
-        )
-    if np.any(diffs != step_seconds):
-        bad = int(np.argmax(diffs != step_seconds))
-        raise ParseError(
-            int(line_nos[bad + 1]), f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
-            f"and {format_timestamp(ts[bad + 1])}, expected {step_seconds / 3600:g}h"
+            int(line_nos[i + 1]), f"observed step {diffs[i] / 3600:g}h between {earlier} and {later}, expected {step_seconds / 3600:g}h"
         )
     return TimeTable(int(ts[0]), step_seconds, len(ts), dict(zip(names, data)))
 
@@ -482,8 +479,8 @@ def synth_regime(n_rows_per_period: int, seed: int) -> tuple[FeatureMatrix, Feat
     x3 never enters the target (dummy feature). Deterministic for a fixed seed.
     """
     n = int(n_rows_per_period)
-    if n < 500:
-        raise TimeSeriesError(f"n_rows_per_period must be >= 500, got {n}")
+    if n < 1:
+        raise TimeSeriesError(f"n_rows_per_period must be >= 1, got {n}")
     if seed < 0:
         raise TimeSeriesError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -401,6 +401,20 @@ def test_config_file_is_read_by_one_reader():
     assert found == []
 
 
+def test_derived_columns_are_added_by_one_helper():
+    # residual loads and mixed prices differ only in their sources and their
+    # formula: one helper finds the input that holds the sources and adds the
+    # column, so only it calls owning_table or with_column in cli.py
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    callers = {
+        (getattr(top, "name", "<module>"), node.func.id)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("owning_table", "with_column")
+    }
+    assert callers == {("_derive_column", "owning_table"), ("_derive_column", "with_column")}
+
+
 def test_every_range_error_of_a_config_section_begins_with_its_field():
     # _dataclass_from reports a range error as path.message, so each message
     # must begin with the name of the field it is about, as in

@@ -110,6 +110,25 @@ def test_load_table_duplicate_timestamp(tmp_path):
         load_table(p, 3600)
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["vectorized pass", "per-row loop"])
+@pytest.mark.parametrize(
+    "hours, message",
+    [
+        ([0, 1, 3, 4, 4],
+         "line 4: observed step 2h between 2020-01-01T01:00:00Z and 2020-01-01T03:00:00Z, expected 1h"),
+        ([0, 1, 1, 2, 4], "line 4: duplicate timestamp 2020-01-01T01:00:00Z after 2020-01-01T01:00:00Z"),
+    ],
+    ids=["gap before a duplicate", "duplicate before a gap"],
+)
+def test_load_table_refuses_the_first_grid_fault_in_time_order(tmp_path, hours, message, quote):
+    # a repeated stamp is a step of 0, so of two faults the earlier one in time is named;
+    # a quoted cell sends the chunk to the per-row loop
+    lines = hourly_lines(hours)
+    lines[1] = lines[1].replace(",0", f",{quote}0{quote}")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -772,8 +791,15 @@ def test_synth_regime_ols_recovers_coefficients():
 
 
 def test_synth_regime_rejects_small_n():
-    with pytest.raises(TimeSeriesError):
-        synth_regime(100, seed=0)
+    with pytest.raises(TimeSeriesError, match="^n_rows_per_period must be >= 1, got 0$"):
+        synth_regime(0, seed=0)
+
+
+def test_synth_regime_sets_no_protocol_floor():
+    # the protocol's floor is the CLI's to enforce (cmd_synth), not the generator's
+    a, b = synth_regime(1, seed=0)
+    assert len(a) == len(b) == 1
+    assert b.timestamps[0] == a.timestamps[0] + 3600
 
 
 def test_synth_regime_periods_are_contiguous():
