@@ -228,9 +228,7 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
         "output_dir": "run_output",
     }
     config_path = out_dir / "synth_config.json"
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2)
-        fh.write("\n")
+    write_manifest(config_path, config)
     log.info("wrote %s and %s", data_path, config_path)
     return config_path
 
@@ -323,52 +321,16 @@ def _check_local_accuracy():
     return worst < 1e-6, f"max |phi0 + sum(phi) - f(x)| = {worst:.2e} (tolerance 1e-6)"
 
 
-def _check_mixed_price():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(100):
-        cap, energy = rng.uniform(-50, 50, size=2)
-        alpha = float(rng.uniform(0, 0.1))
-        got = mixed_price(np.array([cap]), np.array([energy]), alpha)[0]
-        worst = max(worst, abs(got - (cap + alpha * energy)))
-    identity = mixed_price(np.array([12.5]), np.array([999.0]), 0.0)[0]
-    ok = worst == 0.0 and identity == 12.5
-    return ok, f"max deviation {worst:.2e}, alpha=0 identity {'exact' if identity == 12.5 else 'broken'}"
-
-
-def _check_split_integrity():
-    rng = np.random.default_rng(106)
-    for _ in range(50):
-        n_blocks = int(rng.integers(5, 30))
-        rows_per_day = int(rng.choice([1, 6, 24]))
-        rows_per_block = experiment_mod.BLOCK_DAYS * rows_per_day
-        extra = int(rng.integers(0, rows_per_block))
-        window = range(0, n_blocks * rows_per_block + extra)
-        plan = experiment_mod.split_blocks(
-            window, test_fraction=0.2, seed=int(rng.integers(2**31)), rows_per_day=rows_per_day
-        )
-        if np.intersect1d(plan.train_indices, plan.test_indices).size:
-            return False, "train/test overlap"
-        blocks = set(plan.test_indices // rows_per_block)
-        if len(plan.test_indices) != len(blocks) * rows_per_block:
-            return False, "test rows are not whole blocks"
-        if abs(len(blocks) - 0.2 * n_blocks) > 1.0:
-            return False, "test fraction off by more than one block"
-    return True, "50 random windows: whole blocks, disjoint, fraction within one block of 20%"
-
-
 VERIFY_CHECKS = (
     ("tree-oracle equivalence", _check_tree_oracle),
     ("kernel-oracle error (sampled mode)", _check_kernel_sampled),
     ("mlp gradient check", _check_gradients),
     ("local accuracy", _check_local_accuracy),
-    ("mixed price formula", _check_mixed_price),
-    ("block split integrity", _check_split_integrity),
 )
 
 
 def cmd_verify() -> int:
-    """Run the reduced oracle and invariant suites; print one line per check.
+    """Run the engine checks; print one line per check.
     A check that raises fails with the exception, and the rest still run."""
     failures = 0
     for name, check in VERIFY_CHECKS:
@@ -402,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a config value (dotted path, JSON value)")
         p.add_argument("--out", help="override the configured output directory")
 
-    sub.add_parser("verify", help="run the self-check suites")
+    sub.add_parser("verify", help="run the engine checks")
 
     p = sub.add_parser("synth", help="emit a synthetic two-regime dataset and config")
     p.add_argument("--out", default=".", help="directory for the dataset and config")

@@ -415,6 +415,42 @@ def test_derived_columns_are_added_by_one_helper():
     assert callers == {("_derive_column", "owning_table"), ("_derive_column", "with_column")}
 
 
+def _calls_in(tree: ast.Module) -> dict[str, set[str]]:
+    """The names called, as a plain name or an attribute, under each top-level
+    function or class of tree, and under "<module>" by the other statements."""
+    calls: dict[str, set[str]] = {}
+    for top in tree.body:
+        called = calls.setdefault(getattr(top, "name", "<module>"), set())
+        called.update(
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+        )
+    return calls
+
+
+def test_every_verify_check_calls_an_engine():
+    # verify checks the explanation engines on the analyst's numeric stack;
+    # invariants of the features and the split are acceptance criteria, not checks
+    from regime_xai.cli import VERIFY_CHECKS
+
+    calls = _calls_in(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+    engines = {"explain_dataset", "_exact", "exact_shap", "grad_check"}
+    assert [name for name, check in VERIFY_CHECKS if not calls[check.__name__] & engines] == []
+
+
+def test_only_write_manifest_writes_json():
+    # every JSON file the package writes goes through experiment.write_manifest,
+    # so each has the same key order, indentation and final newline
+    writers = [
+        f"{file} {name}"
+        for file, tree in _package_trees().items()
+        for name, called in _calls_in(tree).items()
+        if "dump" in called
+    ]
+    assert writers == ["experiment.py write_manifest"]
+
+
 def test_every_range_error_of_a_config_section_begins_with_its_field():
     # _dataclass_from reports a range error as path.message, so each message
     # must begin with the name of the field it is about, as in

@@ -334,18 +334,17 @@ def reference_load_table(path, step_seconds: int) -> TimeTable:
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     data = data[order]
-    diffs = np.diff(ts)
-    if np.any(diffs == 0):
-        bad = int(np.argmax(diffs == 0))
-        raise ParseError(
-            line_nos[order[bad + 1]], f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
-        )
-    if np.any(diffs != step_seconds):
-        bad = int(np.argmax(diffs != step_seconds))
-        raise ParseError(
-            line_nos[order[bad + 1]], f"observed step {diffs[bad] / 3600:g}h between {format_timestamp(ts[bad])} "
-            f"and {format_timestamp(ts[bad + 1])}, expected {step_seconds / 3600:g}h"
-        )
+    # one scan in time order: the first fault is named, and a repeated stamp is a step of 0
+    for bad, diff in enumerate(np.diff(ts).tolist()):
+        if diff == 0:
+            raise ParseError(
+                line_nos[order[bad + 1]], f"duplicate timestamp {format_timestamp(ts[bad + 1])} after {format_timestamp(ts[bad])}"
+            )
+        if diff != step_seconds:
+            raise ParseError(
+                line_nos[order[bad + 1]], f"observed step {diff / 3600:g}h between {format_timestamp(ts[bad])} "
+                f"and {format_timestamp(ts[bad + 1])}, expected {step_seconds / 3600:g}h"
+            )
     columns = {name: data[:, i].copy() for i, name in enumerate(names)}
     return TimeTable(int(ts[0]), step_seconds, len(ts), columns)
 
@@ -429,6 +428,17 @@ def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line
 
 def hourly_lines(hours) -> list[str]:
     return ["timestamp,v", *(f"{format_timestamp(T0 + 3600 * h)},{h}" for h in hours)]
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["vectorized pass", "per-row loop"])
+@pytest.mark.parametrize("hours", [[0, 1, 3, 4, 4], [0, 1, 1, 3]], ids=["gap first", "duplicate first"])
+def test_the_per_row_oracle_names_the_loaders_grid_fault(tmp_path, hours, quote):
+    # with two grid faults in one file, the oracle and the loader name the same one;
+    # a quoted cell sends the chunk to the per-row loop
+    lines = hourly_lines(hours)
+    lines[1] = lines[1].replace(",0", f",{quote}0{quote}")
+    p = write_csv(tmp_path / "a.csv", lines)
+    assert load_outcome(load_table, p) == load_outcome(reference_load_table, p)
 
 
 # the first chunk holds file lines 2-1025, the 1,024 lines after the header; line 1026 opens the second
