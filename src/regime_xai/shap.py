@@ -9,8 +9,10 @@ of that,
 * explain_dataset's tree engine computes the same numbers for tree
   ensembles without enumeration: for each leaf, a point is encoded by which
   of the leaf's path conditions it meets, and each pair of explained-row and
-  background codes that occurs is a coalition game whose Shapley value has a
-  closed form, so the cost grows with rows plus background rather than their
+  background codes that occurs is a coalition game in which only the path
+  features the pair disagrees on are not null players, so its Shapley values
+  are the enumeration's weights _subset_weights(p + q) for those p + q
+  features; the cost grows with rows plus background rather than their
   product,
 * kernel_shap returns exact_shap's values while its coalition budget covers
   every coalition (n <= 11); above that it solves the weighted least-squares
@@ -161,29 +163,6 @@ def exact_shap(model_fn, x, bg: Background) -> tuple[np.ndarray, float]:
 # ------------------------------------------------------------------ TreeSHAP
 
 
-@lru_cache(maxsize=64)
-def _leaf_coef_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Shapley coefficients for a leaf's coalition game.
-
-    A leaf reached only when p named features are in the coalition and q
-    named features are out behaves as a unanimity-with-veto game. With
-    m = n - p - q free features, the Shapley value of a required-in feature
-    is sum_k C(m,k) w(p-1+k) times the leaf value, and of a required-out
-    feature -sum_k C(m,k) w(p+k) times the leaf value.
-    """
-    w = _subset_weights(n) if n > 0 else np.empty(0)
-    pos = np.zeros((n + 1, n + 1))
-    neg = np.zeros((n + 1, n + 1))
-    for p in range(n + 1):
-        for q in range(n + 1 - p):
-            m = n - p - q
-            if p >= 1:
-                pos[p, q] = sum(math.comb(m, k) * w[p - 1 + k] for k in range(m + 1))
-            if q >= 1:
-                neg[p, q] = sum(math.comb(m, k) * w[p + k] for k in range(m + 1))
-    return pos, neg
-
-
 def _tree_leaves(node: TreeNode, bounds: dict, out: list) -> None:
     """Append (value, features, lo, hi) for every reachable leaf below node.
 
@@ -208,12 +187,15 @@ def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.
     """SHAP values for every row of X under the tree engine.
 
     Each leaf defines, for an explained row x and a background row z, a game
-    in which the path features that x meets and z does not must be in the
-    coalition, the ones z meets and x does not must be out, and the pair is
-    dead when some path feature is met by neither. The game depends only on
-    the u-bit codes saying which path features x and z meet, so the
-    closed-form coefficients are computed once per pair of codes that occur
-    and weighted by how often the background code occurs.
+    in which the p path features that x meets and z does not must be in the
+    coalition, the q ones z meets and x does not must be out, and the pair is
+    dead when some path feature is met by neither. Every other feature is a
+    null player, so the game's Shapley values are those of its p + q players
+    alone, the enumeration's weights _subset_weights(p + q): w(p - 1) of the
+    leaf value for each required-in feature and -w(p) for each required-out
+    one. The game depends only on the u-bit codes saying which path features
+    x and z meet, so the coefficients are looked up once per pair of codes
+    that occur and weighted by how often the background code occurs.
 
     Cost per leaf grows with the number of rows plus background rows, plus
     the distinct (row code, background code) pairs times the leaf's path
@@ -221,28 +203,32 @@ def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.
     """
     if not (np.isfinite(X).all() and np.isfinite(bg.rows).all()):
         raise ValueError("the tree engine needs finite rows and background rows")
-    n = model.n_features
-    pos, neg = _leaf_coef_tables(n)
-    phi = np.zeros((X.shape[0], n))
+    leaves: list = []
     for tree in model.trees:
-        leaves: list = []
         _tree_leaves(tree, {}, leaves)
-        for value, feats, lo, hi in leaves:
-            bit = np.arange(len(feats))
-            place = 1 << bit
-            xv, zv = X[:, feats], bg.rows[:, feats]
-            x_codes, x_inv = np.unique(((xv > lo) & (xv <= hi)) @ place, return_inverse=True)
-            z_codes, z_count = np.unique(((zv > lo) & (zv <= hi)) @ place, return_counts=True)
-            a, b = x_codes[:, None], z_codes[None, :]
-            weight = np.where((a | b) == place.sum(), z_count, 0)
-            # axes (x code, path feature, background code), so that each sum
-            # over background codes runs the same way whatever the batch
-            need_in = ((a & ~b)[:, None, :] >> bit[:, None]) & 1
-            need_out = ((b & ~a)[:, None, :] >> bit[:, None]) & 1
-            p, q = need_in.sum(axis=1), need_out.sum(axis=1)
-            w_in, w_out = weight * pos[p, q], weight * neg[p, q]
-            coef = need_in * w_in[:, None, :] - need_out * w_out[:, None, :]
-            phi[:, feats] += value * coef.sum(axis=2)[x_inv]
+    # w[k, s] = _subset_weights(k)[s] up to the longest leaf path, 0 for s >= k
+    depth = max((len(feats) for _, feats, _, _ in leaves), default=0)
+    w = np.zeros((depth + 1, depth + 1))
+    for k in range(1, depth + 1):
+        w[k, :k] = _subset_weights(k)
+    phi = np.zeros((X.shape[0], model.n_features))
+    for value, feats, lo, hi in leaves:
+        bit = np.arange(len(feats))
+        place = 1 << bit
+        xv, zv = X[:, feats], bg.rows[:, feats]
+        x_codes, x_inv = np.unique(((xv > lo) & (xv <= hi)) @ place, return_inverse=True)
+        z_codes, z_count = np.unique(((zv > lo) & (zv <= hi)) @ place, return_counts=True)
+        a, b = x_codes[:, None], z_codes[None, :]
+        weight = np.where((a | b) == place.sum(), z_count, 0)
+        # axes (x code, path feature, background code), so that each sum
+        # over background codes runs the same way whatever the batch
+        need_in = ((a & ~b)[:, None, :] >> bit[:, None]) & 1
+        need_out = ((b & ~a)[:, None, :] >> bit[:, None]) & 1
+        p, q = need_in.sum(axis=1), need_out.sum(axis=1)
+        # p = 0 reads w[p + q, -1] and q = 0 reads w[p, p]: both 0
+        w_in, w_out = weight * w[p + q, p - 1], weight * w[p + q, p]
+        coef = need_in * w_in[:, None, :] - need_out * w_out[:, None, :]
+        phi[:, feats] += value * coef.sum(axis=2)[x_inv]
     return model.learning_rate * phi / bg.size
 
 

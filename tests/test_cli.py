@@ -536,6 +536,20 @@ def test_cmd_run_end_to_end_on_synth(tmp_path):
     assert manifest["toolkit_version"]
 
 
+def readme_section(title: str) -> str:
+    """The text of README.md's "## title" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"^## {title}\n(.*?)(?=^## )", readme, re.S | re.M).group(1)
+
+
+def test_readme_outputs_names_every_manifest_key(tmp_path):
+    config_path = cmd_synth(tmp_path, n_rows=960, seed=5)
+    manifest = cmd_run(load_config(config_path, overrides=["model.gbt.n_trees=5", "shap.background_size=10"]))
+    keys = set(manifest) | {key for windows in manifest["metrics"].values() for w in windows for key in w}
+    outputs = readme_section("Outputs")
+    assert sorted(key for key in keys if f"`{key}`" not in outputs) == []
+
+
 def test_degenerate_importances_are_logged_once_per_period_naming_it(tmp_path, caplog):
     config_path = cmd_synth(tmp_path, n_rows=960, seed=3)
     data = tmp_path / "synth_data.csv"

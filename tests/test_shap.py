@@ -13,6 +13,7 @@ from regime_xai.shap import (
     LocalAccuracyError,
     SingularSystemError,
     _mask_values,
+    _subset_weights,
     exact_shap,
     explain_dataset,
     feature_importance,
@@ -145,6 +146,24 @@ def test_exact_shap_linearity():
     assert phi0_c == pytest.approx(a * phi0_g + b * phi0_h, abs=1e-9)
 
 
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5) if p + q])
+def test_exact_shap_unanimity_with_veto_game_has_the_weights_of_its_players(p, q):
+    # The game of one tree leaf: the model is 1 only when every column is 1,
+    # the P features are 1 in x and 0 in the background row, the Q features
+    # the other way round, and the m null features 1 in both. So v(S) = 1
+    # iff S holds all of P and none of Q, and the null features leave the
+    # p + q players' Shapley values w(p - 1) and -w(p) of _subset_weights(p + q).
+    fn = lambda X: np.all(X == 1.0, axis=1).astype(float)
+    w = _subset_weights(p + q)
+    players = np.r_[np.full(p, w[p - 1]), np.full(q, -w[p] if q else 0.0)]
+    for m in range(4):
+        x = np.array([1.0] * p + [0.0] * q + [1.0] * m)
+        bg = Background(np.array([[0.0] * p + [1.0] * q + [1.0] * m]))
+        phi, _ = exact_shap(fn, x, bg)
+        np.testing.assert_allclose(phi[: p + q], players, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(phi[p + q :], 0.0)
+
+
 # ------------------------------------------------------------ tree engine
 
 
@@ -219,6 +238,33 @@ def test_tree_shap_repeated_feature_on_path():
         phi_e, phi0_e = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi_t, phi_e, atol=1e-12)
         assert e.phi0 == pytest.approx(phi0_e, abs=1e-12)
+
+
+def reindexed(node, columns):
+    """node with each split's feature j moved to column columns[j]."""
+    if node.is_leaf:
+        return node
+    return TreeNode(
+        feature=columns[node.feature], threshold=node.threshold,
+        left=reindexed(node.left, columns), right=reindexed(node.right, columns),
+    )
+
+
+def test_tree_shap_does_not_depend_on_the_unused_columns():
+    # the same 20 trees on 3 columns and placed among 70: the used columns
+    # get the same bits, the other 67 exactly 0
+    narrow = random_ensemble(50, n_features=3, n_trees=20, max_depth=4, n_rows=200)
+    columns = [5, 33, 68]
+    wide = TreeEnsemble(
+        narrow.base_score, tuple(reindexed(t, columns) for t in narrow.trees), narrow.learning_rate, 70
+    )
+    rng = np.random.default_rng(50)
+    X, bg_rows = rng.uniform(-1, 1, size=(40, 70)), rng.uniform(-1, 1, size=(12, 70))
+    e_narrow = explain_dataset(narrow, X[:, columns], Background(bg_rows[:, columns]), method="tree")
+    e_wide = explain_dataset(wide, X, Background(bg_rows), method="tree")
+    np.testing.assert_array_equal(e_wide.phi[:, columns], e_narrow.phi)
+    assert not np.delete(e_wide.phi, columns, axis=1).any()
+    assert e_wide.phi0 == e_narrow.phi0
 
 
 def tree_depth(node):

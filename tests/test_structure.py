@@ -451,6 +451,18 @@ def test_only_write_manifest_writes_json():
     assert writers == ["experiment.py write_manifest"]
 
 
+def test_only_subset_weights_counts_coalitions():
+    # the Shapley weights come from one table, shap._subset_weights; a second
+    # factorial or binomial sum would be a second table that can drift from it
+    callers = [
+        f"{file} {name}"
+        for file, tree in _package_trees().items()
+        for name, called in _calls_in(tree).items()
+        if called & {"factorial", "comb"}
+    ]
+    assert callers == ["shap.py _subset_weights"]
+
+
 def test_every_range_error_of_a_config_section_begins_with_its_field():
     # _dataclass_from reports a range error as path.message, so each message
     # must begin with the name of the field it is about, as in
