@@ -9,11 +9,12 @@ of that,
 * explain_dataset's tree engine computes the same numbers for tree
   ensembles without enumeration: for each leaf, a point is encoded by which
   of the leaf's path conditions it meets, and each pair of explained-row and
-  background codes that occurs is a coalition game in which only the path
-  features the pair disagrees on are not null players, so its Shapley values
-  are the enumeration's weights _subset_weights(p + q) for those p + q
-  features; the cost grows with rows plus background rather than their
-  product,
+  background codes is a coalition game in which only the path features the
+  pair disagrees on are not null players, so its Shapley values are the
+  enumeration's weights _subset_weights(p + q) for those p + q features.
+  One numpy pass covers all leaves, each path padded to the longest; the
+  cost per leaf grows with rows plus background rows plus the pairs of
+  distinct row and background codes, never more than their product,
 * kernel_shap returns exact_shap's values while its coalition budget covers
   every coalition (n <= 11); above that it solves the weighted least-squares
   formulation over sampled coalitions, with the two known constraints
@@ -183,53 +184,146 @@ def _tree_leaves(node: TreeNode, bounds: dict, out: list) -> None:
             _tree_leaves(child, {**bounds, f: (child_lo, child_hi)}, out)
 
 
+# Leaves, rows and pairs of codes are taken a block at a time, so that no
+# array of the pass holds many more than this many elements (a block holds at
+# least one item). It bounds memory only: every sum runs in the same order
+# whatever the blocks, so it changes no bits.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _blocks(sizes: np.ndarray):
+    """Consecutive slices of range(len(sizes)) whose sizes add up to at most
+    _BLOCK_ELEMENTS, or to one item's size where that alone is more."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK_ELEMENTS, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def _path_codes(columns: np.ndarray, feats: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """codes[leaf, i]: bit k says whether point i, column i of columns (one
+    row per feature), meets the leaf's slot k, in the narrowest signed
+    integer that holds every code."""
+    n_leaf, depth = feats.shape
+    codes = np.empty((n_leaf, columns.shape[1]), np.min_scalar_type(-(1 << depth)))
+    place = (1 << np.arange(depth)).astype(codes.dtype)
+    for points in _blocks(np.full(columns.shape[1], n_leaf * depth)):
+        v = columns[:, points][feats]
+        codes[:, points] = place @ ((v > lo[..., None]) & (v <= hi[..., None]))
+    return codes
+
+
+def _distinct(codes: np.ndarray):
+    """Each leaf's distinct codes, in leaf order and ascending within a leaf:
+    their leaves, codes and counts, and the index of each point's code among
+    them (shaped like codes)."""
+    # a stable sort of 8- or 16-bit integers is a radix sort
+    order = np.argsort(codes, axis=1, kind="stable")
+    order += np.arange(0, codes.size, codes.shape[1])[:, None]
+    sorted_codes = codes.ravel()[order]
+    new = np.ones(codes.shape, bool)
+    new[:, 1:] = sorted_codes[:, 1:] != sorted_codes[:, :-1]
+    first = np.flatnonzero(new)
+    index = np.empty(codes.shape, np.intp)
+    index.ravel()[order] = (np.cumsum(new) - 1).reshape(codes.shape)
+    return first // codes.shape[1], sorted_codes.ravel()[first], np.diff(first, append=codes.size), index
+
+
 def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.ndarray:
     """SHAP values for every row of X under the tree engine.
 
-    Each leaf defines, for an explained row x and a background row z, a game
-    in which the p path features that x meets and z does not must be in the
-    coalition, the q ones z meets and x does not must be out, and the pair is
-    dead when some path feature is met by neither. Every other feature is a
-    null player, so the game's Shapley values are those of its p + q players
-    alone, the enumeration's weights _subset_weights(p + q): w(p - 1) of the
-    leaf value for each required-in feature and -w(p) for each required-out
-    one. The game depends only on the u-bit codes saying which path features
-    x and z meet, so the coefficients are looked up once per pair of codes
-    that occur and weighted by how often the background code occurs.
+    For a leaf and a (row x, background row z) pair, the leaf's value enters
+    a coalition's prediction iff the p path features x meets and z does not
+    are in the coalition, the q ones z meets and x does not are out, and the
+    pair is dead when some path feature is met by neither. Every other
+    feature is a null player, so the game's Shapley values are those of its
+    p + q players alone, the enumeration's weights _subset_weights(p + q):
+    w(p - 1) of the leaf value for each required-in feature and -w(p) for
+    each required-out one. The game depends only on the codes saying which
+    path conditions x and z meet. Every path is padded to the longest, D
+    slots, with (-inf, inf) conditions that every point meets, so a padded
+    slot joins no game, and all leaves go through one pass:
 
-    Cost per leaf grows with the number of rows plus background rows, plus
-    the distinct (row code, background code) pairs times the leaf's path
-    features; it never exceeds rows times background rows times depth.
+    * the background rows and the explained rows are coded, and each leaf's
+      distinct codes are found by sorting, with how often each background
+      code occurs;
+    * each row code that occurs is paired with each background code of its
+      leaf, and the pairs' weighted terms are added up in ascending order of
+      the background code into the leaf value's coefficient per slot;
+    * each explained row reads the coefficients of its codes, and np.add.at
+      adds them to the row's phi one by one in leaf order, so no row's bits
+      depend on the rows beside it or on the blocks.
+
+    Cost per leaf: D comparisons per row and per background row and a sort
+    of their codes, a few integer operations per pair of distinct row and
+    background codes, and D multiply-adds per live pair. The pairs are at
+    most rows times background rows, and at most 4^D, but no table over all
+    2^D codes is built, so deep paths cost no more than the codes that
+    occur. Leaves, rows and pairs go in blocks of about _BLOCK_ELEMENTS
+    array elements.
     """
     if not (np.isfinite(X).all() and np.isfinite(bg.rows).all()):
         raise ValueError("the tree engine needs finite rows and background rows")
     leaves: list = []
     for tree in model.trees:
         _tree_leaves(tree, {}, leaves)
-    # w[k, s] = _subset_weights(k)[s] up to the longest leaf path, 0 for s >= k
-    depth = max((len(feats) for _, feats, _, _ in leaves), default=0)
+    phi = np.zeros(X.shape[0] * model.n_features)
+    if not leaves:
+        return phi.reshape(X.shape[0], model.n_features)
+    values, paths, lows, highs = zip(*leaves)
+    lengths = np.fromiter(map(len, paths), np.intp, len(paths))
+    depth = int(lengths.max())
+    # a padded slot reads feature 0 against (-inf, inf)
+    real = np.arange(depth) < lengths[:, None]
+    feats = np.zeros(real.shape, np.intp)
+    feats[real] = np.concatenate(paths)
+    lo = np.full(real.shape, -np.inf)
+    lo[real] = np.concatenate(lows)
+    hi = np.full(real.shape, np.inf)
+    hi[real] = np.concatenate(highs)
+    values = np.array(values)
+    # w[k, s] = _subset_weights(k)[s] up to the longest path, 0 for s >= k
     w = np.zeros((depth + 1, depth + 1))
     for k in range(1, depth + 1):
         w[k, :k] = _subset_weights(k)
-    phi = np.zeros((X.shape[0], model.n_features))
-    for value, feats, lo, hi in leaves:
-        bit = np.arange(len(feats))
-        place = 1 << bit
-        xv, zv = X[:, feats], bg.rows[:, feats]
-        x_codes, x_inv = np.unique(((xv > lo) & (xv <= hi)) @ place, return_inverse=True)
-        z_codes, z_count = np.unique(((zv > lo) & (zv <= hi)) @ place, return_counts=True)
-        a, b = x_codes[:, None], z_codes[None, :]
-        weight = np.where((a | b) == place.sum(), z_count, 0)
-        # axes (x code, path feature, background code), so that each sum
-        # over background codes runs the same way whatever the batch
-        need_in = ((a & ~b)[:, None, :] >> bit[:, None]) & 1
-        need_out = ((b & ~a)[:, None, :] >> bit[:, None]) & 1
-        p, q = need_in.sum(axis=1), need_out.sum(axis=1)
-        # p = 0 reads w[p + q, -1] and q = 0 reads w[p, p]: both 0
-        w_in, w_out = weight * w[p + q, p - 1], weight * w[p + q, p]
-        coef = need_in * w_in[:, None, :] - need_out * w_out[:, None, :]
-        phi[:, feats] += value * coef.sum(axis=2)[x_inv]
-    return model.learning_rate * phi / bg.size
+    every_slot = (1 << depth) - 1
+    columns, bg_columns = np.ascontiguousarray(X.T), np.ascontiguousarray(bg.rows.T)
+
+    for leaf in _blocks(np.full(len(values), X.shape[0] + bg.size)):
+        args = feats[leaf], lo[leaf], hi[leaf]
+        z_leaf, b, z_count, _ = _distinct(_path_codes(bg_columns, *args))
+        x_leaf, a, _, x_index = _distinct(_path_codes(columns, *args))
+        bit = np.arange(depth, dtype=a.dtype)
+        z_first = np.searchsorted(z_leaf, np.arange(len(values[leaf])))
+        n_pairs = np.diff(z_first, append=len(z_leaf))[x_leaf]
+        coef = np.zeros((len(a), depth))
+        for xs in _blocks(n_pairs * depth):
+            # each row code of the block against its leaf's background codes;
+            # a dead pair adds 0, so only the live ones are kept
+            m = n_pairs[xs]
+            i = np.repeat(np.arange(xs.start, xs.stop), m)
+            j = np.repeat(z_first[x_leaf[xs]] - np.cumsum(m) + m, m) + np.arange(len(i))
+            live = (a[i] | b[j]) == every_slot
+            i, j = i[live], j[live]
+            # axes (path slot, pair)
+            need_in = ((a[i] & ~b[j]) >> bit[:, None]) & 1
+            need_out = ((b[j] & ~a[i]) >> bit[:, None]) & 1
+            p, q = need_in.sum(axis=0), need_out.sum(axis=0)
+            # p = 0 reads w[q, -1] and q = 0 reads w[p, p]: both 0
+            g = need_in * w[p + q, p - 1] - need_out * w[p + q, p]
+            np.add.at(coef, i, (z_count[j] * g).T)
+        coef = (coef * values[leaf][x_leaf, None]).ravel()
+        # the block's path slots in leaf order, and the phi column of each
+        l, k = np.nonzero(real[leaf])
+        column = feats[leaf][l, k]
+        for rows in _blocks(np.full(X.shape[0], len(l))):
+            terms = coef[x_index[l, rows].T * depth + k]
+            cells = np.arange(rows.start, rows.stop)[:, None] * model.n_features + column
+            np.add.at(phi, cells.ravel(), terms.ravel())
+    return model.learning_rate * phi.reshape(X.shape[0], model.n_features) / bg.size
 
 
 # ---------------------------------------------------------------- KernelSHAP

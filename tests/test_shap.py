@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -307,6 +308,113 @@ def test_tree_batch_matches_brute_force_row_by_row():
             phi_e, phi0_e = exact_shap(fn, x, bg)
             np.testing.assert_allclose(e.phi[i], phi_e, rtol=0, atol=1e-12)
             assert e.phi0 == pytest.approx(phi0_e, rel=0, abs=1e-12)
+
+
+def test_tree_batch_across_row_blocks_matches_each_row_alone(monkeypatch):
+    # 4 leaves with 2 path conditions each; with 64-element blocks a leaf's
+    # codes fill more than a block, so each leaf block holds one leaf, a row
+    # takes 2 elements and the batch fills three row blocks and a ragged fourth
+    tree = TreeNode(
+        feature=0,
+        threshold=0.0,
+        left=TreeNode(feature=1, threshold=0.3, left=TreeNode(value=-1.5), right=TreeNode(value=0.25)),
+        right=TreeNode(feature=2, threshold=-0.2, left=TreeNode(value=2.0), right=TreeNode(value=0.75)),
+    )
+    model = TreeEnsemble(0.1, (tree,), 0.5, 3)
+    monkeypatch.setattr("regime_xai.shap._BLOCK_ELEMENTS", 64)
+    per_block = 64 // 2
+    rng = np.random.default_rng(60)
+    bg = Background(rng.uniform(-1, 1, size=(6, 3)))
+    X = rng.uniform(-1, 1, size=(3 * per_block + 5, 3))
+    e = explain_dataset(model, X, bg, method="tree")
+
+    fn = partial(predict_gbt, model)
+    for i in range(len(X)):
+        alone = explain_dataset(model, X[i : i + 1], bg, method="tree")
+        np.testing.assert_array_equal(e.phi[i], alone.phi[0])
+        phi_e, phi0_e = exact_shap(fn, X[i], bg)
+        np.testing.assert_allclose(e.phi[i], phi_e, rtol=0, atol=1e-12)
+        assert e.phi0 == pytest.approx(phi0_e, rel=0, abs=1e-12)
+
+
+def mixed_depth_ensemble():
+    """A depth-1 stump, a tree with an unreachable leaf and four depth-6
+    trees, so paths of 1 to 6 conditions share one padded pass."""
+    stump = TreeNode(feature=3, threshold=0.1, left=TreeNode(value=0.4), right=TreeNode(value=-0.6))
+    # x1 <= 0 and then x1 > 0.5: the leaf of value 7 is unreachable
+    contradictory = TreeNode(
+        feature=0,
+        threshold=0.0,
+        left=TreeNode(feature=0, threshold=0.5, left=TreeNode(value=1.0), right=TreeNode(value=7.0)),
+        right=TreeNode(feature=1, threshold=0.2, left=TreeNode(value=-2.0), right=TreeNode(value=3.0)),
+    )
+    deep = random_ensemble(40, n_trees=4, max_depth=6, n_rows=400)
+    assert max(tree_depth(t) for t in deep.trees) == 6
+    return TreeEnsemble(0.5, (stump, contradictory) + deep.trees, 0.3, 6)
+
+
+def test_tree_shap_mixed_path_lengths_match_brute_force():
+    model = mixed_depth_ensemble()
+    rng = np.random.default_rng(61)
+    bg = Background(rng.uniform(-1, 1, size=(8, 6)))
+    on_threshold = rng.uniform(-1, 1, size=(6, 6))
+    for row, (f, t) in zip(on_threshold, split_points(model.trees[0]) + split_points(model.trees[1])):
+        row[f] = t
+    X = np.vstack([rng.uniform(-1, 1, size=(12, 6)), on_threshold, bg.rows[:3]])
+    e = explain_dataset(model, X, bg, method="tree")
+    fn = partial(predict_gbt, model)
+    for x, phi_t in zip(X, e.phi):
+        phi_e, phi0_e = exact_shap(fn, x, bg)
+        np.testing.assert_allclose(phi_t, phi_e, rtol=0, atol=1e-12)
+        assert e.phi0 == pytest.approx(phi0_e, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("elements", [1, 7, 300])
+def test_tree_shap_block_size_changes_no_bits(monkeypatch, elements):
+    # small blocks split the leaves and the rows into many ragged blocks
+    model = mixed_depth_ensemble()
+    rng = np.random.default_rng(62)
+    bg = Background(rng.uniform(-1, 1, size=(9, 6)))
+    X = rng.uniform(-1, 1, size=(23, 6))
+    default = explain_dataset(model, X, bg, method="tree")
+    monkeypatch.setattr("regime_xai.shap._BLOCK_ELEMENTS", elements)
+    np.testing.assert_array_equal(explain_dataset(model, X, bg, method="tree").phi, default.phi)
+
+
+def test_tree_shap_deep_path_matches_brute_force_in_little_memory():
+    # two chains whose deepest leaf sits below 14 conditions on 14 distinct
+    # features: a table over all pairs of 14-bit codes would hold 4^14 entries
+    rng = np.random.default_rng(64)
+    trees = []
+    for order in (np.arange(14), rng.permutation(14)):
+        node = TreeNode(value=rng.normal())
+        for f in order[::-1]:
+            node = TreeNode(feature=int(f), threshold=-0.6, left=TreeNode(value=rng.normal()), right=node)
+        trees.append(node)
+    model = TreeEnsemble(0.2, tuple(trees), 0.5, 14)
+    bg = Background(rng.uniform(-1, 1, size=(5, 14)))
+    # rows above every threshold reach the deepest leaves
+    X = np.vstack([rng.uniform(-0.5, 1, size=(3, 14)), rng.uniform(-1, 1, size=(2, 14))])
+    tracemalloc.start()
+    e = explain_dataset(model, X, bg, method="tree")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 22
+    fn = partial(predict_gbt, model)
+    for x, phi_t in zip(X, e.phi):
+        phi_e, phi0_e = exact_shap(fn, x, bg)
+        np.testing.assert_allclose(phi_t, phi_e, rtol=0, atol=1e-12)
+        assert e.phi0 == pytest.approx(phi0_e, rel=0, abs=1e-12)
+
+
+def test_tree_shap_single_leaf_trees_give_zero_phi():
+    # no tree has a reachable path, so no feature joins any game
+    model = TreeEnsemble(1.0, (TreeNode(value=2.0), TreeNode(value=-0.5)), 0.1, 3)
+    rng = np.random.default_rng(63)
+    X = rng.uniform(-1, 1, size=(4, 3))
+    e = explain_dataset(model, X, Background(rng.uniform(-1, 1, size=(5, 3))), method="tree")
+    np.testing.assert_array_equal(e.phi, np.zeros((4, 3)))
+    assert e.phi0 == predict_gbt(model, X[:1])[0]
 
 
 # ---------------------------------------------------------------- kernel_shap
