@@ -41,6 +41,7 @@ from regime_xai.timeseries import (
     TimeSeriesError,
     align_join,
     format_timestamp,
+    format_timestamps,
     load_table,
     mixed_price,
     owning_table,
@@ -112,8 +113,7 @@ def build_features(config: RunConfig) -> tuple[dict[str, FeatureMatrix], dict]:
 
 def write_feature_csv(path, fm: FeatureMatrix, target_name: str) -> None:
     header = ["timestamp", *fm.feature_names, target_name]
-    rows = zip(fm.timestamps.tolist(), fm.X, fm.y.tolist())
-    write_csv(path, header, ([format_timestamp(t), *x.tolist(), y] for t, x, y in rows))
+    write_csv(path, header, [(format_timestamps(fm.timestamps), *fm.X.T, fm.y)])
 
 
 # ------------------------------------------------------------------ commands

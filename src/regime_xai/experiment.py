@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
-from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamp, rows_per_day, write_csv
+from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamps, rows_per_day, write_csv
 
 
 BLOCK_DAYS = 4  # days per test block: whole days, so a block holds every hour of the day
@@ -255,37 +256,37 @@ def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparis
 
 def write_importance_csv(path, results: dict[str, PeriodResult]) -> None:
     """One row per (period, window, feature): relative SHAP importance."""
-    rows = (
-        (name, i, feat, fi)
+    blocks = (
+        (name, i, result.feature_names, w.importance.fi)
         for name, result in results.items()
         for i, w in enumerate(result.windows)
-        for feat, fi in zip(result.feature_names, w.importance.fi.tolist())
     )
-    write_csv(path, ["period", "window", "feature", "fi"], rows)
+    write_csv(path, ["period", "window", "feature", "fi"], blocks)
 
 
 def write_comparison_csv(path, comparison: RegimeComparison) -> None:
     c = comparison
-    stats = (c.before_mean, c.before_std, c.after_mean, c.after_std, c.delta)
-    flags = ("true" if hit else "false" for hit in c.flagged.tolist())
+    flags = ["true" if hit else "false" for hit in c.flagged.tolist()]
     header = ["feature", "before_mean", "before_std", "after_mean", "after_std", "delta", "flagged"]
-    write_csv(path, header, zip(c.feature_names, *(s.tolist() for s in stats), flags))
+    write_csv(path, header, [(c.feature_names, c.before_mean, c.before_std, c.after_mean, c.after_std, c.delta, flags)])
 
 
 def write_dependence_csv(path, results: dict[str, PeriodResult]) -> None:
     """One row per (period, feature, explained row): feature and SHAP value."""
-    write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], _dependence_rows(results))
+    blocks = chain.from_iterable(_dependence_blocks(name, result) for name, result in results.items())
+    write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], blocks)
 
 
-def _dependence_rows(results: dict[str, PeriodResult]):
-    """Every feature of a period shares its explained rows, so each timestamp
-    is formatted once per period."""
-    for name, result in results.items():
-        stamps = [[format_timestamp(t) for t in w.explained.timestamps.tolist()] for w in result.windows]
-        for j, feat in enumerate(result.feature_names):
-            for i, (w, ts) in enumerate(zip(result.windows, stamps)):
-                for t, x, phi in zip(ts, w.explained.X[:, j].tolist(), w.explanation.phi[:, j].tolist()):
-                    yield name, i, t, feat, x, phi
+def _dependence_blocks(name: str, result: PeriodResult) -> list[tuple]:
+    """One period's write_csv blocks, one per (feature, window). Every feature
+    shares its window's explained rows, so each stamp is formatted once; the
+    stamps of one period are held at a time."""
+    stamps = [format_timestamps(w.explained.timestamps) for w in result.windows]
+    return [
+        (name, i, ts, feat, w.explained.X[:, j], w.explanation.phi[:, j])
+        for j, feat in enumerate(result.feature_names)
+        for i, (w, ts) in enumerate(zip(result.windows, stamps))
+    ]
 
 
 def window_metrics(result: PeriodResult) -> list[dict]:

@@ -13,7 +13,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import NewType
 
 import numpy as np
@@ -48,6 +48,12 @@ def parse_timestamp(text: str) -> Instant:
 def format_timestamp(epoch_seconds: int) -> str:
     """The stamp of an instant, in the one form parse_timestamp reads back."""
     return f"{np.datetime64(int(epoch_seconds), 's')}Z"
+
+
+def format_timestamps(epoch_seconds) -> list[str]:
+    """format_timestamp of each instant of an array, in one numpy call."""
+    instants = np.asarray(epoch_seconds, dtype=np.int64).astype("datetime64[s]")
+    return [t + "Z" for t in np.datetime_as_string(instants, unit="s").tolist()]
 
 
 _FIRST_STAMP = np.datetime64("0001-01-01T00:00:00", "s")  # four-digit years: 0001-9999
@@ -311,14 +317,67 @@ def rows_per_day(step_seconds: int) -> int:
     return 86400 // step_seconds
 
 
-def write_csv(path, header, rows) -> None:
-    """Write header and rows in the one CSV dialect the tool reads and writes:
-    UTF-8, "\\n" line ends, floats as their shortest round-trip repr (pass
-    Python numbers, not numpy scalars). Rows are streamed from the iterable."""
+_SLICE_ROWS = 2048  # rows of a block formatted into one string per write: bounds the text held at once
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write a header and blocks of columns in the one CSV dialect the tool
+    reads and writes: UTF-8, "\\n" line ends, the bytes csv.writer writes.
+
+    A block is a sequence of columns, one per header name. A column is one
+    str or int repeated down the block (a period, window or feature name),
+    or a sequence of cells of the block's length: a list of str (stamps), or
+    a 1-D float array or list of floats, written as the repr of the Python
+    floats its .tolist() gives (shortest round trip; nan, inf and -0.0 as
+    such). A str is quoted as csv.writer's QUOTE_MINIMAL quotes it: in double
+    quotes, with each quote doubled, when it holds , " \\r or \\n (a lone
+    \\r too, which Python 3.11's writer leaves bare with "\\n" line ends
+    although csv.reader ends the row there). A repeated name is quoted once,
+    and a str column is scanned for those characters once, in its joined
+    text. A table has two or more columns (csv.writer alone writes a row of
+    one empty cell, as ""). Each block is written _SLICE_ROWS rows at a time,
+    one string per slice, so the text held at once does not grow with it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_quote, header)) + "\n")
+        for block in blocks:
+            columns = [_column(c) for c in block]
+            lengths = {len(c) for c in columns if not isinstance(c, str)}
+            if len(lengths) > 1:
+                raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
+            n_rows = lengths.pop() if lengths else 1
+            for lo in range(0, n_rows, _SLICE_ROWS):
+                hi = min(lo + _SLICE_ROWS, n_rows)
+                cells = [_cells(c, lo, hi) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+_NEEDS_QUOTES = ',"\r\n'
+
+
+def _quote(cell: str) -> str:
+    """A str cell as csv.writer's QUOTE_MINIMAL writes it."""
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in _NEEDS_QUOTES) else cell
+
+
+def _column(column):
+    """A block column as its one quoted cell, a sequence of quoted str cells, or a float array."""
+    if isinstance(column, str):
+        return _quote(column)
+    if isinstance(column, int):
+        return str(column)
+    if isinstance(column, np.ndarray) or not len(column) or not isinstance(column[0], str):
+        return np.asarray(column, dtype=np.float64)
+    text = "".join(column)
+    return [_quote(c) for c in column] if any(c in text for c in _NEEDS_QUOTES) else column
+
+
+def _cells(column, lo: int, hi: int):
+    """Rows lo to hi of a column as _column gives it, as text cells."""
+    if isinstance(column, str):
+        return repeat(column, hi - lo)
+    if isinstance(column, np.ndarray):
+        return map(repr, column[lo:hi].tolist())
+    return column[lo:hi]
 
 
 def with_column(table: TimeTable, name: str, values) -> TimeTable:

@@ -623,6 +623,36 @@ def test_cmd_run_byte_identical_outputs(tmp_path):
             assert payloads[0][f] == payloads[1][f], f"{f} differs between identical runs"
 
 
+def test_a_feature_name_that_needs_quoting_reads_back_from_every_output(tmp_path):
+    # a column whose name holds a comma and quotes is quoted in the input's
+    # header and in every CSV that features and run write
+    name = 'load, DE "net"'
+    config_path = market_config(tmp_path, shap={"background_size": 10})
+    market = tmp_path / "market.csv"
+    header, rest = market.read_text().split("\n", 1)
+    market.write_text(header.replace("load", '"load, DE ""net"""', 1) + "\n" + rest)
+    raw = json.loads(config_path.read_text())
+    raw["features"] = {"columns": [name, "wind", "solar"], "target": "price"}
+    raw["model"]["gbt"]["n_trees"] = 10
+    config_path.write_text(json.dumps(raw))
+    assert main(["features", "--config", str(config_path), "--out", str(tmp_path / "f")]) == 0
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "r")]) == 0
+
+    def read(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            return reader.fieldnames, list(reader)
+
+    names = [name, "wind", "solar"]
+    fields, rows = read(tmp_path / "f" / "features_before.csv")
+    assert fields == ["timestamp", *names, "price"] and rows and all(float(r[name]) > 0 for r in rows)
+    _, rows = read(tmp_path / "r" / "comparison.csv")
+    assert [r["feature"] for r in rows] == names
+    for output in ("importance.csv", "dependence.csv"):
+        _, rows = read(tmp_path / "r" / output)
+        assert sorted({r["feature"] for r in rows}) == sorted(names), output
+
+
 def test_main_exit_codes(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "s"), "--rows", "960"]) == 0
     missing = main(["run", "--config", str(tmp_path / "nope.json")])

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from regime_xai import timeseries
 from regime_xai.timeseries import (
     FeatureMatrix,
     ParseError,
@@ -16,6 +18,7 @@ from regime_xai.timeseries import (
     TimeTable,
     align_join,
     format_timestamp,
+    format_timestamps,
     load_table,
     mixed_price,
     parse_timestamp,
@@ -179,6 +182,24 @@ def test_every_written_stamp_reads_back(t):
     stamp = format_timestamp(t)
     assert len(stamp) == 20 and stamp.isascii()
     assert parse_timestamp(stamp) == t
+
+
+LEAP_DAYS_AND_YEAR_ENDS = [
+    parse_timestamp(s)
+    for s in (
+        "0001-01-01T00:00:00Z", "0004-02-29T23:59:59Z", "1600-02-29T00:00:00Z", "1899-12-31T23:59:59Z",
+        "1900-03-01T00:00:00Z", "1969-12-31T23:59:59Z", "1970-01-01T00:00:00Z", "2000-02-29T12:00:00Z",
+        "2023-12-31T23:00:00Z", "2024-02-29T00:00:00Z", "9996-02-29T06:00:00Z", "9999-12-31T23:59:59Z",
+    )
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(FIRST_STAMP, LAST_STAMP), max_size=50) | st.just(LEAP_DAYS_AND_YEAR_ENDS))
+def test_format_timestamps_formats_each_stamp_as_format_timestamp(ts):
+    # the dependence and feature writers format a window's stamps in one numpy call
+    got = format_timestamps(np.array(ts, dtype=np.int64))
+    assert got == [format_timestamp(t) for t in ts]
 
 
 def test_load_table_accepts_a_file_with_only_timestamps(tmp_path):
@@ -548,6 +569,88 @@ def test_load_table_refuses_what_numpy_alone_would_read(tmp_path, line, message)
 def test_load_table_names_the_line_of_a_cell_over_the_csv_field_limit(tmp_path, lines, line):
     with pytest.raises(ParseError, match=rf"^line {line}: field larger than field limit \(131072\)$"):
         load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+
+
+# ----------------------------------------------------------------- write_csv
+
+NAMES = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9", "\x00"]), max_size=5) | st.text(
+    st.characters(codec="utf-8"), max_size=5
+)
+FLOATS = st.floats() | st.sampled_from([math.nan, -0.0, 1e16, 5e-324, 1 / 3, math.inf, -math.inf])
+SCALARS = ("name", "int")
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and write_csv blocks, with the rows they stand for."""
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(NAMES, min_size=width, max_size=width))
+    blocks, rows = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        kinds = draw(st.lists(st.sampled_from(["name", "int", "str list", "float array", "float list"]),
+                              min_size=width, max_size=width))
+        n = 1 if all(k in SCALARS for k in kinds) else draw(st.integers(0, 9))
+        block, columns = [], []
+        for kind in kinds:
+            if kind in SCALARS:
+                value = draw(NAMES if kind == "name" else st.integers(-(10**18), 10**18))
+                block.append(value)
+                columns.append([value] * n)
+            else:
+                cells = draw(st.lists(NAMES if kind == "str list" else FLOATS, min_size=n, max_size=n))
+                block.append(np.array(cells, dtype=np.float64) if kind == "float array" else cells)
+                columns.append(cells)
+        blocks.append(block)
+        rows.extend(zip(*columns))
+    return header, blocks, rows
+
+
+def csv_writer_text(header, rows) -> str:
+    """What csv.writer writes for the rows, QUOTE_MINIMAL, with "\n" after
+    each. It is given "\r\n" line ends, which are cut back to "\n": with
+    them it quotes a cell holding a lone "\r", as write_csv does and as
+    csv.reader needs (given "\n" line ends, Python 3.11's writer leaves such
+    a cell bare, and the reader then ends the row there)."""
+    out = io.StringIO()
+    for row in [header, *rows]:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        out.write(line.getvalue()[:-2] + "\n")
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables(), slice_rows=st.integers(1, 4))
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, table, slice_rows):
+    # quoting, floats as the repr of Python floats, repeated names and ints,
+    # and slices that cut a block anywhere
+    header, blocks, rows = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeseries, "_SLICE_ROWS", slice_rows)
+        timeseries.write_csv(path, header, blocks)
+    assert path.read_bytes() == csv_writer_text(header, rows).encode("utf-8")
+
+
+def test_write_csv_slices_a_long_block_into_the_same_bytes(tmp_path):
+    n = 2 * timeseries._SLICE_ROWS + 1
+    stamps = format_timestamps(T0 + 3600 * np.arange(n))
+    values = np.random.default_rng(0).normal(size=n)
+    timeseries.write_csv(tmp_path / "t.csv", ["period", "t", "v"], [("before", stamps, values)])
+    rows = list(zip(["before"] * n, stamps, values.tolist()))
+    assert (tmp_path / "t.csv").read_bytes() == csv_writer_text(["period", "t", "v"], rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["a\rb", "load, DE", 'say "hi"', "two\nlines", " padded "])
+def test_write_csv_names_read_back(tmp_path, name):
+    timeseries.write_csv(tmp_path / "t.csv", ["feature", name], [(name, [1.5, -0.0]), ([name], [name])])
+    with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["feature", name], [name, "1.5"], [name, "-0.0"], [name, name]]
+
+
+def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
+    with pytest.raises(ValueError, match=r"differ in length: \[1, 2\]"):
+        timeseries.write_csv(tmp_path / "t.csv", ["a", "b"], [(["x"], [1.0, 2.0])])
 
 
 # ------------------------------------------------------------- resample_mean
