@@ -8,9 +8,10 @@ threshold), so a given dataset and parameter set always yields the same
 ensemble.
 
 X never changes during a fit, so each column is sorted once per fit (as in
-SLIQ and XGBoost's exact greedy mode) and each node filters that order. A
-filtered stable sort keeps equal values in row order, as a stable sort of the
-node's own rows would, so the splits and their tie-breaks are the same.
+SLIQ and XGBoost's exact greedy mode) and each split filters that order with
+np.compress, only for a child that can still split. A filtered stable sort
+keeps equal values in row order, as a stable sort of the node's own rows
+would, so the splits and their tie-breaks are the same.
 """
 
 from __future__ import annotations
@@ -96,31 +97,46 @@ def _best_split(X: np.ndarray, residual: np.ndarray, order: np.ndarray, total: f
     return (f, float(xs[f, j])) if gains[f, j] > 0 else None
 
 
-def _build_tree(X: np.ndarray, residual: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int,
+def _searchable(n_rows: int, depth: int, params: GbtParams) -> bool:
+    """Whether a node at depth with n_rows rows may split: it is above
+    max_depth and holds two leaves' worth of rows."""
+    return depth < params.max_depth and n_rows >= 2 * params.min_samples_leaf
+
+
+def _build_tree(X: np.ndarray, residual: np.ndarray, rows: np.ndarray, order: np.ndarray | None, depth: int,
                 params: GbtParams, fitted: np.ndarray) -> TreeNode:
     """Fit the subtree for rows, ascending indices into X and residual.
 
-    order[f] is rows sorted by X[:, f]. A split marks its left rows in a
-    mask as long as X and filters every order[f] by that mark, so each child
-    gets its rows, still ascending, and its order, still sorted. A leaf
-    writes its value, the mean residual of its rows, into fitted[rows] as it
-    is made, so fitted ends up holding the tree's output on every training
-    row.
+    order[f] is rows sorted by X[:, f], or None for a node that cannot split
+    (see _searchable). A split marks its left rows in a mask as long as X and,
+    for each child that can still split, filters the whole order by that mark
+    with np.compress, so the child gets its order still sorted; a child that
+    cannot split gets no order. The right child's order is made only once
+    the left subtree is fitted, so a path holds one order per level. Rows
+    are split the same way and stay ascending. A leaf writes its value, the
+    mean residual of its rows, into fitted[rows] as it is made, so fitted
+    ends up holding the tree's output on every training row.
     """
     r = residual[rows]
     split = None
-    if depth < params.max_depth and len(rows) >= 2 * params.min_samples_leaf and np.any(r != r[0]):
+    if order is not None and np.any(r != r[0]):
         split = _best_split(X, residual, order, r.sum(), params.min_samples_leaf)
     if split is None:
         fitted[rows] = value = float(r.mean())
         return TreeNode(value=value)
     f, thr = split
     goes_left = X[rows, f] <= thr
-    mark = np.zeros(len(X), dtype=bool)
-    mark[rows] = goes_left
-    keep, k = mark[order], len(order)
-    left = _build_tree(X, residual, rows[goes_left], order[keep].reshape(k, -1), depth + 1, params, fitted)
-    right = _build_tree(X, residual, rows[~goes_left], order[~keep].reshape(k, -1), depth + 1, params, fitted)
+    n_left, k = int(np.count_nonzero(goes_left)), len(order)
+    split_left = _searchable(n_left, depth + 1, params)
+    split_right = _searchable(len(rows) - n_left, depth + 1, params)
+    if split_left or split_right:
+        mark = np.zeros(len(X), dtype=bool)
+        mark[rows] = goes_left
+        keep = mark[order].ravel()
+    left = _build_tree(X, residual, np.compress(goes_left, rows),
+                       np.compress(keep, order).reshape(k, -1) if split_left else None, depth + 1, params, fitted)
+    right = _build_tree(X, residual, np.compress(~goes_left, rows),
+                        np.compress(~keep, order).reshape(k, -1) if split_right else None, depth + 1, params, fitted)
     return TreeNode(feature=f, threshold=thr, left=left, right=right)
 
 
@@ -140,7 +156,7 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams) -> TreeEnsemble:
     base = float(y.mean())
     residual = y - base
     rows = np.arange(len(y))
-    order = np.argsort(X.T, axis=1, kind="stable")
+    order = np.argsort(X.T, axis=1, kind="stable") if _searchable(len(y), 0, params) else None
     fitted = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(params.n_trees):

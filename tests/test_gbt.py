@@ -213,8 +213,11 @@ def test_every_leaf_holds_min_samples_leaf_training_rows(min_leaf):
          "d087457c3dcb7c5203e4dc88545189821618e4108eac769929428a2839511989"),
         (seeded_matrix(12, 1500, 6), GbtParams(n_trees=20, max_depth=4, min_samples_leaf=20),
          "7a2afe83fd40307f022f9c59634a831842b76938f6cec1f3f014bf30016eee63"),
+        # most nodes above max_depth stop because they hold fewer than 2 * min_samples_leaf rows
+        (seeded_matrix(16, 300, 4, decimals=1), GbtParams(n_trees=20, max_depth=6, min_samples_leaf=40),
+         "735ca0f0199b6e5a46b508874524b6ffc712346b1cf26f7d51f9997c8dd3da47"),
     ],
-    ids=["ties-depth6-leaf1", "depth4-leaf20"],
+    ids=["ties-depth6-leaf1", "depth4-leaf20", "leaf-limited-depth6-leaf40"],
 )
 def test_fitted_ensemble_json_is_pinned(fm, params, digest):
     # any change to the split arithmetic, its tie-breaks or the leaf values moves these digests
@@ -303,6 +306,27 @@ def test_one_fit_sorts_each_column_once(monkeypatch, n_trees, max_depth):
                     GbtParams(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=5))
     assert sum(len(splits(t)) for t in model.trees) >= n_trees * max_depth
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("max_depth, partitions_per_tree", [(1, 0), (2, 2)])
+def test_a_split_partitions_the_order_only_for_a_child_that_can_split(monkeypatch, max_depth, partitions_per_tree):
+    # A stump's children are leaves, so it partitions no order. A depth-2
+    # tree partitions its root's order once for each child; here both of
+    # them hold at least 2 * min_samples_leaf rows, and their children are
+    # leaves.
+    build_tree = gbt._build_tree
+    partitions = []
+
+    def counted(X, residual, rows, order, depth, params, fitted):
+        if depth > 0 and order is not None:
+            partitions.append(order.shape)
+        return build_tree(X, residual, rows, order, depth, params, fitted)
+
+    monkeypatch.setattr(gbt, "_build_tree", counted)
+    model = fit_gbt(seeded_matrix(13, 600, 4, decimals=1),
+                    GbtParams(n_trees=5, max_depth=max_depth, min_samples_leaf=5))
+    assert sum(len(splits(t)) for t in model.trees) >= 5 * max_depth
+    assert len(partitions) == 5 * partitions_per_tree
 
 
 @pytest.mark.parametrize("seed", [14, 15])
