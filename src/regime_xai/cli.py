@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 import regime_xai
-from regime_xai.config import PERIODS, ConfigError, RunConfig, load_config
+from regime_xai.config import PERIODS, ConfigError, FeatureConfig, InputSpec, PeriodSpec, RunConfig, config_record, load_config
 from regime_xai.experiment import (
+    ModelConfig,
+    ShapConfig,
     compare_periods,
     run_period,
     window_metrics,
@@ -40,7 +42,6 @@ from regime_xai.timeseries import (
     FeatureMatrix,
     TimeSeriesError,
     align_join,
-    format_timestamp,
     format_timestamps,
     load_table,
     mixed_price,
@@ -170,9 +171,7 @@ def cmd_run(config: RunConfig) -> dict:
 
     manifest = {
         "toolkit_version": regime_xai.__version__,
-        "config": config.echo,
-        "overrides": list(config.overrides),
-        "seed": config.seed,
+        "config": config_record(config),
         "period_seeds": period_seeds,
         "features": feature_report,
         "metrics": {name: window_metrics(results[name]) for name in PERIODS},
@@ -188,10 +187,11 @@ def cmd_run(config: RunConfig) -> dict:
 
 
 def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
-    """Write a stacked two-regime synthetic dataset and a matching config.
-    The data is made first, so a failing command leaves no directory behind.
-    n_rows must give each half-period window MIN_BLOCKS whole blocks of
-    hourly rows, or `run` would refuse the config `synth` wrote."""
+    """Write a two-regime synthetic dataset, one period after the other, and
+    a matching config that lists every setting. The data and the config are
+    made first, so a failing command leaves no directory behind. n_rows must
+    give each half-period window MIN_BLOCKS whole blocks of hourly rows, or
+    `run` would refuse the config `synth` wrote."""
     blocks, days = experiment_mod.MIN_BLOCKS, experiment_mod.BLOCK_DAYS
     min_rows = 2 * blocks * days * rows_per_day(3600)
     if n_rows < min_rows:
@@ -199,36 +199,27 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
             f"--rows must be >= {min_rows}, so each half-period window spans {blocks} blocks of {days} days, got {n_rows}"
         )
     period_a, period_b = synth_regime(n_rows, seed=seed)
+    boundary = int(period_b.timestamps[0])
+    config = RunConfig(
+        inputs=(InputSpec(path="synth_data.csv", resolution_hours=1.0),),
+        features=FeatureConfig(columns=period_a.feature_names, target=dict.fromkeys(PERIODS, "y")),
+        periods={
+            "before": PeriodSpec(start=int(period_a.timestamps[0]), end=boundary),
+            "after": PeriodSpec(start=boundary, end=int(period_b.timestamps[-1]) + 3600),
+        },
+        model=ModelConfig(kind="gbt", gbt=GbtParams(n_trees=60, max_depth=3, min_samples_leaf=20, learning_rate=0.1),
+                          mlp=MlpParams(hidden_sizes=(32, 32), max_epochs=150)),
+        shap=ShapConfig(background_size=50),
+        seed=seed,
+        output_dir="run_output",
+    )
     out_dir = _output_dir(out_dir, "--out")
 
     data_path = out_dir / "synth_data.csv"
-    both = FeatureMatrix(
-        period_a.feature_names,
-        np.concatenate([period_a.X, period_b.X]),
-        np.concatenate([period_a.y, period_b.y]),
-        np.concatenate([period_a.timestamps, period_b.timestamps]),
-    )
-    write_feature_csv(data_path, both, "y")
-
-    boundary = format_timestamp(period_b.timestamps[0])
-    config = {
-        "inputs": [{"path": "synth_data.csv", "resolution_hours": 1}],
-        "features": {"columns": list(period_a.feature_names), "target": "y"},
-        "periods": {
-            "before": {"start": format_timestamp(period_a.timestamps[0]), "end": boundary},
-            "after": {"start": boundary, "end": format_timestamp(period_b.timestamps[-1] + 3600)},
-        },
-        "model": {
-            "kind": "gbt",
-            "gbt": {"n_trees": 60, "max_depth": 3, "min_samples_leaf": 20, "learning_rate": 0.1},
-            "mlp": {"hidden_sizes": [32, 32], "max_epochs": 150},
-        },
-        "shap": {"background_size": 50},
-        "seed": seed,
-        "output_dir": "run_output",
-    }
+    header = ["timestamp", *period_a.feature_names, "y"]
+    write_csv(data_path, header, [(format_timestamps(p.timestamps), *p.X.T, p.y) for p in (period_a, period_b)])
     config_path = out_dir / "synth_config.json"
-    write_manifest(config_path, config)
+    write_manifest(config_path, config_record(config))
     log.info("wrote %s and %s", data_path, config_path)
     return config_path
 

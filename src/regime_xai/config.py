@@ -9,6 +9,8 @@ experiment takes the rows the join kept.
 Unknown and repeated keys anywhere in the file are hard errors so typos never
 silently fall back to defaults. Relative input paths and the output directory
 are resolved against the directory containing the config file.
+config_record writes a RunConfig back as the object of a config file, every
+field with its value, so a run's manifest records the config that ran.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import sys
 import warnings
 from contextlib import suppress
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -123,16 +125,12 @@ class PeriodSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The run a config file describes. echo (the file as read, with its paths
-    resolved) and overrides (the --set assignments) are set by parse_config;
-    they are not keys of the file."""
+    """The run a config file describes; each field is a key of the file."""
 
     inputs: tuple[InputSpec, ...]
     features: FeatureConfig
     periods: dict[str, PeriodSpec]
     model: ModelConfig
-    echo: dict
-    overrides: tuple[str, ...]
     windows: WindowConfig = WindowConfig()
     shap: ShapConfig = ShapConfig()
     seed: int = 0
@@ -221,21 +219,20 @@ def _typed(value, hint, field: str):
     raise ConfigError(f"{field}: expected {_EXPECTED[hint]}, got {value!r}")
 
 
-def _dataclass_from(obj, cls, path: str, **filled):
-    """cls(**obj, **filled), each key of obj a field of cls, each value checked
-    against its field's type hint and each field without a default required;
-    the fields in filled are set by the caller, so obj may not hold them. A
-    range error reads path.message, as each message begins with its field's
-    name; at the root, where path is "", it reads message."""
+def _dataclass_from(obj, cls, path: str):
+    """cls(**obj), each key of obj a field of cls, each value checked against
+    its field's type hint and each field without a default required. A range
+    error reads path.message, as each message begins with its field's name;
+    at the root, where path is "", it reads message."""
     prefix = f"{path}." if path else ""
-    _check_keys(obj, [f.name for f in fields(cls) if f.name not in filled], path)
+    _check_keys(obj, [f.name for f in fields(cls)], path)
     hints = get_type_hints(cls)
     given = {key: _typed(value, hints[key], prefix + key) for key, value in obj.items()}
     for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in filled:
+        if f.default is MISSING and f.default_factory is MISSING:
             _require(obj, f.name, path)
     try:
-        return cls(**given, **filled)
+        return cls(**given)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
@@ -264,18 +261,22 @@ def apply_override(raw: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
-def parse_config(raw: dict, base_dir: Path, overrides) -> RunConfig:
+def parse_config(raw: dict, base_dir: Path) -> RunConfig:
     """The RunConfig raw describes, its input paths and output directory
-    resolved against base_dir (an absolute path stays as it is); echo is a
-    copy of raw that records the resolved paths."""
-    echo = json.loads(json.dumps(raw))  # deep copy; resolved paths recorded below
-    config = _dataclass_from(raw, RunConfig, "", echo=echo, overrides=tuple(overrides))
+    resolved against base_dir (an absolute path stays as it is)."""
+    config = _dataclass_from(raw, RunConfig, "")
     inputs = tuple(replace(spec, path=str(base_dir / spec.path)) for spec in config.inputs)
-    listed = echo["inputs"] if isinstance(echo["inputs"], list) else [echo["inputs"]]  # a bare object is one input
-    for entry, spec in zip(listed, inputs):
-        entry["path"] = spec.path
-    echo["output_dir"] = str(base_dir / config.output_dir)
-    return replace(config, inputs=inputs, output_dir=echo["output_dir"])
+    return replace(config, inputs=inputs, output_dir=str(base_dir / config.output_dir))
+
+
+def config_record(config: RunConfig) -> dict:
+    """config as the JSON object of a config file, which _dataclass_from reads
+    back to an equal RunConfig: every field, defaults included, each period
+    bound as its UTC stamp."""
+    record = asdict(config)
+    for period in record["periods"].values():
+        period.update({bound: format_timestamp(t) for bound, t in period.items()})
+    return record
 
 
 def load_config(path, overrides=()) -> RunConfig:
@@ -302,4 +303,4 @@ def load_config(path, overrides=()) -> RunConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     for assignment in overrides:
         apply_override(raw, assignment)
-    return parse_config(raw, base_dir=path.resolve().parent, overrides=overrides)
+    return parse_config(raw, base_dir=path.resolve().parent)

@@ -276,6 +276,8 @@ def _tree_shap_matrix(model: TreeEnsemble, X: np.ndarray, bg: Background) -> np.
     values, paths, lows, highs = zip(*leaves)
     lengths = np.fromiter(map(len, paths), np.intp, len(paths))
     depth = int(lengths.max())
+    if depth > 63:  # a leaf's codes are signed integers of at most 64 bits
+        raise ValueError(f"the tree engine is limited to leaf paths of 63 distinct features, got {depth}")
     # a padded slot reads feature 0 against (-inf, inf)
     real = np.arange(depth) < lengths[:, None]
     feats = np.zeros(real.shape, np.intp)

@@ -47,11 +47,11 @@ def parse_timestamp(text: str) -> Instant:
 
 def format_timestamp(epoch_seconds: int) -> str:
     """The stamp of an instant, in the one form parse_timestamp reads back."""
-    return f"{np.datetime64(int(epoch_seconds), 's')}Z"
+    return format_timestamps([epoch_seconds])[0]
 
 
 def format_timestamps(epoch_seconds) -> list[str]:
-    """format_timestamp of each instant of an array, in one numpy call."""
+    """The stamp of each instant of an array, in one numpy call."""
     instants = np.asarray(epoch_seconds, dtype=np.int64).astype("datetime64[s]")
     return [t + "Z" for t in np.datetime_as_string(instants, unit="s").tolist()]
 

@@ -22,7 +22,7 @@ from regime_xai.cli import (
     cmd_verify,
     main,
 )
-from regime_xai.config import ConfigError, apply_override, load_config, parse_config
+from regime_xai.config import ConfigError, apply_override, config_record, load_config, parse_config
 from regime_xai.experiment import ModelConfig, ShapConfig, WindowConfig
 from regime_xai.timeseries import format_timestamp, parse_timestamp
 
@@ -282,7 +282,7 @@ def test_a_bare_inputs_object_is_one_input_with_its_path_resolved(tmp_path):
     config_path.write_text(json.dumps(raw))
     config = load_config(config_path)
     assert [spec.path for spec in config.inputs] == [str(csv_path)]
-    assert config.echo["inputs"] == {"path": str(csv_path), "resolution_hours": 1}
+    assert config_record(config)["inputs"] == ({"path": str(csv_path), "resolution_hours": 1.0},)
 
 
 def test_seed_must_be_int(tmp_path):
@@ -451,8 +451,82 @@ def readme_block(language: str) -> str:
 
 def test_readme_config_example_parses():
     example = json.loads(readme_block("json"))
-    config = parse_config(example, Path("."), ())
+    config = parse_config(example, Path("."))
     assert config.features.resample_hours is None
+
+
+def every_section_config(tmp_path):
+    """market_config with every optional key set, none at its default."""
+    return market_config(
+        tmp_path,
+        features={
+            "columns": ["residual", "wind", "mixed"],
+            "target": {"before": "price", "after": "cap"},
+            "resample_hours": 2,
+            "residual_loads": [
+                {"name": "residual", "load": "load", "wind": "wind", "solar": "solar", "ror": "ror", "ror_lag_days": 2}
+            ],
+            "mixed_prices": [{"name": "mixed", "capacity": "cap", "energy": "energy", "alpha": 0.05}],
+        },
+        model={
+            "kind": "mlp",
+            "gbt": {"n_trees": 25, "max_depth": 3, "min_samples_leaf": 10, "learning_rate": 0.2},
+            "mlp": {"hidden_sizes": [8, 4], "max_epochs": 20},
+        },
+        windows={"n_windows": 4, "test_fraction": 0.25},
+        shap={"background_size": 25, "explain_on": "train"},
+    )
+
+
+@pytest.mark.parametrize("source", ["readme", "synth", "every section"])
+def test_config_record_reloads_to_an_equal_config(tmp_path, source):
+    if source == "readme":
+        config = parse_config(json.loads(readme_block("json")), tmp_path)
+    elif source == "synth":
+        config = load_config(cmd_synth(tmp_path, n_rows=960, seed=5))
+    else:
+        config = load_config(every_section_config(tmp_path))
+    path = tmp_path / "record" / "config.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(config_record(config)))
+    assert load_config(path) == config
+
+
+def test_synth_config_lists_every_setting(tmp_path):
+    # synth writes its config with config_record, so each object of the file
+    # holds every field of the section it is, defaults included
+    path = cmd_synth(tmp_path, n_rows=960, seed=5)
+
+    def check(obj, value, where):
+        if dataclasses.is_dataclass(value):
+            assert sorted(obj) == sorted(f.name for f in dataclasses.fields(value)), where
+            for f in dataclasses.fields(value):
+                check(obj[f.name], getattr(value, f.name), f"{where}.{f.name}")
+        elif isinstance(value, dict):
+            assert sorted(obj) == sorted(value), where
+            for key, item in value.items():
+                check(obj[key], item, f"{where}.{key}")
+        elif isinstance(value, tuple):
+            assert len(obj) == len(value), where
+            for i, item in enumerate(value):
+                check(obj[i], item, f"{where}[{i}]")
+
+    check(json.loads(path.read_text()), load_config(path), "<root>")
+
+
+def test_manifest_config_is_the_config_that_ran(tmp_path):
+    # the manifest records the effective config, --set values and defaults
+    # included, and running it again writes the same outputs
+    config_path = cmd_synth(tmp_path, n_rows=960, seed=5)
+    config = load_config(config_path, overrides=["model.gbt.n_trees=5", "shap.background_size=10", "seed=3"])
+    manifest = cmd_run(config)
+    assert "overrides" not in manifest and "seed" not in manifest
+    recorded = tmp_path / "recorded.json"
+    recorded.write_text(json.dumps(manifest["config"]))
+    assert load_config(recorded) == config
+    cmd_run(load_config(recorded, overrides=[f"output_dir={tmp_path / 'again'}"]))
+    for name in ("importance.csv", "comparison.csv", "dependence.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "run_output" / name).read_bytes(), name
 
 
 def test_readme_python_example_runs(capsys):
@@ -613,7 +687,7 @@ def test_cmd_run_byte_identical_outputs(tmp_path):
         payloads.append({f: (tmp_path / run_dir / f).read_bytes() for f in files})
     for f in files:
         if f == "manifest.json":
-            # the config echo records the differing output_dir override; the
+            # the config record holds the differing output_dir override; the
             # science payload must match
             m1 = json.loads(payloads[0][f])
             m2 = json.loads(payloads[1][f])

@@ -407,6 +407,43 @@ def test_tree_shap_deep_path_matches_brute_force_in_little_memory():
         assert e.phi0 == pytest.approx(phi0_e, rel=0, abs=1e-12)
 
 
+def chain(order, rng) -> TreeNode:
+    """A tree whose deepest leaf sits below x[f] > -0.6 for each f of order,
+    in order, with a random leaf left of each condition."""
+    node = TreeNode(value=rng.normal())
+    for f in order[::-1]:
+        node = TreeNode(feature=int(f), threshold=-0.6, left=TreeNode(value=rng.normal()), right=node)
+    return node
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16])
+def test_tree_shap_matches_brute_force_where_the_code_type_widens(n):
+    # the codes of a path of 7 features are int8, of 8 and 15 int16, of 16 int32
+    rng = np.random.default_rng(65 + n)
+    model = TreeEnsemble(0.1, (chain(np.arange(n), rng), chain(rng.permutation(n), rng)), 0.5, n)
+    bg = Background(rng.uniform(-1, 1, size=(3, n)))
+    X = np.vstack([rng.uniform(-0.5, 1, size=(2, n)), rng.uniform(-1, 1, size=(2, n))])
+    e = explain_dataset(model, X, bg, method="tree")
+    fn = partial(predict_gbt, model)
+    for x, phi_t in zip(X, e.phi):
+        phi_e, _ = exact_shap(fn, x, bg)
+        np.testing.assert_allclose(phi_t, phi_e, rtol=0, atol=1e-12)
+
+
+def test_tree_shap_explains_paths_of_up_to_63_features():
+    # a leaf's codes are signed 64-bit integers at most, so a path of 64
+    # distinct features is refused by name rather than failing on its codes
+    rng = np.random.default_rng(66)
+    bg = Background(rng.uniform(-1, 1, size=(5, 64)))
+    X = np.vstack([rng.uniform(-0.5, 1, size=(3, 64)), rng.uniform(-1, 1, size=(2, 64))])
+    deep = TreeEnsemble(0.1, (chain(np.arange(63), rng), chain(rng.permutation(64)[:63], rng)), 0.5, 64)
+    e = explain_dataset(deep, X, bg, method="tree")
+    assert e.max_residual < 1e-9 and np.count_nonzero(e.phi) > 63
+    too_deep = TreeEnsemble(0.1, (chain(np.arange(64), rng),), 0.5, 64)
+    with pytest.raises(ValueError, match="limited to leaf paths of 63 distinct features, got 64"):
+        explain_dataset(too_deep, X, bg, method="tree")
+
+
 def test_tree_shap_single_leaf_trees_give_zero_phi():
     # no tree has a reachable path, so no feature joins any game
     model = TreeEnsemble(1.0, (TreeNode(value=2.0), TreeNode(value=-0.5)), 0.1, 3)

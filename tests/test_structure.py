@@ -189,7 +189,7 @@ def _uses_of(names: set[str], skip: str = "") -> list[str]:
 
 def test_no_setting_is_read_from_the_environment():
     # Settings come from the config file and the command line only, so the
-    # config echo in a run's manifest describes the run completely.
+    # config record in a run's manifest describes the run completely.
     assert _uses_of({"environ", "getenv"}) == []
 
 
