@@ -13,6 +13,12 @@ kept in a dict its caller owns: predict_mlp's caller for one explanation (or
 one window), fit_mlp and grad_check for one call. KernelSHAP predicts
 thousands of times on up to 65,536 rows; fresh arrays that large would be
 mapped and page-faulted in again on every call.
+
+fit_mlp and grad_check keep every weight and bias as a view of one flat
+parameter vector, and _backprop writes each gradient into the same views of
+one flat gradient vector. Adam is elementwise, so fit_mlp steps the whole
+vector with a few numpy calls per batch instead of a few per array, and
+grad_check perturbs its entries in one loop.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ class MlpNet:
 
     weights[l] has shape (fan_out, fan_in) and biases[l] shape (fan_out,); the
     last layer has one output. x_std entries are strictly positive (constant
-    features are stored with std 1 so they are centered only).
+    features are stored with std 1 so they are centered only). A net made by
+    fit_mlp or initial_net holds views of one parameter vector (_unflatten).
     """
 
     weights: tuple[np.ndarray, ...]
@@ -69,16 +76,29 @@ class MlpParams:
             raise ValueError("max_epochs must be >= 1")
 
 
-def _init_params(rng: np.random.Generator, sizes: tuple[int, ...], y_mean: float):
-    """Uniform fan-in-scaled weights; zero biases except the output bias,
-    which starts at the target mean so the net begins centered on the data."""
-    weights, biases = [], []
+def _unflatten(flat: np.ndarray, sizes: tuple[int, ...]):
+    """Layer l's weights and biases as views of flat, laid out layer after
+    layer, each weight matrix (row-major) followed by its bias."""
+    weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return tuple(weights), tuple(biases)
+
+
+def _init_params(rng: np.random.Generator, sizes: tuple[int, ...], y_mean: float) -> np.ndarray:
+    """The parameter vector: uniform fan-in-scaled weights; zero biases except
+    the output bias, which starts at the target mean so the net begins
+    centered on the data."""
+    theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
+    weights, biases = _unflatten(theta, sizes)
+    for W in weights:
+        bound = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
     biases[-1][0] = y_mean
-    return weights, biases
+    return theta
 
 
 def _buffer(work: dict, key, rows: int, width: int) -> np.ndarray:
@@ -111,19 +131,18 @@ def _mse(weights, biases, Z, y, work: dict) -> float:
     return float(np.mean((pred - y) ** 2))
 
 
-def _backprop(weights, biases, Z, y, work: dict):
-    """Gradient of the MSE loss with respect to every weight and bias."""
+def _backprop(weights, biases, Z, y, work: dict, grads) -> None:
+    """Gradient of the MSE loss with respect to every weight and bias,
+    written into grads, a (weights, biases) pair of arrays shaped like them."""
     acts = _forward(weights, biases, Z, work)
     n = len(y)
     delta = (2.0 / n) * (acts[-1][:, 0] - y)[:, None]
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
+    grads_w, grads_b = grads
     for l in range(len(weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ acts[l]
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[l], out=grads_w[l])
+        np.sum(delta, axis=0, out=grads_b[l])
         if l > 0:
             delta = (delta @ weights[l]) * (acts[l] > 0)
-    return grads_w, grads_b
 
 
 def _standardize_stats(X: np.ndarray):
@@ -135,8 +154,10 @@ def _standardize_stats(X: np.ndarray):
 
 
 def _start(train: FeatureMatrix, params: MlpParams, seed: int):
-    """The untrained net, the generator past its init draws, and the number
-    of head rows that are fitted on (the tail is held out for validation)."""
+    """The untrained net, its layer sizes, its parameter vector (which its
+    weights and biases view), the generator past its init draws, and the
+    number of head rows that are fitted on (the tail is held out for
+    validation)."""
     n = len(train)
     if n == 0:
         raise ValueError("empty training set")
@@ -145,8 +166,8 @@ def _start(train: FeatureMatrix, params: MlpParams, seed: int):
     n_fit = max(n - n_val, 1)
     mean, std = _standardize_stats(train.X[:n_fit])
     rng = np.random.default_rng(seed)
-    weights, biases = _init_params(rng, sizes, float(train.y[:n_fit].mean()))
-    return MlpNet(tuple(weights), tuple(biases), mean, std), rng, n_fit
+    theta = _init_params(rng, sizes, float(train.y[:n_fit].mean()))
+    return MlpNet(*_unflatten(theta, sizes), mean, std), sizes, theta, rng, n_fit
 
 
 def initial_net(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
@@ -161,49 +182,54 @@ def fit_mlp(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
     (VALIDATION_FRACTION of the rows); input standardization uses the
     remaining head so the held-out rows never leak into the statistics.
     Targets stay in original units. Deterministic for a fixed seed.
+
+    Adam steps one parameter vector per batch, and the net returned is a
+    copy of that vector at the best validation loss, which its weights and
+    biases view.
     """
-    net, rng, n_fit = _start(train, params, seed)
-    weights, biases = list(net.weights), list(net.biases)
+    net, sizes, theta, rng, n_fit = _start(train, params, seed)
+    weights, biases = net.weights, net.biases
     Z = (train.X - net.x_mean) / net.x_std
     Z_fit, y_fit = Z[:n_fit], train.y[:n_fit]
     Z_val, y_val = (Z[n_fit:], train.y[n_fit:]) if len(train) > 1 else (Z_fit, y_fit)
 
-    adam_m = [np.zeros_like(p) for p in weights + biases]
-    adam_v = [np.zeros_like(p) for p in weights + biases]
+    grad = np.empty_like(theta)
+    grads = _unflatten(grad, sizes)
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     work: dict = {}
 
     best_val = _mse(weights, biases, Z_val, y_val, work)
-    best = ([W.copy() for W in weights], [b.copy() for b in biases])
+    best = theta.copy()
     stale = 0
 
     for epoch in range(params.max_epochs):
         perm = rng.permutation(n_fit)
         for start in range(0, n_fit, BATCH_SIZE):
             idx = perm[start : start + BATCH_SIZE]
-            grads_w, grads_b = _backprop(weights, biases, Z_fit[idx], y_fit[idx], work)
+            _backprop(weights, biases, Z_fit[idx], y_fit[idx], work, grads)
             t += 1
-            for k, (p, g) in enumerate(zip(weights + biases, grads_w + grads_b)):
-                adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
-                adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
-                m_hat = adam_m[k] / (1 - beta1**t)
-                v_hat = adam_v[k] / (1 - beta2**t)
-                p -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + eps)
+            adam_m = beta1 * adam_m + (1 - beta1) * grad
+            adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
+            m_hat = adam_m / (1 - beta1**t)
+            v_hat = adam_v / (1 - beta2**t)
+            theta -= STEP_SIZE * m_hat / (np.sqrt(v_hat) + eps)
 
         val = _mse(weights, biases, Z_val, y_val, work)
         if not np.isfinite(val):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         if val < best_val:
             best_val = val
-            best = ([W.copy() for W in weights], [b.copy() for b in biases])
+            best[:] = theta
             stale = 0
         else:
             stale += 1
             if stale >= EARLY_STOP_PATIENCE:
                 break
 
-    return MlpNet(tuple(best[0]), tuple(best[1]), net.x_mean, net.x_std)
+    return MlpNet(*_unflatten(best, sizes), net.x_mean, net.x_std)
 
 
 def predict_mlp(net: MlpNet, X, work: dict) -> np.ndarray:
@@ -237,25 +263,22 @@ def grad_check(net: MlpNet, X, y) -> float:
         raise ValueError("grad_check is meant for small inputs (<= 32 rows)")
 
     Z = (X - net.x_mean) / net.x_std
-    weights = [W.copy() for W in net.weights]
-    biases = [b.copy() for b in net.biases]
+    sizes = (net.n_features,) + tuple(len(b) for b in net.biases)
+    theta = np.concatenate([p.ravel() for layer in zip(net.weights, net.biases) for p in layer])
+    weights, biases = _unflatten(theta, sizes)
+    grad = np.empty_like(theta)
     work: dict = {}
-    grads_w, grads_b = _backprop(weights, biases, Z, y, work)
+    _backprop(weights, biases, Z, y, work, _unflatten(grad, sizes))
 
     max_err = 0.0
-    for params, grads in ((weights, grads_w), (biases, grads_b)):
-        for p, g in zip(params, grads):
-            flat_p = p.reshape(-1)
-            flat_g = g.reshape(-1)
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + GRAD_CHECK_EPSILON
-                up = _mse(weights, biases, Z, y, work)
-                flat_p[i] = orig - GRAD_CHECK_EPSILON
-                down = _mse(weights, biases, Z, y, work)
-                flat_p[i] = orig
-                numeric = (up - down) / (2 * GRAD_CHECK_EPSILON)
-                analytic = flat_g[i]
-                err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-                max_err = max(max_err, err)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + GRAD_CHECK_EPSILON
+        up = _mse(weights, biases, Z, y, work)
+        theta[i] = orig - GRAD_CHECK_EPSILON
+        down = _mse(weights, biases, Z, y, work)
+        theta[i] = orig
+        numeric = (up - down) / (2 * GRAD_CHECK_EPSILON)
+        err = abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-8)
+        max_err = max(max_err, err)
     return max_err

@@ -127,21 +127,35 @@ def _subset_weights(n: int) -> np.ndarray:
 
 
 def _mask_values(model_fn, x, bg: Background, masks: np.ndarray, n: int) -> np.ndarray:
-    """v(S) for each bitmask: mean model output over per-row hybrids."""
+    """v(S) for each bitmask: mean model output over per-row hybrids.
+
+    The hybrids of a chunk of masks are built in place: every mask gets a
+    copy of the background rows, then x[j] is written into column j of the
+    copies of each mask that has bit j set. model_fn sees the chunk's
+    hybrids as one matrix, mask after mask, background row after row.
+    """
     B = bg.size
     values = np.empty(len(masks))
     chunk = max(1, 65536 // max(B, 1))
     for start in range(0, len(masks), chunk):
         part = masks[start : start + chunk]
-        sel = ((part[:, None] >> np.arange(n)) & 1).astype(bool)
-        hybrid = np.where(sel[:, None, :], x[None, None, :], bg.rows[None, :, :])
+        hybrid = np.empty((len(part), B, n))
+        hybrid[...] = bg.rows
+        m, j = np.nonzero((part[:, None] >> np.arange(n)) & 1)
+        hybrid[m, :, j] = x[j, None]
         preds = model_fn(hybrid.reshape(-1, n)).reshape(len(part), B)
         values[start : start + chunk] = preds.mean(axis=1)
     return values
 
 
 def exact_shap(model_fn, x, bg: Background) -> tuple[np.ndarray, float]:
-    """Brute-force Shapley values by full coalition enumeration (n <= 20)."""
+    """Brute-force Shapley values by full coalition enumeration (n <= 20).
+
+    phi[j] sums w(|S|) (v(S + j) - v(S)) over the coalitions S without j in
+    ascending order of their bitmask; they are the masks k < 2^(n-1) with a
+    0 bit inserted at position j, and |S| is the popcount of k. All n sums
+    are taken in one pass over an (n, 2^(n-1)) array.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if n > 20:
@@ -149,15 +163,12 @@ def exact_shap(model_fn, x, bg: Background) -> tuple[np.ndarray, float]:
     if bg.n_features != n:
         raise ValueError("background width does not match the explained row")
 
-    masks = np.arange(1 << n, dtype=np.int64)
-    v = _mask_values(model_fn, x, bg, masks, n)
-    popcount = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    w = _subset_weights(n)
-
-    phi = np.empty(n)
-    for j in range(n):
-        without = masks[(masks >> j) & 1 == 0]
-        phi[j] = np.sum(w[popcount[without]] * (v[without | (1 << j)] - v[without]))
+    v = _mask_values(model_fn, x, bg, np.arange(1 << n, dtype=np.int64), n)
+    k = np.arange(1 << (n - 1), dtype=np.int64)
+    w = _subset_weights(n)[((k[:, None] >> np.arange(n - 1)) & 1).sum(axis=1)]
+    bit = 1 << np.arange(n, dtype=np.int64)[:, None]
+    without = ((k & -bit) << 1) | (k & (bit - 1))
+    phi = np.sum(w * (v[without | bit] - v[without]), axis=1)
     return phi, float(v[0])
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,35 @@ def test_fixed_seed_reproduces_parameters():
     n1, n2 = fit_mlp(fm, params, seed=11), fit_mlp(fm, params, seed=11)
     for a, b in zip(n1.weights + n1.biases, n2.weights + n2.biases):
         np.testing.assert_array_equal(a, b)
+
+
+def seeded_matrix(seed, n_rows, n_features):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(n_rows, n_features))
+    y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, -1] + 0.1 * rng.standard_normal(n_rows)
+    return matrix(X, y)
+
+
+@pytest.mark.parametrize(
+    "fm, params, seed, digest",
+    [
+        (seeded_matrix(21, 300, 4), MlpParams(hidden_sizes=(16, 16), max_epochs=40), 3,
+         "7ab4c6f039afb835797cfaa0dd7af7bc488b65020dfc4d0301cee37547a22d67"),
+        (seeded_matrix(22, 450, 8), MlpParams(hidden_sizes=(32, 32), max_epochs=25), 4,
+         "237564026bbb76f8835f0aadb75c0ca67b5f04bc365e24b047c6c7949c5646a0"),
+    ],
+    ids=["16x16", "32x32"],
+)
+def test_fitted_parameters_are_pinned(fm, params, seed, digest):
+    # any change to the initial draws, the gradient, the order of Adam's
+    # elementwise arithmetic or the early stop moves these digests (the
+    # matmuls run through BLAS, so another BLAS build may give other bits)
+    net = fit_mlp(fm, params, seed)
+    h = hashlib.sha256()
+    for W, b in zip(net.weights, net.biases):
+        h.update(W.tobytes())
+        h.update(b.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_training_reduces_mse():

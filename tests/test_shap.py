@@ -76,6 +76,45 @@ def test_value_function_additive_hand_check():
     assert value_of(fn, x, 0b01, bg) == pytest.approx(7.0 + 3.0)
 
 
+def sampled_masks(seed, n, count):
+    """count distinct proper nonempty coalitions of n features, ascending, as
+    kernel_shap's sampled mode hands them to _mask_values."""
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(np.arange(1, (1 << n) - 1), size=count, replace=False))
+
+
+@pytest.mark.parametrize(
+    "n, masks, size",
+    [
+        (3, np.arange(8), 7),
+        # 2,048 masks of 50 background rows take two chunks of at most 65,536 rows
+        (11, np.arange(1 << 11), 50),
+        (12, sampled_masks(0, 12, 2000), 50),
+    ],
+    ids=["enumerated-one-chunk", "enumerated-two-chunks", "sampled-two-chunks"],
+)
+def test_mask_values_hands_the_model_the_hybrid_rows_in_order(n, masks, size):
+    # Each model call gets a chunk's hybrids, mask after mask and background
+    # row after row: the rows np.where(sel[:, None, :], x, bg.rows) builds.
+    # The chunks' row counts matter too, since BLAS results depend on them.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    bg = Background(rng.standard_normal((size, n)))
+    calls = []
+
+    def record(X):
+        calls.append(X.copy())
+        return X @ np.arange(1.0, n + 1) + np.sin(X[:, 0])
+
+    values = _mask_values(record, x, bg, masks, n)
+    sel = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    expected = np.where(sel[:, None, :], x, bg.rows).reshape(-1, n)
+    chunk = 65536 // size * size
+    assert [len(X) for X in calls] == [min(chunk, len(expected) - start) for start in range(0, len(expected), chunk)]
+    np.testing.assert_array_equal(np.concatenate(calls), expected)
+    np.testing.assert_array_equal(values, record(expected).reshape(len(masks), size).mean(axis=1))
+
+
 # ----------------------------------------------------------------- exact_shap
 
 
@@ -145,6 +184,33 @@ def test_exact_shap_linearity():
     phi_c, phi0_c = exact_shap(combo, x, bg)
     np.testing.assert_allclose(phi_c, a * phi_g + b * phi_h, atol=1e-9)
     assert phi0_c == pytest.approx(a * phi0_g + b * phi0_h, abs=1e-9)
+
+
+def per_feature_loop(v, n):
+    """phi from the values of all 2^n coalitions, one feature at a time: the
+    masks without j in ascending order, each term weighted by the Shapley
+    weight of its coalition's size, summed by np.sum."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    popcount = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    w = _subset_weights(n)
+    phi = np.empty(n)
+    for j in range(n):
+        without = masks[(masks >> j) & 1 == 0]
+        phi[j] = np.sum(w[popcount[without]] * (v[without | (1 << j)] - v[without]))
+    return phi
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_exact_shap_equals_the_per_feature_loop_bit_for_bit(n):
+    net = random_mlp(n, n_features=n)
+    fn = partial(predict_mlp, net, work={})
+    rng = np.random.default_rng(100 + n)
+    bg = Background(rng.standard_normal((4, n)))
+    x = rng.standard_normal(n)
+    v = _mask_values(fn, x, bg, np.arange(1 << n, dtype=np.int64), n)
+    phi, phi0 = exact_shap(fn, x, bg)
+    np.testing.assert_array_equal(phi, per_feature_loop(v, n))
+    assert phi0 == v[0]
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5) if p + q])

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from array import array
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -196,10 +197,11 @@ LEAP_DAYS_AND_YEAR_ENDS = [
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(FIRST_STAMP, LAST_STAMP), max_size=50) | st.just(LEAP_DAYS_AND_YEAR_ENDS))
-def test_format_timestamps_formats_each_stamp_as_format_timestamp(ts):
-    # the dependence and feature writers format a window's stamps in one numpy call
+def test_format_timestamps_matches_a_datetime_oracle(ts):
+    # the dependence and feature writers format a window's stamps in one numpy
+    # call; the standard library's proleptic Gregorian calendar is the oracle
     got = format_timestamps(np.array(ts, dtype=np.int64))
-    assert got == [format_timestamp(t) for t in ts]
+    assert got == [(datetime(1970, 1, 1) + timedelta(seconds=t)).isoformat() + "Z" for t in ts]
 
 
 def test_load_table_accepts_a_file_with_only_timestamps(tmp_path):
