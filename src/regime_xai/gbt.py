@@ -57,8 +57,12 @@ class GbtParams:
     learning_rate: float = 0.1
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
-            raise ValueError("n_trees, max_depth and min_samples_leaf must be >= 1")
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if self.min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
 
@@ -160,8 +164,6 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams) -> TreeEnsemble:
     fitted = np.empty(len(y))
     trees: list[TreeNode] = []
     for _ in range(params.n_trees):
-        if np.max(np.abs(residual)) == 0.0:
-            break
         trees.append(_build_tree(X, residual, rows, order, 0, params, fitted))
         residual = residual - params.learning_rate * fitted
     return TreeEnsemble(base, tuple(trees), params.learning_rate, X.shape[1])

@@ -68,7 +68,9 @@ class MlpParams:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if any(h < 1 for h in self.hidden_sizes) or not self.hidden_sizes:
+        if not self.hidden_sizes:
+            raise ValueError("hidden_sizes must list at least one layer")
+        if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be positive")
         if any(h > np.iinfo(np.intp).max for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be at most {np.iinfo(np.intp).max} (numpy's dimension limit)")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -70,11 +70,9 @@ class Background:
 
     @classmethod
     def subsample(cls, X, size: int, seed: int) -> Background:
-        """Uniform subsample without replacement (all rows if X is small)."""
+        """Uniform subsample without replacement, in row order (all rows if X is small)."""
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[0] <= size:
-            return cls(X.copy())
-        idx = np.sort(np.random.default_rng(seed).choice(X.shape[0], size=size, replace=False))
+        idx = np.sort(np.random.default_rng(seed).choice(X.shape[0], size=min(size, X.shape[0]), replace=False))
         return cls(X[idx])
 
 
@@ -119,7 +117,6 @@ class ImportanceVector:
 # ------------------------------------------------------------ value function
 
 
-@lru_cache(maxsize=64)
 def _subset_weights(n: int) -> np.ndarray:
     """Classic Shapley weights |S|! (n-|S|-1)! / n! indexed by |S| = 0..n-1."""
     fact = [math.factorial(k) for k in range(n + 1)]

@@ -428,8 +428,6 @@ def trailing_mean_before(series, window_samples: int) -> np.ndarray:
     if w < 1:
         raise TimeSeriesError("window must cover at least one sample")
     out = np.full(n, np.nan)
-    if n <= w:
-        return out
     present = ~np.isnan(values)
     sums = np.concatenate([[0.0], np.cumsum(np.where(present, values, 0.0))])
     counts = np.concatenate([[0], np.cumsum(present.astype(np.int64))])

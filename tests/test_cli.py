@@ -362,6 +362,14 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("features.mixed_prices=5", "mixed_prices: expected an object"),
         ('features.columns=["x1","x1","x2"]', "columns: duplicate column 'x1'"),
         ("features.resample_hours=1e308", "resample_hours must be a finite number of seconds, got 1e+308"),
+        ("model.gbt.n_trees=0", "gbt.n_trees must be >= 1"),
+        ("model.gbt.max_depth=0", "gbt.max_depth must be >= 1"),
+        ("model.gbt.min_samples_leaf=0", "gbt.min_samples_leaf must be >= 1"),
+        ("model.gbt.learning_rate=0", "gbt.learning_rate must be in (0, 1], got 0.0"),
+        ("model.gbt.learning_rate=1.5", "gbt.learning_rate must be in (0, 1], got 1.5"),
+        ("model.mlp.hidden_sizes=[0]", "mlp.hidden_sizes must be positive"),
+        ("model.mlp.hidden_sizes=[]", "mlp.hidden_sizes must list at least one layer"),
+        ("model.mlp.max_epochs=0", "mlp.max_epochs must be >= 1"),
         pytest.param("model.gbt.learning_rate=1" + "0" * 400, "gbt.learning_rate: expected a finite number, got 1000",
                      id="model.gbt.learning_rate=10**400"),
         ('features.columns=["residual","wind","price"]', "columns: target column 'price' is also a feature"),
@@ -441,6 +449,35 @@ def test_config_key_given_twice_is_refused_naming_it(tmp_path, capsys):
     path.write_text(path.read_text().replace('"seed": 7', '"seed": 1, "seed": 5'))
     assert main(["run", "--config", str(path)]) == 1
     assert last_error_record(capsys) == {"error": "ConfigError", "message": f"{path}: key 'seed' given twice"}
+
+
+def without_model_kind(raw):
+    return json.dumps({**raw, "model": {key: value for key, value in raw["model"].items() if key != "kind"}})
+
+
+@pytest.mark.parametrize(
+    "edit, overrides, message",
+    [
+        pytest.param(lambda raw: '{"seed": ', [], "{path}: invalid JSON (Expecting value: line 1 column 10 (char 9))",
+                     id="invalid JSON"),
+        pytest.param(lambda raw: json.dumps([raw]), [], "{path}: config must be a JSON object", id="top-level array"),
+        pytest.param(json.dumps, ["=5"], "--set expects a dotted key, got '=5'", id="--set =5"),
+        pytest.param(json.dumps, ["seed.x=1"], "--set seed.x: seed is not an object", id="--set seed.x=1"),
+        pytest.param(without_model_kind, [], "model.kind: required key missing", id="no model.kind"),
+        pytest.param(json.dumps, ["inputs=[]"], "inputs: expected a non-empty list", id="--set inputs=[]"),
+        pytest.param(json.dumps, ["features.columns=[]"],
+                     "features.columns: expected a non-empty list of column names", id="--set features.columns=[]"),
+    ],
+)
+def test_config_file_faults_exit_1_naming_the_fault(tmp_path, capsys, edit, overrides, message):
+    # edit writes the config file's text from the market config's object
+    path = market_config(tmp_path)
+    path.write_text(edit(json.loads(path.read_text())))
+    argv = ["run", "--config", str(path)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 1
+    assert last_error_record(capsys) == {"error": "ConfigError", "message": message.format(path=path)}
 
 
 def readme_block(language: str) -> str:

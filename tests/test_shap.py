@@ -275,6 +275,30 @@ def test_tree_shap_matches_brute_force():
     assert worst < 1e-9
 
 
+def test_trees_fitted_to_a_zero_residual_add_nothing():
+    # One depth-2 tree fits this target exactly at learning rate 1 (8 rows per
+    # quadrant keep the base score and every leaf mean exact), so each later
+    # stage fits a zero residual: a single leaf of value 0, which moves
+    # neither a prediction nor, having no path, an attribution.
+    rng = np.random.default_rng(31)
+    signs = np.repeat([[-1, -1], [-1, 1], [1, -1], [1, 1]], 8, axis=0)
+    X = np.column_stack([signs * rng.uniform(0.1, 1, size=signs.shape), rng.uniform(-1, 1, size=32)])
+    y = 2.0 * (signs[:, 0] > 0) + 1.0 * (signs[:, 1] > 0)
+    model = fit_gbt(matrix(X, y), GbtParams(n_trees=4, max_depth=2, min_samples_leaf=1, learning_rate=1.0))
+    assert len(model.trees) == 4
+    assert all(tree.is_leaf and tree.value == 0.0 for tree in model.trees[1:])
+    np.testing.assert_array_equal(predict_gbt(model, X), y)
+    first = TreeEnsemble(model.base_score, model.trees[:1], 1.0, 3)
+    bg = Background(X[::5])
+    e = explain_dataset(model, X[:12], bg, method="tree")
+    np.testing.assert_array_equal(e.phi, explain_dataset(first, X[:12], bg, method="tree").phi)
+    fn = partial(predict_gbt, model)
+    for x, phi_t in zip(X[:12], e.phi):
+        phi_e, phi0_e = exact_shap(fn, x, bg)
+        np.testing.assert_allclose(phi_t, phi_e, atol=1e-12)
+        assert e.phi0 == pytest.approx(phi0_e, abs=1e-12)
+
+
 def test_tree_shap_matches_brute_force_wider_feature_space():
     rng = np.random.default_rng(30)
     model = random_ensemble(30, n_features=10, n_trees=6, max_depth=4, n_rows=120)
@@ -791,10 +815,12 @@ def test_importance_vector_validates_sum():
 
 
 def test_background_subsample_keeps_every_row_of_a_small_matrix():
+    # a draw of every row, at size == n as at size > n, sorts back into row order
     X = np.random.default_rng(24).normal(size=(10, 3))
-    b = Background.subsample(X, size=50, seed=9)
-    np.testing.assert_array_equal(b.rows, X)
-    assert b.rows is not X
+    for size in (10, 50):
+        b = Background.subsample(X, size=size, seed=9)
+        np.testing.assert_array_equal(b.rows, X)
+        assert not np.shares_memory(b.rows, X)
 
 
 def test_background_subsample_deterministic():

@@ -291,11 +291,21 @@ def _is_scratch(value: ast.AST | None) -> bool:
     )
 
 
+def _is_cache(decorator: ast.expr) -> bool:
+    """Whether decorator is functools.lru_cache or functools.cache, called or
+    not, by its bare name or through the module."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in ("lru_cache", "cache")
+
+
 def test_no_module_level_scratch_state():
     # Buffers and caches belong to the call that made them (predict_mlp's
     # work dict lives for one explain_dataset call), so nothing one caller
-    # leaves behind can reach the next: no global statement, and no module
-    # that starts out holding an empty container or an unfilled array.
+    # leaves behind can reach the next: no global statement, no module that
+    # starts out holding an empty container or an unfilled array, and no
+    # module-level function whose results a functools cache keeps.
     found = []
     for name, tree in _package_trees().items():
         found += [f"{name}:{n.lineno} global" for n in ast.walk(tree) if isinstance(n, ast.Global)]
@@ -303,6 +313,11 @@ def test_no_module_level_scratch_state():
             f"{name}:{node.lineno} scratch"
             for node in tree.body
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_scratch(node.value)
+        ]
+        found += [
+            f"{name}:{node.lineno} cache"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_cache, node.decorator_list))
         ]
     assert found == []
 

@@ -777,6 +777,12 @@ def test_residual_load_against_explicit_summation():
             assert out[t] == pytest.approx(load[t] - wind[t] - solar[t] - ror_mean, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [0, 1, 23, 24])
+def test_residual_load_of_a_series_no_longer_than_its_lag_is_all_missing(n):
+    out = residual_load(np.full(n, 10.0), np.zeros(n), np.zeros(n), np.ones(n), ror_lag_days=1, samples_per_day=24)
+    assert out.shape == (n,) and np.isnan(out).all()
+
+
 def test_residual_load_misaligned_series():
     with pytest.raises(TimeSeriesError, match="misaligned"):
         residual_load(np.zeros(5), np.zeros(4), np.zeros(5), np.zeros(5), ror_lag_days=7, samples_per_day=24)
