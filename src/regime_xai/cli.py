@@ -24,6 +24,8 @@ import numpy as np
 import regime_xai
 from regime_xai.config import PERIODS, ConfigError, FeatureConfig, InputSpec, PeriodSpec, RunConfig, config_record, load_config
 from regime_xai.experiment import (
+    BLOCK_DAYS,
+    MIN_BLOCKS,
     ModelConfig,
     ShapConfig,
     compare_periods,
@@ -53,7 +55,6 @@ from regime_xai.timeseries import (
     with_column,
     write_csv,
 )
-from regime_xai import experiment as experiment_mod
 
 log = logging.getLogger("regime_xai")
 
@@ -192,11 +193,10 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
     made first, so a failing command leaves no directory behind. n_rows must
     give each half-period window MIN_BLOCKS whole blocks of hourly rows, or
     `run` would refuse the config `synth` wrote."""
-    blocks, days = experiment_mod.MIN_BLOCKS, experiment_mod.BLOCK_DAYS
-    min_rows = 2 * blocks * days * rows_per_day(3600)
+    min_rows = 2 * MIN_BLOCKS * BLOCK_DAYS * rows_per_day(3600)
     if n_rows < min_rows:
         raise ConfigError(
-            f"--rows must be >= {min_rows}, so each half-period window spans {blocks} blocks of {days} days, got {n_rows}"
+            f"--rows must be >= {min_rows}, so each half-period window spans {MIN_BLOCKS} blocks of {BLOCK_DAYS} days, got {n_rows}"
         )
     period_a, period_b = synth_regime(n_rows, seed=seed)
     boundary = int(period_b.timestamps[0])

@@ -28,28 +28,12 @@ import numpy as np
 from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
-from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
+from regime_xai.shap import Background, Explanation, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamps, rows_per_day, write_csv
 
 
 BLOCK_DAYS = 4  # days per test block: whole days, so a block holds every hour of the day
 MIN_BLOCKS = 5  # whole blocks a window must span, so train and test both hold whole blocks
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Train/test row indices for one window; test rows are whole blocks."""
-
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-
-    def __post_init__(self):
-        train = np.asarray(self.train_indices, dtype=np.intp)
-        test = np.asarray(self.test_indices, dtype=np.intp)
-        if np.intersect1d(train, test).size:
-            raise ValueError("train and test indices overlap")
-        object.__setattr__(self, "train_indices", train)
-        object.__setattr__(self, "test_indices", test)
 
 
 @dataclass(frozen=True)
@@ -89,12 +73,14 @@ class ShapConfig:
 
 @dataclass(frozen=True, eq=False)
 class WindowResult:
-    """One window's split, fit and explanation; `explained` holds the rows `explanation.phi` covers."""
+    """One window's split (ascending period rows), fit and explanation; `explained`
+    holds the rows `explanation.phi` covers, `importance` feature_importance's shares."""
 
-    split: SplitPlan
+    train_indices: np.ndarray
+    test_indices: np.ndarray
     explanation: Explanation
     explained: FeatureMatrix
-    importance: ImportanceVector
+    importance: np.ndarray
     test_mse: float
     test_r2: float
 
@@ -108,7 +94,8 @@ class PeriodResult:
 
     @property
     def degenerate_windows(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.windows) if w.importance.degenerate)
+        """The windows whose importances are all zero: every attribution was zero."""
+        return tuple(i for i, w in enumerate(self.windows) if not w.importance.any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +127,11 @@ def make_windows(n_rows: int, n_windows: int) -> list[range]:
     return [range(off, off + width) for off in offsets]
 
 
-def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: int) -> SplitPlan:
+def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: int) -> tuple[np.ndarray, np.ndarray]:
     """Partition a window into consecutive blocks of BLOCK_DAYS days and pick
     round(test_fraction * n_blocks) of them, uniformly without replacement,
-    as the test set. A trailing partial block goes to the training set."""
+    as the test set. A trailing partial block goes to the training set.
+    Returns the ascending train and test rows, which partition the window."""
     rows = np.arange(window.start, window.stop, dtype=np.intp)
     rows_per_block = BLOCK_DAYS * int(rows_per_day)
     if rows_per_block < 1:
@@ -161,7 +149,7 @@ def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: i
     test_mask = np.zeros(len(rows), dtype=bool)
     for b in test_blocks:
         test_mask[b * rows_per_block : (b + 1) * rows_per_block] = True
-    return SplitPlan(train_indices=rows[~test_mask], test_indices=rows[test_mask])
+    return rows[~test_mask], rows[test_mask]
 
 
 def run_window(
@@ -181,9 +169,9 @@ def run_window(
     non-finite test prediction fails before the explanation; a failure reads
     "window w: ..."."""
     try:
-        plan = split_blocks(window, windows.test_fraction, derive_seed(seed, w, 0), per_day)
-        train = data.take(plan.train_indices)
-        test = data.take(plan.test_indices)
+        train_rows, test_rows = split_blocks(window, windows.test_fraction, derive_seed(seed, w, 0), per_day)
+        train = data.take(train_rows)
+        test = data.take(test_rows)
         # One of the two branches on the model kind (shap.explain_dataset has
         # the other). The functions are looked up here, at call time, so a
         # profiler that rebinds these module names sees each call.
@@ -206,7 +194,7 @@ def run_window(
         r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"window {w}: {exc}") from exc
-    return WindowResult(plan, explanation, explain, importance, test_mse=mse, test_r2=r2)
+    return WindowResult(train_rows, test_rows, explanation, explain, importance, test_mse=mse, test_r2=r2)
 
 
 def run_period(data: FeatureMatrix, model: ModelConfig, windows: WindowConfig, shap: ShapConfig, seed: int) -> PeriodResult:
@@ -235,8 +223,8 @@ def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparis
         raise ValueError(
             f"feature lists differ: {before.feature_names} vs {after.feature_names}"
         )
-    fi_before = np.vstack([w.importance.fi for w in before.windows])
-    fi_after = np.vstack([w.importance.fi for w in after.windows])
+    fi_before = np.vstack([w.importance for w in before.windows])
+    fi_after = np.vstack([w.importance for w in after.windows])
     before_mean, before_std = fi_before.mean(axis=0), fi_before.std(axis=0)
     after_mean, after_std = fi_after.mean(axis=0), fi_after.std(axis=0)
     delta = after_mean - before_mean
@@ -257,7 +245,7 @@ def compare_periods(before: PeriodResult, after: PeriodResult) -> RegimeComparis
 def write_importance_csv(path, results: dict[str, PeriodResult]) -> None:
     """One row per (period, window, feature): relative SHAP importance."""
     blocks = (
-        (name, i, result.feature_names, w.importance.fi)
+        (name, i, result.feature_names, w.importance)
         for name, result in results.items()
         for i, w in enumerate(result.windows)
     )
@@ -291,19 +279,18 @@ def _dependence_blocks(name: str, result: PeriodResult) -> list[tuple]:
 
 def window_metrics(result: PeriodResult) -> list[dict]:
     """Per-window fit quality for the run manifest."""
-    out = []
-    for i, w in enumerate(result.windows):
-        out.append(
-            {
-                "window": i,
-                "n_train": int(len(w.split.train_indices)),
-                "n_test": int(len(w.split.test_indices)),
-                "test_mse": w.test_mse,
-                "test_r2": None if np.isnan(w.test_r2) else w.test_r2,
-                "degenerate_importance": w.importance.degenerate,
-            }
-        )
-    return out
+    degenerate = set(result.degenerate_windows)
+    return [
+        {
+            "window": i,
+            "n_train": len(w.train_indices),
+            "n_test": len(w.test_indices),
+            "test_mse": w.test_mse,
+            "test_r2": None if np.isnan(w.test_r2) else w.test_r2,
+            "degenerate_importance": i in degenerate,
+        }
+        for i, w in enumerate(result.windows)
+    ]
 
 
 def write_manifest(path, manifest: dict) -> None:

@@ -94,26 +94,6 @@ class Explanation:
         return self.phi.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ImportanceVector:
-    """Normalized per-feature weights; all zero (degenerate) when the
-    explanation carried no signal at all."""
-
-    fi: np.ndarray
-
-    def __post_init__(self):
-        fi = np.asarray(self.fi, dtype=np.float64)
-        if np.any(fi < 0):
-            raise ValueError("importances must be nonnegative")
-        if fi.any() and abs(fi.sum() - 1.0) > 1e-9:
-            raise ValueError(f"importances must sum to 1, got {fi.sum()!r}")
-        object.__setattr__(self, "fi", fi)
-
-    @property
-    def degenerate(self) -> bool:
-        return not self.fi.any()
-
-
 # ------------------------------------------------------------ value function
 
 
@@ -133,7 +113,7 @@ def _mask_values(model_fn, x, bg: Background, masks: np.ndarray, n: int) -> np.n
     """
     B = bg.size
     values = np.empty(len(masks))
-    chunk = max(1, 65536 // max(B, 1))
+    chunk = max(1, 65536 // B)
     for start in range(0, len(masks), chunk):
         part = masks[start : start + chunk]
         hybrid = np.empty((len(part), B, n))
@@ -467,14 +447,15 @@ def explain_dataset(
     return Explanation(phi, phi0, float(residuals[worst]))
 
 
-def feature_importance(explanation: Explanation) -> ImportanceVector:
-    """Mean absolute SHAP value per feature, normalized to sum to one.
+def feature_importance(explanation: Explanation) -> np.ndarray:
+    """Mean absolute SHAP value per feature, normalized to sum to one: each
+    feature's nonnegative share.
 
     An all-zero explanation has no signal to normalize; it yields an all-zero
-    vector, which reads as degenerate.
+    vector (PeriodResult.degenerate_windows names such windows).
     """
     if len(explanation) == 0:
         raise ValueError("cannot compute importances from an empty explanation")
     mean_abs = np.abs(explanation.phi).mean(axis=0)
     total = mean_abs.sum()
-    return ImportanceVector(mean_abs / total if total else mean_abs)
+    return mean_abs / total if total else mean_abs

@@ -13,7 +13,6 @@ from regime_xai.experiment import (
     PeriodResult,
     RegimeComparison,
     ShapConfig,
-    SplitPlan,
     WindowConfig,
     WindowResult,
     compare_periods,
@@ -29,7 +28,7 @@ from regime_xai.experiment import (
 from regime_xai.gbt import GbtParams
 from regime_xai.mlp import MlpNet, MlpParams
 from regime_xai.cli import write_feature_csv
-from regime_xai.shap import Background, Explanation, ImportanceVector, explain_dataset, feature_importance
+from regime_xai.shap import Background, Explanation, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamp, parse_timestamp, synth_regime
 
 
@@ -86,29 +85,29 @@ def test_make_windows_too_short():
 
 
 def test_split_blocks_forty_days_daily():
-    plan = split_blocks(range(0, 40), test_fraction=0.2, seed=0, rows_per_day=1)
-    assert len(plan.test_indices) == 8  # 10 blocks, 2 test blocks
-    assert len(plan.train_indices) == 32
+    train_indices, test_indices = split_blocks(range(0, 40), test_fraction=0.2, seed=0, rows_per_day=1)
+    assert len(test_indices) == 8  # 10 blocks, 2 test blocks
+    assert len(train_indices) == 32
 
 
 def test_split_blocks_partial_block_goes_to_train():
-    plan = split_blocks(range(0, 42), test_fraction=0.2, seed=1, rows_per_day=1)
-    assert len(plan.test_indices) == 8
-    assert len(plan.train_indices) == 34
+    train_indices, test_indices = split_blocks(range(0, 42), test_fraction=0.2, seed=1, rows_per_day=1)
+    assert len(test_indices) == 8
+    assert len(train_indices) == 34
     # the trailing partial rows 40, 41 are always training rows
-    assert 40 in plan.train_indices and 41 in plan.train_indices
+    assert 40 in train_indices and 41 in train_indices
 
 
 def test_split_blocks_same_seed_identical():
-    a = split_blocks(range(0, 40), test_fraction=0.2, seed=7, rows_per_day=1)
-    b = split_blocks(range(0, 40), test_fraction=0.2, seed=7, rows_per_day=1)
-    np.testing.assert_array_equal(a.test_indices, b.test_indices)
+    _, a = split_blocks(range(0, 40), test_fraction=0.2, seed=7, rows_per_day=1)
+    _, b = split_blocks(range(0, 40), test_fraction=0.2, seed=7, rows_per_day=1)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_split_blocks_different_seeds_usually_differ():
     # 10 blocks choose 2 gives 45 outcomes; over 10 seed pairs expect >90% distinct.
     plans = [
-        split_blocks(range(0, 40), test_fraction=0.2, seed=s, rows_per_day=1).test_indices
+        split_blocks(range(0, 40), test_fraction=0.2, seed=s, rows_per_day=1)[1]
         for s in range(11)
     ]
     differing = sum(not np.array_equal(plans[i], plans[i + 1]) for i in range(10))
@@ -131,17 +130,21 @@ def test_split_blocks_integrity(n_blocks, extra, rows_per_day, seed):
     rows_per_block = BLOCK_DAYS * rows_per_day
     start = 17
     window = range(start, start + n_blocks * rows_per_block + extra)
-    plan = split_blocks(window, test_fraction=0.2, seed=seed, rows_per_day=rows_per_day)
+    train_indices, test_indices = split_blocks(window, test_fraction=0.2, seed=seed, rows_per_day=rows_per_day)
+
+    # two ascending row arrays, ready for FeatureMatrix.take
+    for rows in (train_indices, test_indices):
+        assert rows.dtype == np.intp and (np.diff(rows) > 0).all()
 
     # partition: no leakage, nothing lost
-    assert np.intersect1d(plan.train_indices, plan.test_indices).size == 0
-    merged = np.sort(np.concatenate([plan.train_indices, plan.test_indices]))
+    assert np.intersect1d(train_indices, test_indices).size == 0
+    merged = np.sort(np.concatenate([train_indices, test_indices]))
     np.testing.assert_array_equal(merged, np.arange(window.start, window.stop))
 
     # test rows are unions of whole blocks
-    offsets = plan.test_indices - start
+    offsets = test_indices - start
     blocks = set(offsets // rows_per_block)
-    assert len(plan.test_indices) == len(blocks) * rows_per_block
+    assert len(test_indices) == len(blocks) * rows_per_block
     for b in blocks:
         assert set(range(b * rows_per_block, (b + 1) * rows_per_block)) <= set(offsets)
 
@@ -165,9 +168,9 @@ def test_run_window_matches_run_period(model):
         alone = run_window(fm, spans[w], w, 24, model, windows, SHAP, seed=4)
         in_period = result.windows[w]
         np.testing.assert_array_equal(alone.explanation.phi, in_period.explanation.phi)
-        np.testing.assert_array_equal(alone.importance.fi, in_period.importance.fi)
-        np.testing.assert_array_equal(alone.split.train_indices, in_period.split.train_indices)
-        np.testing.assert_array_equal(alone.split.test_indices, in_period.split.test_indices)
+        np.testing.assert_array_equal(alone.importance, in_period.importance)
+        np.testing.assert_array_equal(alone.train_indices, in_period.train_indices)
+        np.testing.assert_array_equal(alone.test_indices, in_period.test_indices)
         assert (alone.test_mse, alone.test_r2) == (in_period.test_mse, in_period.test_r2)
     assert pickle.loads(pickle.dumps(run_window)) is run_window
 
@@ -178,7 +181,7 @@ def test_run_period_recovers_synthetic_ground_truth():
     names = result.feature_names
     assert names == ("x1", "x2", "x3")
     for w in result.windows:
-        fi = w.importance.fi
+        fi = w.importance
         assert fi[0] > fi[1] > fi[2]
         assert fi[2] < 0.05
     assert len(result.windows) == 6
@@ -200,9 +203,9 @@ def test_run_period_deterministic():
     r1 = run_period(fm, GBT, WINDOWS, SHAP, seed=9)
     r2 = run_period(fm, GBT, WINDOWS, SHAP, seed=9)
     for a, b in zip(r1.windows, r2.windows):
-        np.testing.assert_array_equal(a.importance.fi, b.importance.fi)
+        np.testing.assert_array_equal(a.importance, b.importance)
         np.testing.assert_array_equal(a.explanation.phi, b.explanation.phi)
-        np.testing.assert_array_equal(a.split.test_indices, b.split.test_indices)
+        np.testing.assert_array_equal(a.test_indices, b.test_indices)
         assert a.test_mse == b.test_mse
 
 
@@ -256,7 +259,7 @@ def test_run_period_blocks_span_four_days_when_second_row_is_missing():
     result = run_period(gapped, GBT, WINDOWS, SHAP, seed=0)
     windows = make_windows(len(gapped), WINDOWS.n_windows)
     for window, w in zip(windows, result.windows):
-        _, sizes = np.unique((w.split.test_indices - window.start) // 96, return_counts=True)
+        _, sizes = np.unique((w.test_indices - window.start) // 96, return_counts=True)
         assert sizes.tolist() == [96] * len(sizes)
 
 
@@ -264,7 +267,7 @@ def test_run_period_mlp_kernel_path():
     fm, _ = synth_regime(960, seed=7)
     result = run_period(fm, MLP, WINDOWS, SHAP, seed=3)
     for w in result.windows:
-        fi = w.importance.fi
+        fi = w.importance
         assert fi[0] > fi[1] > fi[2]
     assert result.windows[0].explanation.max_residual < 1e-6
 
@@ -323,7 +326,8 @@ def additive_period_result():
         e = explain_dataset(linear_net([1.0, 1.0]), X, bg, method="kernel")
         windows.append(
             WindowResult(
-                split=SplitPlan(np.arange(15, 30), np.arange(15)),
+                train_indices=np.arange(15, 30),
+                test_indices=np.arange(15),
                 explanation=e,
                 explained=FeatureMatrix(("x1", "x2"), X, X.sum(axis=1), np.arange(15) * 3600),
                 importance=feature_importance(e),
@@ -382,7 +386,7 @@ def test_dependence_dummy_feature_zero(tmp_path):
     X = rng.normal(size=(10, 2))
     e = explain_dataset(linear_net([2.0, 0.0]), X, bg, method="kernel")
     explained = FeatureMatrix(("x1", "x2"), X, 2.0 * X[:, 0], np.arange(10) * 3600)
-    w = WindowResult(SplitPlan(np.arange(10, 20), np.arange(10)), e, explained, feature_importance(e), 0.0, 1.0)
+    w = WindowResult(np.arange(10, 20), np.arange(10), e, explained, feature_importance(e), 0.0, 1.0)
     result = PeriodResult(("x1", "x2"), (w,))
     table = dependence_columns(tmp_path, result, "x2")
     assert len(table["phi_value"]) == 10
@@ -459,7 +463,7 @@ def test_export_text_is_pinned(tmp_path):
         phi = np.array(phi)
         e = Explanation(phi, 0.0, 0.0)
         explained = FeatureMatrix(names, np.array(X), np.zeros(len(ts)), np.array(ts, dtype=np.int64))
-        windows.append(WindowResult(None, e, explained, ImportanceVector(np.array(fi)), 0.0, 1.0))
+        windows.append(WindowResult(None, None, e, explained, np.array(fi), 0.0, 1.0))
     result = PeriodResult(names, tuple(windows))
 
     write_importance_csv(tmp_path / "importance.csv", {"before": result, "after": result})
@@ -519,6 +523,24 @@ def test_window_metrics_json_safe():
     json.dumps(metrics)
 
 
-def test_split_plan_rejects_overlap():
-    with pytest.raises(ValueError, match="overlap"):
-        SplitPlan(np.array([0, 1, 2]), np.array([2, 3]))
+
+def test_partly_degenerate_period_names_the_same_windows_everywhere():
+    # a window whose attributions are all zero gets all-zero importances; the
+    # period, the manifest's metrics and the exported shares agree on which
+    # windows those are, and the other windows keep their shares
+    names = ("x1", "x2")
+    windows = []
+    for phi in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, -3.0], [-1.0, 1.0]], [[0.0, 0.0], [0.0, -0.0]]):
+        e = Explanation(np.array(phi), 2.0, 0.0)
+        explained = FeatureMatrix(names, np.zeros((2, 2)), np.zeros(2), np.array([0, 3600]))
+        windows.append(WindowResult(np.arange(2, 12), np.arange(2), e, explained, feature_importance(e), 0.0, 1.0))
+    result = PeriodResult(names, tuple(windows))
+
+    assert result.degenerate_windows == (0, 2)
+    metrics = window_metrics(result)
+    assert [m["degenerate_importance"] for m in metrics] == [True, False, True]
+    assert [i in result.degenerate_windows for i in range(3)] == [m["degenerate_importance"] for m in metrics]
+    assert [(m["n_train"], m["n_test"]) for m in metrics] == [(10, 2)] * 3
+    np.testing.assert_array_equal(windows[1].importance, [1 / 3, 2 / 3])
+    cmp = compare_periods(result, result)
+    np.testing.assert_allclose(cmp.before_mean, [1 / 9, 2 / 9])

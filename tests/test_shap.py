@@ -10,7 +10,6 @@ from regime_xai.seeds import derive_seed
 from regime_xai.shap import (
     Background,
     Explanation,
-    ImportanceVector,
     LocalAccuracyError,
     SingularSystemError,
     _mask_values,
@@ -774,15 +773,15 @@ def test_explain_dataset_row_order_preserved():
 def test_importance_single_feature():
     e = Explanation(np.array([[2.0], [-4.0]]), 0.0, 0.0)
     iv = feature_importance(e)
-    np.testing.assert_array_equal(iv.fi, [1.0])
-    assert not iv.degenerate
+    np.testing.assert_array_equal(iv, [1.0])
+    assert iv.any()
 
 
 def test_importance_direct_formula():
     phi = np.array([[2.0, 1.0, -1.0], [-2.0, -1.0, 1.0]])
     e = Explanation(phi, 0.0, 0.0)
     iv = feature_importance(e)
-    np.testing.assert_allclose(iv.fi, [0.5, 0.25, 0.25])
+    np.testing.assert_allclose(iv, [0.5, 0.25, 0.25])
 
 
 def test_importance_dummy_feature_zero_under_tree_engine():
@@ -792,26 +791,21 @@ def test_importance_dummy_feature_zero_under_tree_engine():
     bg = Background(rng.normal(size=(5, 2)))
     e = explain_dataset(model, rng.normal(size=(20, 2)), bg, method="tree")
     iv = feature_importance(e)
-    assert iv.fi[1] == 0.0
-    assert iv.fi.sum() == pytest.approx(1.0, abs=1e-9)
+    assert iv[1] == 0.0
+    assert iv.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_importance_degenerate_all_zero():
     e = Explanation(np.zeros((3, 2)), 1.0, 0.0)
     iv = feature_importance(e)
-    assert iv.degenerate
-    np.testing.assert_array_equal(iv.fi, [0.0, 0.0])
+    assert not iv.any()
+    np.testing.assert_array_equal(iv, [0.0, 0.0])
 
 
 def test_importance_empty_explanation_rejected():
     e = Explanation(np.empty((0, 1)), 0.0, 0.0)
     with pytest.raises(ValueError, match="empty"):
         feature_importance(e)
-
-
-def test_importance_vector_validates_sum():
-    with pytest.raises(ValueError, match="sum"):
-        ImportanceVector(np.array([0.5, 0.2]))
 
 
 def test_background_subsample_keeps_every_row_of_a_small_matrix():
