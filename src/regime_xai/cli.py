@@ -280,18 +280,7 @@ def _check_gradients():
         X = rng.standard_normal((64, 3))
         y = rng.standard_normal(64)
         net = initial_net(_matrix(X, y), MlpParams(hidden_sizes=(6, 5)), seed)
-        for _ in range(20):
-            X_check = rng.standard_normal((8, 3))
-            pre = (X_check - net.x_mean) / net.x_std
-            gap = np.inf
-            h = pre
-            for W, b in zip(net.weights[:-1], net.biases[:-1]):
-                z = h @ W.T + b
-                gap = min(gap, float(np.abs(z).min()))
-                h = np.maximum(z, 0.0)
-            if gap > 1e-3:
-                break
-        worst = max(worst, grad_check(net, X_check, y[:8]))
+        worst = max(worst, grad_check(net, rng.standard_normal((8, 3)), y[:8]))
     return worst < 1e-4, f"max relative error {worst:.2e} (tolerance 1e-4)"
 
 

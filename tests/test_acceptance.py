@@ -159,17 +159,7 @@ def test_c05_gradient_correctness():
     for seed in range(20):
         net = random_net(rng, 3, hidden=(6, 5), seed=seed)
         y = rng.standard_normal(8)
-        for _ in range(50):  # finite differences need pre-activations off the kinks
-            X = rng.standard_normal((8, 3))
-            h = (X - net.x_mean) / net.x_std
-            gap = np.inf
-            for W, b in zip(net.weights[:-1], net.biases[:-1]):
-                z = h @ W.T + b
-                gap = min(gap, float(np.abs(z).min()))
-                h = np.maximum(z, 0.0)
-            if gap > 1e-3:
-                break
-        worst = max(worst, grad_check(net, X, y))
+        worst = max(worst, grad_check(net, rng.standard_normal((8, 3)), y))
     assert worst < 1e-4
     report(5, f"20 random nets, max relative gradient error = {worst:.2e}")
 

@@ -593,8 +593,8 @@ def test_kernel_local_accuracy_structural_in_sampling_mode():
 def test_kernel_sampling_mode_approximates_exact():
     # The sampled budget, 2n + 2048 paired coalitions from n = 12 on, checked
     # against the 2^n oracle on fitted nets. The error of a row is the L1 gap
-    # over sum |phi_exact|. Measured on this setup: median 0.51 %, max 0.97 %;
-    # without the complement pairing, median 1.77 %, max 5.2 %.
+    # over sum |phi_exact|. Measured on this setup: median 0.54 %, max 1.52 %;
+    # with as many draws and no complement pairing, median 1.48 %, max 3.55 %.
     errors = []
     for n in (12, 13):
         rng = np.random.default_rng(n)

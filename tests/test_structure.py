@@ -225,6 +225,19 @@ def test_only_timeseries_reads_and_writes_csv():
     assert _imports_outside_timeseries("csv") == []
 
 
+def test_only_mlp_reads_a_nets_parameters():
+    # mlp.py holds the one forward pass; a module that reads an MlpNet's
+    # weights or biases is computing a second one beside it
+    reads = [
+        f"{file}:{node.lineno} .{node.attr}"
+        for file, tree in _package_trees().items()
+        if file != "mlp.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"weights", "biases"}
+    ]
+    assert reads == []
+
+
 def test_every_import_is_used():
     # No linter runs on this package, so a deletion that leaves an import
     # behind is caught here. A name counts as used when the module refers to
