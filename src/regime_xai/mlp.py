@@ -9,10 +9,11 @@ straddle a rectifier's kink. Batch size, Adam step, early-stopping patience
 and validation tail are fixed; layer sizes and epoch budget are settings.
 
 There is one forward pass, _forward, and it does its arithmetic in buffers
-kept in a dict its caller owns: predict_mlp's caller for one explanation (or
-one window), fit_mlp and grad_check for one call. KernelSHAP predicts
-thousands of times on up to 65,536 rows; fresh arrays that large would be
-mapped and page-faulted in again on every call.
+kept in a dict its caller owns: predict_mlp's caller for one explanation
+(each KernelSHAP pool worker owns one) or one window, fit_mlp and grad_check
+for one call. A dict serves one thread at a time. KernelSHAP predicts
+thousands of times on up to 4,096 rows; fresh arrays would be mapped and
+page-faulted in again on every call.
 
 fit_mlp and grad_check keep every weight and bias as a view of one flat
 parameter vector, and _backprop writes each gradient into the same views of

@@ -1,3 +1,6 @@
+import contextlib
+import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -12,7 +15,9 @@ from regime_xai.shap import (
     Explanation,
     LocalAccuracyError,
     SingularSystemError,
+    _kernel_shap_matrix,
     _mask_values,
+    _openblas_threads,
     _subset_weights,
     exact_shap,
     explain_dataset,
@@ -86,7 +91,7 @@ def sampled_masks(seed, n, count):
     "n, masks, size",
     [
         (3, np.arange(8), 7),
-        # 2,048 masks of 50 background rows take two chunks of at most 65,536 rows
+        # 2,048 masks of 50 background rows take chunks of 64 masks, 3,200 rows
         (11, np.arange(1 << 11), 50),
         (12, sampled_masks(0, 12, 2000), 50),
     ],
@@ -108,10 +113,29 @@ def test_mask_values_hands_the_model_the_hybrid_rows_in_order(n, masks, size):
     values = _mask_values(record, x, bg, masks, n)
     sel = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     expected = np.where(sel[:, None, :], x, bg.rows).reshape(-1, n)
-    chunk = 65536 // size * size
+    chunk = 2 ** int(np.log2(4096 // size)) * size
     assert [len(X) for X in calls] == [min(chunk, len(expected) - start) for start in range(0, len(expected), chunk)]
     np.testing.assert_array_equal(np.concatenate(calls), expected)
     np.testing.assert_array_equal(values, record(expected).reshape(len(masks), size).mean(axis=1))
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (64, 64)])
+@pytest.mark.parametrize("n", [8, 11])
+@pytest.mark.parametrize("size", [10, 50, 100])
+def test_mask_values_in_chunks_equal_one_model_call_bit_for_bit(hidden, n, size):
+    # A chunk's row count is a power of two of masks times the background
+    # size, so BLAS computes each hybrid row as it would in one call over
+    # all of them; a chunk of 4096 // size masks changes the last bits.
+    rng = np.random.default_rng(n * size)
+    X = rng.standard_normal((80, n))
+    net = initial_net(matrix(X, rng.standard_normal(80)), MlpParams(hidden_sizes=hidden), seed=size)
+    x = rng.standard_normal(n)
+    bg = Background(rng.standard_normal((size, n)))
+    masks = np.arange(1 << n, dtype=np.int64)
+    values = _mask_values(partial(predict_mlp, net, work={}), x, bg, masks, n)
+    sel = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    hybrids = np.where(sel[:, None, :], x, bg.rows).reshape(-1, n)
+    np.testing.assert_array_equal(values, predict_mlp(net, hybrids, {}).reshape(len(masks), size).mean(axis=1))
 
 
 # ----------------------------------------------------------------- exact_shap
@@ -728,6 +752,74 @@ def test_explain_dataset_kernel_rows_use_their_own_seeds():
     for i in range(len(X)):
         phi, _ = kernel_shap(fn, X[i], bg, seed=derive_seed(5, i))
         np.testing.assert_array_equal(e.phi[i], phi)
+
+
+def _cpus(monkeypatch, count):
+    """Give the process an affinity mask of count CPUs, as regime_xai.shap reads it."""
+    monkeypatch.setattr("regime_xai.shap.os.sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("n", [8, 12], ids=["enumerated", "sampled"])
+def test_kernel_phi_is_the_same_with_one_worker_and_two(monkeypatch, n):
+    net = random_mlp(22, n_features=n)
+    rng = np.random.default_rng(22)
+    bg = Background(rng.standard_normal((10, n)))
+    X = rng.standard_normal((6, n))
+    phi = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        workers = []
+
+        def new_model_fn():
+            workers.append(threading.get_ident())
+            return partial(predict_mlp, net, work={})
+
+        phi[cpus] = _kernel_shap_matrix(new_model_fn, X, bg, seed=3)
+        assert len(set(workers)) == len(workers) == (cpus if _openblas_threads() else 1)
+    np.testing.assert_array_equal(phi[1], phi[2])
+    np.testing.assert_array_equal(phi[2], explain_dataset(net, X, bg, method="kernel", seed=3).phi)
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy does not link OpenBLAS")
+@pytest.mark.parametrize("fails", [False, True], ids=["passes", "a-row-raises"])
+def test_kernel_pass_runs_blas_on_one_thread_and_restores_its_count(monkeypatch, fails):
+    get_threads, set_threads = _openblas_threads()
+    before = get_threads()
+    _cpus(monkeypatch, 2)
+    seen = []
+
+    def fn(X):
+        seen.append(get_threads())
+        if fails:
+            raise RuntimeError("model failed")
+        return X.sum(axis=1)
+
+    bg = Background(np.zeros((3, 4)))
+    try:
+        with pytest.raises(RuntimeError, match="model failed") if fails else contextlib.nullcontext():
+            _kernel_shap_matrix(lambda: fn, np.ones((4, 4)), bg, seed=0)
+        assert seen and set(seen) == {1}
+        assert get_threads() == before
+    finally:
+        set_threads(before)
+
+
+def test_kernel_pass_raises_the_first_failing_row_in_row_order(monkeypatch):
+    # rows 2 and 4 fail; row 2 fails last, and its error is still the one raised
+    _cpus(monkeypatch, 2)
+    X = np.arange(6.0)[:, None] * np.ones(3)
+    bg = Background(np.full((2, 3), -1.0))
+
+    def fn(hybrids):
+        row = int(hybrids[:, 0].max())
+        if row == 2:
+            time.sleep(0.2)
+        if row in (2, 4):
+            raise RuntimeError(f"row {row} failed")
+        return hybrids.sum(axis=1)
+
+    with pytest.raises(RuntimeError, match="^row 2 failed$"):
+        _kernel_shap_matrix(lambda: fn, X, bg, seed=0)
 
 
 @pytest.mark.parametrize("method", ["exact", "Tree"])
