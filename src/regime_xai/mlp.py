@@ -10,7 +10,7 @@ and validation tail are fixed; layer sizes and epoch budget are settings.
 
 There is one forward pass, _forward, and it does its arithmetic in buffers
 kept in a dict its caller owns: predict_mlp's caller for one explanation
-(each KernelSHAP pool worker owns one) or one window, fit_mlp and grad_check
+(each KernelSHAP share of rows owns one) or one window, fit_mlp and grad_check
 for one call. A dict serves one thread at a time. KernelSHAP predicts
 thousands of times on up to 4,096 rows; fresh arrays would be mapped and
 page-faulted in again on every call.

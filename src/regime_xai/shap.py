@@ -30,7 +30,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -405,16 +404,18 @@ def _openblas_threads():
         return None
 
 
-def _kernel_shap_matrix(new_model_fn, X: np.ndarray, bg: Background, seed: int) -> np.ndarray:
+def _kernel_shap_matrix(predict, X: np.ndarray, bg: Background, seed: int) -> np.ndarray:
     """kernel_shap for every row of X, each row with its own seed derived
     from (seed, row index), so no row's result depends on the others.
 
-    Rows are explained on a pool of one thread per CPU in the process's
-    affinity mask (taskset limits it), at most one per row; each worker
-    predicts through its own new_model_fn(). OpenBLAS is held at one thread
-    while the pool runs, so the workers do not share cores with BLAS
-    threads; with another BLAS the pool has one worker. phi comes back in
-    row order, and when rows fail, the first failing row's error is raised.
+    The rows are cut into one contiguous share per CPU, at most one per row:
+    the CPUs are those of the process's affinity mask (taskset limits it),
+    or os.cpu_count() where the platform has no mask. The shares run on a
+    thread pool, each predicting through predict(rows, work) with a work
+    dict of its own. OpenBLAS is held at one thread while the pool runs, so
+    the shares do not compete with BLAS threads for the cores; with another
+    BLAS there is one share. phi comes back in row order, and when rows
+    fail, the first failing row's error is raised.
     """
     # imported here: the pool's modules add 0.2 MiB to the peak memory of a
     # run that explains no row with this engine
@@ -422,20 +423,19 @@ def _kernel_shap_matrix(new_model_fn, X: np.ndarray, bg: Background, seed: int) 
 
     blas = _openblas_threads()
     get_threads, set_threads = blas or (lambda: 1, lambda threads: None)
-    workers = min(len(os.sched_getaffinity(0)), len(X)) if blas else 1
-    local = threading.local()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(X)) if blas else 1
 
-    def start_worker():
-        local.model_fn = new_model_fn()
-
-    def explain(i):
-        return kernel_shap(local.model_fn, X[i], bg, seed=derive_seed(seed, i))[0]
+    def explain(k):
+        model_fn = partial(predict, work={})
+        rows = range(len(X) * k // workers, len(X) * (k + 1) // workers)
+        return [kernel_shap(model_fn, X[i], bg, seed=derive_seed(seed, i))[0] for i in rows]
 
     threads = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(workers, initializer=start_worker) as pool:
-            return np.vstack(list(pool.map(explain, range(len(X)))))
+        with ThreadPoolExecutor(workers) as pool:
+            return np.vstack([phi for share in pool.map(explain, range(workers)) for phi in share])
     finally:
         set_threads(threads)
 
@@ -460,9 +460,8 @@ def explain_dataset(
     if bg.n_features != X.shape[1]:
         raise ValueError(f"background has {bg.n_features} columns, X has {X.shape[1]}")
     # One of the two branches on the model kind (experiment.run_window has
-    # the other). The predict functions are looked up at call time, here or
-    # as each KernelSHAP worker starts, so a profiler that rebinds these
-    # module names sees each call.
+    # the other). The predict functions are looked up at call time, so a
+    # profiler that rebinds these module names sees each call.
     if method == "tree":
         if not isinstance(model, TreeEnsemble):
             raise ValueError("tree method requires a TreeEnsemble")
@@ -471,12 +470,9 @@ def explain_dataset(
     elif method == "kernel":
         if not isinstance(model, MlpNet):
             raise ValueError("kernel method requires an MlpNet")
-
-        def new_model_fn():  # one per pool worker, whose buffers it holds
-            return partial(predict_mlp, model, work={})
-
-        model_fn = new_model_fn()
-        engine = partial(_kernel_shap_matrix, new_model_fn, seed=seed)
+        predict = partial(predict_mlp, model)
+        model_fn = partial(predict, work={})
+        engine = partial(_kernel_shap_matrix, predict, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}")
 

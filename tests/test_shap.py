@@ -1,5 +1,4 @@
 import contextlib
-import threading
 import time
 import tracemalloc
 from functools import partial
@@ -281,6 +280,20 @@ def test_tree_shap_single_stump_hand_check():
     e = explain_dataset(model, np.array([[0.5]]), bg, method="tree")
     assert e.phi0 == pytest.approx(1 / 3)
     assert e.phi[0, 0] == pytest.approx(1.0 - 1 / 3)
+
+
+@pytest.mark.parametrize(
+    "x, z",
+    [((0.5, -np.inf), (0.0, 0.0)), ((np.nan, 0.5), (0.0, 0.0)), ((0.5, 0.5), (0.0, np.nan))],
+    ids=["inf-row", "nan-row", "nan-background"],
+)
+def test_tree_shap_rejects_rows_that_are_not_finite(x, z):
+    stump = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
+    model = TreeEnsemble(0.0, (stump,), 1.0, 2)
+    X = np.array([[1.0, 1.0], x])
+    bg = Background(np.array([[-1.0, 1.0], z]))
+    with pytest.raises(ValueError, match="the tree engine needs finite rows and background rows"):
+        explain_dataset(model, X, bg, method="tree")
 
 
 def test_tree_shap_matches_brute_force():
@@ -761,22 +774,24 @@ def _cpus(monkeypatch, count):
 
 @pytest.mark.parametrize("n", [8, 12], ids=["enumerated", "sampled"])
 def test_kernel_phi_is_the_same_with_one_worker_and_two(monkeypatch, n):
+    # 3 CPUs cut 7 rows into uneven shares of 2, 2 and 3
     net = random_mlp(22, n_features=n)
     rng = np.random.default_rng(22)
     bg = Background(rng.standard_normal((10, n)))
-    X = rng.standard_normal((6, n))
+    X = rng.standard_normal((7, n))
     phi = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
-        workers = []
+        works = []
 
-        def new_model_fn():
-            workers.append(threading.get_ident())
-            return partial(predict_mlp, net, work={})
+        def predict(rows, work):
+            works.append(work)  # kept alive, so distinct dicts have distinct ids
+            return predict_mlp(net, rows, work)
 
-        phi[cpus] = _kernel_shap_matrix(new_model_fn, X, bg, seed=3)
-        assert len(set(workers)) == len(workers) == (cpus if _openblas_threads() else 1)
+        phi[cpus] = _kernel_shap_matrix(predict, X, bg, seed=3)
+        assert len({id(work) for work in works}) == (cpus if _openblas_threads() else 1)
     np.testing.assert_array_equal(phi[1], phi[2])
+    np.testing.assert_array_equal(phi[1], phi[3])
     np.testing.assert_array_equal(phi[2], explain_dataset(net, X, bg, method="kernel", seed=3).phi)
 
 
@@ -797,7 +812,7 @@ def test_kernel_pass_runs_blas_on_one_thread_and_restores_its_count(monkeypatch,
     bg = Background(np.zeros((3, 4)))
     try:
         with pytest.raises(RuntimeError, match="model failed") if fails else contextlib.nullcontext():
-            _kernel_shap_matrix(lambda: fn, np.ones((4, 4)), bg, seed=0)
+            _kernel_shap_matrix(lambda rows, work: fn(rows), np.ones((4, 4)), bg, seed=0)
         assert seen and set(seen) == {1}
         assert get_threads() == before
     finally:
@@ -819,7 +834,47 @@ def test_kernel_pass_raises_the_first_failing_row_in_row_order(monkeypatch):
         return hybrids.sum(axis=1)
 
     with pytest.raises(RuntimeError, match="^row 2 failed$"):
-        _kernel_shap_matrix(lambda: fn, X, bg, seed=0)
+        _kernel_shap_matrix(lambda rows, work: fn(rows), X, bg, seed=0)
+
+
+def test_kernel_pass_sizes_the_pool_by_cpu_count_without_an_affinity_mask(monkeypatch):
+    # macOS's os module has no sched_getaffinity
+    net = random_mlp(23, n_features=4)
+    rng = np.random.default_rng(23)
+    bg = Background(rng.standard_normal((5, 4)))
+    X = rng.standard_normal((5, 4))
+    expected = _kernel_shap_matrix(partial(predict_mlp, net), X, bg, seed=2)
+    monkeypatch.delattr("regime_xai.shap.os.sched_getaffinity")
+    np.testing.assert_array_equal(_kernel_shap_matrix(partial(predict_mlp, net), X, bg, seed=2), expected)
+
+
+def test_kernel_pass_with_another_blas_runs_one_share_and_sets_no_threads(monkeypatch):
+    blas = _openblas_threads()
+    net = random_mlp(24, n_features=4)
+    rng = np.random.default_rng(24)
+    bg = Background(rng.standard_normal((5, 4)))
+    X = rng.standard_normal((6, 4))
+    expected = _kernel_shap_matrix(partial(predict_mlp, net), X, bg, seed=4)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr("regime_xai.shap._openblas_threads", lambda: None)
+    get_threads, set_threads = blas or (lambda: None, lambda threads: None)
+    before = get_threads()
+    works, seen = [], []
+
+    def predict(rows, work):
+        works.append(work)
+        seen.append(get_threads())
+        return predict_mlp(net, rows, work)
+
+    try:
+        set_threads(2)  # so that a pass setting one thread would show
+        threads = get_threads()
+        phi = _kernel_shap_matrix(predict, X, bg, seed=4)
+        assert len({id(work) for work in works}) == 1
+        assert set(seen) == {threads} and get_threads() == threads
+    finally:
+        set_threads(before)
+    np.testing.assert_array_equal(phi, expected)
 
 
 @pytest.mark.parametrize("method", ["exact", "Tree"])
