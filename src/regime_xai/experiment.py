@@ -116,9 +116,8 @@ def make_windows(n_rows: int, n_windows: int) -> list[range]:
     """Evenly spaced windows of n_rows // 2 rows each; the first starts at row
     0 and the last ends at row n_rows, so with two or more windows the first
     and the last share no row. One window covers only the first half. With
-    two windows and an odd n_rows the middle row is in no window."""
-    if n_windows < 1:
-        raise ValueError("n_windows must be >= 1")
+    two windows and an odd n_rows the middle row is in no window. n_windows
+    is at least 1, as a WindowConfig holds it."""
     width = n_rows // 2
     if width < 1 or n_rows < n_windows:
         raise TimeSeriesError(f"period too short: {n_rows} rows for {n_windows} windows")
@@ -131,11 +130,10 @@ def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: i
     """Partition a window into consecutive blocks of BLOCK_DAYS days and pick
     round(test_fraction * n_blocks) of them, uniformly without replacement,
     as the test set. A trailing partial block goes to the training set.
-    Returns the ascending train and test rows, which partition the window."""
+    Returns the ascending train and test rows, which partition the window.
+    rows_per_day is at least 1, as timeseries.rows_per_day returns it."""
     rows = np.arange(window.start, window.stop, dtype=np.intp)
     rows_per_block = BLOCK_DAYS * int(rows_per_day)
-    if rows_per_block < 1:
-        raise ValueError("block must cover at least one row")
     n_blocks = len(rows) // rows_per_block
     if n_blocks < MIN_BLOCKS:
         raise TimeSeriesError(
@@ -144,11 +142,8 @@ def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: i
         )
     n_test = int(np.clip(round(test_fraction * n_blocks), 1, n_blocks - 1))
     rng = np.random.default_rng(seed)
-    test_blocks = np.sort(rng.choice(n_blocks, size=n_test, replace=False))
-
-    test_mask = np.zeros(len(rows), dtype=bool)
-    for b in test_blocks:
-        test_mask[b * rows_per_block : (b + 1) * rows_per_block] = True
+    test_blocks = rng.choice(n_blocks, size=n_test, replace=False)
+    test_mask = np.isin(np.arange(len(rows)) // rows_per_block, test_blocks)
     return rows[~test_mask], rows[test_mask]
 
 

@@ -82,26 +82,15 @@ def _epoch_seconds(stamps: np.ndarray):
 class TimeTable:
     """Named numeric series on the grid start + i * step_seconds, i < n_rows.
 
-    columns: name -> float64 array of n_rows values, NaN marks missing.
+    columns: name -> float64 array of n_rows values, NaN marks missing. Its
+    builders (load_table, resample_mean, with_column) guarantee that and a
+    step of at least one second, so it checks nothing again.
     """
 
     start: int
     step_seconds: int
     n_rows: int
     columns: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        if self.step_seconds <= 0:
-            raise TimeSeriesError(f"resolution must be positive, got {self.step_seconds / 3600:g}h")
-        cols = {}
-        for name, values in self.columns.items():
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.shape != (self.n_rows,):
-                raise TimeSeriesError(
-                    f"column {name!r} has length {arr.shape[0]}, expected {self.n_rows}"
-                )
-            cols[name] = arr
-        object.__setattr__(self, "columns", cols)
 
     @property
     def timestamps(self) -> np.ndarray:
@@ -361,10 +350,8 @@ def _quote(cell: str) -> str:
 
 def _column(column):
     """A block column as its one quoted cell, a sequence of quoted str cells, or a float array."""
-    if isinstance(column, str):
-        return _quote(column)
-    if isinstance(column, int):
-        return str(column)
+    if isinstance(column, (str, int)):
+        return _quote(str(column))
     if isinstance(column, np.ndarray) or not len(column) or not isinstance(column[0], str):
         return np.asarray(column, dtype=np.float64)
     text = "".join(column)
@@ -381,7 +368,7 @@ def _cells(column, lo: int, hi: int):
 
 
 def with_column(table: TimeTable, name: str, values) -> TimeTable:
-    """New TimeTable with an added or replaced column."""
+    """New TimeTable with an added or replaced column, a float64 array of n_rows values."""
     return replace(table, columns={**table.columns, name: values})
 
 

@@ -9,7 +9,7 @@ import typing
 from pathlib import Path
 
 import regime_xai
-from regime_xai import config
+from regime_xai import config, shap, timeseries
 
 SRC = Path(regime_xai.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -510,3 +510,23 @@ def test_every_range_error_of_a_config_section_begins_with_its_field():
         if re.match(r"\w*", text).group() not in {f.name for f in dataclasses.fields(cls)}
     ]
     assert stray == []
+
+
+def test_only_boundary_records_check_their_fields():
+    # A __post_init__ check belongs where a fault can reach: a config section
+    # _dataclass_from builds, or an input a library caller hands a documented
+    # entry point (FeatureMatrix, Background). Any other record is built by
+    # code that already guarantees its fields, so a check there only re-tests
+    # that producer.
+    allowed = {
+        (Path(inspect.getfile(cls)).name, cls.__name__)
+        for cls in (*_built_by_dataclass_from(), timeseries.FeatureMatrix, shap.Background)
+    }
+    checking = {
+        (file, node.name)
+        for file, tree in _package_trees().items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)
+    }
+    assert sorted(checking - allowed) == []

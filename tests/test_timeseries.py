@@ -813,12 +813,19 @@ def test_mixed_price_direct_formula():
 # ---------------------------------------------------------------- align_join
 
 
-def test_align_join_refuses_mixed_resolutions():
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (TimeTable(T0, 900, 32, {"tgt": np.arange(32.0)}), "tables have mixed resolutions: 0.25h, 1h"),
+        (resample_mean(hourly_table({"tgt": np.arange(8.0)}), 4 * 3600, 0), "tables have mixed resolutions: 1h, 4h"),
+    ],
+    ids=["15min-vs-hourly", "hourly-vs-resampled-4h"],
+)
+def test_align_join_refuses_mixed_resolutions(target, message):
     # a library caller gets the error the config loader gives at load
     hourly = hourly_table({"f1": np.arange(8.0)})
-    quarter = TimeTable(T0, 900, 32, {"tgt": np.arange(32.0)})
-    with pytest.raises(TimeSeriesError, match=re.escape("tables have mixed resolutions: 0.25h, 1h")):
-        align_join([hourly, quarter], ["f1"], "tgt", *EVER)
+    with pytest.raises(TimeSeriesError, match=re.escape(message)):
+        align_join([hourly, target], ["f1"], "tgt", *EVER)
 
 
 def test_align_join_identical_timestamps():
@@ -863,13 +870,6 @@ def test_align_join_rejects_ambiguous_column():
     a = hourly_table({"f1": [1, 2], "tgt": [0, 0]})
     b = hourly_table({"f1": [3, 4]})
     with pytest.raises(TimeSeriesError, match="ambiguous"):
-        align_join([a, b], ["f1"], "tgt", *EVER)
-
-
-def test_align_join_rejects_mixed_resolutions():
-    a = hourly_table({"f1": np.arange(8.0)})
-    b = resample_mean(hourly_table({"tgt": np.arange(8.0)}), 4 * 3600, 0)
-    with pytest.raises(TimeSeriesError, match="resolution"):
         align_join([a, b], ["f1"], "tgt", *EVER)
 
 
@@ -929,11 +929,6 @@ def test_synth_regime_periods_are_contiguous():
 
 
 # ------------------------------------------------------------- type contracts
-
-
-def test_timetable_rejects_length_mismatch():
-    with pytest.raises(TimeSeriesError):
-        TimeTable(0, 3600, 2, {"v": np.zeros(3)})
 
 
 def test_feature_matrix_rejects_nan():
