@@ -133,7 +133,7 @@ def split_blocks(window: range, test_fraction: float, seed: int, rows_per_day: i
     Returns the ascending train and test rows, which partition the window.
     rows_per_day is at least 1, as timeseries.rows_per_day returns it."""
     rows = np.arange(window.start, window.stop, dtype=np.intp)
-    rows_per_block = BLOCK_DAYS * int(rows_per_day)
+    rows_per_block = BLOCK_DAYS * rows_per_day
     n_blocks = len(rows) // rows_per_block
     if n_blocks < MIN_BLOCKS:
         raise TimeSeriesError(

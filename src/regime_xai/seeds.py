@@ -9,8 +9,6 @@ import hashlib
 
 
 def derive_seed(*parts: int) -> int:
-    """Derive a stable 32-bit child seed from integer parts (order-sensitive)."""
-    if not parts:
-        raise ValueError("derive_seed needs at least one part")
+    """A stable 32-bit child seed from one or more integer parts (order-sensitive)."""
     digest = hashlib.sha256(",".join(str(int(p)) for p in parts).encode("ascii")).digest()
     return int.from_bytes(digest[:4], "big")

@@ -325,15 +325,14 @@ def write_csv(path, header, blocks) -> None:
     and a str column is scanned for those characters once, in its joined
     text. A table has two or more columns (csv.writer alone writes a row of
     one empty cell, as ""). Each block is written _SLICE_ROWS rows at a time,
-    one string per slice, so the text held at once does not grow with it."""
+    one string per slice, so the text held at once does not grow with it.
+    Every caller builds a block from one record, so its columns are not
+    checked for equal lengths."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_quote, header)) + "\n")
         for block in blocks:
             columns = [_column(c) for c in block]
-            lengths = {len(c) for c in columns if not isinstance(c, str)}
-            if len(lengths) > 1:
-                raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
-            n_rows = lengths.pop() if lengths else 1
+            n_rows = next((len(c) for c in columns if not isinstance(c, str)), 1)
             for lo in range(0, n_rows, _SLICE_ROWS):
                 hi = min(lo + _SLICE_ROWS, n_rows)
                 cells = [_cells(c, lo, hi) for c in columns]
@@ -403,28 +402,6 @@ def resample_mean(table: TimeTable, block_seconds: int, origin: int) -> TimeTabl
     return TimeTable(start - (start - origin) % block_seconds, block_seconds, n_blocks, columns)
 
 
-def trailing_mean_before(series, window_samples: int) -> np.ndarray:
-    """Mean over the window_samples values strictly before each index.
-
-    Indices with fewer than window_samples predecessors are missing, as is a
-    window whose present values are all missing.
-    """
-    values = np.asarray(series, dtype=np.float64)
-    n = len(values)
-    w = int(window_samples)
-    if w < 1:
-        raise TimeSeriesError("window must cover at least one sample")
-    out = np.full(n, np.nan)
-    present = ~np.isnan(values)
-    sums = np.concatenate([[0.0], np.cumsum(np.where(present, values, 0.0))])
-    counts = np.concatenate([[0], np.cumsum(present.astype(np.int64))])
-    idx = np.arange(w, n)
-    win_sums = sums[idx] - sums[idx - w]
-    win_counts = counts[idx] - counts[idx - w]
-    out[idx] = np.where(win_counts > 0, win_sums / np.maximum(win_counts, 1), np.nan)
-    return out
-
-
 def residual_load(
     load_fc,
     wind_fc,
@@ -435,17 +412,24 @@ def residual_load(
 ) -> np.ndarray:
     """Forecast load minus renewable forecasts minus a lagging run-of-river mean.
 
-    The run-of-river term is a trailing mean over the ror_lag_days preceding
-    the current instant (exclusive), so the result only uses information
-    available at forecast time. Rows without enough history become missing.
+    The run-of-river term is the mean of the present values over the
+    ror_lag_days * samples_per_day rows strictly before each row, so the
+    result only uses information available at forecast time; a row with
+    fewer predecessors, or no present value in its window, is missing. The
+    series are one table's float64 columns (cli._derive_column) and the
+    window is at least one row (ResidualLoadSpec, rows_per_day), so nothing
+    is checked again.
     """
-    arrays = [np.asarray(a, dtype=np.float64) for a in (load_fc, wind_fc, solar_fc, ror_actual)]
-    lengths = {len(a) for a in arrays}
-    if len(lengths) != 1:
-        raise TimeSeriesError(f"misaligned series: lengths {sorted(len(a) for a in arrays)}")
-    load, wind, solar, ror = arrays
-    ror_ma = trailing_mean_before(ror, int(ror_lag_days) * int(samples_per_day))
-    return load - wind - solar - ror_ma
+    w = ror_lag_days * samples_per_day
+    present = ~np.isnan(ror_actual)
+    sums = np.concatenate([[0.0], np.cumsum(np.where(present, ror_actual, 0.0))])
+    counts = np.concatenate([[0], np.cumsum(present.astype(np.int64))])
+    idx = np.arange(w, len(ror_actual))
+    win_sums = sums[idx] - sums[idx - w]
+    win_counts = counts[idx] - counts[idx - w]
+    ror_ma = np.full(len(ror_actual), np.nan)
+    ror_ma[idx] = np.where(win_counts > 0, win_sums / np.maximum(win_counts, 1), np.nan)
+    return load_fc - wind_fc - solar_fc - ror_ma
 
 
 def mixed_price(capacity_price: np.ndarray, energy_price: np.ndarray, alpha: float) -> np.ndarray:
@@ -501,7 +485,7 @@ def align_join(
         return t.columns[name][(common - t.start) // t.step_seconds]
 
     y = locate(target_col)
-    X = np.column_stack([locate(name) for name in feature_cols]) if feature_cols else np.empty((common.size, 0))
+    X = np.column_stack([locate(name) for name in feature_cols])  # FeatureConfig refuses an empty `columns`
     keep = ~(np.isnan(X).any(axis=1) | np.isnan(y))
     n_dropped = int((~keep).sum())
     if n_dropped:

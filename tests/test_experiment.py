@@ -233,6 +233,13 @@ def test_run_period_refuses_a_period_too_short_for_its_windows(n_rows):
         run_period(fm.take(np.arange(n_rows)), GBT, WINDOWS, SHAP, seed=0)
 
 
+def test_run_period_refuses_a_row_step_that_does_not_divide_a_day():
+    fm, _ = synth_regime(960, seed=6)
+    every_7s = FeatureMatrix(fm.feature_names, fm.X, fm.y, fm.timestamps[0] + 7 * np.arange(len(fm)))
+    with pytest.raises(TimeSeriesError, match="row step of 7s does not divide a day"):
+        run_period(every_7s, GBT, WINDOWS, SHAP, seed=0)
+
+
 def test_run_period_rejects_unknown_kind():
     # run_period takes a ModelConfig, which cannot hold an unknown kind
     with pytest.raises(ValueError, match="kind: expected one of \\['gbt', 'mlp'\\], got 'boost'"):

@@ -184,6 +184,16 @@ def test_exact_shap_rejects_large_n():
         exact_shap(fn, np.zeros(21), Background(np.zeros((1, 21))))
 
 
+@pytest.mark.parametrize(
+    "explain, n",
+    [(exact_shap, 3), (partial(kernel_shap, seed=0), 3), (partial(kernel_shap, seed=0), 12)],
+    ids=["exact", "kernel-enumerated", "kernel-sampled"],
+)
+def test_exact_and_kernel_shap_reject_a_background_one_column_wider(explain, n):
+    with pytest.raises(ValueError, match="background width does not match the explained row"):
+        explain(lambda X: X.sum(axis=1), np.zeros(n), Background(np.zeros((2, n + 1))))
+
+
 def test_exact_shap_symmetry():
     # Model symmetric in features 0 and 1, evaluated where x0 == x1,
     # against a background symmetric under swapping columns 0 and 1.
@@ -901,6 +911,12 @@ def test_explain_dataset_names_a_background_of_the_wrong_width(method):
     model = random_ensemble(21, n_features=3) if method == "tree" else random_mlp(21, n_features=3)
     with pytest.raises(ValueError, match="background has 2 columns, X has 3"):
         explain_dataset(model, np.zeros((1, 3)), Background(np.zeros((4, 2))), method=method)
+
+
+def test_explain_dataset_rejects_a_1d_x():
+    model = random_ensemble(22, n_features=3)
+    with pytest.raises(ValueError, match="X must be 2D"):
+        explain_dataset(model, np.zeros(3), Background(np.zeros((4, 3))), method="tree")
 
 
 def test_explain_dataset_row_order_preserved():

@@ -504,6 +504,21 @@ def test_a_blank_line_that_ends_a_chunk_shifts_no_later_line(tmp_path):
         load_table(write_csv(tmp_path / "a.csv", lines), 3600)
 
 
+def test_a_stamp_cell_too_wide_for_the_chunk_pass_loads_as_the_unpadded_file(tmp_path, monkeypatch):
+    # a stamp cell over _STAMP_CHARS characters sends its chunk to the per-row loop
+    lines = hourly_lines(range(4))
+    padded = [lines[0], " " * timeseries._STAMP_CHARS + lines[1], *lines[2:]]
+    plain = load_table(write_csv(tmp_path / "plain.csv", lines), 3600)
+    loop_calls = []
+    parse_rows = timeseries._parse_rows
+    monkeypatch.setattr(timeseries, "_parse_rows", lambda *args: loop_calls.append(args[1:]) or parse_rows(*args))
+    wide = load_table(write_csv(tmp_path / "wide.csv", padded), 3600)
+    assert loop_calls == [(4, ["v"], 2)]  # the one chunk: 4 lines from file line 2
+    assert (wide.start, wide.step_seconds, wide.n_rows) == (plain.start, plain.step_seconds, plain.n_rows)
+    assert list(wide.columns) == list(plain.columns)
+    np.testing.assert_array_equal(wide.columns["v"], plain.columns["v"])
+
+
 @pytest.mark.parametrize(
     "hours, message",
     [
@@ -650,11 +665,6 @@ def test_write_csv_names_read_back(tmp_path, name):
         assert list(csv.reader(fh)) == [["feature", name], [name, "1.5"], [name, "-0.0"], [name, name]]
 
 
-def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
-    with pytest.raises(ValueError, match=r"differ in length: \[1, 2\]"):
-        timeseries.write_csv(tmp_path / "t.csv", ["a", "b"], [(["x"], [1.0, 2.0])])
-
-
 # ------------------------------------------------------------- resample_mean
 
 
@@ -725,6 +735,11 @@ def test_resample_mean_rejects_non_multiple():
         resample_mean(t, 6 * 3600, 0)
 
 
+def test_resample_mean_refuses_a_table_without_a_complete_block():
+    with pytest.raises(TimeSeriesError, match=re.escape("table with 2 rows has no complete 4h block")):
+        resample_mean(hourly_table({"v": [1.0, 2.0]}), 4 * 3600, 0)
+
+
 def test_resample_mean_names_a_block_off_the_grid():
     # a library caller gets the error the config loader gives at load
     with pytest.raises(TimeSeriesError, match=re.escape("block of 1.5h is not a positive multiple of the 1h resolution")):
@@ -783,11 +798,6 @@ def test_residual_load_of_a_series_no_longer_than_its_lag_is_all_missing(n):
     assert out.shape == (n,) and np.isnan(out).all()
 
 
-def test_residual_load_misaligned_series():
-    with pytest.raises(TimeSeriesError, match="misaligned"):
-        residual_load(np.zeros(5), np.zeros(4), np.zeros(5), np.zeros(5), ror_lag_days=7, samples_per_day=24)
-
-
 def test_residual_load_translation_equivariant():
     rng = np.random.default_rng(11)
     n = 5 * 24
@@ -826,6 +836,11 @@ def test_align_join_refuses_mixed_resolutions(target, message):
     hourly = hourly_table({"f1": np.arange(8.0)})
     with pytest.raises(TimeSeriesError, match=re.escape(message)):
         align_join([hourly, target], ["f1"], "tgt", *EVER)
+
+
+def test_align_join_refuses_an_empty_table_list():
+    with pytest.raises(TimeSeriesError, match="align_join needs at least one table"):
+        align_join([], ["f1"], "tgt", *EVER)
 
 
 def test_align_join_identical_timestamps():
@@ -934,6 +949,19 @@ def test_synth_regime_periods_are_contiguous():
 def test_feature_matrix_rejects_nan():
     with pytest.raises(TimeSeriesError):
         FeatureMatrix(("a",), np.array([[np.nan]]), np.array([1.0]), np.array([0]))
+
+
+@pytest.mark.parametrize(
+    "X, y, message",
+    [
+        (np.zeros((4, 3)), np.zeros(4), r"X shape \(4, 3\) inconsistent with 2 feature names"),
+        (np.zeros((4, 2)), np.zeros(3), "X, y and timestamps must have equal row counts"),
+    ],
+    ids=["X too wide", "y a row short"],
+)
+def test_feature_matrix_rejects_a_shape_its_names_and_rows_do_not_fit(X, y, message):
+    with pytest.raises(TimeSeriesError, match=message):
+        FeatureMatrix(("a", "b"), X, y, T0 + 3600 * np.arange(4))
 
 
 @pytest.mark.parametrize("bad", ["X", "y"])
