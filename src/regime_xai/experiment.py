@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -260,16 +260,19 @@ def write_dependence_csv(path, results: dict[str, PeriodResult]) -> None:
     write_csv(path, ["period", "window", "timestamp", "feature", "x_value", "phi_value"], blocks)
 
 
-def _dependence_blocks(name: str, result: PeriodResult) -> list[tuple]:
-    """One period's write_csv blocks, one per (feature, window). Every feature
-    shares its window's explained rows, so each stamp is formatted once; the
-    stamps of one period are held at a time."""
-    stamps = [format_timestamps(w.explained.timestamps) for w in result.windows]
-    return [
-        (name, i, ts, feat, w.explained.X[:, j], w.explanation.phi[:, j])
-        for j, feat in enumerate(result.feature_names)
-        for i, (w, ts) in enumerate(zip(result.windows, stamps))
-    ]
+def _dependence_blocks(name: str, result: PeriodResult):
+    """One period's write_csv blocks, one per feature, each holding the
+    feature's rows of every window in window order. The windows overlap, so
+    a row may be explained in several: its stamp is formatted once for the
+    period, and write_csv formats each distinct x value of a feature once."""
+    explained = [w.explained for w in result.windows]
+    rows, inverse = np.unique(np.concatenate([e.timestamps for e in explained]), return_inverse=True)
+    stamps = np.array(format_timestamps(rows), dtype=object)[inverse].tolist()
+    windows = list(chain.from_iterable(repeat(str(i), len(e)) for i, e in enumerate(explained)))
+    for j, feat in enumerate(result.feature_names):
+        x = np.concatenate([e.X[:, j] for e in explained])
+        phi = np.concatenate([w.explanation.phi[:, j] for w in result.windows])
+        yield name, windows, stamps, feat, x, phi
 
 
 def window_metrics(result: PeriodResult) -> list[dict]:

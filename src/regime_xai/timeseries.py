@@ -9,9 +9,9 @@ peek ahead of the timestamp they are attached to.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from typing import NewType
@@ -37,9 +37,11 @@ Instant = NewType("Instant", int)  # UTC epoch seconds; a config field of this t
 
 def parse_timestamp(text: str) -> Instant:
     """Epoch seconds of one YYYY-MM-DDThh:mm:ssZ stamp, the form _epoch_seconds
-    reads; anything else, a string holding NUL included, is a ValueError."""
-    # numpy's string arrays drop trailing NULs, so the round trip cannot see them
-    ts = None if not isinstance(text, str) or "\x00" in text else _epoch_seconds(np.array([text]))
+    reads; anything else, a string holding NUL or text that is not ASCII
+    included, is a ValueError."""
+    ts = None
+    if isinstance(text, str) and text.isascii():
+        ts = _epoch_seconds(np.frombuffer(text.encode("ascii"), np.uint8)[None])
     if ts is None:
         raise ValueError(f"not a YYYY-MM-DDThh:mm:ssZ timestamp: {text!r}")
     return Instant(int(ts[0]))
@@ -56,26 +58,38 @@ def format_timestamps(epoch_seconds) -> list[str]:
     return [t + "Z" for t in np.datetime_as_string(instants, unit="s").tolist()]
 
 
-_FIRST_STAMP = np.datetime64("0001-01-01T00:00:00", "s")  # four-digit years: 0001-9999
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+_STAMP_TOP = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)  # a digit's code minus '0' is 0-9, a fixed character's 0
+_FIELDS = np.array([0, 2, 5, 8, 11, 14, 17])  # first digit of the century, year of century, month, day, hour, minute, second
+_FIELD_MIN = np.array([0, 0, 1, 1, 0, 0, 0])
+_FIELD_MAX = np.array([99, 99, 12, 31, 23, 59, 59])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # by month number, in a common year
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+_DAYS_TO_1970 = 719162  # from 0001-01-01, day 0 of the proleptic Gregorian count below
 
 
-def _epoch_seconds(stamps: np.ndarray):
-    """int64 epoch seconds of an array of YYYY-MM-DDThh:mm:ssZ stamps, or None
-    unless every stamp is exactly that form: two-digit fields, ASCII digits,
-    upper-case T and Z, a year from 0001 to 9999. The stamp text is the one
-    numpy writes for the instant it reads, so format_timestamp is its inverse."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy warns on a timezone suffix
-        try:
-            ts = stamps.astype("U19").astype("datetime64[s]")
-        except (ValueError, Warning):
-            return None
-    # numpy also reads "2018-01-01 00:00:00", "2018-01-01T00:00", "" (as NaT)
-    # and years before 0001
-    exact = np.char.add(np.datetime_as_string(ts, unit="s"), "Z") == stamps
-    if not exact.all() or (ts < _FIRST_STAMP).any():
+def _epoch_seconds(codes: np.ndarray):
+    """int64 epoch seconds of the stamps whose ASCII codes are the rows of a
+    uint8 array, read from their digits, or None unless every row is exactly
+    YYYY-MM-DDThh:mm:ssZ: ASCII digits, upper-case T and Z, a year from 0001
+    to 9999, a day its month has in the proleptic Gregorian calendar, an hour
+    below 24 and a second below 60. That is the text format_timestamps
+    writes for the instant, so format_timestamp is its inverse."""
+    if codes.shape[1] != _STAMP.size:
         return None
-    return ts.astype(np.int64)
+    digits = codes - _STAMP  # uint8: a code below the template's wraps round past 9
+    if (digits > _STAMP_TOP).any():
+        return None
+    f = 10 * digits[:, _FIELDS].astype(np.int64) + digits[:, _FIELDS + 1]
+    year, month, day = 100 * f[:, 0] + f[:, 1], f[:, 2], f[:, 3]
+    if not ((f >= _FIELD_MIN) & (f <= _FIELD_MAX)).all() or not year.all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if (day > _MONTH_DAYS[month] + (leap & (month == 2))).any():
+        return None
+    y = year - 1
+    days = 365 * y + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day - 1
+    return 86400 * (days - _DAYS_TO_1970) + 3600 * f[:, 4] + 60 * f[:, 5] + f[:, 6]
 
 
 @dataclass(frozen=True)
@@ -141,26 +155,29 @@ class FeatureMatrix:
         return FeatureMatrix(self.feature_names, self.X[idx], self.y[idx], self.timestamps[idx])
 
 
-_CHUNK_LINES = 1024  # 4,096 parsed no faster and raised a run's peak RSS by 4.5 %
-_STAMP_CHARS = 64  # numpy gives every timestamp of a chunk the longest one's width
-_EMPTY_CELLS = {"": "nan", "\n": "nan", "\r\n": "nan", "\r": "nan"}  # a line's last cell keeps its line end
+_CHUNK_LINES = 1024  # 2,048 and 4,096 parse no faster, within noise; 4,096 raised a run's peak RSS by 4.5 %
+_NAN = np.frombuffer(b"nan", np.uint8)
 
 
 def load_table(path, step_seconds: int) -> TimeTable:
     """Load a CSV with a `timestamp` first column and numeric series columns.
 
     Empty and `nan` cells become NaN; an infinite value is rejected with its
-    line and column. Rows are sorted; the first step other than step_seconds in
-    time order (a duplicate is a step of 0) is rejected with the later row's line.
+    line and column. Every other header cell names a column, each a different
+    one and none `timestamp`. Rows are sorted; the first step other than
+    step_seconds in time order (a duplicate is a step of 0) is rejected with
+    the later row's line.
 
     After the header the file is read in chunks of _CHUNK_LINES lines, and
-    each chunk is parsed in one vectorized pass (_parse_chunk). A chunk that
-    pass cannot vouch for, because it holds a fault, a quote or text that is
-    not ASCII, is parsed again by the per-row loop (_parse_rows). Both read
-    timestamps through _epoch_seconds, and the loop gives the same values for
-    every row the numpy pass accepts. The loop is what reports a fault: the
-    first one raises a ParseError naming the file line its record starts on
-    and, for a value, its column.
+    each chunk is parsed in one pass in C (_parse_chunk): its stamps are read
+    from their digits by _epoch_seconds, its values by one np.loadtxt call.
+    A chunk that pass cannot vouch for, because it holds a fault, a quote,
+    text that is not ASCII or a cell it does not read as float() does, is
+    parsed again by the per-row loop (_parse_rows), which reads stamps
+    through the same _epoch_seconds and gives the same values for every row
+    the pass accepts. The loop is what reports a fault: the first one raises
+    a ParseError naming the file line its record starts on and, for a value,
+    its column.
     """
     try:
         # spreadsheet exports may lead with a BOM; a byte that is not UTF-8 becomes a
@@ -180,6 +197,9 @@ def load_table(path, step_seconds: int) -> TimeTable:
         if any("\udc80" <= c <= "\udcff" for c in "".join(header)):
             raise ParseError(1, f"header is not UTF-8 text: {header!r}")
         names = [h.strip() for h in header[1:]]
+        for position, name in enumerate(names, start=2):
+            if name in ("", "timestamp"):
+                raise ParseError(1, f"column {position} needs a name other than 'timestamp', got {name!r}")
         if len(set(names)) != len(names):
             raise ParseError(1, "duplicate column names in header")
 
@@ -221,35 +241,54 @@ def load_table(path, step_seconds: int) -> TimeTable:
 
 
 def _parse_chunk(chunk: list[str], width: int, first_line: int):
-    """The chunk's rows as (epoch seconds, values, file lines) arrays, or None
-    where this pass might differ from the per-row loop: quotes, NUL (numpy
-    drops trailing ones), text that is not ASCII, a line longer than the csv
-    field limit, a ragged row, a value float() refuses, a timestamp
-    _epoch_seconds refuses, or an infinite value."""
-    kept = [i for i, line in enumerate(chunk) if line.strip("\r\n")]  # csv.reader's blank lines
-    lines = [chunk[i] for i in kept]
-    text = ",".join(lines)
-    if not text.isascii() or '"' in text or "\x00" in text:
+    """The chunk's rows as (epoch seconds, values, file lines) arrays, parsed
+    on the chunk's text as a whole, or None where this pass might differ from
+    the per-row loop: quotes, NUL, a lone \r, text that is not ASCII, a line
+    longer than the csv field limit, a row of other than width cells, a stamp
+    cell that is not exactly the 20 characters _epoch_seconds reads, a value
+    np.loadtxt refuses (float() refuses no fewer), or an infinite value.
+
+    Blank lines are skipped, as csv.reader skips them. Empty cells are
+    written as nan in the text, so np.loadtxt reads every value column in
+    one call; it reads a cell as float() does, blanks around it included."""
+    text = "".join(chunk)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not text.isascii() or '"' in text or "\x00" in text or "\r" in text:
         return None
-    if max(map(len, lines), default=0) > csv.field_size_limit():
+    if not text.endswith("\n"):
+        text += "\n"  # the file's last line
+    codes = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    kept = np.flatnonzero(ends > starts)
+    starts, ends = starts[kept], ends[kept]
+    if not kept.size:
+        return np.empty(0, np.int64), np.empty((0, width - 1)), kept
+    if (ends - starts).max() > csv.field_size_limit() or (ends - starts).min() < _STAMP.size:
         return None
-    if any(line.count(",") != width - 1 for line in lines):
+    commas = np.flatnonzero(codes == ord(","))
+    if (np.searchsorted(commas, ends) - np.searchsorted(commas, starts) != width - 1).any():
         return None
-    values = text.split(",")
-    stamps = values[::width]
-    del values[::width]
-    if max(map(len, stamps)) > _STAMP_CHARS:
+    if (codes[starts + _STAMP.size] != ord("," if width > 1 else "\n")).any():
         return None
-    ts = _epoch_seconds(np.char.strip(np.array(stamps)))
-    try:
-        # float() reads a cell as the loop does, blanks around it included
-        data = np.fromiter(map(float, map(_EMPTY_CELLS.get, values, values)), np.float64, len(values))
-    except ValueError:
+    ts = _epoch_seconds(codes[starts[:, None] + np.arange(_STAMP.size)])
+    if ts is None:
         return None
-    if ts is None or np.isinf(data).any():
-        return None
-    rows = first_line + np.array(kept, dtype=np.int64)
-    return ts, data.reshape(len(lines), width - 1), rows
+    if width == 1:
+        data = np.empty((len(kept), 0))
+    else:
+        after = codes[commas + 1]
+        holes = commas[(after == ord(",")) | (after == ord("\n"))] + 1  # where an empty cell starts
+        if holes.size:
+            text = np.insert(codes, holes.repeat(3), np.tile(_NAN, holes.size)).tobytes().decode("ascii")
+        try:
+            data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, usecols=range(1, width), ndmin=2)
+        except ValueError:
+            return None
+        if np.isinf(data).any():
+            return None
+    return ts, data, first_line + kept
 
 
 def _parse_rows(lines, n_lines: int, names: list[str], first_line: int):
@@ -316,14 +355,16 @@ def write_csv(path, header, blocks) -> None:
     A block is a sequence of columns, one per header name. A column is one
     str or int repeated down the block (a period, window or feature name),
     or a sequence of cells of the block's length: a list of str (stamps), or
-    a 1-D float array or list of floats, written as the repr of the Python
-    floats its .tolist() gives (shortest round trip; nan, inf and -0.0 as
-    such). A str is quoted as csv.writer's QUOTE_MINIMAL quotes it: in double
-    quotes, with each quote doubled, when it holds , " \\r or \\n (a lone
-    \\r too, which Python 3.11's writer leaves bare with "\\n" line ends
-    although csv.reader ends the row there). A repeated name is quoted once,
-    and a str column is scanned for those characters once, in its joined
-    text. A table has two or more columns (csv.writer alone writes a row of
+    a 1-D float array or list of floats, written as the repr of each value's
+    Python float (shortest round trip; nan, inf and -0.0 as such). A float
+    column is formatted once per distinct float64 bit pattern, found by
+    np.unique on its int64 view, and each row takes its pattern's text. A
+    str is quoted as csv.writer's QUOTE_MINIMAL quotes it: in double quotes,
+    with each quote doubled, when it holds , " \\r or \\n (a lone \\r too,
+    which Python 3.11's writer leaves bare with "\\n" line ends although
+    csv.reader ends the row there). A repeated name is quoted once, and a
+    str column is scanned for those characters in the joined text of each
+    slice. A table has two or more columns (csv.writer alone writes a row of
     one empty cell, as ""). Each block is written _SLICE_ROWS rows at a time,
     one string per slice, so the text held at once does not grow with it.
     Every caller builds a block from one record, so its columns are not
@@ -331,12 +372,17 @@ def write_csv(path, header, blocks) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_quote, header)) + "\n")
         for block in blocks:
-            columns = [_column(c) for c in block]
-            n_rows = next((len(c) for c in columns if not isinstance(c, str)), 1)
-            for lo in range(0, n_rows, _SLICE_ROWS):
-                hi = min(lo + _SLICE_ROWS, n_rows)
-                cells = [_cells(c, lo, hi) for c in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            _write_block(fh, block)
+            del block  # not held while the next one is made
+
+
+def _write_block(fh, block) -> None:
+    """Write one block's rows, _SLICE_ROWS at a time."""
+    n_rows = next((len(c) for c in block if not isinstance(c, (str, int))), 1)
+    columns = [_column(c) for c in block]
+    for lo in range(0, n_rows, _SLICE_ROWS):
+        hi = min(lo + _SLICE_ROWS, n_rows)
+        fh.write("\n".join(map(",".join, zip(*(_cells(c, lo, hi) for c in columns)))) + "\n")
 
 
 _NEEDS_QUOTES = ',"\r\n'
@@ -348,22 +394,46 @@ def _quote(cell: str) -> str:
 
 
 def _column(column):
-    """A block column as its one quoted cell, a sequence of quoted str cells, or a float array."""
+    """A block column as its one quoted cell, its sequence of str cells, or a
+    _FloatColumn."""
     if isinstance(column, (str, int)):
         return _quote(str(column))
     if isinstance(column, np.ndarray) or not len(column) or not isinstance(column[0], str):
-        return np.asarray(column, dtype=np.float64)
-    text = "".join(column)
-    return [_quote(c) for c in column] if any(c in text for c in _NEEDS_QUOTES) else column
+        return _FloatColumn(np.asarray(column, dtype=np.float64))
+    return column
+
+
+class _FloatColumn:
+    """The texts of a float column, each distinct bit pattern formatted once.
+    A pattern that recurs is formatted up front and its text held for the
+    block; one that occurs once is formatted in its slice, so a column of
+    distinct values holds no more text at once than a slice's."""
+
+    def __init__(self, values: np.ndarray):
+        bits, self.rows, counts = np.unique(values.view(np.int64), return_inverse=True, return_counts=True)
+        self.values = bits.view(np.float64)
+        self.once = counts == 1
+        self.texts = np.empty(len(bits), dtype=object)
+        recurring = np.flatnonzero(~self.once)
+        self.texts[recurring] = list(map(repr, self.values[recurring].tolist()))
+
+    def cells(self, lo: int, hi: int) -> list[str]:
+        rows = self.rows[lo:hi]
+        cells = self.texts[rows]
+        alone = self.once[rows]
+        cells[alone] = list(map(repr, self.values[rows[alone]].tolist()))
+        return cells.tolist()
 
 
 def _cells(column, lo: int, hi: int):
     """Rows lo to hi of a column as _column gives it, as text cells."""
     if isinstance(column, str):
         return repeat(column, hi - lo)
-    if isinstance(column, np.ndarray):
-        return map(repr, column[lo:hi].tolist())
-    return column[lo:hi]
+    if isinstance(column, _FloatColumn):
+        return column.cells(lo, hi)
+    cells = column[lo:hi]
+    text = "".join(cells)
+    return map(_quote, cells) if any(c in text for c in _NEEDS_QUOTES) else cells
 
 
 def with_column(table: TimeTable, name: str, values) -> TimeTable:

@@ -204,6 +204,78 @@ def test_format_timestamps_matches_a_datetime_oracle(ts):
     assert got == [(datetime(1970, 1, 1) + timedelta(seconds=t)).isoformat() + "Z" for t in ts]
 
 
+def numpy_round_trip(stamp: str):
+    """Epoch seconds of a stamp by the numpy round trip ingest once read stamps
+    with, or None: datetime64 reads the first 19 characters, and the stamp
+    counts only if numpy writes that instant back as it, plus "Z", in a year
+    from 0001. numpy's string arrays drop trailing NULs, so a NUL is refused."""
+    if "\x00" in stamp:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a timezone suffix
+        try:
+            t = np.array([stamp]).astype("U19").astype("datetime64[s]")
+        except (ValueError, OverflowError, Warning):
+            return None
+    if np.datetime_as_string(t, unit="s")[0] + "Z" != stamp or t[0] < np.datetime64("0001-01-01T00:00:00", "s"):
+        return None
+    return int(t.astype(np.int64)[0])
+
+
+def digit_parser(stamps: list[str]):
+    """_epoch_seconds on the stamps as rows of one array, or None."""
+    codes = np.frombuffer("".join(stamps).encode("ascii"), np.uint8).reshape(len(stamps), -1)
+    ts = timeseries._epoch_seconds(codes)
+    return None if ts is None else ts.tolist()
+
+
+STAMP_ALPHABET = "0123456789-:TZtz \x00"
+STAMP_CASES = [
+    *(f"{y}-{m:02d}-{d}T00:00:00Z" for y in (2023, 2024) for m in range(1, 13) for d in (29, 30, 31)),
+    "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "2004-02-29T00:00:00Z",
+    "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "2018-01-01T24:00:00Z", "2018-01-01T23:59:60Z", "2018-01-01T00:00:00z", "2018-01-01t00:00:00Z",
+    "2018-01-01T00:00:00\x00", "\x00018-01-01T00:00:00Z",
+]
+
+
+@st.composite
+def near_stamps(draw):
+    """Stamps with each field drawn past its range, and stamps with a character
+    of the stamp alphabet written over one position."""
+    year, month, day = draw(st.integers(0, 9999)), draw(st.integers(0, 99)), draw(st.integers(0, 99))
+    hour, minute, second = draw(st.integers(0, 99)), draw(st.integers(0, 99)), draw(st.integers(0, 99))
+    stamp = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(stamp) - 1))
+        stamp = stamp[:i] + draw(st.sampled_from(STAMP_ALPHABET)) + stamp[i + 1 :]
+    return stamp
+
+
+@pytest.mark.parametrize("stamp", STAMP_CASES)
+def test_epoch_seconds_matches_the_numpy_round_trip_on_calendar_edges(stamp):
+    assert digit_parser([stamp]) == (None if (t := numpy_round_trip(stamp)) is None else [t])
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_stamps() | st.text(STAMP_ALPHABET, max_size=22) | st.integers(FIRST_STAMP, LAST_STAMP).map(format_timestamp))
+def test_parse_timestamp_matches_the_numpy_round_trip(stamp):
+    expected = numpy_round_trip(stamp)
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse_timestamp(stamp)
+    else:
+        assert parse_timestamp(stamp) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(near_stamps() | st.integers(FIRST_STAMP, LAST_STAMP).map(format_timestamp), min_size=1, max_size=6))
+def test_epoch_seconds_reads_an_array_of_stamps_as_each_alone(stamps):
+    # one stamp the round trip refuses makes the whole array None
+    alone = [numpy_round_trip(stamp) for stamp in stamps]
+    assert digit_parser(stamps) == (None if None in alone else alone)
+
+
 def test_load_table_accepts_a_file_with_only_timestamps(tmp_path):
     p = write_csv(tmp_path / "a.csv", ["timestamp", "2020-01-01T01:00:00Z", "2020-01-01T00:00:00Z"])
     t = load_table(p, 3600)
@@ -226,6 +298,22 @@ def test_load_table_rejects_a_malformed_file_naming_the_line(tmp_path, lines, me
     p.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_table(p, 3600)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("timestamp,", "column 2 needs a name other than 'timestamp', got ''"),
+        ("timestamp,timestamp", "column 2 needs a name other than 'timestamp', got 'timestamp'"),
+        ("timestamp,v, ", "column 3 needs a name other than 'timestamp', got ''"),
+        ("timestamp,v, timestamp", "column 3 needs a name other than 'timestamp', got 'timestamp'"),
+    ],
+    ids=["nameless", "second timestamp", "blank", "padded timestamp"],
+)
+def test_load_table_refuses_a_nameless_or_second_timestamp_column(tmp_path, header, message):
+    lines = [header, "2020-01-01T00:00:00Z" + ",1" * header.count(",")]
+    with pytest.raises(ParseError, match=f"^line 1: {re.escape(message)}$"):
+        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
 
 
 def test_load_table_reports_line_number(tmp_path):
@@ -382,30 +470,34 @@ def load_outcome(loader, path):
 
 
 VALUE_FORMS = ["{0:.4f}", "{0!r}", "{0:.3e}", "{0:+.2E}", "{0:+.1f}", "{0:.0f}.", ".{1:.0f}", " {0:.2f}  ",
-               "\t{0:g}", "", "", " ", "nan", "-nan", "NaN", "-0", "1_000"]
+               "\t{0:g}", "", "", "nan", "-nan", "NaN", "-0", "1e-400", "4.9e-324"]
+LOOP_FORMS = [" ", "\t", "1_000"]  # cells float() reads and np.loadtxt does not: their chunk goes to the loop
 
 
-def value_cells(rng, n: int) -> list[str]:
+def value_cells(rng, n: int, forms: list[str]) -> list[str]:
     """n numbers or missing cells in forms exports write: padded, with exponents
     and signs, empty, nan."""
-    forms = rng.integers(len(VALUE_FORMS), size=n)
+    picks = rng.integers(len(forms), size=n)
     # Python floats: numpy 2 writes a numpy scalar's repr as np.float64(...), which no export holds
-    return [VALUE_FORMS[k].format(x, abs(x)) for k, x in zip(forms, rng.normal(0, 50, n).tolist())]
+    return [forms[k].format(x, abs(x)) for k, x in zip(picks, rng.normal(0, 50, n).tolist())]
 
 
 BAD_CELLS = [
     # values the loop rejects: words, infinities, forms float() refuses, NUL, a byte that is not UTF-8
     ("value", "abc"), ("value", "inf"), ("value", "-Infinity"), ("value", "1e500"), ("value", "0x10"),
     ("value", "1d3"), ("value", "1\x00"), ("value", "7\udce9"), ("value", '"1,5"'), ("value", "1,2"),
-    # values the loop accepts that the numpy pass leaves to it
+    # forms where C's number parser and float() might part
+    ("value", "1 2"), ("value", "1.5e"), ("value", "e5"), ("value", "."), ("value", "+"), ("value", "--1"),
+    ("value", "nan(1)"), ("value", "\t"), ("value", "1e-400"), ("value", "4.9e-324"),
+    # values the loop accepts; the chunk pass reads blanks around a number and leaves the rest to the loop
     ("value", "\uff11\uff12"), ("value", '"2.5"'), ("value", "\x1c3"), ("value", " " * 80 + "4"),
     # timestamps numpy reads that are not YYYY-MM-DDThh:mm:ssZ, one-digit fields
     # (refused by both loaders), and blanks around a stamp (stripped by both)
     ("stamp", "2018-01-01 00:00:00"), ("stamp", "2018-01-01T00:00"), ("stamp", "0000-01-01T00:00:00Z"),
     ("stamp", "-001-01-01T00:00:00Z"), ("stamp", "2018-01-01T00+01:00Z"), ("stamp", "NaT"), ("stamp", ""),
     ("stamp", "unpadded"), ("stamp", "padded"),
-    # rows that break the grid
-    ("row", "duplicate"), ("row", "missing"), ("row", "spaces"),
+    # rows that break the grid or the row width, and a chunk of only blank lines
+    ("row", "duplicate"), ("row", "missing"), ("row", "spaces"), ("row", "extra cell"), ("row", "blank chunk"),
 ]
 
 
@@ -417,12 +509,14 @@ BAD_CELLS = [
     line_end=st.sampled_from(["\n", "\r\n"]),
     bad=st.none() | st.tuples(st.sampled_from(BAD_CELLS), st.floats(0, 1)),
     shuffled=st.booleans(),
+    loop_forms=st.booleans(),
 )
-def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line_end, bad, shuffled):
+def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line_end, bad, shuffled, loop_forms):
     # files of one to three chunks, in time order or shuffled across chunks; the
-    # oracle's verdict, table or error, is the one to match
+    # oracle's verdict, table or error, is the one to match. Without LOOP_FORMS
+    # the chunk pass reads every chunk that holds no bad cell.
     rng = np.random.default_rng(seed)
-    values = value_cells(rng, n_rows * (width - 1))
+    values = value_cells(rng, n_rows * (width - 1), VALUE_FORMS + LOOP_FORMS * loop_forms)
     rows = [[format_timestamp(T0 + 3600 * i), *values[i * (width - 1) : (i + 1) * (width - 1)]] for i in range(n_rows)]
     if bad is not None:
         (kind, cell), where = bad
@@ -436,11 +530,17 @@ def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line
             rows.insert(i, list(row))
         elif cell == "spaces":
             rows.insert(i, ["   "])  # not blank to csv.reader: a row of one cell
-        else:
+        elif cell == "extra cell":
+            row.append("1")  # np.loadtxt's usecols would drop it
+        elif cell == "missing":
             del rows[i]
     if shuffled:
         rows = [rows[i] for i in rng.permutation(len(rows))]
     lines = [",".join(row) for row in rows]
+    if bad is not None and bad[0][1] == "blank chunk":
+        # a run of blank lines that holds a whole chunk wherever the chunks start
+        at = min(int(bad[1] * len(lines)), len(lines))
+        lines[at:at] = [""] * (2 * timeseries._CHUNK_LINES - 1)
     for i in sorted(rng.choice(len(lines), size=len(lines) // 200, replace=False), reverse=True):
         lines.insert(int(i), "")  # blank lines, which csv.reader skips
     header = ",".join(["timestamp", *(f"c{j}" for j in range(1, width))])
@@ -505,9 +605,9 @@ def test_a_blank_line_that_ends_a_chunk_shifts_no_later_line(tmp_path):
 
 
 def test_a_stamp_cell_too_wide_for_the_chunk_pass_loads_as_the_unpadded_file(tmp_path, monkeypatch):
-    # a stamp cell over _STAMP_CHARS characters sends its chunk to the per-row loop
+    # a stamp cell wider than the 20 characters of a stamp sends its chunk to the per-row loop
     lines = hourly_lines(range(4))
-    padded = [lines[0], " " * timeseries._STAMP_CHARS + lines[1], *lines[2:]]
+    padded = [lines[0], " " + lines[1], *lines[2:]]
     plain = load_table(write_csv(tmp_path / "plain.csv", lines), 3600)
     loop_calls = []
     parse_rows = timeseries._parse_rows
@@ -563,9 +663,9 @@ def test_load_table_gives_a_cell_the_verdict_of_float(tmp_path, cell, verdict):
     ids=["year 0", "negative year", "timezone", "NUL in a value", "NUL in a timestamp"],
 )
 def test_load_table_refuses_what_numpy_alone_would_read(tmp_path, line, message):
-    # numpy parses years before 0001 and reads timezones with a warning,
-    # and its string arrays drop trailing NULs; the loop refuses all of them,
-    # and numpy's warning stays inside load_table where warnings are not errors
+    # numpy's datetime64 parses years before 0001 and reads timezones with a
+    # warning, and its string arrays drop trailing NULs; ingest refuses all of
+    # them and warns of nothing
     p = write_csv(tmp_path / "a.csv", ["timestamp,v", "2018-01-01T00:00:00Z,0", line])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -656,6 +756,19 @@ def test_write_csv_slices_a_long_block_into_the_same_bytes(tmp_path):
     timeseries.write_csv(tmp_path / "t.csv", ["period", "t", "v"], [("before", stamps, values)])
     rows = list(zip(["before"] * n, stamps, values.tolist()))
     assert (tmp_path / "t.csv").read_bytes() == csv_writer_text(["period", "t", "v"], rows).encode("utf-8")
+
+
+def test_write_csv_writes_every_float_as_its_repr(tmp_path, monkeypatch):
+    # texts are shared by bit pattern: 0.0 and -0.0 differ, NaNs of any payload or
+    # sign read nan, and a value repeated across a slice boundary reads the same
+    monkeypatch.setattr(timeseries, "_SLICE_ROWS", 4)
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+    values = np.array([1 / 3, 0.0, -0.0, 0.1, 0.1, nans[0], nans[1], 5e-324, 1e16, -0.0, nans[2], 1 / 3, 0.0])
+    assert len(set(values.view(np.int64).tolist())) == 9 and np.isnan(nans).all()
+    timeseries.write_csv(tmp_path / "t.csv", ["period", "v"], [("before", values)])
+    rows = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()
+    assert rows == ["period,v", *(f"before,{x!r}" for x in values.tolist())]
+    assert rows[3:6] == ["before,-0.0", "before,0.1", "before,0.1"] and rows[-1] == "before,0.0"
 
 
 @pytest.mark.parametrize("name", ["a\rb", "load, DE", 'say "hi"', "two\nlines", " padded "])
