@@ -246,7 +246,8 @@ def _parse_chunk(chunk: list[str], width: int, first_line: int):
     the per-row loop: quotes, NUL, a lone \r, text that is not ASCII, a line
     longer than the csv field limit, a row of other than width cells, a stamp
     cell that is not exactly the 20 characters _epoch_seconds reads, a value
-    np.loadtxt refuses (float() refuses no fewer), or an infinite value.
+    np.loadtxt refuses (every cell float() refuses, and a few it reads, such
+    as 1_000), or an infinite value.
 
     Blank lines are skipped, as csv.reader skips them. Empty cells are
     written as nan in the text, so np.loadtxt reads every value column in

@@ -488,7 +488,7 @@ BAD_CELLS = [
     ("value", "1d3"), ("value", "1\x00"), ("value", "7\udce9"), ("value", '"1,5"'), ("value", "1,2"),
     # forms where C's number parser and float() might part
     ("value", "1 2"), ("value", "1.5e"), ("value", "e5"), ("value", "."), ("value", "+"), ("value", "--1"),
-    ("value", "nan(1)"), ("value", "\t"), ("value", "1e-400"), ("value", "4.9e-324"),
+    ("value", "nan(1)"), ("value", "\t"),
     # values the loop accepts; the chunk pass reads blanks around a number and leaves the rest to the loop
     ("value", "\uff11\uff12"), ("value", '"2.5"'), ("value", "\x1c3"), ("value", " " * 80 + "4"),
     # timestamps numpy reads that are not YYYY-MM-DDThh:mm:ssZ, one-digit fields
