@@ -1,9 +1,8 @@
-"""Command-line front end: `regime-xai features|run|verify|synth`.
+"""Command-line front end: `regime-xai features|run|synth`.
 
 `features` builds per-period model matrices from CSV inputs, `run` executes
-the full fit/explain/compare pipeline, `verify` runs reduced self-checks of
-the explanation engines, and `synth` emits a synthetic two-regime dataset
-plus a ready-to-run config for demos and end-to-end tests.
+the full fit/explain/compare pipeline, and `synth` emits a synthetic
+two-regime dataset plus a ready-to-run config for demos and end-to-end tests.
 
 Logs go to stderr, data to files. Exit codes: 0 ok, 1 invalid config or
 inputs, 2 runtime failure. Failures also emit a one-line JSON error record
@@ -16,10 +15,7 @@ import argparse
 import json
 import logging
 import sys
-from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 import regime_xai
 from regime_xai.config import PERIODS, ConfigError, FeatureConfig, InputSpec, PeriodSpec, RunConfig, config_record, load_config
@@ -36,10 +32,9 @@ from regime_xai.experiment import (
     write_importance_csv,
     write_manifest,
 )
-from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
-from regime_xai.mlp import MlpParams, fit_mlp, grad_check, initial_net, predict_mlp
+from regime_xai.gbt import GbtParams
+from regime_xai.mlp import MlpParams
 from regime_xai.seeds import derive_seed
-from regime_xai.shap import Background, exact_shap, explain_dataset
 from regime_xai.timeseries import (
     FeatureMatrix,
     TimeSeriesError,
@@ -224,106 +219,6 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
     return config_path
 
 
-# ---------------------------------------------------------------- self-tests
-
-
-def _matrix(X, y) -> FeatureMatrix:
-    """The matrix of rows X and target y, features f0, f1, ... and stamps 0, 1, ..."""
-    return FeatureMatrix(tuple(f"f{i}" for i in range(X.shape[1])), X, y, np.arange(len(y)))
-
-
-def _exact(predict, rows, bg):
-    """phi (rows x features) and phi0 (one per row) of rows, by the brute-force enumeration."""
-    phi, phi0 = zip(*(exact_shap(predict, x, bg) for x in rows))
-    return np.array(phi), np.array(phi0)
-
-
-def _check_tree_oracle():
-    """Compare tree explanations against the brute-force enumeration."""
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(5):
-        fm = _matrix(rng.uniform(-1, 1, size=(60, 6)), rng.standard_normal(60))
-        model = fit_gbt(fm, GbtParams(n_trees=5, max_depth=3, min_samples_leaf=5, learning_rate=0.3))
-        bg = Background(rng.uniform(-1, 1, size=(5, 6)))
-        rows = rng.uniform(-1, 1, size=(10, 6))
-        e = explain_dataset(model, rows, bg, method="tree")
-        phi_e, phi0_e = _exact(partial(predict_gbt, model), rows, bg)
-        worst = max(worst, float(np.abs(e.phi - phi_e).max()), float(np.abs(e.phi0 - phi0_e).max()))
-    return worst < 1e-9, f"max deviation {worst:.2e} (tolerance 1e-9)"
-
-
-def _check_kernel_sampled():
-    """Compare kernel explanations in sampled mode (12 features), made by the
-    call run makes, with the brute-force enumeration. The error of a row is
-    the L1 gap over sum |phi_exact|; this setup measures a median of 0.77 %
-    and a max of 1.46 %, and 1.85 % and 4.83 % without complement pairing."""
-    rng = np.random.default_rng(107)
-    X = rng.standard_normal((200, 12))
-    y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3:].sum(axis=1) + 0.1 * rng.standard_normal(200)
-    net = fit_mlp(_matrix(X, y), MlpParams(hidden_sizes=(16, 16), max_epochs=30), seed=0)
-    bg, rows = Background(X[:5]), X[5:25]
-    e = explain_dataset(net, rows, bg, method="kernel")
-    phi_e, _ = _exact(partial(predict_mlp, net, work={}), rows, bg)
-    errors = np.abs(e.phi - phi_e).sum(axis=1) / np.abs(phi_e).sum(axis=1)
-    median, worst = float(np.median(errors)), float(errors.max())
-    return median < 0.0125 and worst < 0.03, (
-        f"L1 error over sum |phi_exact|, median {median:.2%}, max {worst:.2%} on 20 rows "
-        f"(tolerance 1.25%, 3%)"
-    )
-
-
-def _check_gradients():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for seed in range(5):
-        X = rng.standard_normal((64, 3))
-        y = rng.standard_normal(64)
-        net = initial_net(_matrix(X, y), MlpParams(hidden_sizes=(6, 5)), seed)
-        worst = max(worst, grad_check(net, rng.standard_normal((8, 3)), y[:8]))
-    return worst < 1e-4, f"max relative error {worst:.2e} (tolerance 1e-4)"
-
-
-def _check_local_accuracy():
-    rng = np.random.default_rng(104)
-    X = rng.uniform(-1, 1, size=(150, 5))
-    y = X @ rng.normal(size=5) + 0.1 * rng.standard_normal(150)
-    fm = _matrix(X, y)
-    bg = Background(rng.uniform(-1, 1, size=(10, 5)))
-
-    model = fit_gbt(fm, GbtParams(n_trees=20, max_depth=3, min_samples_leaf=10))
-    e_tree = explain_dataset(model, X[:100], bg, method="tree")
-
-    net = initial_net(fm, MlpParams(hidden_sizes=(8,)), seed=0)
-    e_kernel = explain_dataset(net, X[:50], bg, method="kernel", seed=0)
-
-    worst = max(e_tree.max_residual, e_kernel.max_residual)
-    return worst < 1e-6, f"max |phi0 + sum(phi) - f(x)| = {worst:.2e} (tolerance 1e-6)"
-
-
-VERIFY_CHECKS = (
-    ("tree-oracle equivalence", _check_tree_oracle),
-    ("kernel-oracle error (sampled mode)", _check_kernel_sampled),
-    ("mlp gradient check", _check_gradients),
-    ("local accuracy", _check_local_accuracy),
-)
-
-
-def cmd_verify() -> int:
-    """Run the engine checks; print one line per check.
-    A check that raises fails with the exception, and the rest still run."""
-    failures = 0
-    for name, check in VERIFY_CHECKS:
-        try:
-            ok, detail = check()
-        except Exception as exc:  # noqa: BLE001 - a broken engine is a failed check
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    print(f"{len(VERIFY_CHECKS) - failures}/{len(VERIFY_CHECKS)} checks passed")
-    return 0 if failures == 0 else 2
-
-
 # ---------------------------------------------------------------- entry point
 
 
@@ -344,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a config value (dotted path, JSON value)")
         p.add_argument("--out", help="override the configured output directory")
 
-    sub.add_parser("verify", help="run the engine checks")
-
     p = sub.add_parser("synth", help="emit a synthetic two-regime dataset and config")
     p.add_argument("--out", default=".", help="directory for the dataset and config")
     p.add_argument("--rows", type=int, default=960, help="rows per period")
@@ -357,8 +250,6 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify()
         if args.command == "synth":
             cmd_synth(args.out, n_rows=args.rows, seed=args.seed)
             return 0

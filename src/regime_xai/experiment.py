@@ -28,7 +28,7 @@ import numpy as np
 from regime_xai.gbt import GbtParams, fit_gbt, predict_gbt
 from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
-from regime_xai.shap import Background, Explanation, explain_dataset, feature_importance
+from regime_xai.shap import Background, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamps, rows_per_day, write_csv
 
 
@@ -73,12 +73,13 @@ class ShapConfig:
 
 @dataclass(frozen=True, eq=False)
 class WindowResult:
-    """One window's split (ascending period rows), fit and explanation; `explained`
-    holds the rows `explanation.phi` covers, `importance` feature_importance's shares."""
+    """One window's split (ascending period rows), fit and explanation: `phi`
+    holds one row of SHAP values per row of `explained`, and `importance` is
+    feature_importance's shares of it."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    explanation: Explanation
+    phi: np.ndarray
     explained: FeatureMatrix
     importance: np.ndarray
     test_mse: float
@@ -181,15 +182,15 @@ def run_window(
 
         bg = Background.subsample(train.X, shap.background_size, derive_seed(seed, w, 2))
         explain = test if shap.explain_on == "test" else train
-        explanation = explain_dataset(fitted, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
-        importance = feature_importance(explanation)
+        phi = explain_dataset(fitted, explain.X, bg, method=method, seed=derive_seed(seed, w, 3))
+        importance = feature_importance(phi)
 
         mse = float(np.mean((pred - test.y) ** 2))
         sst = float(np.sum((test.y - test.y.mean()) ** 2))
         r2 = 1.0 - float(np.sum((pred - test.y) ** 2)) / sst if sst > 0 else float("nan")
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"window {w}: {exc}") from exc
-    return WindowResult(train_rows, test_rows, explanation, explain, importance, test_mse=mse, test_r2=r2)
+    return WindowResult(train_rows, test_rows, phi, explain, importance, test_mse=mse, test_r2=r2)
 
 
 def run_period(data: FeatureMatrix, model: ModelConfig, windows: WindowConfig, shap: ShapConfig, seed: int) -> PeriodResult:
@@ -271,7 +272,7 @@ def _dependence_blocks(name: str, result: PeriodResult):
     windows = list(chain.from_iterable(repeat(str(i), len(e)) for i, e in enumerate(explained)))
     for j, feat in enumerate(result.feature_names):
         x = np.concatenate([e.X[:, j] for e in explained])
-        phi = np.concatenate([w.explanation.phi[:, j] for w in result.windows])
+        phi = np.concatenate([w.phi[:, j] for w in result.windows])
         yield name, windows, stamps, feat, x, phi
 
 

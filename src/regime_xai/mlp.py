@@ -3,23 +3,23 @@
 The net standardizes inputs with training statistics, applies rectified
 hidden layers and a linear output, and trains on mean squared error with
 mini-batch adaptive-moment (Adam) updates. Hand-written backpropagation is
-checked against central finite differences by grad_check, the correctness
-anchor for all the optimizer does, at any rows: it skips the differences that
-straddle a rectifier's kink. Batch size, Adam step, early-stopping patience
-and validation tail are fixed; layer sizes and epoch budget are settings.
+the correctness anchor for all the optimizer does; the gradient check in
+tests/mlp_reference.py compares it with central finite differences at any
+rows, skipping the differences that straddle a rectifier's kink. Batch
+size, Adam step, early-stopping patience and validation tail are fixed;
+layer sizes and epoch budget are settings.
 
 There is one forward pass, _forward, and it does its arithmetic in buffers
 kept in a dict its caller owns: predict_mlp's caller for one explanation
-(each KernelSHAP share of rows owns one) or one window, fit_mlp and grad_check
-for one call. A dict serves one thread at a time. KernelSHAP predicts
-thousands of times on up to 4,096 rows; fresh arrays would be mapped and
-page-faulted in again on every call.
+(each KernelSHAP share of rows owns one) or one window, fit_mlp for one
+call. A dict serves one thread at a time. KernelSHAP predicts thousands of
+times on up to 4,096 rows; fresh arrays would be mapped and page-faulted in
+again on every call.
 
-fit_mlp and grad_check keep every weight and bias as a view of one flat
-parameter vector, and _backprop writes each gradient into the same views of
-one flat gradient vector. Adam is elementwise, so fit_mlp steps the whole
-vector with a few numpy calls per batch instead of a few per array, and
-grad_check perturbs its entries in one loop.
+fit_mlp keeps every weight and bias as a view of one flat parameter vector,
+and _backprop writes each gradient into the same views of one flat gradient
+vector. Adam is elementwise, so fit_mlp steps the whole vector with a few
+numpy calls per batch instead of a few per array.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from regime_xai.timeseries import FeatureMatrix
 
 
-GRAD_CHECK_EPSILON = 1e-5  # central-difference step of grad_check
 BATCH_SIZE = 64  # rows per Adam step
 STEP_SIZE = 1e-3  # Adam step size
 EARLY_STOP_PATIENCE = 20  # epochs without a better validation loss before fit_mlp stops
@@ -49,7 +48,7 @@ class MlpNet:
     weights[l] has shape (fan_out, fan_in) and biases[l] shape (fan_out,); the
     last layer has one output. x_std entries are strictly positive (constant
     features are stored with std 1 so they are centered only). A net made by
-    fit_mlp or initial_net holds views of one parameter vector (_unflatten).
+    fit_mlp holds views of one parameter vector (_unflatten).
     """
 
     weights: tuple[np.ndarray, ...]
@@ -173,11 +172,6 @@ def _start(train: FeatureMatrix, params: MlpParams, seed: int):
     return MlpNet(*_unflatten(theta, sizes), mean, std), sizes, theta, rng, n_fit
 
 
-def initial_net(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
-    """The untrained net fit_mlp would start from (same seed, same init draws)."""
-    return _start(train, params, seed)[0]
-
-
 def fit_mlp(train: FeatureMatrix, params: MlpParams, seed: int) -> MlpNet:
     """Train by mini-batch Adam on MSE with early stopping.
 
@@ -252,44 +246,3 @@ def predict_mlp(net: MlpNet, X, work: dict) -> np.ndarray:
     np.divide(Z, net.x_std, out=Z)
     return _forward(net.weights, net.biases, Z, work)[-1][:, 0].copy()
 
-
-def grad_check(net: MlpNet, X, y) -> float:
-    """Compare analytic MSE gradients with central finite differences of
-    step GRAD_CHECK_EPSILON; return the maximum relative error,
-    |a - n| / max(|a|, |n|, 1e-8), over the entries whose difference is valid.
-    A difference that turns any hidden unit on or off on any row straddles a
-    rectifier's kink, so its entry is left out; output-layer entries change no
-    hidden unit, so they are always checked. Any rows will do.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] > 32:
-        raise ValueError("grad_check is meant for small inputs (<= 32 rows)")
-
-    Z = (X - net.x_mean) / net.x_std
-    sizes = (net.n_features,) + tuple(len(b) for b in net.biases)
-    theta = np.concatenate([p.ravel() for layer in zip(net.weights, net.biases) for p in layer])
-    weights, biases = _unflatten(theta, sizes)
-    grad = np.empty_like(theta)
-    work: dict = {}
-    _backprop(weights, biases, Z, y, work, _unflatten(grad, sizes))
-
-    def units_on():  # per hidden layer and row, as the last pass on work left them
-        return [work[l] > 0 for l in range(len(weights) - 1)]
-
-    base = units_on()
-    max_err = 0.0
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + GRAD_CHECK_EPSILON
-        up = _mse(weights, biases, Z, y, work)
-        kept = all(map(np.array_equal, units_on(), base))
-        theta[i] = orig - GRAD_CHECK_EPSILON
-        down = _mse(weights, biases, Z, y, work)
-        theta[i] = orig
-        if not (kept and all(map(np.array_equal, units_on(), base))):
-            continue
-        numeric = (up - down) / (2 * GRAD_CHECK_EPSILON)
-        err = abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-8)
-        max_err = max(max_err, err)
-    return max_err

@@ -78,24 +78,6 @@ class Background:
         return cls(X[idx])
 
 
-@dataclass(frozen=True, eq=False)
-class Explanation:
-    """Per-row SHAP vectors plus the shared base value.
-
-    Column j of phi belongs to column j of the explained matrix; the names
-    live with the data (FeatureMatrix, PeriodResult). max_residual is the
-    worst |phi0 + phi[i].sum() - f(x_i)| over the rows, which explain_dataset
-    keeps below 1e-6 (local accuracy).
-    """
-
-    phi: np.ndarray
-    phi0: float
-    max_residual: float
-
-    def __len__(self) -> int:
-        return self.phi.shape[0]
-
-
 # ------------------------------------------------------------ value function
 
 
@@ -440,19 +422,16 @@ def _kernel_shap_matrix(predict, X: np.ndarray, bg: Background, seed: int) -> np
         set_threads(threads)
 
 
-def explain_dataset(
-    model,
-    X,
-    bg: Background,
-    method: str,
-    seed: int = 0,
-) -> Explanation:
-    """Explain every row of X with TreeSHAP (method "tree", for a
-    TreeEnsemble) or KernelSHAP (method "kernel", for an MlpNet).
+def explain_dataset(model, X, bg: Background, method: str, seed: int) -> np.ndarray:
+    """phi, one row of SHAP values per row of X, column j for column j of X:
+    every row explained with TreeSHAP (method "tree", for a TreeEnsemble) or
+    KernelSHAP (method "kernel", for an MlpNet, whose rows draw their seeds
+    from seed). The base value phi0 is the model's mean over the background.
 
-    Local accuracy is verified per row at 1e-6; a violation, or a residual
-    that is not finite, raises LocalAccuracyError: an engine that cannot
-    reproduce its own model's prediction is broken, not inaccurate.
+    Local accuracy, |phi0 + sum(phi) - f(x)|, is verified per row at 1e-6;
+    a violation, or a residual that is not finite, raises LocalAccuracyError:
+    an engine that cannot reproduce its own model's prediction is broken, not
+    inaccurate.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -476,9 +455,9 @@ def explain_dataset(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    phi0 = float(np.mean(model_fn(bg.rows)))
     if X.shape[0] == 0:
-        return Explanation(np.empty((0, X.shape[1])), phi0, 0.0)
+        return np.empty((0, X.shape[1]))
+    phi0 = float(np.mean(model_fn(bg.rows)))
     # predicting first checks the width of X before an engine reads its columns
     predictions = model_fn(X)
     phi = engine(X, bg)
@@ -491,18 +470,18 @@ def explain_dataset(
             f"row {worst}: |phi0 + sum(phi) - f(x)| = {residuals[worst]:.3e} "
             f"exceeds {LOCAL_ACCURACY_TOL:g} under method {method!r}"
         )
-    return Explanation(phi, phi0, float(residuals[worst]))
+    return phi
 
 
-def feature_importance(explanation: Explanation) -> np.ndarray:
-    """Mean absolute SHAP value per feature, normalized to sum to one: each
-    feature's nonnegative share.
+def feature_importance(phi: np.ndarray) -> np.ndarray:
+    """Mean absolute SHAP value per feature of phi (rows x features),
+    normalized to sum to one: each feature's nonnegative share.
 
-    An all-zero explanation has no signal to normalize; it yields an all-zero
-    vector (PeriodResult.degenerate_windows names such windows).
+    An all-zero phi has no signal to normalize; it yields an all-zero vector
+    (PeriodResult.degenerate_windows names such windows).
     """
-    if len(explanation) == 0:
+    if len(phi) == 0:
         raise ValueError("cannot compute importances from an empty explanation")
-    mean_abs = np.abs(explanation.phi).mean(axis=0)
+    mean_abs = np.abs(phi).mean(axis=0)
     total = mean_abs.sum()
     return mean_abs / total if total else mean_abs

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured quantity so `pytest -v -s tests/test_acceptance.py` doubles as a
-readable report."""
+readable report. It holds the engine checks against the 2^n enumeration (the
+tree engine, KernelSHAP in exact and in sampled mode), the gradient check of
+the MLP and the local accuracy of every engine."""
 
 import shutil
 import time
@@ -21,7 +23,8 @@ from regime_xai.experiment import (
     split_blocks,
 )
 from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt, predict_gbt
-from regime_xai.mlp import MlpParams, grad_check, initial_net, predict_mlp
+from mlp_reference import grad_check, initial_net
+from regime_xai.mlp import MlpParams, fit_mlp, predict_mlp
 from regime_xai.seeds import derive_seed
 from regime_xai.shap import (
     Background,
@@ -53,6 +56,11 @@ def random_net(rng, n_features, hidden=(8, 6), seed=0):
     return initial_net(matrix(X, y), MlpParams(hidden_sizes=hidden), seed=seed)
 
 
+def max_residual(fn, phi, X, bg):
+    """The worst local-accuracy residual |phi0 + sum(phi) - f(x)| over the rows of X."""
+    return float(np.abs(fn(bg.rows).mean() + phi.sum(axis=1) - fn(X)).max())
+
+
 def report(n, detail):
     print(f"PASS criterion {n}: {detail}")
 
@@ -67,9 +75,9 @@ def test_c01_local_accuracy_across_engines():
         model = random_ensemble(rng, n_trees=4 + i, max_depth=2 + i % 2)
         bg = Background(rng.uniform(-1, 1, size=(10, 6)))
         X = rng.uniform(-1, 1, size=(100, 6))
-        e = explain_dataset(model, X, bg, method="tree")
-        worst = max(worst, e.max_residual)
-        explained += len(e)
+        phi = explain_dataset(model, X, bg, method="tree", seed=0)
+        worst = max(worst, max_residual(partial(predict_gbt, model), phi, X, bg))
+        explained += len(phi)
 
     # kernel engine on random nets (enumerated, then sampled from 12 features);
     # the whole test takes about 1 s on two cores
@@ -78,9 +86,9 @@ def test_c01_local_accuracy_across_engines():
         net = random_net(rng, n_features, seed=i)
         bg = Background(rng.standard_normal((8, n_features)))
         X = rng.standard_normal((100, n_features))
-        e = explain_dataset(net, X, bg, method="kernel", seed=i)
-        worst = max(worst, e.max_residual)
-        explained += len(e)
+        phi = explain_dataset(net, X, bg, method="kernel", seed=i)
+        worst = max(worst, max_residual(partial(predict_mlp, net, work={}), phi, X, bg))
+        explained += len(phi)
 
     elapsed = time.perf_counter() - start
     assert explained >= 1000
@@ -98,10 +106,10 @@ def test_c02_tree_shap_oracle_equivalence():
         fn = partial(predict_gbt, model)
         bg = Background(rng.uniform(-1, 1, size=(5, 6)))
         X = rng.uniform(-1, 1, size=(50, 6))
-        e = explain_dataset(model, X, bg, method="tree")
-        for x, phi_t in zip(X, e.phi):
-            phi_e, phi0_e = exact_shap(fn, x, bg)
-            worst = max(worst, float(np.max(np.abs(phi_t - phi_e))), abs(e.phi0 - phi0_e))
+        phi = explain_dataset(model, X, bg, method="tree", seed=0)
+        for x, phi_t in zip(X, phi):
+            phi_e, _ = exact_shap(fn, x, bg)
+            worst = max(worst, float(np.max(np.abs(phi_t - phi_e))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 120
@@ -132,8 +140,8 @@ def test_c04_importance_normalization_and_dummy():
     for _ in range(10):
         model = random_ensemble(rng)
         bg = Background(rng.uniform(-1, 1, size=(8, 6)))
-        e = explain_dataset(model, rng.uniform(-1, 1, size=(40, 6)), bg, method="tree")
-        iv = feature_importance(e)
+        phi = explain_dataset(model, rng.uniform(-1, 1, size=(40, 6)), bg, method="tree", seed=0)
+        iv = feature_importance(phi)
         assert iv.any()
         assert np.all(iv >= 0)
         worst_sum_gap = max(worst_sum_gap, abs(float(iv.sum()) - 1.0))
@@ -143,13 +151,13 @@ def test_c04_importance_normalization_and_dummy():
     stump = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
     model = TreeEnsemble(0.0, (stump,), 1.0, 2)
     bg = Background(rng.normal(size=(6, 2)))
-    e = explain_dataset(model, rng.normal(size=(50, 2)), bg, method="tree")
-    iv = feature_importance(e)
+    phi = explain_dataset(model, rng.normal(size=(50, 2)), bg, method="tree", seed=0)
+    iv = feature_importance(phi)
     assert iv[1] == 0.0
 
     constant = TreeEnsemble(3.0, (), 0.1, 2)
-    e0 = explain_dataset(constant, rng.normal(size=(10, 2)), bg, method="tree")
-    assert not feature_importance(e0).any()
+    phi_constant = explain_dataset(constant, rng.normal(size=(10, 2)), bg, method="tree", seed=0)
+    assert not feature_importance(phi_constant).any()
     report(4, f"importance sums within {worst_sum_gap:.2e} of 1; dummy FI exactly 0; degenerate flagged")
 
 
@@ -273,3 +281,28 @@ def test_c10_mixed_price_exactness():
     zero = mixed_price(cap_series, rng.uniform(-100, 100, size=50), 0.0)
     np.testing.assert_array_equal(zero, cap_series)
     report(10, "100 random triples bit-exact against hand arithmetic; alpha=0 identity exact")
+
+
+def test_c11_kernel_sampled_mode_error():
+    # From n = 12 on KernelSHAP samples 2n + 2048 paired coalitions. Its
+    # attributions, made by the call run makes, are checked against the 2^n
+    # enumeration on fitted nets. The error of a row is the L1 gap over
+    # sum |phi_exact|. Measured on this setup: median 0.49 %, max 1.37 %;
+    # with as many draws and no complement pairing, median 1.91 %, max 4.18 %.
+    start = time.perf_counter()
+    errors = []
+    for n in (12, 13):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((400, n))
+        y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3:].sum(axis=1) + 0.1 * rng.standard_normal(400)
+        net = fit_mlp(matrix(X, y), MlpParams(hidden_sizes=(32, 32), max_epochs=50), seed=n)
+        fn = partial(predict_mlp, net, work={})
+        bg, rows = Background(X[:20]), X[20:32]
+        phi = explain_dataset(net, rows, bg, method="kernel", seed=n)
+        phi_e = np.array([exact_shap(fn, x, bg)[0] for x in rows])
+        errors += list(np.abs(phi - phi_e).sum(axis=1) / np.abs(phi_e).sum(axis=1))
+    median, worst = float(np.median(errors)), max(errors)
+    assert median < 0.01
+    assert worst < 0.025
+    report(11, f"{len(errors)} rows at n=12 and 13, L1 error over sum |phi_exact|: median {median:.2%}, "
+               f"max {worst:.2%} in {time.perf_counter() - start:.1f}s")

@@ -13,13 +13,11 @@ import numpy as np
 import pytest
 
 import regime_xai
-import regime_xai.shap
 from regime_xai.cli import (
     build_features,
     cmd_features,
     cmd_run,
     cmd_synth,
-    cmd_verify,
     main,
 )
 from regime_xai.config import ConfigError, apply_override, config_record, load_config, parse_config
@@ -1172,78 +1170,3 @@ def test_module_entry_point_imports_cleanly():
     )
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
-
-
-# --------------------------------------------------------------------- verify
-
-
-def test_cmd_verify_all_pass(capsys):
-    assert cmd_verify() == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 4
-    assert "FAIL" not in out
-    # the four engine checks, in order: adding or dropping one is a visible decision
-    names = [line.split(":")[0].removeprefix("PASS ") for line in out.splitlines()[:-1]]
-    assert names == [
-        "tree-oracle equivalence", "kernel-oracle error (sampled mode)", "mlp gradient check", "local accuracy"
-    ]
-    assert out.splitlines()[-1] == "4/4 checks passed"
-
-
-def test_cmd_verify_fails_a_tree_engine_that_misplaces_attributions(capsys, monkeypatch):
-    # reversing phi's columns keeps every row's sum, so only the oracle check can see it
-    tree_shap_matrix = regime_xai.shap._tree_shap_matrix
-    monkeypatch.setattr("regime_xai.shap._tree_shap_matrix", lambda *args: tree_shap_matrix(*args)[:, ::-1])
-    assert cmd_verify() == 2
-    out = capsys.readouterr().out
-    assert out.count("FAIL") == 1 and "FAIL tree-oracle equivalence" in out
-
-
-def test_cmd_verify_fails_a_kernel_engine_that_misplaces_attributions(capsys, monkeypatch):
-    kernel_shap = regime_xai.shap.kernel_shap
-
-    def swapped(*args, **kwargs):
-        phi, phi0 = kernel_shap(*args, **kwargs)
-        return phi[[1, 0, *range(2, len(phi))]], phi0
-
-    monkeypatch.setattr("regime_xai.shap.kernel_shap", swapped)
-    assert cmd_verify() == 2
-    out = capsys.readouterr().out
-    assert out.count("FAIL") == 1 and "FAIL kernel-oracle error (sampled mode)" in out
-
-
-def test_cmd_verify_fails_an_enumeration_that_misplaces_attributions(capsys, monkeypatch):
-    # the oracle itself is wrong: both fast paths checked against it disagree
-    exact_shap = regime_xai.shap.exact_shap
-
-    def swapped(*args):
-        phi, phi0 = exact_shap(*args)
-        return phi[[1, 0, *range(2, len(phi))]], phi0
-
-    monkeypatch.setattr("regime_xai.shap.exact_shap", swapped)
-    monkeypatch.setattr("regime_xai.cli.exact_shap", swapped)
-    assert cmd_verify() == 2
-    out = capsys.readouterr().out
-    assert out.count("FAIL") == 2
-    assert "FAIL tree-oracle equivalence" in out
-    assert "FAIL kernel-oracle error (sampled mode)" in out
-
-
-def test_cmd_verify_fails_a_starved_sampled_kernel_budget(capsys, monkeypatch):
-    # 64 coalitions from 12 features on; n <= 11 still enumerates all of them
-    monkeypatch.setattr("regime_xai.shap._coalition_budget", lambda n: (1 << n) - 2 if n <= 11 else 64)
-    assert cmd_verify() == 2
-    out = capsys.readouterr().out
-    assert out.count("FAIL") == 1 and "FAIL kernel-oracle error (sampled mode)" in out
-
-
-def test_cmd_verify_reports_a_check_that_raises_and_runs_the_rest(capsys, monkeypatch):
-    # phi off by 1e-3 breaks local accuracy, so explain_dataset raises inside two checks
-    tree_shap_matrix = regime_xai.shap._tree_shap_matrix
-    monkeypatch.setattr("regime_xai.shap._tree_shap_matrix", lambda *args: tree_shap_matrix(*args) + 1e-3)
-    assert cmd_verify() == 2
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 2 and out.count("FAIL") == 2
-    assert "FAIL tree-oracle equivalence: LocalAccuracyError: row " in out
-    assert "FAIL local accuracy: LocalAccuracyError: row " in out
-    assert out.splitlines()[-1] == "2/4 checks passed"

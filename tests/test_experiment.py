@@ -28,7 +28,7 @@ from regime_xai.experiment import (
 from regime_xai.gbt import GbtParams
 from regime_xai.mlp import MlpNet, MlpParams
 from regime_xai.cli import write_feature_csv
-from regime_xai.shap import Background, Explanation, explain_dataset, feature_importance
+from regime_xai.shap import Background, explain_dataset, feature_importance
 from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timestamp, parse_timestamp, synth_regime
 
 
@@ -167,7 +167,7 @@ def test_run_window_matches_run_period(model):
     for w in (2, 0):
         alone = run_window(fm, spans[w], w, 24, model, windows, SHAP, seed=4)
         in_period = result.windows[w]
-        np.testing.assert_array_equal(alone.explanation.phi, in_period.explanation.phi)
+        np.testing.assert_array_equal(alone.phi, in_period.phi)
         np.testing.assert_array_equal(alone.importance, in_period.importance)
         np.testing.assert_array_equal(alone.train_indices, in_period.train_indices)
         np.testing.assert_array_equal(alone.test_indices, in_period.test_indices)
@@ -195,7 +195,7 @@ def test_run_period_takes_every_train_row_as_background_when_they_are_fewer(back
     windows, shap = WindowConfig(n_windows=2), ShapConfig(background_size, explain_on="train")
     result = run_period(fm, GBT, windows, shap, seed=2)
     for w in result.windows:
-        assert (abs(w.explanation.phi.sum(axis=1).mean()) < 1e-9) == centred
+        assert (abs(w.phi.sum(axis=1).mean()) < 1e-9) == centred
 
 
 def test_run_period_deterministic():
@@ -204,7 +204,7 @@ def test_run_period_deterministic():
     r2 = run_period(fm, GBT, WINDOWS, SHAP, seed=9)
     for a, b in zip(r1.windows, r2.windows):
         np.testing.assert_array_equal(a.importance, b.importance)
-        np.testing.assert_array_equal(a.explanation.phi, b.explanation.phi)
+        np.testing.assert_array_equal(a.phi, b.phi)
         np.testing.assert_array_equal(a.test_indices, b.test_indices)
         assert a.test_mse == b.test_mse
 
@@ -273,10 +273,12 @@ def test_run_period_blocks_span_four_days_when_second_row_is_missing():
 def test_run_period_mlp_kernel_path():
     fm, _ = synth_regime(960, seed=7)
     result = run_period(fm, MLP, WINDOWS, SHAP, seed=3)
+    # explain_dataset raises on a local-accuracy residual above 1e-6, so every
+    # window's phi that comes back meets it
     for w in result.windows:
         fi = w.importance
         assert fi[0] > fi[1] > fi[2]
-    assert result.windows[0].explanation.max_residual < 1e-6
+        assert w.phi.shape == w.explained.X.shape
 
 
 # ------------------------------------------------------------- compare_periods
@@ -330,14 +332,14 @@ def additive_period_result():
     windows = []
     for _ in range(2):
         X = rng.uniform(-1, 1, size=(15, 2))
-        e = explain_dataset(linear_net([1.0, 1.0]), X, bg, method="kernel")
+        phi = explain_dataset(linear_net([1.0, 1.0]), X, bg, method="kernel", seed=0)
         windows.append(
             WindowResult(
                 train_indices=np.arange(15, 30),
                 test_indices=np.arange(15),
-                explanation=e,
+                phi=phi,
                 explained=FeatureMatrix(("x1", "x2"), X, X.sum(axis=1), np.arange(15) * 3600),
-                importance=feature_importance(e),
+                importance=feature_importance(phi),
                 test_mse=0.0,
                 test_r2=1.0,
             )
@@ -391,9 +393,9 @@ def test_dependence_dummy_feature_zero(tmp_path):
     rng = np.random.default_rng(12)
     bg = Background(rng.normal(size=(4, 2)))
     X = rng.normal(size=(10, 2))
-    e = explain_dataset(linear_net([2.0, 0.0]), X, bg, method="kernel")
+    phi = explain_dataset(linear_net([2.0, 0.0]), X, bg, method="kernel", seed=0)
     explained = FeatureMatrix(("x1", "x2"), X, 2.0 * X[:, 0], np.arange(10) * 3600)
-    w = WindowResult(np.arange(10, 20), np.arange(10), e, explained, feature_importance(e), 0.0, 1.0)
+    w = WindowResult(np.arange(10, 20), np.arange(10), phi, explained, feature_importance(phi), 0.0, 1.0)
     result = PeriodResult(("x1", "x2"), (w,))
     table = dependence_columns(tmp_path, result, "x2")
     assert len(table["phi_value"]) == 10
@@ -417,7 +419,7 @@ def test_dependence_rows_are_each_windows_explained_rows(tmp_path):
             (i, format_timestamp(t), x, phi)
             for i, w in enumerate(result.windows)
             for t, x, phi in zip(w.explained.timestamps.tolist(), w.explained.X[:, j].tolist(),
-                                 w.explanation.phi[:, j].tolist())
+                                 w.phi[:, j].tolist())
         ]
         assert got == want
 
@@ -453,7 +455,7 @@ def test_export_csvs(tmp_path):
     write_dependence_csv(dep, {"before": before})
     lines = dep.read_text().strip().split("\n")
     assert lines[0] == "period,window,timestamp,feature,x_value,phi_value"
-    n_explained = sum(len(w.explanation) for w in before.windows)
+    n_explained = sum(len(w.phi) for w in before.windows)
     assert len(lines) == 1 + 3 * n_explained
 
 
@@ -467,10 +469,8 @@ def test_export_text_is_pinned(tmp_path):
         ([1 / 3, 2 / 3], [t0, t0 + 3600], [[0.1, 1e16], [-0.0, 1 / 3]], [[1e-300, -2.5], [0.1, 1 / 3]]),
         ([-0.0, 1.0], [t0 + 86400], [[2.0, -1.5]], [[0.0, 7.0]]),
     ]:
-        phi = np.array(phi)
-        e = Explanation(phi, 0.0, 0.0)
         explained = FeatureMatrix(names, np.array(X), np.zeros(len(ts)), np.array(ts, dtype=np.int64))
-        windows.append(WindowResult(None, None, e, explained, np.array(fi), 0.0, 1.0))
+        windows.append(WindowResult(None, None, np.array(phi), explained, np.array(fi), 0.0, 1.0))
     result = PeriodResult(names, tuple(windows))
 
     write_importance_csv(tmp_path / "importance.csv", {"before": result, "after": result})
@@ -538,9 +538,9 @@ def test_partly_degenerate_period_names_the_same_windows_everywhere():
     names = ("x1", "x2")
     windows = []
     for phi in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, -3.0], [-1.0, 1.0]], [[0.0, 0.0], [0.0, -0.0]]):
-        e = Explanation(np.array(phi), 2.0, 0.0)
+        phi = np.array(phi)
         explained = FeatureMatrix(names, np.zeros((2, 2)), np.zeros(2), np.array([0, 3600]))
-        windows.append(WindowResult(np.arange(2, 12), np.arange(2), e, explained, feature_importance(e), 0.0, 1.0))
+        windows.append(WindowResult(np.arange(2, 12), np.arange(2), phi, explained, feature_importance(phi), 0.0, 1.0))
     result = PeriodResult(names, tuple(windows))
 
     assert result.degenerate_windows == (0, 2)

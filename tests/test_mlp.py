@@ -3,14 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from mlp_reference import grad_check, initial_net
 from regime_xai.mlp import (
     VALIDATION_FRACTION,
     MlpNet,
     MlpParams,
     TrainingDivergedError,
     fit_mlp,
-    grad_check,
-    initial_net,
     predict_mlp,
 )
 from regime_xai.timeseries import FeatureMatrix

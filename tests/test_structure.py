@@ -274,8 +274,7 @@ def test_the_model_kind_is_chosen_in_two_places():
     # experiment.run_window picks how a window's model is fitted and
     # predicted, and shap.explain_dataset picks the engine and the predict
     # function it explains; no other code branches on the kind of model.
-    # gbt.py and mlp.py define the functions, and the verify checks in cli.py
-    # build models of a known kind.
+    # gbt.py and mlp.py define the functions.
     allowed = {("experiment.py", "run_window"), ("shap.py", "explain_dataset")}
     found = []
     for name, tree in _package_trees().items():
@@ -283,7 +282,7 @@ def test_the_model_kind_is_chosen_in_two_places():
             continue
         for top in tree.body:
             owner = getattr(top, "name", "<module>")
-            if (name, owner) in allowed or name == "cli.py" and owner.startswith("_check_"):
+            if (name, owner) in allowed:
                 continue
             found += [f"{name}:{n.lineno} in {owner}" for n in ast.walk(top) if _chooses_model_kind(n)]
     assert found == []
@@ -359,7 +358,7 @@ def test_every_config_default_is_set_by_a_caller():
     # A config field with a default that no caller outside the tests sets has
     # one value in use, so it is a constant, not a setting. The callers are
     # the benchmark's workload configs, the config synth writes and the
-    # package's own constructor calls, as verify's GbtParams(learning_rate=0.3).
+    # package's own constructor calls, as cmd_synth's GbtParams(learning_rate=0.1).
     # A field counts as set even at its default: residual_loads[].ror_lag_days
     # has one value in use, 7, but csv-export's config sets it, and removing
     # the field would refuse the benchmark's own config as an unknown key.
@@ -455,16 +454,6 @@ def _calls_in(tree: ast.Module) -> dict[str, set[str]]:
             if isinstance(node, ast.Call)
         )
     return calls
-
-
-def test_every_verify_check_calls_an_engine():
-    # verify checks the explanation engines on the analyst's numeric stack;
-    # invariants of the features and the split are acceptance criteria, not checks
-    from regime_xai.cli import VERIFY_CHECKS
-
-    calls = _calls_in(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
-    engines = {"explain_dataset", "_exact", "exact_shap", "grad_check"}
-    assert [name for name, check in VERIFY_CHECKS if not calls[check.__name__] & engines] == []
 
 
 def test_only_write_manifest_writes_json():

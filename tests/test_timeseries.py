@@ -501,20 +501,12 @@ BAD_CELLS = [
 ]
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    n_rows=st.integers(1030, 2100),
-    width=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-    line_end=st.sampled_from(["\n", "\r\n"]),
-    bad=st.none() | st.tuples(st.sampled_from(BAD_CELLS), st.floats(0, 1)),
-    shuffled=st.booleans(),
-    loop_forms=st.booleans(),
-)
-def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line_end, bad, shuffled, loop_forms):
-    # files of one to three chunks, in time order or shuffled across chunks; the
-    # oracle's verdict, table or error, is the one to match. Without LOOP_FORMS
-    # the chunk pass reads every chunk that holds no bad cell.
+def write_faulty_file(path, n_rows, width, seed, line_end, bad, shuffled, loop_forms):
+    """Write a CSV of n_rows hourly rows and width columns, its values drawn
+    from seed, with blank lines scattered through it. bad is None or a
+    (BAD_CELLS entry, where) pair that puts the fault at the row where * n_rows;
+    shuffled puts the rows out of time order, and loop_forms adds LOOP_FORMS
+    to the value forms."""
     rng = np.random.default_rng(seed)
     values = value_cells(rng, n_rows * (width - 1), VALUE_FORMS + LOOP_FORMS * loop_forms)
     rows = [[format_timestamp(T0 + 3600 * i), *values[i * (width - 1) : (i + 1) * (width - 1)]] for i in range(n_rows)]
@@ -544,8 +536,33 @@ def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line
     for i in sorted(rng.choice(len(lines), size=len(lines) // 200, replace=False), reverse=True):
         lines.insert(int(i), "")  # blank lines, which csv.reader skips
     header = ",".join(["timestamp", *(f"c{j}" for j in range(1, width))])
-    p = tmp_path / "a.csv"
-    p.write_bytes(line_end.join([header, *lines, ""]).encode("utf-8", "surrogateescape"))
+    path.write_bytes(line_end.join([header, *lines, ""]).encode("utf-8", "surrogateescape"))
+    return path
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_rows=st.integers(1030, 2100),
+    width=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+    bad=st.none() | st.tuples(st.sampled_from(BAD_CELLS), st.floats(0, 1)),
+    shuffled=st.booleans(),
+    loop_forms=st.booleans(),
+)
+def test_load_table_matches_the_per_row_loop(tmp_path, n_rows, width, seed, line_end, bad, shuffled, loop_forms):
+    # files of one to three chunks, in time order or shuffled across chunks; the
+    # oracle's verdict, table or error, is the one to match. Without LOOP_FORMS
+    # the chunk pass reads every chunk that holds no bad cell.
+    p = write_faulty_file(tmp_path / "a.csv", n_rows, width, seed, line_end, bad, shuffled, loop_forms)
+    assert load_outcome(load_table, p) == load_outcome(reference_load_table, p)
+
+
+@pytest.mark.parametrize("bad_cell", BAD_CELLS, ids=[f"{kind}-{ascii(cell)[:16]}" for kind, cell in BAD_CELLS])
+def test_load_table_matches_the_per_row_loop_on_each_fault(tmp_path, bad_cell):
+    # every fault kind, every run: 1,100 rows of three columns in time order,
+    # the fault at row 1,060, in the second chunk (file lines 1,026 on)
+    p = write_faulty_file(tmp_path / "a.csv", 1100, 3, 46, "\n", (bad_cell, 1060 / 1100), False, False)
     assert load_outcome(load_table, p) == load_outcome(reference_load_table, p)
 
 
