@@ -182,18 +182,13 @@ def cmd_run(config: RunConfig) -> dict:
     return manifest
 
 
-def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
+def cmd_synth(out_dir, seed: int) -> Path:
     """Write a two-regime synthetic dataset, one period after the other, and
     a matching config that lists every setting. The data and the config are
-    made first, so a failing command leaves no directory behind. n_rows must
-    give each half-period window MIN_BLOCKS whole blocks of hourly rows, or
-    `run` would refuse the config `synth` wrote."""
-    min_rows = 2 * MIN_BLOCKS * BLOCK_DAYS * rows_per_day(3600)
-    if n_rows < min_rows:
-        raise ConfigError(
-            f"--rows must be >= {min_rows}, so each half-period window spans {MIN_BLOCKS} blocks of {BLOCK_DAYS} days, got {n_rows}"
-        )
-    period_a, period_b = synth_regime(n_rows, seed=seed)
+    made first, so a failing command leaves no directory behind. Each period
+    holds the fewest hourly rows `run` accepts: each half-period window spans
+    MIN_BLOCKS whole blocks of BLOCK_DAYS days."""
+    period_a, period_b = synth_regime(2 * MIN_BLOCKS * BLOCK_DAYS * rows_per_day(3600), seed=seed)
     boundary = int(period_b.timestamps[0])
     config = RunConfig(
         inputs=(InputSpec(path="synth_data.csv", resolution_hours=1.0),),
@@ -202,7 +197,7 @@ def cmd_synth(out_dir, n_rows: int, seed: int) -> Path:
             "before": PeriodSpec(start=int(period_a.timestamps[0]), end=boundary),
             "after": PeriodSpec(start=boundary, end=int(period_b.timestamps[-1]) + 3600),
         },
-        model=ModelConfig(kind="gbt", gbt=GbtParams(n_trees=60, max_depth=3, min_samples_leaf=20, learning_rate=0.1),
+        model=ModelConfig(kind="gbt", gbt=GbtParams(n_trees=60, max_depth=3),
                           mlp=MlpParams(hidden_sizes=(32, 32), max_epochs=150)),
         shap=ShapConfig(background_size=50),
         seed=seed,
@@ -241,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit a synthetic two-regime dataset and config")
     p.add_argument("--out", default=".", help="directory for the dataset and config")
-    p.add_argument("--rows", type=int, default=960, help="rows per period")
     p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -251,7 +245,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            cmd_synth(args.out, n_rows=args.rows, seed=args.seed)
+            cmd_synth(args.out, seed=args.seed)
             return 0
 
         overrides = list(args.overrides)

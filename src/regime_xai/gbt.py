@@ -5,7 +5,7 @@ computed directly from the node records. Fitting is exact greedy: every stage
 fits a depth-limited tree to the current residuals using variance-reduction
 splits with deterministic tie-breaking (lowest feature index, then lowest
 threshold), so a given dataset and parameter set always yields the same
-ensemble.
+ensemble. The shrinkage is fixed; tree count, depth and leaf size are settings.
 
 X never changes during a fit, so each column is sorted once per fit (as in
 SLIQ and XGBoost's exact greedy mode) and each split filters that order with
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from regime_xai.timeseries import FeatureMatrix
+
+LEARNING_RATE = 0.1  # shrinkage of every boosting stage
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class GbtParams:
     n_trees: int = 300
     max_depth: int = 4
     min_samples_leaf: int = 20
-    learning_rate: float = 0.1
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -63,8 +64,6 @@ class GbtParams:
             raise ValueError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
 
 
 def _eval_into(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
@@ -155,7 +154,7 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams) -> TreeEnsemble:
     if len(y) == 0:
         raise ValueError("empty training set")
     if np.all(y == y[0]):
-        return TreeEnsemble(float(y[0]), (), params.learning_rate, X.shape[1])
+        return TreeEnsemble(float(y[0]), (), LEARNING_RATE, X.shape[1])
 
     base = float(y.mean())
     residual = y - base
@@ -165,8 +164,8 @@ def fit_gbt(train: FeatureMatrix, params: GbtParams) -> TreeEnsemble:
     trees: list[TreeNode] = []
     for _ in range(params.n_trees):
         trees.append(_build_tree(X, residual, rows, order, 0, params, fitted))
-        residual = residual - params.learning_rate * fitted
-    return TreeEnsemble(base, tuple(trees), params.learning_rate, X.shape[1])
+        residual = residual - LEARNING_RATE * fitted
+    return TreeEnsemble(base, tuple(trees), LEARNING_RATE, X.shape[1])
 
 
 def predict_gbt(model: TreeEnsemble, X) -> np.ndarray:

@@ -116,7 +116,7 @@ def _mask_values(model_fn, x, bg: Background, masks: np.ndarray, n: int) -> np.n
     return values
 
 
-def exact_shap(model_fn, x, bg: Background) -> tuple[np.ndarray, float]:
+def exact_shap(model_fn, x, bg: Background) -> np.ndarray:
     """Brute-force Shapley values by full coalition enumeration (n <= 20).
 
     phi[j] sums w(|S|) (v(S + j) - v(S)) over the coalitions S without j in
@@ -136,8 +136,7 @@ def exact_shap(model_fn, x, bg: Background) -> tuple[np.ndarray, float]:
     w = _subset_weights(n)[((k[:, None] >> np.arange(n - 1)) & 1).sum(axis=1)]
     bit = 1 << np.arange(n, dtype=np.int64)[:, None]
     without = ((k & -bit) << 1) | (k & (bit - 1))
-    phi = np.sum(w * (v[without | bit] - v[without]), axis=1)
-    return phi, float(v[0])
+    return np.sum(w * (v[without | bit] - v[without]), axis=1)
 
 
 # ------------------------------------------------------------------ TreeSHAP
@@ -325,7 +324,7 @@ def kernel_shap(
     x,
     bg: Background,
     seed: int,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """SHAP values from the Shapley-kernel weighted least squares problem.
 
     When the budget, which follows from n alone (_coalition_budget), covers
@@ -369,8 +368,7 @@ def kernel_shap(
     coef, _, rank, _ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
     if rank < n - 1:
         raise SingularSystemError(f"coalition design has rank {rank} < {n - 1}")
-    phi = np.append(coef, (fx - phi0) - coef.sum())
-    return phi, phi0
+    return np.append(coef, (fx - phi0) - coef.sum())
 
 
 # ------------------------------------------------------------ dataset driver
@@ -411,7 +409,7 @@ def _kernel_shap_matrix(predict, X: np.ndarray, bg: Background, seed: int) -> np
     def explain(k):
         model_fn = partial(predict, work={})
         rows = range(len(X) * k // workers, len(X) * (k + 1) // workers)
-        return [kernel_shap(model_fn, X[i], bg, seed=derive_seed(seed, i))[0] for i in rows]
+        return [kernel_shap(model_fn, X[i], bg, seed=derive_seed(seed, i)) for i in rows]
 
     threads = get_threads()
     set_threads(1)

@@ -187,7 +187,7 @@ def load_table(path, step_seconds: int) -> TimeTable:
         raise TimeSeriesError(f"cannot read {path}: {exc}") from None
     with fh:
         try:
-            header = next(csv.reader(fh))
+            header = next(csv.reader(fh, strict=True))
         except StopIteration:
             raise ParseError(1, "empty file") from None
         except csv.Error as exc:
@@ -297,7 +297,7 @@ def _parse_rows(lines, n_lines: int, names: list[str], first_line: int):
     lines, which start on file line first_line, and raise the first fault as
     a ParseError naming the line its record starts on. Returns the rows as
     _parse_chunk does and the file line of the next record."""
-    reader = csv.reader(lines)
+    reader = csv.reader(lines, strict=True)
     ts_list: list[int] = []
     line_nos: list[int] = []
     rows: list[list[float]] = []

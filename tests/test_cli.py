@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -64,7 +65,7 @@ def market_config(tmp_path, **tweaks):
         },
         "model": {
             "kind": "gbt",
-            "gbt": {"n_trees": 25, "max_depth": 3, "min_samples_leaf": 20, "learning_rate": 0.1},
+            "gbt": {"n_trees": 25, "max_depth": 3, "min_samples_leaf": 20},
         },
         "shap": {"background_size": 25},
         "seed": 7,
@@ -142,6 +143,7 @@ FIXED_TERMS = {
     "model.mlp.step_size": 1e-3,
     "model.mlp.early_stop_patience": 20,
     "model.mlp.validation_fraction": 0.2,
+    "model.gbt.learning_rate": 0.1,
 }
 
 
@@ -153,9 +155,9 @@ def refusal_of(key):
 
 @pytest.mark.parametrize("key", FIXED_TERMS)
 def test_fixed_protocol_terms_are_not_settings(tmp_path, capsys, key):
-    # half-period windows, four-day blocks and the MLP's training terms are
-    # constants: a config that sets one, even to its value, is refused before
-    # any input is read
+    # half-period windows, four-day blocks, the MLP's training terms and the
+    # GBT's shrinkage are constants: a config that sets one, even to its
+    # value, is refused before any input is read
     path = config_with(tmp_path, ("inputs", 0, "path"), str(tmp_path / "absent.csv"))
     assert main(["run", "--config", str(path), "--set", f"{key}={FIXED_TERMS[key]}"]) == 1
     assert refusal_of(key) in capsys.readouterr().err
@@ -315,7 +317,6 @@ def test_counts_must_be_json_integers(tmp_path, field, value):
 
 
 TYPE_CASES = [
-    (("model", "gbt", "learning_rate"), True, "model.gbt.learning_rate: expected a finite number, got True"),
     (("windows", "test_fraction"), True, "windows.test_fraction: expected a finite number, got True"),
     (("features", "resample_hours"), True, "features.resample_hours: expected a finite number, got True"),
     (("inputs", 0, "resolution_hours"), True, "inputs[0].resolution_hours: expected a finite number, got True"),
@@ -345,6 +346,8 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("shap.background_size=0", "background_size must be >= 1"),
         ("windows.test_fraction=5", "test_fraction must be in (0, 1)"),
         ("windows.test_fraction=-1", "test_fraction must be in (0, 1)"),
+        pytest.param("windows.test_fraction=1" + "0" * 400, "test_fraction: expected a finite number, got 1000",
+                     id="windows.test_fraction=10**400"),
         ("windows.n_windows=0", "n_windows must be >= 1"),
         # a fixed protocol term is refused as an unknown key before its range is checked
         pytest.param("windows.block_days=0", None, id="windows.block_days=0-block_days is a fixed protocol term"),
@@ -363,13 +366,9 @@ def test_config_values_must_match_field_types(tmp_path, keys, value, message):
         ("model.gbt.n_trees=0", "gbt.n_trees must be >= 1"),
         ("model.gbt.max_depth=0", "gbt.max_depth must be >= 1"),
         ("model.gbt.min_samples_leaf=0", "gbt.min_samples_leaf must be >= 1"),
-        ("model.gbt.learning_rate=0", "gbt.learning_rate must be in (0, 1], got 0.0"),
-        ("model.gbt.learning_rate=1.5", "gbt.learning_rate must be in (0, 1], got 1.5"),
         ("model.mlp.hidden_sizes=[0]", "mlp.hidden_sizes must be positive"),
         ("model.mlp.hidden_sizes=[]", "mlp.hidden_sizes must list at least one layer"),
         ("model.mlp.max_epochs=0", "mlp.max_epochs must be >= 1"),
-        pytest.param("model.gbt.learning_rate=1" + "0" * 400, "gbt.learning_rate: expected a finite number, got 1000",
-                     id="model.gbt.learning_rate=10**400"),
         ('features.columns=["residual","wind","price"]', "columns: target column 'price' is also a feature"),
         pytest.param("model.mlp.hidden_sizes=[1" + "0" * 20 + "]",
                      f"mlp.hidden_sizes must be at most {np.iinfo(np.intp).max}",
@@ -484,6 +483,27 @@ def readme_block(language: str) -> str:
     return re.search(rf"```{language}\n(.*?)```", readme, re.S).group(1)
 
 
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+    # each regime-xai line of the quick start's bash blocks, in order, in an
+    # empty directory; the file the README cats must read as the block it
+    # shows, where "..." stands for further digits
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start on synthetic data\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```(\w*)\n(.*?)```", section, re.S)
+    shown = re.escape(next(text for lang, text in blocks if not lang)).replace(re.escape("..."), r"\d*")
+    monkeypatch.chdir(tmp_path)
+    cats = 0
+    for block in (text for lang, text in blocks if lang == "bash"):
+        for line in block.splitlines():
+            args = shlex.split(line, comments=True)
+            if args[:1] == ["regime-xai"]:
+                assert main(args[1:]) == 0, args
+            elif args[:1] == ["cat"]:
+                assert re.fullmatch(shown, Path(args[1]).read_text(encoding="utf-8")), args
+                cats += 1
+    assert cats == 1
+
+
 def test_readme_config_example_parses():
     example = json.loads(readme_block("json"))
     config = parse_config(example, Path("."))
@@ -505,7 +525,7 @@ def every_section_config(tmp_path):
         },
         model={
             "kind": "mlp",
-            "gbt": {"n_trees": 25, "max_depth": 3, "min_samples_leaf": 10, "learning_rate": 0.2},
+            "gbt": {"n_trees": 25, "max_depth": 3, "min_samples_leaf": 10},
             "mlp": {"hidden_sizes": [8, 4], "max_epochs": 20},
         },
         windows={"n_windows": 4, "test_fraction": 0.25},
@@ -518,7 +538,7 @@ def test_config_record_reloads_to_an_equal_config(tmp_path, source):
     if source == "readme":
         config = parse_config(json.loads(readme_block("json")), tmp_path)
     elif source == "synth":
-        config = load_config(cmd_synth(tmp_path, n_rows=960, seed=5))
+        config = load_config(cmd_synth(tmp_path, seed=5))
     else:
         config = load_config(every_section_config(tmp_path))
     path = tmp_path / "record" / "config.json"
@@ -530,7 +550,7 @@ def test_config_record_reloads_to_an_equal_config(tmp_path, source):
 def test_synth_config_lists_every_setting(tmp_path):
     # synth writes its config with config_record, so each object of the file
     # holds every field of the section it is, defaults included
-    path = cmd_synth(tmp_path, n_rows=960, seed=5)
+    path = cmd_synth(tmp_path, seed=5)
 
     def check(obj, value, where):
         if dataclasses.is_dataclass(value):
@@ -552,7 +572,7 @@ def test_synth_config_lists_every_setting(tmp_path):
 def test_manifest_config_is_the_config_that_ran(tmp_path):
     # the manifest records the effective config, --set values and defaults
     # included, and running it again writes the same outputs
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=5)
+    config_path = cmd_synth(tmp_path, seed=5)
     config = load_config(config_path, overrides=["model.gbt.n_trees=5", "shap.background_size=10", "seed=3"])
     manifest = cmd_run(config)
     assert "overrides" not in manifest and "seed" not in manifest
@@ -626,7 +646,7 @@ def test_cmd_features_idempotent(tmp_path):
 
 
 def test_cmd_run_end_to_end_on_synth(tmp_path):
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=5)
+    config_path = cmd_synth(tmp_path, seed=5)
     config = load_config(config_path, overrides=["model.gbt.n_trees=30", "shap.background_size=25"])
     manifest = cmd_run(config)
 
@@ -652,7 +672,7 @@ def readme_section(title: str) -> str:
 
 
 def test_readme_outputs_names_every_manifest_key(tmp_path):
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=5)
+    config_path = cmd_synth(tmp_path, seed=5)
     manifest = cmd_run(load_config(config_path, overrides=["model.gbt.n_trees=5", "shap.background_size=10"]))
     keys = set(manifest) | {key for windows in manifest["metrics"].values() for w in windows for key in w}
     outputs = readme_section("Outputs")
@@ -660,7 +680,7 @@ def test_readme_outputs_names_every_manifest_key(tmp_path):
 
 
 def test_degenerate_importances_are_logged_once_per_period_naming_it(tmp_path, caplog):
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=3)
+    config_path = cmd_synth(tmp_path, seed=3)
     data = tmp_path / "synth_data.csv"
     lines = data.read_text(encoding="utf-8").splitlines()
     # rows 1-960 are the before period; a constant target there gives every window all-zero SHAP values
@@ -677,7 +697,7 @@ def test_degenerate_importances_are_logged_once_per_period_naming_it(tmp_path, c
 def test_comparison_csv_is_the_window_statistics_of_importance_csv(tmp_path):
     # each period's mean and spread are those of its windows' importances,
     # the spread a population standard deviation (ddof=0)
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=8)
+    config_path = cmd_synth(tmp_path, seed=8)
     cmd_run(load_config(config_path, overrides=["model.gbt.n_trees=20", "shap.background_size=20"]))
     out = tmp_path / "run_output"
     with open(out / "importance.csv", newline="", encoding="utf-8") as fh:
@@ -706,7 +726,7 @@ def test_comparison_csv_is_the_window_statistics_of_importance_csv(tmp_path):
 
 
 def test_cmd_run_byte_identical_outputs(tmp_path):
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=2)
+    config_path = cmd_synth(tmp_path, seed=2)
     files = ("importance.csv", "comparison.csv", "dependence.csv", "manifest.json")
     payloads = []
     for run_dir in ("r1", "r2"):
@@ -763,7 +783,7 @@ def test_a_feature_name_that_needs_quoting_reads_back_from_every_output(tmp_path
 
 
 def test_main_exit_codes(tmp_path):
-    assert main(["synth", "--out", str(tmp_path / "s"), "--rows", "960"]) == 0
+    assert main(["synth", "--out", str(tmp_path / "s")]) == 0
     missing = main(["run", "--config", str(tmp_path / "nope.json")])
     assert missing == 1
 
@@ -776,13 +796,10 @@ def test_synth_negative_seed_exits_1_naming_the_seed(tmp_path, capsys):
 
 
 def test_failing_synth_leaves_no_directory_behind(tmp_path, capsys):
-    # 960 rows is the protocol's floor: half-period windows of MIN_BLOCKS
-    # blocks of BLOCK_DAYS hourly days, so one row fewer leaves a window short
+    # the generator refuses a negative seed before synth makes its --out directory
     out = tmp_path / "fresh" / "sub"
-    assert main(["synth", "--out", str(out), "--rows", "959"]) == 1
-    assert last_error_record(capsys)["message"] == (
-        "--rows must be >= 960, so each half-period window spans 5 blocks of 4 days, got 959"
-    )
+    assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+    assert last_error_record(capsys)["message"] == "seed must be >= 0, got -1"
     assert not (tmp_path / "fresh").exists()
 
 
@@ -907,7 +924,7 @@ def test_one_window_run(tmp_path):
     # one window covers the first half of each period and gives no spread, so
     # no delta can be judged against it: nothing is flagged, not even the
     # flipped x1 and x2, where zero spreads would flag the noise feature x3
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=3)
+    config_path = cmd_synth(tmp_path, seed=3)
     assert main(["run", "--config", str(config_path), "--set", "windows.n_windows=1",
                  "--set", "model.gbt.n_trees=10", "--set", "shap.background_size=10"]) == 0
     manifest = json.loads((tmp_path / "run_output" / "manifest.json").read_text())
@@ -992,14 +1009,14 @@ def test_derived_column_never_replaces_a_column(tmp_path, capsys, kind, spec, na
     ],
 )
 def test_period_too_short_for_the_protocol_exits_1_naming_it(tmp_path, capsys, assignment, message):
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=0)
+    config_path = cmd_synth(tmp_path, seed=0)
     assert main(["run", "--config", str(config_path), "--set", assignment]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "TimeSeriesError", "message": message}
 
 
 def test_mlp_run_flips_ranks_too(tmp_path):
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=11)
+    config_path = cmd_synth(tmp_path, seed=11)
     config = load_config(
         config_path,
         overrides=[
@@ -1018,7 +1035,7 @@ def test_mlp_run_flips_ranks_too(tmp_path):
 
 
 def test_mlp_run_with_one_feature(tmp_path):
-    config_path = cmd_synth(tmp_path, n_rows=960, seed=12)
+    config_path = cmd_synth(tmp_path, seed=12)
     argv = ["run", "--config", str(config_path), "--set", 'features.columns=["x1"]', "--set", "model.kind=mlp",
             "--set", "model.mlp.hidden_sizes=[8]", "--set", "model.mlp.max_epochs=5"]
     assert main(argv) == 0

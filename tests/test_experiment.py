@@ -34,7 +34,7 @@ from regime_xai.timeseries import FeatureMatrix, TimeSeriesError, format_timesta
 
 GBT = ModelConfig(
     "gbt",
-    gbt=GbtParams(n_trees=40, max_depth=3, min_samples_leaf=20, learning_rate=0.1),
+    gbt=GbtParams(n_trees=40, max_depth=3, min_samples_leaf=20),
     mlp=MlpParams(hidden_sizes=(16,), max_epochs=60),
 )
 MLP = replace(GBT, kind="mlp")

@@ -50,7 +50,7 @@ def test_step_function_learned_by_stumps():
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 1, size=(200, 1))
     y = (X[:, 0] >= 0.5).astype(float)
-    model = fit_gbt(matrix(X, y), GbtParams(n_trees=10, max_depth=1, min_samples_leaf=1, learning_rate=0.5))
+    model = fit_gbt(matrix(X, y), GbtParams(n_trees=30, max_depth=1, min_samples_leaf=1))
     mse = np.mean((predict_gbt(model, X) - y) ** 2)
     assert mse < 1e-3
 
@@ -59,7 +59,7 @@ def test_linear_target_high_r2():
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, size=(1000, 2))
     y = 3 * X[:, 0] + X[:, 1]
-    model = fit_gbt(matrix(X, y), GbtParams(n_trees=300, max_depth=3, min_samples_leaf=5, learning_rate=0.1))
+    model = fit_gbt(matrix(X, y), GbtParams(n_trees=300, max_depth=3, min_samples_leaf=5))
     resid = predict_gbt(model, X) - y
     r2 = 1 - resid.var() / y.var()
     assert r2 > 0.99
@@ -233,7 +233,7 @@ def reference_fit(fm, params):
     presort does, so fit_gbt must equal this oracle bit for bit."""
     X, y, min_leaf = fm.X, fm.y, params.min_samples_leaf
     if np.all(y == y[0]):
-        return TreeEnsemble(float(y[0]), (), params.learning_rate, X.shape[1])
+        return TreeEnsemble(float(y[0]), (), gbt.LEARNING_RATE, X.shape[1])
 
     def best_split(Xn, r):
         n, total = len(r), r.sum()
@@ -265,8 +265,8 @@ def reference_fit(fm, params):
         if np.max(np.abs(residual)) == 0.0:
             break
         trees.append(build(np.arange(len(y)), 0))
-        residual = residual - params.learning_rate * fitted
-    return TreeEnsemble(base, tuple(trees), params.learning_rate, X.shape[1])
+        residual = residual - gbt.LEARNING_RATE * fitted
+    return TreeEnsemble(base, tuple(trees), gbt.LEARNING_RATE, X.shape[1])
 
 
 def oracle_matrix(seed, n, k, decimals):
@@ -288,7 +288,7 @@ def oracle_matrix(seed, n, k, decimals):
 )
 def test_presorted_fit_equals_a_sort_at_every_node(seed, n, k, decimals, max_depth, min_leaf):
     fm = oracle_matrix(seed, n, k, decimals)
-    params = GbtParams(n_trees=5, max_depth=max_depth, min_samples_leaf=min_leaf, learning_rate=0.3)
+    params = GbtParams(n_trees=5, max_depth=max_depth, min_samples_leaf=min_leaf)
     assert repr(fit_gbt(fm, params)) == repr(reference_fit(fm, params))
 
 

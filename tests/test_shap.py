@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, fit_gbt, predict_gbt
+from regime_xai.gbt import GbtParams, TreeEnsemble, TreeNode, _build_tree, fit_gbt, predict_gbt
 from mlp_reference import initial_net
 from regime_xai.mlp import MlpParams, predict_mlp
 from regime_xai.seeds import derive_seed
@@ -38,7 +38,7 @@ def random_ensemble(seed, n_features=6, n_trees=5, max_depth=3, n_rows=60):
     y = rng.standard_normal(n_rows)
     return fit_gbt(
         matrix(X, y),
-        GbtParams(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=5, learning_rate=0.3),
+        GbtParams(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=5),
     )
 
 
@@ -148,18 +148,16 @@ def test_mask_values_in_chunks_equal_one_model_call_bit_for_bit(hidden, n, size)
 def test_exact_shap_constant_model():
     fn = lambda X: np.full(X.shape[0], 4.2)
     bg = Background(np.random.default_rng(1).normal(size=(4, 3)))
-    phi, phi0 = exact_shap(fn, np.ones(3), bg)
+    phi = exact_shap(fn, np.ones(3), bg)
     np.testing.assert_allclose(phi, 0.0, atol=1e-12)
-    assert phi0 == pytest.approx(4.2)
 
 
 def test_exact_shap_additive_model_centered_background():
     fn = lambda X: X[:, 0] + X[:, 1]
     bg = Background(np.array([[1.0, -2.0], [-1.0, 2.0]]))  # zero column means
     x = np.array([3.0, 5.0])
-    phi, phi0 = exact_shap(fn, x, bg)
+    phi = exact_shap(fn, x, bg)
     np.testing.assert_allclose(phi, [3.0, 5.0], atol=1e-12)
-    assert phi0 == pytest.approx(0.0)
 
 
 def test_exact_shap_three_way_product():
@@ -167,9 +165,8 @@ def test_exact_shap_three_way_product():
     # so each feature gets weight (2! 0!)/3! = 1/3.
     fn = lambda X: X[:, 0] * X[:, 1] * X[:, 2]
     bg = Background(np.zeros((1, 3)))
-    phi, phi0 = exact_shap(fn, np.ones(3), bg)
+    phi = exact_shap(fn, np.ones(3), bg)
     np.testing.assert_allclose(phi, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
-    assert phi0 == 0.0
 
 
 def test_exact_shap_local_accuracy():
@@ -179,8 +176,8 @@ def test_exact_shap_local_accuracy():
     bg = Background(rng.uniform(-1, 1, size=(5, 6)))
     for _ in range(5):
         x = rng.uniform(-1, 1, size=6)
-        phi, phi0 = exact_shap(fn, x, bg)
-        assert phi0 + phi.sum() == pytest.approx(float(fn(x[None])[0]), abs=1e-9)
+        phi = exact_shap(fn, x, bg)
+        assert fn(bg.rows).mean() + phi.sum() == pytest.approx(float(fn(x[None])[0]), abs=1e-9)
 
 
 def test_exact_shap_rejects_large_n():
@@ -204,7 +201,7 @@ def test_exact_shap_symmetry():
     # against a background symmetric under swapping columns 0 and 1.
     fn = lambda X: X[:, 0] * X[:, 1] + X[:, 2]
     bg = Background(np.array([[0.3, -0.8, 0.1], [-0.8, 0.3, 0.1]]))
-    phi, _ = exact_shap(fn, np.array([0.5, 0.5, 2.0]), bg)
+    phi = exact_shap(fn, np.array([0.5, 0.5, 2.0]), bg)
     assert abs(phi[0] - phi[1]) < 1e-9
 
 
@@ -216,11 +213,10 @@ def test_exact_shap_linearity():
     rng = np.random.default_rng(5)
     bg = Background(rng.uniform(-1, 1, size=(4, 6)))
     x = rng.uniform(-1, 1, size=6)
-    phi_g, phi0_g = exact_shap(g, x, bg)
-    phi_h, phi0_h = exact_shap(h, x, bg)
-    phi_c, phi0_c = exact_shap(combo, x, bg)
+    phi_g = exact_shap(g, x, bg)
+    phi_h = exact_shap(h, x, bg)
+    phi_c = exact_shap(combo, x, bg)
     np.testing.assert_allclose(phi_c, a * phi_g + b * phi_h, atol=1e-9)
-    assert phi0_c == pytest.approx(a * phi0_g + b * phi0_h, abs=1e-9)
 
 
 def per_feature_loop(v, n):
@@ -245,9 +241,7 @@ def test_exact_shap_equals_the_per_feature_loop_bit_for_bit(n):
     bg = Background(rng.standard_normal((4, n)))
     x = rng.standard_normal(n)
     v = _mask_values(fn, x, bg, np.arange(1 << n, dtype=np.int64), n)
-    phi, phi0 = exact_shap(fn, x, bg)
-    np.testing.assert_array_equal(phi, per_feature_loop(v, n))
-    assert phi0 == v[0]
+    np.testing.assert_array_equal(exact_shap(fn, x, bg), per_feature_loop(v, n))
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(5) for q in range(5) if p + q])
@@ -263,7 +257,7 @@ def test_exact_shap_unanimity_with_veto_game_has_the_weights_of_its_players(p, q
     for m in range(4):
         x = np.array([1.0] * p + [0.0] * q + [1.0] * m)
         bg = Background(np.array([[0.0] * p + [1.0] * q + [1.0] * m]))
-        phi, _ = exact_shap(fn, x, bg)
+        phi = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi[: p + q], players, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(phi[p + q :], 0.0)
 
@@ -319,31 +313,38 @@ def test_tree_shap_matches_brute_force():
         X = rng.uniform(-1, 1, size=(10, 6))
         phi = explain_dataset(model, X, bg, method="tree", seed=0)
         for x, phi_t in zip(X, phi):
-            phi_e, _ = exact_shap(fn, x, bg)
+            phi_e = exact_shap(fn, x, bg)
             worst = max(worst, np.max(np.abs(phi_t - phi_e)))
     assert worst < 1e-9
 
 
 def test_trees_fitted_to_a_zero_residual_add_nothing():
-    # One depth-2 tree fits this target exactly at learning rate 1 (8 rows per
-    # quadrant keep the base score and every leaf mean exact), so each later
-    # stage fits a zero residual: a single leaf of value 0, which moves
+    # One depth-2 tree fits this target exactly (8 rows per quadrant keep the
+    # base score and every leaf mean exact), so at learning rate 1 each later
+    # stage would fit a zero residual: a single leaf of value 0, which moves
     # neither a prediction nor, having no path, an attribution.
     rng = np.random.default_rng(31)
     signs = np.repeat([[-1, -1], [-1, 1], [1, -1], [1, 1]], 8, axis=0)
     X = np.column_stack([signs * rng.uniform(0.1, 1, size=signs.shape), rng.uniform(-1, 1, size=32)])
     y = 2.0 * (signs[:, 0] > 0) + 1.0 * (signs[:, 1] > 0)
-    model = fit_gbt(matrix(X, y), GbtParams(n_trees=4, max_depth=2, min_samples_leaf=1, learning_rate=1.0))
-    assert len(model.trees) == 4
-    assert all(tree.is_leaf and tree.value == 0.0 for tree in model.trees[1:])
+    params, rows, fitted = GbtParams(max_depth=2, min_samples_leaf=1), np.arange(32), np.empty(32)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    base = float(y.mean())
+    tree = _build_tree(X, y - base, rows, order, 0, params, fitted)
+    residual = y - base - fitted
+    np.testing.assert_array_equal(residual, 0.0)
+    zero = _build_tree(X, residual, rows, order, 0, params, fitted)
+    assert zero == TreeNode(value=0.0)
+    np.testing.assert_array_equal(fitted, 0.0)
+    model = TreeEnsemble(base, (tree, zero, zero, zero), 1.0, 3)
     np.testing.assert_array_equal(predict_gbt(model, X), y)
-    first = TreeEnsemble(model.base_score, model.trees[:1], 1.0, 3)
+    first = TreeEnsemble(base, (tree,), 1.0, 3)
     bg = Background(X[::5])
     phi = explain_dataset(model, X[:12], bg, method="tree", seed=0)
     np.testing.assert_array_equal(phi, explain_dataset(first, X[:12], bg, method="tree", seed=0))
     fn = partial(predict_gbt, model)
     for x, phi_t in zip(X[:12], phi):
-        phi_e, _ = exact_shap(fn, x, bg)
+        phi_e = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi_t, phi_e, atol=1e-12)
 
 
@@ -356,7 +357,7 @@ def test_tree_shap_matches_brute_force_wider_feature_space():
     phi = explain_dataset(model, X, bg, method="tree", seed=0)
     worst = 0.0
     for x, phi_t in zip(X, phi):
-        phi_e, _ = exact_shap(fn, x, bg)
+        phi_e = exact_shap(fn, x, bg)
         worst = max(worst, np.max(np.abs(phi_t - phi_e)))
     assert worst < 1e-9
 
@@ -374,7 +375,7 @@ def test_tree_shap_repeated_feature_on_path():
     X = np.array([[x0, 0.3] for x0 in (-1.0, 0.0, 1.0)])
     phi = explain_dataset(model, X, bg, method="tree", seed=0)
     for x, phi_t in zip(X, phi):
-        phi_e, _ = exact_shap(fn, x, bg)
+        phi_e = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi_t, phi_e, atol=1e-12)
 
 
@@ -441,7 +442,7 @@ def test_tree_batch_matches_brute_force_row_by_row():
         phi = explain_dataset(model, X, bg, method="tree", seed=0)
         fn = partial(predict_gbt, model)
         for i, x in enumerate(X):
-            phi_e, _ = exact_shap(fn, x, bg)
+            phi_e = exact_shap(fn, x, bg)
             np.testing.assert_allclose(phi[i], phi_e, rtol=0, atol=1e-12)
 
 
@@ -467,7 +468,7 @@ def test_tree_batch_across_row_blocks_matches_each_row_alone(monkeypatch):
     for i in range(len(X)):
         alone = explain_dataset(model, X[i : i + 1], bg, method="tree", seed=0)
         np.testing.assert_array_equal(phi[i], alone[0])
-        phi_e, _ = exact_shap(fn, X[i], bg)
+        phi_e = exact_shap(fn, X[i], bg)
         np.testing.assert_allclose(phi[i], phi_e, rtol=0, atol=1e-12)
 
 
@@ -498,7 +499,7 @@ def test_tree_shap_mixed_path_lengths_match_brute_force():
     phi = explain_dataset(model, X, bg, method="tree", seed=0)
     fn = partial(predict_gbt, model)
     for x, phi_t in zip(X, phi):
-        phi_e, _ = exact_shap(fn, x, bg)
+        phi_e = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi_t, phi_e, rtol=0, atol=1e-12)
 
 
@@ -535,7 +536,7 @@ def test_tree_shap_deep_path_matches_brute_force_in_little_memory():
     assert peak < 1 << 22
     fn = partial(predict_gbt, model)
     for x, phi_t in zip(X, phi):
-        phi_e, _ = exact_shap(fn, x, bg)
+        phi_e = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi_t, phi_e, rtol=0, atol=1e-12)
 
 
@@ -558,7 +559,7 @@ def test_tree_shap_matches_brute_force_where_the_code_type_widens(n):
     phi = explain_dataset(model, X, bg, method="tree", seed=0)
     fn = partial(predict_gbt, model)
     for x, phi_t in zip(X, phi):
-        phi_e, _ = exact_shap(fn, x, bg)
+        phi_e = exact_shap(fn, x, bg)
         np.testing.assert_allclose(phi_t, phi_e, rtol=0, atol=1e-12)
 
 
@@ -598,27 +599,22 @@ def test_kernel_exact_mode_matches_brute_force():
         bg = Background(rng.standard_normal((5, n)))
         for _ in range(3):
             x = rng.standard_normal(n)
-            phi_k, phi0_k = kernel_shap(fn, x, bg, seed=0)
-            phi_e, phi0_e = exact_shap(fn, x, bg)
-            np.testing.assert_array_equal(phi_k, phi_e)
-            assert phi0_k == phi0_e
+            np.testing.assert_array_equal(kernel_shap(fn, x, bg, seed=0), exact_shap(fn, x, bg))
 
 
 def test_kernel_constant_model_zero_phi():
     fn = lambda X: np.full(X.shape[0], 2.0)
     bg = Background(np.random.default_rng(10).normal(size=(4, 5)))
-    phi, phi0 = kernel_shap(fn, np.ones(5), bg, seed=1)
+    phi = kernel_shap(fn, np.ones(5), bg, seed=1)
     np.testing.assert_allclose(phi, 0.0, atol=1e-9)
-    assert phi0 == pytest.approx(2.0)
 
 
 def test_kernel_additive_model_centered_background():
     fn = lambda X: X[:, 0] + X[:, 1] + X[:, 2]
     bg = Background(np.array([[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]]))
     x = np.array([4.0, 5.0, 6.0])
-    phi, phi0 = kernel_shap(fn, x, bg, seed=0)
+    phi = kernel_shap(fn, x, bg, seed=0)
     np.testing.assert_allclose(phi, [4.0, 5.0, 6.0], atol=1e-9)
-    assert phi0 == pytest.approx(0.0)
 
 
 def test_kernel_local_accuracy_structural_in_sampling_mode():
@@ -628,8 +624,8 @@ def test_kernel_local_accuracy_structural_in_sampling_mode():
     rng = np.random.default_rng(11)
     bg = Background(rng.standard_normal((6, 12)))
     x = rng.standard_normal(12)
-    phi, phi0 = kernel_shap(fn, x, bg, seed=3)
-    assert phi0 + phi.sum() == pytest.approx(float(fn(x[None])[0]), abs=1e-10)
+    phi = kernel_shap(fn, x, bg, seed=3)
+    assert fn(bg.rows).mean() + phi.sum() == pytest.approx(float(fn(x[None])[0]), abs=1e-10)
 
 
 def test_kernel_sampling_pairs_each_coalition_with_its_complement():
@@ -653,11 +649,11 @@ def test_kernel_deterministic_given_seed():
     rng = np.random.default_rng(13)
     bg = Background(rng.standard_normal((4, 12)))
     x = rng.standard_normal(12)
-    phi1, _ = kernel_shap(fn, x, bg, seed=7)
-    phi2, _ = kernel_shap(fn, x, bg, seed=7)
+    phi1 = kernel_shap(fn, x, bg, seed=7)
+    phi2 = kernel_shap(fn, x, bg, seed=7)
     np.testing.assert_array_equal(phi1, phi2)
     # 2^12 - 2 = 4,094 coalitions exceed the budget of 2,072: n = 12 samples
-    phi3, _ = kernel_shap(fn, x, bg, seed=8)
+    phi3 = kernel_shap(fn, x, bg, seed=8)
     assert not np.array_equal(phi1, phi3)
 
 
@@ -675,10 +671,7 @@ def test_kernel_single_feature_matches_exact():
     fn = lambda X: np.sin(3 * X[:, 0]) + X[:, 0] ** 2
     bg = Background(np.array([[-0.4], [0.1], [1.3]]))
     x = np.array([0.7])
-    phi_k, phi0_k = kernel_shap(fn, x, bg, seed=0)
-    phi_e, phi0_e = exact_shap(fn, x, bg)
-    np.testing.assert_allclose(phi_k, phi_e, rtol=0, atol=1e-12)
-    assert phi0_k == phi0_e
+    np.testing.assert_allclose(kernel_shap(fn, x, bg, seed=0), exact_shap(fn, x, bg), rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ explain_dataset
@@ -746,7 +739,7 @@ def test_explain_dataset_kernel_rows_use_their_own_seeds():
     phi = explain_dataset(net, X, bg, method="kernel", seed=5)
     fn = partial(predict_mlp, net, work={})
     for i in range(len(X)):
-        np.testing.assert_array_equal(phi[i], kernel_shap(fn, X[i], bg, seed=derive_seed(5, i))[0])
+        np.testing.assert_array_equal(phi[i], kernel_shap(fn, X[i], bg, seed=derive_seed(5, i)))
 
 
 def _cpus(monkeypatch, count):

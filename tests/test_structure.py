@@ -354,15 +354,28 @@ def _built_by_dataclass_from() -> set[type]:
     return built
 
 
+def _restates_default(cls: type, keyword: ast.keyword) -> bool:
+    """Whether keyword, of a call to the dataclass cls, passes a literal
+    equal to its field's default."""
+    default = next((f.default for f in dataclasses.fields(cls) if f.name == keyword.arg), dataclasses.MISSING)
+    try:
+        return ast.literal_eval(keyword.value) == default
+    except ValueError:
+        return False
+
+
 def test_every_config_default_is_set_by_a_caller():
     # A config field with a default that no caller outside the tests sets has
     # one value in use, so it is a constant, not a setting. The callers are
     # the benchmark's workload configs, the config synth writes and the
-    # package's own constructor calls, as cmd_synth's GbtParams(learning_rate=0.1).
-    # A field counts as set even at its default: residual_loads[].ror_lag_days
+    # package's own constructor calls, as cmd_synth's GbtParams(n_trees=60).
+    # A constructor keyword that passes a literal equal to its field's default
+    # sets nothing: restating a default gives the field no second value. A
+    # workload key counts as set even at its default: residual_loads[].ror_lag_days
     # has one value in use, 7, but csv-export's config sets it, and removing
     # the field would refuse the benchmark's own config as an unknown key.
     built = _built_by_dataclass_from()
+    by_name = {cls.__name__: cls for cls in built}
     synth = next(node for node in _package_trees()["cli.py"].body if getattr(node, "name", None) == "cmd_synth")
     workloads = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
     keys = {
@@ -377,8 +390,9 @@ def test_every_config_default_is_set_by_a_caller():
         keyword.arg
         for tree in _package_trees().values()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {cls.__name__ for cls in built}
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in by_name
         for keyword in node.keywords
+        if not _restates_default(by_name[node.func.id], keyword)
     }
     unset = sorted(
         f"{cls.__name__}.{f.name}"

@@ -384,6 +384,21 @@ def test_load_table_rejects_bad_header(tmp_path):
 # ------------------------------------------------------- load_table's oracle
 
 
+def strict_rows(reader):
+    """(file line, row) of each record of a strict csv.reader, the line the
+    record starts on, as a quoted cell may hold line breaks; a malformed
+    record raises a ParseError naming that line."""
+    while True:
+        line_no = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(line_no, str(exc)) from None
+        yield line_no, row
+
+
 def reference_load_table(path, step_seconds: int) -> TimeTable:
     """load_table as one loop over csv.reader rows: the oracle the chunked
     numpy pass must match, value for value and error for error."""
@@ -394,11 +409,13 @@ def reference_load_table(path, step_seconds: int) -> TimeTable:
     except OSError as exc:
         raise TimeSeriesError(f"cannot read {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(1, "empty file") from None
+        except csv.Error as exc:
+            raise ParseError(1, str(exc)) from None
         if not header or header[0].strip() != "timestamp":
             raise ParseError(1, f"first column must be named 'timestamp', got {header[:1]!r}")
         if any("\udc80" <= c <= "\udcff" for c in "".join(header)):
@@ -410,7 +427,7 @@ def reference_load_table(path, step_seconds: int) -> TimeTable:
         ts_list: list[int] = []
         line_nos = array("l")  # each row's file line for the grid errors; 8 bytes a row, not a list's 40
         rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in strict_rows(reader):
             if not row:
                 continue
             if len(row) != len(header):
@@ -486,6 +503,7 @@ BAD_CELLS = [
     # values the loop rejects: words, infinities, forms float() refuses, NUL, a byte that is not UTF-8
     ("value", "abc"), ("value", "inf"), ("value", "-Infinity"), ("value", "1e500"), ("value", "0x10"),
     ("value", "1d3"), ("value", "1\x00"), ("value", "7\udce9"), ("value", '"1,5"'), ("value", "1,2"),
+    ("value", '"1"2'),
     # forms where C's number parser and float() might part
     ("value", "1 2"), ("value", "1.5e"), ("value", "e5"), ("value", "."), ("value", "+"), ("value", "--1"),
     ("value", "nan(1)"), ("value", "\t"),
@@ -595,8 +613,24 @@ def test_a_quoted_line_break_shifts_no_later_line(tmp_path):
     # the cell opened on line 3 closes on line 4, so the bad cell sits on line 8, the 7th record
     lines = ["timestamp,a", "2018-01-01T00:00:00Z,0", '2018-01-01T01:00:00Z,"1', '"', "2018-01-01T02:00:00Z,2",
              "2018-01-01T03:00:00Z,3", "2018-01-01T04:00:00Z,4", "2018-01-01T05:00:00Z,abc"]
+    p = write_csv(tmp_path / "a.csv", lines)
     with pytest.raises(ParseError, match="^line 8: column 'a': non-numeric value 'abc'$"):
-        load_table(write_csv(tmp_path / "a.csv", lines), 3600)
+        load_table(p, 3600)
+    assert load_outcome(reference_load_table, p) == load_outcome(load_table, p)
+
+
+@pytest.mark.parametrize(
+    "last_lines, message",
+    [(['2020-01-01T01:00:00Z,"1"2', "2020-01-01T02:00:00Z,2"], "',' expected after '\"'"),
+     (['2020-01-01T01:00:00Z,"2'], "unexpected end of data")],
+    ids=["text after the closing quote", "quote never closed"],
+)
+def test_a_malformed_quote_is_refused_with_its_line(tmp_path, last_lines, message):
+    # a lenient reader would load the first as 12.0 and the second as 2.0
+    p = tmp_path / "a.csv"
+    p.write_text("\n".join(["timestamp,v", "2020-01-01T00:00:00Z,0", *last_lines]))
+    with pytest.raises(ParseError, match=f"^line 3: {re.escape(message)}$"):
+        load_table(p, 3600)
 
 
 def test_a_quoted_line_break_across_chunks_shifts_no_later_line(tmp_path):
@@ -1062,7 +1096,7 @@ def test_synth_regime_rejects_small_n():
 
 
 def test_synth_regime_sets_no_protocol_floor():
-    # the protocol's floor is the CLI's to enforce (cmd_synth), not the generator's
+    # the protocol's floor is the CLI's to meet (cmd_synth writes it) and run_period's to enforce, not the generator's
     a, b = synth_regime(1, seed=0)
     assert len(a) == len(b) == 1
     assert b.timestamps[0] == a.timestamps[0] + 3600
